@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
 
-from .instance import Instance, PumpingRegime, Site
+from .instance import Instance, PumpingRegime
 
 # chain position of a batch on an edge
 INITIAL = "initial"
@@ -87,28 +86,6 @@ def compute_batch_length(regime: PumpingRegime, product: str, volume: int) -> in
     if rate <= 0:
         raise ValueError(f"regime {regime.id!r} has nonpositive flow for {product!r}")
     return math.ceil(Fraction(volume) / rate)
-
-
-def site_batch_sizes(site: Site, product_id: str, regimes: Iterable[PumpingRegime], inst: Instance) -> tuple[int, ...]:
-    """All batch sizes a site can dispatch for a product, across its regimes.
-
-    The standard size is always available; flushing products additionally get
-    one fill size per regime whose flush volume strictly exceeds the standard.
-    """
-    std = site.standard_batch.get(product_id)
-    if std is None:
-        return ()
-    sizes = {std}
-    if inst.product(product_id).is_flushing:
-        for regime in regimes:
-            if product_id not in regime.flow_rate:
-                continue
-            if inst.regime_origin(regime) != site.id:
-                continue
-            rv = inst.regime_flush_volume(regime)
-            if rv > std:
-                sizes.add(rv)
-    return tuple(sorted(sizes))
 
 
 def regime_batch_sizes(inst: Instance, regime: PumpingRegime, product_id: str) -> tuple[int, ...]:

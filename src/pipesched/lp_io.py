@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .milpmodel import EQ, GE, LE, MILPModel, PLACEMENT
+from .milpmodel import EQ, GE, LE, LinearConstraint, MILPModel, PLACEMENT
 from .schedule import Schedule
 
 INTEGRALITY_TOL = 1e-5
@@ -38,21 +38,52 @@ class SolutionFormatError(ValueError):
     pass
 
 
-def _num(x: Fraction) -> str:
+def _num(x: int | Fraction) -> str:
+    if type(x) is int:
+        return str(x)
     if x.denominator == 1:
         return str(x.numerator)
     return repr(float(x))
 
 
-def _terms_text(terms: Iterable[tuple[int, Fraction]], names: list[str]) -> list[str]:
-    chunks: list[str] = []
-    for vid, coef in terms:
-        sign = "+" if coef >= 0 else "-"
-        chunks.append(f"{sign}{_num(abs(coef))} {names[vid]}")
+def _terms_text(terms: Iterable[tuple[int, int | Fraction]], names: list[str]) -> list[str]:
+    chunks = [
+        f"+{_num(coef)} {names[vid]}" if coef >= 0 else f"-{_num(-coef)} {names[vid]}" for vid, coef in terms
+    ]
     lines = []
     for i in range(0, len(chunks), _TERMS_PER_LINE):
         lines.append(" ".join(chunks[i : i + _TERMS_PER_LINE]))
     return lines or [""]
+
+
+_SENSE_TEXT = {LE: "<=", GE: ">=", EQ: "="}
+
+
+def _row_text(c: LinearConstraint, names: list[str]) -> str:
+    """LP lines of one row; '' for a row without terms, which holds vacuously."""
+    if not c.terms:
+        holds = (
+            (c.sense == LE and 0 <= c.rhs)
+            or (c.sense == GE and 0 >= c.rhs)
+            or (c.sense == EQ and c.rhs == 0)
+        )
+        if not holds:
+            raise LPWriteError(f"constraint {c.name} has no terms and cannot hold (0 {c.sense} {c.rhs})")
+        return ""
+    lines = _terms_text(c.terms, names)
+    lines[0] = f" {c.name}: {lines[0]}"
+    for i in range(1, len(lines)):
+        lines[i] = "   " + lines[i]
+    lines[-1] += f" {_SENSE_TEXT[c.sense]} {_num(c.rhs)}"
+    return "\n".join(lines)
+
+
+def _row_texts(model: MILPModel) -> list[str]:
+    """Row text is the same in every lazy round, so it is formatted once per model."""
+    if model.lp_rows is None:
+        names = [v.lp_name for v in model.variables]
+        model.lp_rows = [_row_text(c, names) for c in model.constraints]
+    return model.lp_rows
 
 
 def write_lp(model: MILPModel, activated_lazy: Optional[set[int]] = None) -> str:
@@ -61,7 +92,8 @@ def write_lp(model: MILPModel, activated_lazy: Optional[set[int]] = None) -> str
     With `activated_lazy=None` every row is written (monolithic model); with
     a set only non-lazy rows plus the activated lazy row indices appear.
     Rows with an empty left-hand side cannot be expressed in LP format; they
-    are skipped after checking they hold vacuously.
+    are skipped after checking they hold vacuously (on the first call, for
+    every row of the model).
     """
     names = [v.lp_name for v in model.variables]
     out: list[str] = []
@@ -76,25 +108,11 @@ def write_lp(model: MILPModel, activated_lazy: Optional[set[int]] = None) -> str
     out.extend("   " + line for line in obj_lines[1:])
 
     out.append("Subject To")
-    for idx, c in enumerate(model.constraints):
-        if c.lazy and activated_lazy is not None and idx not in activated_lazy:
-            continue
-        if not c.terms:
-            holds = (
-                (c.sense == LE and 0 <= c.rhs)
-                or (c.sense == GE and 0 >= c.rhs)
-                or (c.sense == EQ and c.rhs == 0)
-            )
-            if not holds:
-                raise LPWriteError(f"constraint {c.name} has no terms and cannot hold (0 {c.sense} {c.rhs})")
-            continue
-        lines = _terms_text(c.terms, names)
-        sense = {LE: "<=", GE: ">=", EQ: "="}[c.sense]
-        out.append(f" {c.name}: " + lines[0] + ("" if len(lines) > 1 else f" {sense} {_num(c.rhs)}"))
-        for line in lines[1:-1]:
-            out.append("   " + line)
-        if len(lines) > 1:
-            out.append("   " + lines[-1] + f" {sense} {_num(c.rhs)}")
+    out.extend(
+        text
+        for idx, (text, c) in enumerate(zip(_row_texts(model), model.constraints))
+        if text and (not c.lazy or activated_lazy is None or idx in activated_lazy)
+    )
 
     out.append("Bounds")
     for v in model.variables:
@@ -162,7 +180,7 @@ def _normalize_status(text: str) -> Optional[str]:
 
 
 def parse_solution(text: str, model: MILPModel) -> ParsedSolution:
-    name_to_vid = {v.lp_name: v.vid for v in model.variables}
+    name_to_vid = model.name_index
     values: dict[int, float] = {}
     reported: Optional[float] = None
     bound: Optional[float] = None

@@ -23,13 +23,16 @@ Constraint families:
 
 Occupancy bounds can be marked lazy; the definitional equalities never are.
 The objective maximizes weighted extraction minus distribution deviation,
-plan-change and pumping-cost penalties; all coefficients are exact rationals.
+plan-change and pumping-cost penalties; its coefficients are exact rationals.
+Every row coefficient, right-hand side and variable bound is a volume or a
+count, so rows and bounds hold plain integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .batches import (
@@ -115,8 +118,8 @@ class Variable:
     kind: str
     key: tuple
     binary: bool
-    lb: Optional[Fraction]
-    ub: Optional[Fraction]
+    lb: Optional[int]
+    ub: Optional[int]
 
     @property
     def lp_name(self) -> str:
@@ -127,9 +130,9 @@ class Variable:
 class LinearConstraint:
     name: str
     family: str
-    terms: tuple[tuple[int, Fraction], ...]  # (vid, coefficient)
+    terms: tuple[tuple[int, int], ...]  # (vid, coefficient)
     sense: str
-    rhs: Fraction
+    rhs: int
     lazy: bool = False
 
 
@@ -145,6 +148,13 @@ class MILPModel:
     catalog: BatchCatalog
     options: BuildOptions
     metadata: dict = field(default_factory=dict)
+    # LP text of each row, formatted by lp_io.write_lp on its first call
+    lp_rows: Optional[list[str]] = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def name_index(self) -> dict[str, int]:
+        """LP name -> vid."""
+        return {v.lp_name: v.vid for v in self.variables}
 
     def vid(self, kind: str, key: tuple) -> Optional[int]:
         return self.var_index.get((kind, key))
@@ -162,10 +172,10 @@ class MILPModel:
         return counts
 
 
-def _accumulate(pairs: Iterable[tuple[int, Fraction]]) -> tuple[tuple[int, Fraction], ...]:
-    acc: dict[int, Fraction] = {}
+def _accumulate(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    acc: dict[int, int] = {}
     for vid, coef in pairs:
-        acc[vid] = acc.get(vid, Fraction(0)) + coef
+        acc[vid] = acc.get(vid, 0) + coef
     return tuple((vid, coef) for vid, coef in acc.items() if coef != 0)
 
 
@@ -202,7 +212,7 @@ def build_variables(
         for ref in catalog.refs(edge.id):
             L = catalog.spec_by_id[ref.batch].length
             for t in range(H - L + 1):
-                add(PLACEMENT, (edge.id, ref.batch, t), True, Fraction(0), Fraction(1))
+                add(PLACEMENT, (edge.id, ref.batch, t), True, 0, 1)
 
     for edge in inst.edges:
         for ref in catalog.refs(edge.id):
@@ -210,7 +220,7 @@ def build_variables(
             if not ref.is_initial or inst.product(spec.product).is_flushing:
                 continue
             for t in range(H - spec.length + 1):
-                add(ENDPOINT, (edge.id, ref.batch, t + spec.length), False, Fraction(0), Fraction(1))
+                add(ENDPOINT, (edge.id, ref.batch, t + spec.length), False, 0, 1)
 
     for site in inst.storage_sites():
         for product in inst.products:
@@ -223,7 +233,7 @@ def build_variables(
 
     for ti, tgt in enumerate(inst.weights.distribution_targets):
         if tgt.target is not None:
-            add(DEVIATION, (tgt.site, tgt.product, ti), False, Fraction(0), None)
+            add(DEVIATION, (tgt.site, tgt.product, ti), False, 0, None)
 
     return tuple(variables), index
 
@@ -233,15 +243,15 @@ def emit_packing(inst, catalog, index, namer) -> list[LinearConstraint]:
     H = inst.grid.horizon_len
     rows: list[LinearConstraint] = []
     for edge in inst.edges:
-        covering: list[list[tuple[int, Fraction]]] = [[] for _ in range(H)]
+        covering: list[list[tuple[int, int]]] = [[] for _ in range(H)]
         for ref in catalog.refs(edge.id):
             L = catalog.spec_by_id[ref.batch].length
             for t0 in range(H - L + 1):
-                vid = index[(PLACEMENT, (edge.id, ref.batch, t0))]
+                term = (index[(PLACEMENT, (edge.id, ref.batch, t0))], 1)
                 for t in range(t0, t0 + L):
-                    covering[t].append((vid, Fraction(1)))
+                    covering[t].append(term)
         for t in range(H):
-            rows.append(LinearConstraint(namer(FAM_PACKING), FAM_PACKING, tuple(covering[t]), LE, Fraction(1)))
+            rows.append(LinearConstraint(namer(FAM_PACKING), FAM_PACKING, tuple(covering[t]), LE, 1))
     return rows
 
 
@@ -258,11 +268,7 @@ def emit_routes(inst, catalog, index, namer) -> list[LinearConstraint]:
             for t in range(H - spec.length + 1):
                 va = index[(PLACEMENT, (e_a, spec.id, t))]
                 vb = index[(PLACEMENT, (e_b, spec.id, t))]
-                rows.append(
-                    LinearConstraint(
-                        namer(FAM_ROUTES), FAM_ROUTES, ((va, Fraction(1)), (vb, Fraction(-1))), EQ, Fraction(0)
-                    )
-                )
+                rows.append(LinearConstraint(namer(FAM_ROUTES), FAM_ROUTES, ((va, 1), (vb, -1)), EQ, 0))
     return rows
 
 
@@ -295,11 +301,7 @@ def emit_flushing(
         for t in range(H - L + 1):
             v = index[(PLACEMENT, (eid, spec.id, t))]
             w = index[(ENDPOINT, (eid, spec.id, t + L))]
-            link.append(
-                LinearConstraint(
-                    namer(FAM_FLUSH_LINK), FAM_FLUSH_LINK, ((v, Fraction(1)), (w, Fraction(-1))), EQ, Fraction(0)
-                )
-            )
+            link.append(LinearConstraint(namer(FAM_FLUSH_LINK), FAM_FLUSH_LINK, ((v, 1), (w, -1)), EQ, 0))
 
     for eid, spec in stain_refs:
         others = catalog.stain_exclusions.get((eid, spec.product), ())
@@ -307,14 +309,14 @@ def emit_flushing(
             continue
         L = spec.length
         for te in range(L, H):
-            terms: list[tuple[int, Fraction]] = []
+            terms: list[tuple[int, int]] = []
             for other in others:
                 v = index.get((PLACEMENT, (eid, other, te)))
                 if v is not None:
-                    terms.append((v, Fraction(1)))
+                    terms.append((v, 1))
             w = index[(ENDPOINT, (eid, spec.id, te))]
-            terms.append((w, Fraction(1)))
-            excl.append(LinearConstraint(namer(FAM_FLUSH_EXCL), FAM_FLUSH_EXCL, tuple(terms), LE, Fraction(1)))
+            terms.append((w, 1))
+            excl.append(LinearConstraint(namer(FAM_FLUSH_EXCL), FAM_FLUSH_EXCL, tuple(terms), LE, 1))
 
     for eid, spec in stain_refs:
         candidates = catalog.flush_candidates.get((eid, spec.id), ())
@@ -324,14 +326,14 @@ def emit_flushing(
             )
         L = spec.length
         for te in range(L, H + 1):
-            terms: list[tuple[int, Fraction]] = [(index[(ENDPOINT, (eid, spec.id, te))], Fraction(1))]
+            terms: list[tuple[int, int]] = [(index[(ENDPOINT, (eid, spec.id, te))], 1)]
             for follow in (spec.id, *candidates):
                 v = index.get((PLACEMENT, (eid, follow, te)))
                 if v is not None:
-                    terms.append((v, Fraction(-1)))
+                    terms.append((v, -1))
             if len(terms) == 1 and options.relax_terminal_flush:
                 continue
-            enforce.append(LinearConstraint(namer(FAM_FLUSH_ENFORCE), FAM_FLUSH_ENFORCE, tuple(terms), LE, Fraction(0)))
+            enforce.append(LinearConstraint(namer(FAM_FLUSH_ENFORCE), FAM_FLUSH_ENFORCE, tuple(terms), LE, 0))
 
     return link + excl + enforce, warnings
 
@@ -352,13 +354,13 @@ def emit_regime_exclusions(inst, catalog, index, namer) -> list[LinearConstraint
                 starts = {t: index[(PLACEMENT, (edge.id, spec.id, t))] for t in range(H - spec.length + 1)}
                 entries.append((spec.length, starts))
         for t in range(H):
-            terms: list[tuple[int, Fraction]] = []
+            terms: list[tuple[int, int]] = []
             for L, starts in entries:
                 for t0 in range(t, t + L + 1):
                     vid = starts.get(t0)
                     if vid is not None:
-                        terms.append((vid, Fraction(1)))
-            rows.append(LinearConstraint(namer(FAM_EXCLUSION), FAM_EXCLUSION, tuple(terms), LE, Fraction(1)))
+                        terms.append((vid, 1))
+            rows.append(LinearConstraint(namer(FAM_EXCLUSION), FAM_EXCLUSION, tuple(terms), LE, 1))
     return rows
 
 
@@ -387,9 +389,7 @@ def emit_outages(
                 fixings[vid] = 0
                 if vid not in fixed_rows:
                     fixed_rows.add(vid)
-                    rows.append(
-                        LinearConstraint(namer(FAM_OUTAGE), FAM_OUTAGE, ((vid, Fraction(1)),), EQ, Fraction(0))
-                    )
+                    rows.append(LinearConstraint(namer(FAM_OUTAGE), FAM_OUTAGE, ((vid, 1),), EQ, 0))
     return rows, reductions
 
 
@@ -441,37 +441,37 @@ def emit_capacity(
             outs = outbound.get(key, ())
             for t in range(H):
                 u_t = index[(OCC_UPPER, (site.id, product.id, t))]
-                terms: list[tuple[int, Fraction]] = [(u_t, Fraction(1))]
-                rhs = Fraction(base[t])
+                terms: list[tuple[int, int]] = [(u_t, 1)]
+                rhs = base[t]
                 if t >= 1:
-                    terms.append((index[(OCC_UPPER, (site.id, product.id, t - 1))], Fraction(-1)))
+                    terms.append((index[(OCC_UPPER, (site.id, product.id, t - 1))], -1))
                     rhs -= base[t - 1]
                 for eid, spec in ins:
                     vid = index.get((PLACEMENT, (eid, spec.id, t)))
                     if vid is not None:
-                        terms.append((vid, Fraction(-spec.volume)))
+                        terms.append((vid, -spec.volume))
                 for eid, spec in outs:
                     vid = index.get((PLACEMENT, (eid, spec.id, t - spec.length)))
                     if vid is not None and t - spec.length >= 0:
-                        terms.append((vid, Fraction(spec.volume)))
+                        terms.append((vid, spec.volume))
                 defs.append(
                     LinearConstraint(namer(FAM_CAP_DEF_UPPER), FAM_CAP_DEF_UPPER, _accumulate(terms), EQ, rhs)
                 )
             for t in range(H):
                 l_t = index[(OCC_LOWER, (site.id, product.id, t))]
-                terms = [(l_t, Fraction(1))]
-                rhs = Fraction(base[t])
+                terms = [(l_t, 1)]
+                rhs = base[t]
                 if t >= 1:
-                    terms.append((index[(OCC_LOWER, (site.id, product.id, t - 1))], Fraction(-1)))
+                    terms.append((index[(OCC_LOWER, (site.id, product.id, t - 1))], -1))
                     rhs -= base[t - 1]
                 for eid, spec in ins:
                     vid = index.get((PLACEMENT, (eid, spec.id, t - spec.length)))
                     if vid is not None and t - spec.length >= 0:
-                        terms.append((vid, Fraction(-spec.volume)))
+                        terms.append((vid, -spec.volume))
                 for eid, spec in outs:
                     vid = index.get((PLACEMENT, (eid, spec.id, t)))
                     if vid is not None:
-                        terms.append((vid, Fraction(spec.volume)))
+                        terms.append((vid, spec.volume))
                 defs.append(
                     LinearConstraint(namer(FAM_CAP_DEF_LOWER), FAM_CAP_DEF_LOWER, _accumulate(terms), EQ, rhs)
                 )
@@ -491,9 +491,9 @@ def emit_capacity(
                     LinearConstraint(
                         namer(FAM_CAP_UPPER),
                         FAM_CAP_UPPER,
-                        ((u_t, Fraction(1)),),
+                        ((u_t, 1),),
                         LE,
-                        Fraction(cap),
+                        cap,
                         lazy=options.capacity_lazy,
                     )
                 )
@@ -504,9 +504,9 @@ def emit_capacity(
                     LinearConstraint(
                         namer(FAM_CAP_LOWER),
                         FAM_CAP_LOWER,
-                        ((l_t, Fraction(1)),),
+                        ((l_t, 1),),
                         GE,
-                        Fraction(minp[t]),
+                        minp[t],
                         lazy=options.capacity_lazy,
                     )
                 )
@@ -520,7 +520,7 @@ def emit_throughput_limits(inst, catalog, index, namer, options: BuildOptions) -
     # initial edge unless per-edge counting is requested
     rows: list[LinearConstraint] = []
     for lim in inst.throughput_limits:
-        terms: list[tuple[int, Fraction]] = []
+        terms: list[tuple[int, int]] = []
         for eid in lim.edges:
             for ref in catalog.refs(eid):
                 spec = catalog.spec_by_id[ref.batch]
@@ -531,10 +531,8 @@ def emit_throughput_limits(inst, catalog, index, namer, options: BuildOptions) -
                 for t in lim.times:
                     vid = index.get((PLACEMENT, (eid, spec.id, t)))
                     if vid is not None:
-                        terms.append((vid, Fraction(spec.volume)))
-        rows.append(
-            LinearConstraint(namer(FAM_THROUGHPUT), FAM_THROUGHPUT, _accumulate(terms), LE, Fraction(lim.limit))
-        )
+                        terms.append((vid, spec.volume))
+        rows.append(LinearConstraint(namer(FAM_THROUGHPUT), FAM_THROUGHPUT, _accumulate(terms), LE, lim.limit))
     return rows
 
 
@@ -544,7 +542,7 @@ def emit_nominations(inst, catalog, index, namer) -> list[LinearConstraint]:
     rows: list[LinearConstraint] = []
     for nom in inst.nominations:
         for pid, volume_cap in nom.limits.items():
-            terms: list[tuple[int, Fraction]] = []
+            terms: list[tuple[int, int]] = []
             for edge in inst.edges:
                 if edge.origin != nom.refinery:
                     continue
@@ -553,10 +551,8 @@ def emit_nominations(inst, catalog, index, namer) -> list[LinearConstraint]:
                     if not ref.is_initial or spec.product != pid:
                         continue
                     for t in range(H - spec.length + 1):
-                        terms.append((index[(PLACEMENT, (edge.id, spec.id, t))], Fraction(spec.volume)))
-            rows.append(
-                LinearConstraint(namer(FAM_NOMINATION), FAM_NOMINATION, tuple(terms), LE, Fraction(volume_cap))
-            )
+                        terms.append((index[(PLACEMENT, (edge.id, spec.id, t))], spec.volume))
+            rows.append(LinearConstraint(namer(FAM_NOMINATION), FAM_NOMINATION, tuple(terms), LE, volume_cap))
     return rows
 
 
@@ -589,7 +585,7 @@ def emit_fixed_transport(inst, catalog, index, namer, fixings: dict[int, int]) -
         fixings[vid] = 1
         if vid not in emitted:
             emitted.add(vid)
-            rows.append(LinearConstraint(namer(FAM_FIXED), FAM_FIXED, ((vid, Fraction(1)),), EQ, Fraction(1)))
+            rows.append(LinearConstraint(namer(FAM_FIXED), FAM_FIXED, ((vid, 1),), EQ, 1))
     return rows
 
 
@@ -609,7 +605,7 @@ def emit_objective(
     rows: list[LinearConstraint] = []
 
     def add(vid: int, coef: Fraction) -> None:
-        obj[vid] = obj.get(vid, Fraction(0)) + coef
+        obj[vid] = obj[vid] + coef if vid in obj else coef
 
     if w.alpha != 0:
         for nom in inst.nominations:
@@ -622,8 +618,9 @@ def emit_objective(
                         spec = catalog.spec_by_id[ref.batch]
                         if not ref.is_initial or spec.product != pid:
                             continue
+                        coef = coef_unit * spec.volume
                         for t in range(H - spec.length + 1):
-                            add(index[(PLACEMENT, (edge.id, spec.id, t))], coef_unit * spec.volume)
+                            add(index[(PLACEMENT, (edge.id, spec.id, t))], coef)
 
     if w.beta != 0:
         t_final = inst.grid.t_max
@@ -640,18 +637,18 @@ def emit_objective(
                 LinearConstraint(
                     namer(FAM_DISTRIBUTION),
                     FAM_DISTRIBUTION,
-                    ((d_vid, Fraction(1)), (l_vid, Fraction(-1))),
+                    ((d_vid, 1), (l_vid, -1)),
                     GE,
-                    Fraction(-tgt.target),
+                    -tgt.target,
                 )
             )
             rows.append(
                 LinearConstraint(
                     namer(FAM_DISTRIBUTION),
                     FAM_DISTRIBUTION,
-                    ((d_vid, Fraction(1)), (l_vid, Fraction(1))),
+                    ((d_vid, 1), (l_vid, 1)),
                     GE,
-                    Fraction(tgt.target),
+                    tgt.target,
                 )
             )
             add(d_vid, -w.beta * tgt.weight)
@@ -672,8 +669,9 @@ def emit_objective(
                 cost = batch_cost(inst, spec)
                 if cost == 0:
                     continue
+                coef = -w.theta * cost
                 for t in range(H - spec.length + 1):
-                    add(index[(PLACEMENT, (edge.id, spec.id, t))], -w.theta * cost)
+                    add(index[(PLACEMENT, (edge.id, spec.id, t))], coef)
 
     return obj, constant, rows
 
@@ -763,7 +761,7 @@ def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPM
 # assignment helpers (used by tests and the lazy loop for diagnostics)
 
 
-def extend_placement_assignment(model: MILPModel, placements: Iterable[tuple[str, str, int]]) -> dict[int, Fraction]:
+def extend_placement_assignment(model: MILPModel, placements: Iterable[tuple[str, str, int]]) -> dict[int, int]:
     """Complete a raw placement set to values for every model variable.
 
     Endpoints follow the linkage, occupancy follows the recurrences and
@@ -773,10 +771,10 @@ def extend_placement_assignment(model: MILPModel, placements: Iterable[tuple[str
     inst, catalog = model.instance, model.catalog
     H = inst.grid.horizon_len
     chosen = {(str(e), str(b), int(t)) for e, b, t in placements}
-    values: dict[int, Fraction] = {}
+    values: dict[int, int] = {}
     for var in model.variables:
         if var.kind == PLACEMENT:
-            values[var.vid] = Fraction(1 if var.key in chosen else 0)
+            values[var.vid] = 1 if var.key in chosen else 0
     for var in model.variables:
         if var.kind == ENDPOINT:
             eid, bid, te = var.key
@@ -804,8 +802,8 @@ def extend_placement_assignment(model: MILPModel, placements: Iterable[tuple[str
                         for u in range(t, H):
                             lower[u] -= spec.volume
             for t in range(H):
-                values[model.var_index[(OCC_UPPER, (site.id, product.id, t))]] = Fraction(upper[t])
-                values[model.var_index[(OCC_LOWER, (site.id, product.id, t))]] = Fraction(lower[t])
+                values[model.var_index[(OCC_UPPER, (site.id, product.id, t))]] = upper[t]
+                values[model.var_index[(OCC_LOWER, (site.id, product.id, t))]] = lower[t]
 
     t_final = inst.grid.t_max
     for ti, tgt in enumerate(inst.weights.distribution_targets):
@@ -820,18 +818,18 @@ def extend_placement_assignment(model: MILPModel, placements: Iterable[tuple[str
 
 
 def violated_rows(
-    model: MILPModel, values: Mapping[int, Fraction], include_lazy: bool = True
+    model: MILPModel, values: Mapping[int, int], include_lazy: bool = True
 ) -> list[LinearConstraint]:
     out = []
     for c in model.constraints:
         if c.lazy and not include_lazy:
             continue
-        lhs = sum((coef * values[vid] for vid, coef in c.terms), Fraction(0))
+        lhs = sum(coef * values[vid] for vid, coef in c.terms)
         ok = lhs <= c.rhs if c.sense == LE else lhs >= c.rhs if c.sense == GE else lhs == c.rhs
         if not ok:
             out.append(c)
     return out
 
 
-def objective_value(model: MILPModel, values: Mapping[int, Fraction]) -> Fraction:
+def objective_value(model: MILPModel, values: Mapping[int, int]) -> Fraction:
     return sum((coef * values[vid] for vid, coef in model.objective), model.objective_constant)

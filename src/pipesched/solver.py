@@ -52,8 +52,19 @@ COMMAND_ENV_VAR = "PIPESCHED_SOLVER_CMD"
 DEFAULT_MAX_LAZY_ROUNDS = 50
 
 
+def _template_literal(text: str) -> str:
+    """`text` as one shell word that survives the template's str.format."""
+    return shlex.quote(text).replace("{", "{{").replace("}", "}}")
+
+
 def default_solver_command() -> str:
-    return f"{sys.executable} -m pipesched.solver_shim {{model}} {{solution}} --time-limit {{time_limit}} --gap {{gap}}"
+    """The bundled shim, started by file path: it imports nothing from this package,
+    so the child runs whether or not `pipesched` is importable there."""
+    shim = Path(__file__).resolve().with_name("solver_shim.py")
+    return (
+        f"{_template_literal(sys.executable)} {_template_literal(str(shim))} "
+        "{model} {solution} --time-limit {time_limit} --gap {gap}"
+    )
 
 
 @dataclass
@@ -178,58 +189,24 @@ def _run_once(model: MILPModel, config: SolverConfig, activated: Optional[set[in
 
 def _finalize(model: MILPModel, raw: _RawSolve, iterations: list[LazyIteration], total_wall: float) -> SolveResult:
     schedule = raw.parsed.schedule if raw.parsed is not None else None
-    if schedule is None or raw.status in (STATUS_INFEASIBLE, STATUS_ERROR):
-        return SolveResult(
-            status=raw.status,
-            schedule=None,
-            objective=None,
-            objective_float=raw.objective_total,
-            bound=raw.bound_total,
-            gap=raw.gap,
-            components=None,
-            wall_time=total_wall,
-            iterations=iterations,
-            message=raw.message,
-            artifacts=raw.artifacts,
-        )
-
-    violations = check_schedule(model.instance, model.catalog, schedule, model.options)
-    components = evaluate_objective(model.instance, model.catalog, schedule)
-    exact_total = components["total"]
-    if raw.objective_total is not None:
-        drift = abs(float(exact_total) - raw.objective_total)
-        if drift > 1e-5 * max(1.0, abs(float(exact_total))):
-            return SolveResult(
-                status=STATUS_ERROR,
-                schedule=schedule,
-                objective=exact_total,
-                objective_float=raw.objective_total,
-                bound=raw.bound_total,
-                gap=raw.gap,
-                components=components,
-                wall_time=total_wall,
-                iterations=iterations,
-                violations=violations,
-                message=f"solver objective {raw.objective_total} drifts {drift} from exact re-evaluation {float(exact_total)}",
-                artifacts=raw.artifacts,
-            )
-    if violations:
-        return SolveResult(
-            status=STATUS_ERROR,
-            schedule=schedule,
-            objective=exact_total,
-            objective_float=raw.objective_total,
-            bound=raw.bound_total,
-            gap=raw.gap,
-            components=components,
-            wall_time=total_wall,
-            iterations=iterations,
-            violations=violations,
-            message=f"solver returned a schedule violating {len(violations)} rule(s)",
-            artifacts=raw.artifacts,
-        )
+    status, message = raw.status, raw.message
+    exact_total = components = None
+    violations: list[Violation] = []
+    if schedule is None or status in (STATUS_INFEASIBLE, STATUS_ERROR):
+        schedule = None
+    else:
+        violations = check_schedule(model.instance, model.catalog, schedule, model.options)
+        components = evaluate_objective(model.instance, model.catalog, schedule)
+        exact_total = components["total"]
+        drift = None if raw.objective_total is None else abs(float(exact_total) - raw.objective_total)
+        if drift is not None and drift > 1e-5 * max(1.0, abs(float(exact_total))):
+            status = STATUS_ERROR
+            message = f"solver objective {raw.objective_total} drifts {drift} from exact re-evaluation {float(exact_total)}"
+        elif violations:
+            status = STATUS_ERROR
+            message = f"solver returned a schedule violating {len(violations)} rule(s)"
     return SolveResult(
-        status=raw.status,
+        status=status,
         schedule=schedule,
         objective=exact_total,
         objective_float=raw.objective_total,
@@ -238,7 +215,8 @@ def _finalize(model: MILPModel, raw: _RawSolve, iterations: list[LazyIteration],
         components=components,
         wall_time=total_wall,
         iterations=iterations,
-        message=raw.message,
+        violations=violations,
+        message=message,
         artifacts=raw.artifacts,
     )
 

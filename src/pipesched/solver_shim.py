@@ -3,9 +3,12 @@
 This is the default subprocess backend.  It keeps the driver <-> solver
 boundary an honest file-based protocol (any CPLEX-LP-capable solver can be
 substituted via the command template) while needing nothing beyond scipy,
-whose `milp` wraps HiGHS.
+whose `milp` wraps HiGHS.  It imports nothing from `pipesched`, so the
+driver starts it by file path:
 
-    python -m pipesched.solver_shim model.lp model.sol --time-limit 600 --gap 1e-3
+    python .../pipesched/solver_shim.py model.lp model.sol --time-limit 600 --gap 1e-3
+
+`python -m pipesched.solver_shim` works too where the package is importable.
 
 The solution file uses `name value` rows for nonzero variables plus comment
 metadata (`# Status`, `# Objective value`, `# Best bound`) in the style most
@@ -21,7 +24,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-_SENSE_TOKENS = {"<=", ">=", "=", "<", ">"}
+_SENSES = {"<=": "<=", "=<": "<=", "<": "<=", ">=": ">=", "=>": ">=", ">": ">=", "=": "="}
 _SECTION_WORDS = {
     "maximize": "objective_max",
     "max": "objective_max",
@@ -41,7 +44,14 @@ _SECTION_WORDS = {
     "gen": "general",
     "end": "end",
 }
-_NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+# one way to match each number, so a failed match inside a repeat backtracks in linear time
+_NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_NUM_RE = re.compile(rf"^[+-]?{_NUM}$")
+# a row ends at its comparison operator and right-hand side token
+_ROW_END_RE = re.compile(r"(<=|=<|>=|=>|<|>|=)\s*(\S*)")
+_NAME_RE = re.compile(r"\s*(\S+?)\s*:(?=\s|$)")
+# the shape lp_io writes: whitespace-separated `+c name` pairs, sign glued to c
+_PAIRS_RE = re.compile(rf"(?:\s*[+-]{_NUM}\s+[A-Za-z_][^\s:]*(?=\s|$))*\s*")
 
 
 @dataclass
@@ -107,24 +117,71 @@ def _parse_expr(tokens: list[str], lp: ParsedLP) -> dict[str, float]:
     return coefs
 
 
+def _parse_terms(expr: str, lp: ParsedLP) -> dict[str, float]:
+    """`_parse_expr` over one expression, with a fast path for `+c name` pairs."""
+    if not _PAIRS_RE.fullmatch(expr):
+        return _parse_expr(expr.split(), lp)
+    tokens = expr.split()
+    names = tokens[1::2]
+    coefs = dict(zip(names, map(float, tokens[::2])))
+    if len(coefs) < len(names):  # a name repeats: sum its coefficients
+        coefs = {}
+        for coef, name in zip(tokens[::2], names):
+            coefs[name] = coefs.get(name, 0.0) + float(coef)
+    seen = lp._seen
+    if not seen.issuperset(names):
+        for name in names:
+            if name not in seen:
+                seen.add(name)
+                lp.order.append(name)
+    return coefs
+
+
+def _parse_rows(text: str, lp: ParsedLP) -> None:
+    """Rows `NAME: expr SENSE rhs`, split at each comparison operator."""
+    parts = _ROW_END_RE.split(text)
+    for k in range(0, len(parts) - 1, 3):
+        body, sense, rhs_token = parts[k : k + 3]
+        m = _NAME_RE.match(body)
+        name = m.group(1) if m else None
+        expr = body[m.end() :] if m else body
+        if ":" in expr:  # a row name inside the expression: the previous row had no operator
+            raise ValueError(f"constraint {name or len(lp.rows)} has no comparison operator")
+        if not _is_number(rhs_token):
+            raise ValueError(f"constraint {name or len(lp.rows)} has no numeric right-hand side")
+        coefs = _parse_terms(expr, lp)
+        rhs = float(rhs_token) - coefs.pop("", 0.0)
+        lp.rows.append((name or f"r{len(lp.rows)}", coefs, _SENSES[sense], rhs))
+    tail = parts[-1]
+    if tail.strip():
+        m = _NAME_RE.match(tail)
+        raise ValueError(f"constraint {m.group(1) if m else len(lp.rows)} has no comparison operator")
+
+
 def parse_lp(text: str) -> ParsedLP:
+    """CPLEX-LP text to a ParsedLP.
+
+    Rows may wrap over lines, senses may be `<=`, `=<`, `<`, `>=`, `=>`, `>`
+    or `=`, coefficients may be implicit or have a spaced sign, and a
+    constant on the left-hand side moves into the right-hand side.
+    """
     lp = ParsedLP()
     lines = []
     for raw in text.splitlines():
-        line = raw.split("\\", 1)[0].rstrip()
-        if line.strip():
+        line = raw.split("\\", 1)[0].strip()
+        if line:
             lines.append(line)
 
     section = None
-    obj_tokens: list[str] = []
-    row_tokens: list[str] = []
+    obj_lines: list[str] = []
+    row_lines: list[str] = []
     bounds_lines: list[str] = []
-    names_lines: list[list[str]] = []
+    names_lines: list[tuple[str, list[str]]] = []
 
     i = 0
     while i < len(lines):
-        stripped = lines[i].strip()
-        first = stripped.split()[0].lower().rstrip(":")
+        stripped = lines[i]
+        first = stripped.split(None, 1)[0].lower().rstrip(":")
         if first in _SECTION_WORDS and not (section == "rows" and stripped.endswith(":")):
             kind = _SECTION_WORDS[first]
             if kind == "objective_max":
@@ -147,56 +204,22 @@ def parse_lp(text: str) -> ParsedLP:
             i += 1
             continue
         if section == "objective":
-            obj_tokens.extend(stripped.split())
+            obj_lines.append(stripped)
         elif section == "rows":
-            row_tokens.extend(stripped.split())
+            row_lines.append(stripped)
         elif section == "bounds":
             bounds_lines.append(stripped)
         elif section in ("binary", "general"):
-            names_lines.append((section, stripped.split()))  # type: ignore[arg-type]
+            names_lines.append((section, stripped.split()))
         i += 1
 
-    if obj_tokens and obj_tokens[0].endswith(":"):
-        obj_tokens = obj_tokens[1:]
-    elif len(obj_tokens) >= 2 and obj_tokens[1] == ":":
-        obj_tokens = obj_tokens[2:]
-    obj = _parse_expr(obj_tokens, lp)
+    objective = " ".join(obj_lines)
+    m = _NAME_RE.match(objective)
+    obj = _parse_terms(objective[m.end() :] if m else objective, lp)
     obj.pop("", None)
     lp.objective = obj
 
-    # rows: NAME: expr SENSE rhs, repeated over a flat token stream
-    idx = 0
-    n = len(row_tokens)
-    row_count = 0
-    while idx < n:
-        name = None
-        tok = row_tokens[idx]
-        if tok.endswith(":"):
-            name = tok[:-1]
-            idx += 1
-        elif idx + 1 < n and row_tokens[idx + 1] == ":":
-            name = tok
-            idx += 2
-        expr_tokens = []
-        sense = None
-        while idx < n:
-            tok = row_tokens[idx]
-            if tok in _SENSE_TOKENS:
-                sense = "<=" if tok in ("<=", "<") else ">=" if tok in (">=", ">") else "="
-                idx += 1
-                break
-            expr_tokens.append(tok)
-            idx += 1
-        if sense is None:
-            raise ValueError(f"constraint {name or row_count} has no comparison operator")
-        if idx >= n or not _is_number(row_tokens[idx]):
-            raise ValueError(f"constraint {name or row_count} has no numeric right-hand side")
-        rhs = float(row_tokens[idx])
-        idx += 1
-        coefs = _parse_expr(expr_tokens, lp)
-        rhs -= coefs.pop("", 0.0)
-        lp.rows.append((name or f"r{row_count}", coefs, sense, rhs))
-        row_count += 1
+    _parse_rows(" ".join(row_lines), lp)
 
     for line in bounds_lines:
         tokens = line.split()

@@ -146,3 +146,14 @@ def test_empty_rows_never_serialized():
             if any(stripped.startswith(f"{fam}_") for fam in ("throughput", "exclusion")):
                 lhs = stripped.split(":", 1)[1]
                 assert any(ch in lhs for ch in ("v", "w", "u", "l")), f"empty row written: {line}"
+
+
+def test_cached_row_text_never_leaks_between_activation_sets(ref1):
+    model = build_model(ref1, BuildOptions(capacity_lazy=True))
+    bounds = sorted(model.lazy_bounds.values())
+    set_a, set_b = set(bounds[:5]), set(bounds[-7:])
+    first_a = write_lp(model, set_a)
+    text_b = write_lp(model, set_b)
+    assert write_lp(model, set_a) == first_a
+    assert text_b == write_lp(build_model(ref1, BuildOptions(capacity_lazy=True)), set_b)
+    assert first_a != text_b

@@ -294,3 +294,31 @@ def test_stock_counting_error_bound_reported():
     # in-transit volume of the largest regime delivering to or drawing from
     # each site; regimes merely passing through never touch its stock
     assert model.metadata["stock_counting_error_bound"] == {"s1": 100, "s2": 200, "s3": 300}
+
+
+@pytest.mark.parametrize("vertices,setting,cost_mode", [(4, "A", "SD"), (6, "B", "SDC")])
+def test_rows_and_bounds_are_plain_integers(vertices, setting, cost_mode):
+    # only the objective is rational; every row and bound is a volume or a count
+    inst = generate_path_instance(PathExperimentParams(vertices=vertices, setting=setting, cost_mode=cost_mode))
+    model = build_model(inst)
+    assert all(type(coef) is int for c in model.constraints for _vid, coef in c.terms)
+    assert all(type(c.rhs) is int for c in model.constraints)
+    assert all(type(b) is int for v in model.variables for b in (v.lb, v.ub) if b is not None)
+
+
+def test_model_objective_matches_validator_on_oracle_optima():
+    from pipesched.generator import generate_oracle_instance
+    from pipesched.oracle import ORACLE_STATUS_OPTIMAL, brute_force_optimum
+    from pipesched.validator import evaluate_objective
+
+    checked = 0
+    for seed in range(12):
+        inst = generate_oracle_instance(seed)
+        res = brute_force_optimum(inst)
+        if res.status != ORACLE_STATUS_OPTIMAL:
+            continue
+        model = build_model(inst)
+        value = objective_value(model, extend_placement_assignment(model, res.schedule.placements))
+        assert value == evaluate_objective(inst, model.catalog, res.schedule)["total"] == res.objective, seed
+        checked += 1
+    assert checked >= 8

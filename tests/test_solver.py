@@ -7,12 +7,17 @@ import dataclasses
 import pytest
 
 from pipesched.batches import enumerate_batches
+from pipesched.lp_io import ParsedSolution
 from pipesched.milpmodel import BuildOptions, build_model
+from pipesched.schedule import Schedule
 from pipesched.solver import (
     STATUS_ERROR,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     SolverConfig,
+    _finalize,
+    _RawSolve,
+    default_solver_command,
     solve,
     solve_lazy_capacity,
 )
@@ -124,3 +129,48 @@ def test_work_dir_keeps_artifacts(ref1_small, tmp_path, quick_cfg):
     assert res.status == STATUS_OPTIMAL
     assert (tmp_path / "model.lp").exists()
     assert any(p.suffix == ".sol" for p in tmp_path.iterdir())
+
+
+def test_default_command_runs_without_the_package_on_the_path(tmp_path):
+    import os
+    import shlex
+    import subprocess
+
+    from tests.test_solver_shim import TINY_LP
+
+    model_path = tmp_path / "m.lp"
+    sol_path = tmp_path / "m.sol"
+    model_path.write_text(TINY_LP)
+    argv = [
+        tok.format(model=model_path, solution=sol_path, time_limit=60, gap=0)
+        for tok in shlex.split(default_solver_command())
+    ]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "# Status = optimal" in sol_path.read_text()
+
+
+def test_finalize_keeps_status_and_message_per_outcome(ref1_small):
+    model = build_model(ref1_small)
+    flush = ("e1", "r1:flush:standard", 0)
+    overlapping = Schedule.from_raw([flush, ("e1", "r1:stain:standard", 2)])
+
+    def raw(status, schedule, objective, message=""):
+        parsed = ParsedSolution(schedule, objective, objective, None, None)
+        return _RawSolve(status, parsed, objective, None, None, 1.0, message, {})
+
+    clean = _finalize(model, raw(STATUS_OPTIMAL, Schedule.from_raw([flush]), 100.0), [], 2.0)
+    assert (clean.status, clean.objective, clean.violations, clean.message) == (STATUS_OPTIMAL, 100, [], "")
+    assert clean.components["total"] == 100 and clean.wall_time == 2.0
+
+    drift = _finalize(model, raw(STATUS_OPTIMAL, Schedule.from_raw([flush]), 90.0), [], 2.0)
+    assert drift.status == STATUS_ERROR and drift.objective == 100 and drift.schedule is not None
+    assert drift.message == "solver objective 90.0 drifts 10.0 from exact re-evaluation 100.0"
+
+    broken = _finalize(model, raw(STATUS_OPTIMAL, overlapping, 144.0), [], 2.0)
+    assert broken.status == STATUS_ERROR and broken.violations and broken.objective == 144
+    assert broken.message == f"solver returned a schedule violating {len(broken.violations)} rule(s)"
+
+    failed = _finalize(model, raw(STATUS_ERROR, Schedule.from_raw([flush]), None, "boom"), [], 2.0)
+    assert (failed.status, failed.schedule, failed.objective, failed.message) == (STATUS_ERROR, None, None, "boom")

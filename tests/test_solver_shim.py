@@ -57,6 +57,65 @@ def test_parse_accepts_model_lp_output(ref1):
     assert len(lp.rows) == sum(1 for c in model.constraints if c.terms)
 
 
+def _restyled(model, write_row) -> str:
+    """The writer's LP text with every row rewritten by `write_row(name, terms, sense, rhs)`."""
+    text = write_lp(model)
+    head, rest = text.split("Subject To\n", 1)
+    tail = rest.split("Bounds\n", 1)[1]
+    names = [v.lp_name for v in model.variables]
+    rows = [
+        write_row(c.name, [(coef, names[vid]) for vid, coef in c.terms], c.sense, c.rhs)
+        for c in model.constraints
+        if c.terms
+    ]
+    return head + "Subject To\n" + "\n".join(rows) + "\nBounds\n" + tail
+
+
+def _spaced_signs(name, terms, sense, rhs):
+    return f" {name}: " + " ".join(f"{'+' if c >= 0 else '-'} {abs(c)} {v}" for c, v in terms) + f" {sense} {rhs}"
+
+
+def _implicit_ones(name, terms, sense, rhs):
+    parts = []
+    for i, (c, v) in enumerate(terms):
+        if c == 1:
+            parts.append(v if i == 0 else f"+ {v}")
+        elif c == -1:
+            parts.append(f"- {v}")
+        else:
+            parts.append(f"{c:+d} {v}")
+    return f" {name}: " + " ".join(parts) + f" {sense} {rhs}"
+
+
+def _wrapped(name, terms, sense, rhs):
+    return f"{name}:\n" + "\n".join(f"   {c:+d} {v}" for c, v in terms) + f"\n   {sense}\n   {rhs}"
+
+
+def _other_senses(name, terms, sense, rhs):
+    alias = {"<=": "<" if len(terms) % 2 else "=<", ">=": ">", "=": "="}[sense]
+    return f" {name}: " + " ".join(f"{c:+d} {v}" for c, v in terms) + f" {alias} {rhs}"
+
+
+def _lhs_constant(name, terms, sense, rhs):
+    return f" {name}: " + " ".join(f"{c:+d} {v}" for c, v in terms) + f" + 7 {sense} {rhs + 7}"
+
+
+@pytest.mark.parametrize("write_row", [_spaced_signs, _implicit_ones, _wrapped, _other_senses, _lhs_constant])
+def test_hand_formatted_rows_parse_like_writer_output(ref1, write_row):
+    model = build_model(ref1)
+    reference = parse_lp(write_lp(model))
+    variant = _restyled(model, write_row)
+    assert variant != write_lp(model)
+    assert parse_lp(variant) == reference
+
+
+def test_row_without_operator_rejected():
+    with pytest.raises(ValueError, match="comparison operator"):
+        parse_lp("Maximize\n obj: x\nSubject To\n c1: x + y\n c2: x <= 1\nEnd\n")
+    with pytest.raises(ValueError, match="right-hand side"):
+        parse_lp("Maximize\n obj: x\nSubject To\n c1: x + y <= z\nEnd\n")
+
+
 def test_solve_tiny_maximization():
     lp = parse_lp(TINY_LP)
     res, cols = solve_lp(lp, time_limit=60, gap=0.0)
