@@ -131,6 +131,7 @@ def _run_once(model: MILPModel, config: SolverConfig, activated: Optional[set[in
     lp_path = workdir / f"{tag}.lp"
     sol_path = workdir / f"{tag}.sol"
     lp_path.write_text(write_lp(model, activated), encoding="utf-8")
+    sol_path.unlink(missing_ok=True)  # a kept work dir may hold an earlier run's solution
 
     argv = [
         tok.format(

@@ -157,3 +157,9 @@ def test_cached_row_text_never_leaks_between_activation_sets(ref1):
     assert write_lp(model, set_a) == first_a
     assert text_b == write_lp(build_model(ref1, BuildOptions(capacity_lazy=True)), set_b)
     assert first_a != text_b
+
+
+def test_shim_timing_lines_are_ignored(ref_model):
+    text = "# Status = optimal\n# Objective value = 144\n# Wall time = 0.5\nv0 1\nv28 1.0\n"
+    timed = text.replace("# Wall time = 0.5\n", "# Wall time = 0.5\n# MIP nodes = 12\n# Read time = 0.25\n# Solve time = 0.125\n")
+    assert parse_solution(timed, ref_model) == parse_solution(text, ref_model)

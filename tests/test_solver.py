@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import re
+import sys
 
 import pytest
 
@@ -17,6 +19,7 @@ from pipesched.solver import (
     SolverConfig,
     _finalize,
     _RawSolve,
+    _template_literal,
     default_solver_command,
     solve,
     solve_lazy_capacity,
@@ -174,3 +177,47 @@ def test_finalize_keeps_status_and_message_per_outcome(ref1_small):
 
     failed = _finalize(model, raw(STATUS_ERROR, Schedule.from_raw([flush]), None, "boom"), [], 2.0)
     assert (failed.status, failed.schedule, failed.objective, failed.message) == (STATUS_ERROR, None, None, "boom")
+
+
+FAKE_SOLVER = """
+import os, signal, sys
+mode, model, solution = sys.argv[1:4]
+if mode == "kill":
+    os.kill(os.getpid(), signal.SIGKILL)
+from pipesched.solver_shim import main
+main([model, solution, "--time-limit", "60", "--gap", "0"])
+text = open(solution).read()
+first_value = text.index("\\n", text.rindex("# ")) + 1
+cut = {
+    "after first value line": text.index("\\n", first_value) + 1,
+    "inside a name": text.index("\\n", first_value) + 2,
+    "after a name": text.index(" ", first_value),
+}[mode]
+with open(solution, "w") as fh:
+    fh.write(text[:cut])
+"""
+
+
+def _fake_solver_config(tmp_path, mode: str) -> SolverConfig:
+    """The shim, then a cut of its solution file at `mode`; or, for "kill", death before writing."""
+    script = tmp_path / "fake_solver.py"
+    script.write_text(FAKE_SOLVER)
+    command = " ".join(_template_literal(word) for word in (sys.executable, str(script), mode))
+    return SolverConfig(command=command + " {model} {solution}", time_limit=60, gap=0.0, work_dir=tmp_path / "work")
+
+
+@pytest.mark.parametrize("mode", ["after first value line", "inside a name", "after a name"])
+def test_solution_cut_inside_its_values_is_an_error(ref1_small, tmp_path, mode):
+    res = solve(build_model(ref1_small), _fake_solver_config(tmp_path, mode))
+    assert res.status == STATUS_ERROR
+    mismatch = r"unparseable solution line|objective .* disagrees with recomputed|drifts .* from exact re-evaluation"
+    assert re.search(mismatch, res.message), res.message
+
+
+def test_solver_killed_before_writing_is_an_error(ref1_small, tmp_path):
+    cfg = _fake_solver_config(tmp_path, "kill")
+    (tmp_path / "work").mkdir()
+    (tmp_path / "work" / "model.sol").write_text("# Status = optimal\n# Objective value = 0\n")  # an earlier run's
+    res = solve(build_model(ref1_small), cfg)
+    assert res.status == STATUS_ERROR
+    assert "wrote no solution file" in res.message

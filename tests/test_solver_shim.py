@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pipesched.solver_shim as shim
+from pipesched.generator import PathExperimentParams, generate_oracle_instance, generate_path_instance
 from pipesched.lp_io import write_lp
-from pipesched.milpmodel import build_model
-from pipesched.solver_shim import main, parse_lp, solve_lp, _status_of
+from pipesched.milpmodel import BuildOptions, build_model
+from pipesched.solver_shim import main, parse_lp, solve_lp
 
 TINY_LP = """\
 Maximize
@@ -119,9 +123,8 @@ def test_row_without_operator_rejected():
 def test_solve_tiny_maximization():
     lp = parse_lp(TINY_LP)
     res, cols = solve_lp(lp, time_limit=60, gap=0.0)
-    status, objective, bound = _status_of(res, lp.maximize, 0.0)
-    assert status == "optimal"
-    assert objective == pytest.approx(2.0)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(2.0)
     assert res.x[cols["y"]] == pytest.approx(1.0)
     assert res.x[cols["x"]] == pytest.approx(0.0)
 
@@ -131,9 +134,8 @@ def test_solve_reports_infeasible():
         "Maximize\n obj: x\nSubject To\n c1: x >= 2\nBounds\n x <= 1\nEnd\n"
     )
     res, _ = solve_lp(lp, time_limit=60, gap=0.0)
-    status, objective, bound = _status_of(res, lp.maximize, 0.0)
-    assert status == "infeasible"
-    assert objective is None
+    assert res.status == "infeasible"
+    assert res.objective is None
 
 
 def test_main_writes_solution_file(tmp_path):
@@ -167,3 +169,181 @@ def test_module_is_invocable_as_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "# Status = optimal" in sol_path.read_text()
+
+
+def _solve_file(tmp_path, text: str, name: str = "m"):
+    """`main` on `text` at gap 0: (exit code, solution text)."""
+    model_path = tmp_path / f"{name}.lp"
+    sol_path = tmp_path / f"{name}.sol"
+    model_path.write_text(text)
+    rc = main([str(model_path), str(sol_path), "--time-limit", "60", "--gap", "0"])
+    return rc, sol_path.read_text()
+
+
+def _reference_objective(text: str) -> float:
+    res, _ = solve_lp(parse_lp(text), time_limit=60, gap=0.0)
+    assert res.status == "optimal"
+    return res.objective
+
+
+def _assert_same_optimum_or_refused(rc: int, sol: str, reference: float) -> None:
+    if rc == 1:
+        assert sol.startswith("# Status = error\n# Message = ")
+        return
+    assert rc == 0
+    assert "# Status = optimal" in sol
+    objective = float(re.search(r"# Objective value = (\S+)", sol).group(1))
+    assert objective == pytest.approx(reference, abs=1e-9)
+
+
+TINY_ROWS = {
+    "plain": " c1: x + y <= 1",
+    "lhs constant last": " c1: x + y + 1 <= 2",
+    "lhs constant first": " c1: 1 + x + y <= 2",
+    "lhs constant glued": " c1: x+y+1<=2",
+    "lhs constant negated": " c1: x + y - -1 <= 2",
+    "lhs constant exponent": " c1: x + y + 1e0 <= 2",
+    "two numbers": " c1: 1 1 x + y <= 2",
+    "number after name": " c1: x 1 + y <= 2",
+    "lt": " c1: x + y < 1",
+    "eq lt": " c1: x + y =< 1",
+    "gt": " c1: - x - y > -1",
+    "eq gt": " c1: - x - y => -1",
+    "spaced signs": " c1: + 1 x + 1 y <= 1",
+    "wrapped": "c1:\n  +1 x\n  +1 y\n  <=\n  1",
+    "unnamed rows": " x + y <= 1\n - x <= 0",
+    "negative rhs then unnamed row": " c1: - x - y >= -1\n - x <= 0",
+}
+
+
+@pytest.mark.parametrize("rows", TINY_ROWS.values(), ids=TINY_ROWS.keys())
+def test_main_reaches_reference_optimum_or_refuses(tmp_path, rows):
+    text = TINY_LP.replace(" c1: x + y <= 1", rows)
+    _assert_same_optimum_or_refused(*_solve_file(tmp_path, text), _reference_objective(text))
+
+
+def test_lhs_constant_refused_by_row_name(tmp_path):
+    rc, sol = _solve_file(tmp_path, TINY_LP.replace("c1: x + y <= 1", "c1: x + y <= 1\n c2: x + y + 1 <= 2"))
+    assert rc == 1
+    assert "# Status = error" in sol
+    assert "row c2 has a constant on its left-hand side" in sol
+
+
+@pytest.mark.parametrize(
+    "rows, row",
+    [
+        (" c1: x <= 1\n 3 + y <= 4", "(unnamed)"),
+        (" c1: x >= -3\n - y >= -4\n c3: x + y + 2 <= 3", "c3"),
+        (" c1: x <= 1e+2 \\ a comment: 5 + 6\n c2: 2 y <= 3", None),
+        (" c1: x + 1e-5 >= 3", "c1"),
+        (" c1: 1e5 x + 2E-3 y <= 1e+2\n c2: x >= -1.5e3", None),
+    ],
+)
+def test_lhs_constant_scan_names_the_row(rows, row):
+    text = TINY_LP.replace(" c1: x + y <= 1", rows).encode()
+    assert shim._lhs_constant_row(text) == row
+
+
+@pytest.mark.parametrize("write_row", [_spaced_signs, _implicit_ones, _wrapped, _other_senses, _lhs_constant])
+def test_hand_formatted_rows_through_main(ref1, tmp_path, write_row):
+    variant = _restyled(build_model(ref1), write_row)
+    rc, sol = _solve_file(tmp_path, variant)
+    _assert_same_optimum_or_refused(rc, sol, _reference_objective(variant))
+    if write_row in (_spaced_signs, _implicit_ones, _wrapped):
+        assert rc == 0
+    else:  # HiGHS's reader rejects `<`, `=<` and `>`; the guard refuses the constant
+        assert rc == 1
+
+
+def _model_arrays(highs) -> dict:
+    lp = highs.getLp()
+    matrix = lp.a_matrix_
+    return {
+        "col_names": list(lp.col_names_),
+        "col_cost": list(lp.col_cost_),
+        "sense": lp.sense_,
+        "offset": lp.offset_,
+        "col_lower": list(lp.col_lower_),
+        "col_upper": list(lp.col_upper_),
+        "integrality": [int(kind) for kind in lp.integrality_],
+        "row_lower": list(lp.row_lower_),
+        "row_upper": list(lp.row_upper_),
+        "format": matrix.format_,
+        "start": list(matrix.start_),
+        "index": list(matrix.index_),
+        "value": list(matrix.value_),
+    }
+
+
+def _equivalence_cases():
+    l4a = build_model(generate_path_instance(PathExperimentParams(vertices=4, setting="A", cost_mode="SD")))
+    yield "l4A-SD mono", l4a, None
+    l6b_params = PathExperimentParams(vertices=6, setting="B", cost_mode="SDC")
+    yield "l6B-SDC mono", build_model(generate_path_instance(l6b_params)), None
+    lazy = build_model(generate_path_instance(l6b_params), BuildOptions(capacity_lazy=True))
+    yield "l6B-SDC lazy", lazy, set(sorted(lazy.lazy_bounds.values())[::7])
+    for seed in range(6):
+        yield f"oracle {seed}", build_model(generate_oracle_instance(seed)), None
+
+
+def test_highs_reader_and_pass_model_build_the_same_model(tmp_path):
+    """Same model, same HiGHS path: the file reader and `passModel(parse_lp(...))` agree array for array."""
+    for label, model, activated in _equivalence_cases():
+        text = write_lp(model, activated)
+        path = tmp_path / "m.lp"
+        path.write_text(text)
+        read = _model_arrays(shim._read_model(str(path), 60, 0.0))
+        passed = _model_arrays(shim._pass_model(parse_lp(text), 60, 0.0)[0])
+        assert read["col_names"], label
+        for key in read:
+            assert read[key] == passed[key], f"{label}: {key}"
+
+
+SHIM_PATH = Path(shim.__file__).resolve()
+LOAD_SHIM = f"""
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("solver_shim", {str(SHIM_PATH)!r})
+shim = importlib.util.module_from_spec(spec)
+sys.modules["solver_shim"] = shim
+spec.loader.exec_module(shim)
+"""
+
+
+def _fresh_interpreter(code: str, tmp_path) -> str:
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_shim_by_path_never_imports_scipy_optimize(tmp_path):
+    (tmp_path / "m.lp").write_text(TINY_LP)
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = [{str(SHIM_PATH)!r}, 'm.lp', 'm.sol']\n"
+        "try:\n"
+        f"    runpy.run_path({str(SHIM_PATH)!r}, run_name='__main__')\n"
+        "except SystemExit as stop:\n"
+        "    print(stop.code, 'scipy.optimize' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(code, tmp_path) == "0 False"
+    assert "# Status = optimal" in (tmp_path / "m.sol").read_text()
+
+
+@pytest.mark.parametrize("optimize_first", [False, True], ids=["core first", "scipy.optimize first"])
+def test_highs_core_is_the_module_scipy_optimize_uses(tmp_path, optimize_first):
+    code = ("import scipy.optimize\n" if optimize_first else "") + LOAD_SHIM + (
+        "core = shim._highs_core()\n"
+        "import scipy.optimize\n"
+        "from scipy.optimize._highspy import _highs_wrapper\n"
+        "print(core is _highs_wrapper._h, core is sys.modules['scipy.optimize._highspy._core'])\n"
+    )
+    assert _fresh_interpreter(code, tmp_path) == "True True"
+
+
+def test_main_adds_timing_lines_and_leaves_no_partial_file(tmp_path):
+    rc, sol = _solve_file(tmp_path, TINY_LP)
+    assert rc == 0
+    assert re.search(r"^# MIP nodes = \d+$", sol, re.M)
+    assert re.search(r"^# Read time = \d+\.\d{3}$", sol, re.M)
+    assert re.search(r"^# Solve time = \d+\.\d{3}$", sol, re.M)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.lp", "m.sol"]
