@@ -17,6 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -99,12 +100,11 @@ class CapacityProfile:
 
     def base_profile(self, horizon: int) -> list[int]:
         """Accumulated exogenous stock level per slot."""
-        out = [self.initial] * horizon
+        step = [0] * horizon
         for t, change in self.deltas:
             if 0 <= t < horizon:
-                for u in range(t, horizon):
-                    out[u] += change
-        return out
+                step[t] += change
+        return list(accumulate(step, initial=self.initial))[1:]
 
     def max_profile(self, horizon: int) -> list[Optional[int]]:
         if self.maximum is None:
@@ -283,6 +283,21 @@ class Instance:
 
     def regime_destination(self, regime: PumpingRegime) -> str:
         return self.edge(regime.edges[-1]).destination
+
+    def capacity_max_profile(self, site: str, product: str) -> list[Optional[int]]:
+        """Tank capacity per slot after tank outages (None = uncapped).
+
+        Each outage lowers every slot it lists by its reduction, once per
+        outage even where it lists a slot twice.
+        """
+        horizon = self.grid.horizon_len
+        caps = self.site(site).profile(product).max_profile(horizon)
+        for outage in self.outages:
+            if isinstance(outage, TankOutage) and outage.site == site and outage.product == product:
+                for t in set(outage.times):
+                    if 0 <= t < horizon and caps[t] is not None:
+                        caps[t] -= outage.reduction
+        return caps
 
     def regime_flush_volume(self, regime: PumpingRegime) -> int:
         """Volume needed to push a batch through the regime's whole path."""

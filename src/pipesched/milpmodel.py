@@ -33,11 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .batches import (
     BatchCatalog,
     BatchSpec,
+    BuildOptions,
     STANDARD,
     batch_cost,
     batch_id,
@@ -51,6 +52,8 @@ from .instance import (
     instance_hash,
     validate_instance,
 )
+from .schedule import Schedule
+from .validator import simulate_occupancy
 
 # variable kinds
 PLACEMENT = "placement"
@@ -103,13 +106,6 @@ EQ = "="
 
 class ModelBuildError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class BuildOptions:
-    capacity_lazy: bool = False  # mark occupancy bound rows lazy
-    relax_terminal_flush: bool = False  # drop enforcement rows with no possible follow-up
-    throughput_per_edge: bool = False  # count every listed edge instead of initial edges only
 
 
 @dataclass(frozen=True)
@@ -364,18 +360,12 @@ def emit_regime_exclusions(inst, catalog, index, namer) -> list[LinearConstraint
     return rows
 
 
-def emit_outages(
-    inst, catalog, index, namer, fixings: dict[int, int]
-) -> tuple[list[LinearConstraint], dict[tuple[str, str, int], int]]:
-    """Forbidden starts become v = 0 rows; tank outages reduce upper bounds."""
+def emit_outages(inst, catalog, index, namer, fixings: dict[int, int]) -> list[LinearConstraint]:
+    """Forbidden starts become v = 0 rows (tank outages act through the capacity profile)."""
     rows: list[LinearConstraint] = []
-    reductions: dict[tuple[str, str, int], int] = {}
     fixed_rows: set[int] = set()
     for outage in inst.outages:
         if isinstance(outage, TankOutage):
-            for t in outage.times:
-                key = (outage.site, outage.product, t)
-                reductions[key] = reductions.get(key, 0) + outage.reduction
             continue
         for eid, bid in outage.batches:
             if not any(r.batch == bid for r in catalog.refs(eid)):
@@ -390,7 +380,7 @@ def emit_outages(
                 if vid not in fixed_rows:
                     fixed_rows.add(vid)
                     rows.append(LinearConstraint(namer(FAM_OUTAGE), FAM_OUTAGE, ((vid, 1),), EQ, 0))
-    return rows, reductions
+    return rows
 
 
 def capacity_event_lists(inst: Instance, catalog: BatchCatalog):
@@ -407,17 +397,8 @@ def capacity_event_lists(inst: Instance, catalog: BatchCatalog):
     return inbound, outbound
 
 
-def effective_capacity_max(
-    profile_max: Sequence[Optional[int]], reductions: Mapping[tuple[str, str, int], int], site: str, product: str, t: int
-) -> Optional[int]:
-    cap = profile_max[t]
-    if cap is None:
-        return None
-    return cap - reductions.get((site, product, t), 0)
-
-
 def emit_capacity(
-    inst, catalog, index, namer, reductions, options: BuildOptions
+    inst, catalog, index, namer, options: BuildOptions
 ) -> tuple[list[LinearConstraint], list[LinearConstraint], dict[tuple[str, str, str, int], int]]:
     """Occupancy recurrences plus bound rows.
 
@@ -425,93 +406,55 @@ def emit_capacity(
     outbound batch at its completion; on-stock counts inbound at completion
     and outbound from the start.  Both are emitted as slot-to-slot
     recurrences anchored at t = 0, which keeps the row sparsity linear while
-    defining exactly the cumulative sums.
+    defining exactly the cumulative sums.  Blocked stock is bounded by the
+    instance's outage-reduced tank capacity, on-stock by the minimum stock.
     """
     H = inst.grid.horizon_len
     inbound, outbound = capacity_event_lists(inst, catalog)
     defs: list[LinearConstraint] = []
     bounds: list[LinearConstraint] = []
-    lazy_keys: list[tuple[tuple[str, str, str, int], int]] = []
+    lazy_map: dict[tuple[str, str, str, int], int] = {}
 
+    # (occupancy kind, row family, the side counted at completion: -1 inbound, +1 outbound)
+    series = ((OCC_UPPER, FAM_CAP_DEF_UPPER, 1), (OCC_LOWER, FAM_CAP_DEF_LOWER, -1))
     for site in inst.storage_sites():
         for product in inst.products:
             key = (site.id, product.id)
             base = site.profile(product.id).base_profile(H)
-            ins = inbound.get(key, ())
-            outs = outbound.get(key, ())
-            for t in range(H):
-                u_t = index[(OCC_UPPER, (site.id, product.id, t))]
-                terms: list[tuple[int, int]] = [(u_t, 1)]
-                rhs = base[t]
-                if t >= 1:
-                    terms.append((index[(OCC_UPPER, (site.id, product.id, t - 1))], -1))
-                    rhs -= base[t - 1]
-                for eid, spec in ins:
-                    vid = index.get((PLACEMENT, (eid, spec.id, t)))
-                    if vid is not None:
-                        terms.append((vid, -spec.volume))
-                for eid, spec in outs:
-                    vid = index.get((PLACEMENT, (eid, spec.id, t - spec.length)))
-                    if vid is not None and t - spec.length >= 0:
-                        terms.append((vid, spec.volume))
-                defs.append(
-                    LinearConstraint(namer(FAM_CAP_DEF_UPPER), FAM_CAP_DEF_UPPER, _accumulate(terms), EQ, rhs)
-                )
-            for t in range(H):
-                l_t = index[(OCC_LOWER, (site.id, product.id, t))]
-                terms = [(l_t, 1)]
-                rhs = base[t]
-                if t >= 1:
-                    terms.append((index[(OCC_LOWER, (site.id, product.id, t - 1))], -1))
-                    rhs -= base[t - 1]
-                for eid, spec in ins:
-                    vid = index.get((PLACEMENT, (eid, spec.id, t - spec.length)))
-                    if vid is not None and t - spec.length >= 0:
-                        terms.append((vid, -spec.volume))
-                for eid, spec in outs:
-                    vid = index.get((PLACEMENT, (eid, spec.id, t)))
-                    if vid is not None:
-                        terms.append((vid, spec.volume))
-                defs.append(
-                    LinearConstraint(namer(FAM_CAP_DEF_LOWER), FAM_CAP_DEF_LOWER, _accumulate(terms), EQ, rhs)
-                )
+            moves = [(eid, spec, -1) for eid, spec in inbound.get(key, ())]
+            moves += [(eid, spec, 1) for eid, spec in outbound.get(key, ())]
+            for kind, family, delayed in series:
+                for t in range(H):
+                    terms: list[tuple[int, int]] = [(index[(kind, (site.id, product.id, t))], 1)]
+                    rhs = base[t]
+                    if t >= 1:
+                        terms.append((index[(kind, (site.id, product.id, t - 1))], -1))
+                        rhs -= base[t - 1]
+                    for eid, spec, sign in moves:
+                        start = t - spec.length if sign == delayed else t
+                        vid = index.get((PLACEMENT, (eid, spec.id, start)))
+                        if vid is not None:
+                            terms.append((vid, sign * spec.volume))
+                    defs.append(LinearConstraint(namer(family), family, _accumulate(terms), EQ, rhs))
 
     for site in inst.storage_sites():
         for product in inst.products:
-            prof = site.profile(product.id)
-            maxp = prof.max_profile(H)
-            minp = prof.min_profile(H)
-            for t in range(H):
-                cap = effective_capacity_max(maxp, reductions, site.id, product.id, t)
-                if cap is None:
-                    continue
-                u_t = index[(OCC_UPPER, (site.id, product.id, t))]
-                lazy_keys.append(((FAM_CAP_UPPER, site.id, product.id, t), len(bounds)))
-                bounds.append(
-                    LinearConstraint(
-                        namer(FAM_CAP_UPPER),
-                        FAM_CAP_UPPER,
-                        ((u_t, 1),),
-                        LE,
-                        cap,
-                        lazy=options.capacity_lazy,
+            limits = (
+                (OCC_UPPER, FAM_CAP_UPPER, LE, inst.capacity_max_profile(site.id, product.id)),
+                (OCC_LOWER, FAM_CAP_LOWER, GE, site.profile(product.id).min_profile(H)),
+            )
+            for kind, family, sense, limit in limits:
+                for t in range(H):
+                    if limit[t] is None:
+                        continue
+                    lazy_map[(family, site.id, product.id, t)] = len(bounds)
+                    occ = index[(kind, (site.id, product.id, t))]
+                    bounds.append(
+                        LinearConstraint(
+                            namer(family), family, ((occ, 1),), sense, limit[t], lazy=options.capacity_lazy
+                        )
                     )
-                )
-            for t in range(H):
-                l_t = index[(OCC_LOWER, (site.id, product.id, t))]
-                lazy_keys.append(((FAM_CAP_LOWER, site.id, product.id, t), len(bounds)))
-                bounds.append(
-                    LinearConstraint(
-                        namer(FAM_CAP_LOWER),
-                        FAM_CAP_LOWER,
-                        ((l_t, 1),),
-                        GE,
-                        minp[t],
-                        lazy=options.capacity_lazy,
-                    )
-                )
 
-    lazy_map = {key: offset for key, offset in lazy_keys}
     return defs, bounds, lazy_map
 
 
@@ -686,12 +629,12 @@ def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPM
     namer = _Namer()
     fixings: dict[int, int] = {}
 
-    outage_rows, reductions = emit_outages(inst, catalog, index, namer, fixings)
+    outage_rows = emit_outages(inst, catalog, index, namer, fixings)
     packing = emit_packing(inst, catalog, index, namer)
     routes = emit_routes(inst, catalog, index, namer)
     flushing, warnings = emit_flushing(inst, catalog, index, namer, options)
     exclusion = emit_regime_exclusions(inst, catalog, index, namer)
-    cap_defs, cap_bounds, lazy_offsets = emit_capacity(inst, catalog, index, namer, reductions, options)
+    cap_defs, cap_bounds, lazy_offsets = emit_capacity(inst, catalog, index, namer, options)
     throughput = emit_throughput_limits(inst, catalog, index, namer, options)
     nomination = emit_nominations(inst, catalog, index, namer)
     fixed = emit_fixed_transport(inst, catalog, index, namer, fixings)
@@ -764,46 +707,27 @@ def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPM
 def extend_placement_assignment(model: MILPModel, placements: Iterable[tuple[str, str, int]]) -> dict[int, int]:
     """Complete a raw placement set to values for every model variable.
 
-    Endpoints follow the linkage, occupancy follows the recurrences and
-    deviations take their minimal feasible value, so the extension satisfies
-    every non-placement-family row that can be satisfied at all.
+    Endpoints follow the linkage, occupancy is the validator's simulated
+    stock and deviations take their minimal feasible value, so the extension
+    satisfies every non-placement-family row that can be satisfied at all.
     """
     inst, catalog = model.instance, model.catalog
-    H = inst.grid.horizon_len
-    chosen = {(str(e), str(b), int(t)) for e, b, t in placements}
+    schedule = Schedule.from_raw(placements)
     values: dict[int, int] = {}
     for var in model.variables:
         if var.kind == PLACEMENT:
-            values[var.vid] = 1 if var.key in chosen else 0
+            values[var.vid] = 1 if var.key in schedule.placements else 0
     for var in model.variables:
         if var.kind == ENDPOINT:
             eid, bid, te = var.key
             L = catalog.spec_by_id[bid].length
             values[var.vid] = values[model.var_index[(PLACEMENT, (eid, bid, te - L))]]
 
-    inbound, outbound = capacity_event_lists(inst, catalog)
-    for site in inst.storage_sites():
-        for product in inst.products:
-            base = site.profile(product.id).base_profile(H)
-            upper = list(base)
-            lower = list(base)
-            for eid, spec in inbound.get((site.id, product.id), ()):
-                for t in range(H - spec.length + 1):
-                    if (eid, spec.id, t) in chosen:
-                        for u in range(t, H):
-                            upper[u] += spec.volume
-                        for u in range(t + spec.length, H):
-                            lower[u] += spec.volume
-            for eid, spec in outbound.get((site.id, product.id), ()):
-                for t in range(H - spec.length + 1):
-                    if (eid, spec.id, t) in chosen:
-                        for u in range(t + spec.length, H):
-                            upper[u] -= spec.volume
-                        for u in range(t, H):
-                            lower[u] -= spec.volume
-            for t in range(H):
-                values[model.var_index[(OCC_UPPER, (site.id, product.id, t))]] = upper[t]
-                values[model.var_index[(OCC_LOWER, (site.id, product.id, t))]] = lower[t]
+    occupancy = simulate_occupancy(inst, catalog, schedule)
+    for kind, series in ((OCC_UPPER, occupancy.upper), (OCC_LOWER, occupancy.lower)):
+        for (site, product), levels in series.items():
+            for t, level in enumerate(levels):
+                values[model.var_index[(kind, (site, product, t))]] = level
 
     t_final = inst.grid.t_max
     for ti, tgt in enumerate(inst.weights.distribution_targets):

@@ -7,6 +7,11 @@ objective.  On ties the lexicographically smallest placement set wins, so
 results are deterministic.  This is the ground truth the MILP path is tested
 against; it must never be fast at the expense of being right, so every prune
 only cuts branches whose violations cannot be repaired by further additions.
+
+The running stock levels behind the capacity prunes apply the validator's
+`stock_events` rule incrementally and compare against the instance's
+`capacity_max_profile`; like the validator, this module imports nothing
+from the builder, the LP writer or the solver.
 """
 
 from __future__ import annotations
@@ -15,11 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .batches import BatchCatalog, enumerate_batches, batch_id, STANDARD
-from .instance import Instance, TankOutage, TransportOutage, validate_instance
-from .milpmodel import BuildOptions
+from .batches import BatchCatalog, BuildOptions, enumerate_batches, batch_id, STANDARD
+from .instance import Instance, TransportOutage, validate_instance
 from .schedule import Schedule
-from .validator import check_schedule, effective_capacity_max, evaluate_objective
+from .validator import check_schedule, evaluate_objective, simulate_occupancy, stock_events
 
 ORACLE_STATUS_OPTIMAL = "optimal"
 ORACLE_STATUS_INFEASIBLE = "infeasible"
@@ -175,63 +179,34 @@ def brute_force_optimum(
         waived = options.relax_terminal_flush and not variable_could_exist
         allowed_followups[c.index] = (satisfiers, waived)
 
-    # capacity bookkeeping: some (site, product) pairs can only move one way,
-    # which makes their bound violations permanent and prunable
-    storage_keys = [(s.id, p.id) for s in inst.storage_sites() for p in inst.products]
-    has_in = {key: False for key in storage_keys}
-    has_out = {key: False for key in storage_keys}
-    for edge in inst.edges:
-        for ref in catalog.refs(edge.id):
-            spec = catalog.spec_by_id[ref.batch]
-            if ref.is_final and (edge.destination, spec.product) in has_in:
-                has_in[(edge.destination, spec.product)] = True
-            if ref.is_initial and (edge.origin, spec.product) in has_out:
-                has_out[(edge.origin, spec.product)] = True
+    # stock bookkeeping: each candidate's stock events, from the placements on
+    # every edge of its chain; the levels start at the empty schedule's stock
+    events = [[ev for e in c.chain for ev in stock_events(inst, catalog, e, c.batch, c.start)] for c in cands]
+    empty = simulate_occupancy(inst, catalog, Schedule.from_raw(()))
+    upper, lower = empty.upper, empty.lower
+    cap_max = {key: inst.capacity_max_profile(*key) for key in upper}
+    cap_min = {key: inst.site(key[0]).profile(key[1]).min_profile(H) for key in upper}
 
-    upper = {}
-    lower = {}
-    cap_max = {}
-    cap_min = {}
-    for site in inst.storage_sites():
-        for product in inst.products:
-            key = (site.id, product.id)
-            base = site.profile(product.id).base_profile(H)
-            upper[key] = list(base)
-            lower[key] = list(base)
-            cap_max[key] = [effective_capacity_max(inst, site.id, product.id, t) for t in range(H)]
-            cap_min[key] = site.profile(product.id).min_profile(H)
-
-    def stock_events(c: _Candidate) -> list[tuple[tuple[str, str], str, int]]:
-        events = []
-        last_edge = inst.edge(c.chain[-1])
-        first_edge = inst.edge(c.chain[0])
-        if (last_edge.destination, c.product) in upper:
-            events.append(((last_edge.destination, c.product), "in", c.volume))
-        if (first_edge.origin, c.product) in upper:
-            events.append(((first_edge.origin, c.product), "out", c.volume))
-        return events
+    # a (site, product) that no candidate can drain (fill) keeps a too high
+    # (too low) level for good, which makes its bound violations prunable
+    has_in = {ev.key for evs in events for ev in evs if ev.volume > 0}
+    has_out = {ev.key for evs in events for ev in evs if ev.volume < 0}
 
     def apply_stock(c: _Candidate, sign: int) -> None:
-        arrival = c.start + c.length
-        for key, direction, vol in stock_events(c):
-            if direction == "in":
-                for u in range(c.start, H):
-                    upper[key][u] += sign * vol
-                for u in range(arrival, H):
-                    lower[key][u] += sign * vol
-            else:
-                for u in range(arrival, H):
-                    upper[key][u] -= sign * vol
-                for u in range(c.start, H):
-                    lower[key][u] -= sign * vol
+        for key, blocked_from, on_stock_from, volume in events[c.index]:
+            up, lo = upper[key], lower[key]
+            for u in range(blocked_from, H):
+                up[u] += sign * volume
+            for u in range(on_stock_from, H):
+                lo[u] += sign * volume
 
     def stock_hopeless(c: _Candidate) -> bool:
-        for key, _direction, _vol in stock_events(c):
-            if not has_out[key] and any(
+        for key, _blocked_from, _on_stock_from, _volume in events[c.index]:
+            if key not in has_out and any(
                 cap_max[key][t] is not None and upper[key][t] > cap_max[key][t] for t in range(H)
             ):
                 return True
-            if not has_in[key] and any(lower[key][t] < cap_min[key][t] for t in range(H)):
+            if key not in has_in and any(lower[key][t] < cap_min[key][t] for t in range(H)):
                 return True
         return False
 

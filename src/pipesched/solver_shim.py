@@ -64,17 +64,20 @@ _SECTION_WORDS = {
 # one way to match each number, so a failed match inside a repeat backtracks in linear time
 _NUM = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 _NUM_RE = re.compile(rf"^[+-]?{_NUM}$")
+# an expression token: a sign, a number that ends where a sign or a space does, or a name
+_TOKEN_RE = re.compile(rf"[+-]|{_NUM}(?![^\s+-])|[^\s+-]+")
 # a row ends at its comparison operator and right-hand side token
 _ROW_END_RE = re.compile(r"(<=|=<|>=|=>|<|>|=)\s*(\S*)")
 _NAME_RE = re.compile(r"\s*(\S+?)\s*:(?=\s|$)")
 # the shape lp_io writes: whitespace-separated `+c name` pairs, sign glued to c
-_PAIRS_RE = re.compile(rf"(?:\s*[+-]{_NUM}\s+[A-Za-z_][^\s:]*(?=\s|$))*\s*")
+_PAIRS_RE = re.compile(rf"(?:\s*[+-]{_NUM}\s+[A-Za-z_][^\s:+-]*(?=\s|$))*\s*")
 
 
 @dataclass
 class ParsedLP:
     maximize: bool = False
     objective: dict[str, float] = field(default_factory=dict)
+    offset: float = 0.0  # objective constant
     rows: list[tuple[str, dict[str, float], str, float]] = field(default_factory=list)
     lower: dict[str, float] = field(default_factory=dict)
     upper: dict[str, float] = field(default_factory=dict)
@@ -92,35 +95,24 @@ def _is_number(token: str) -> bool:
     return bool(_NUM_RE.match(token))
 
 
-def _parse_expr(tokens: list[str], lp: ParsedLP) -> dict[str, float]:
-    """Linear expression over `sign-glued coefficient, name` token pairs.
+def _parse_expr(expr: str, lp: ParsedLP) -> dict[str, float]:
+    """Linear expression of signs, coefficients and names, spaced or glued.
 
-    Accepts `+2 x`, `- 2 x`, `x` (implicit 1) and bare constants (returned
-    under the empty-name key for the caller to fold into the rhs).
+    Accepts `+2 x`, `- 2 x`, `x+y` (implicit 1), `- -1` (signs multiply) and
+    bare constants (returned under the empty-name key for the caller to fold
+    into the rhs or the objective offset).
     """
     coefs: dict[str, float] = {}
     sign = 1.0
     pending: float | None = None
-    for tok in tokens:
-        if tok == "+":
-            if pending is not None:
+    for tok in _TOKEN_RE.findall(expr):
+        if tok in ("+", "-") or _is_number(tok):  # numbers come unsigned
+            if pending is not None:  # a number no name followed is a constant
                 coefs[""] = coefs.get("", 0.0) + sign * pending
-                pending = None
-            sign = 1.0
-            continue
-        if tok == "-":
-            if pending is not None:
-                coefs[""] = coefs.get("", 0.0) + sign * pending
-                pending = None
-            sign = -1.0
-            continue
-        if _is_number(tok):
-            if pending is not None:
-                coefs[""] = coefs.get("", 0.0) + sign * pending
-            if tok[0] in "+-":
-                sign = 1.0 if tok[0] == "+" else -1.0
-                pending = abs(float(tok))
-            else:
+                sign, pending = 1.0, None
+            if tok == "-":
+                sign = -sign
+            elif tok != "+":
                 pending = float(tok)
             continue
         # variable name
@@ -137,7 +129,7 @@ def _parse_expr(tokens: list[str], lp: ParsedLP) -> dict[str, float]:
 def _parse_terms(expr: str, lp: ParsedLP) -> dict[str, float]:
     """`_parse_expr` over one expression, with a fast path for `+c name` pairs."""
     if not _PAIRS_RE.fullmatch(expr):
-        return _parse_expr(expr.split(), lp)
+        return _parse_expr(expr, lp)
     tokens = expr.split()
     names = tokens[1::2]
     coefs = dict(zip(names, map(float, tokens[::2])))
@@ -179,8 +171,9 @@ def parse_lp(text: str) -> ParsedLP:
     """CPLEX-LP text to a ParsedLP.
 
     Rows may wrap over lines, senses may be `<=`, `=<`, `<`, `>=`, `=>`, `>`
-    or `=`, coefficients may be implicit or have a spaced sign, and a
-    constant on the left-hand side moves into the right-hand side.
+    or `=`, coefficients may be implicit or have a spaced sign, terms may be
+    glued (`x+y`), a constant on the left-hand side moves into the
+    right-hand side and one in the objective becomes its offset.
     """
     lp = ParsedLP()
     lines = []
@@ -233,7 +226,7 @@ def parse_lp(text: str) -> ParsedLP:
     objective = " ".join(obj_lines)
     m = _NAME_RE.match(objective)
     obj = _parse_terms(objective[m.end() :] if m else objective, lp)
-    obj.pop("", None)
+    lp.offset = obj.pop("", 0.0)
     lp.objective = obj
 
     _parse_rows(" ".join(row_lines), lp)
@@ -396,6 +389,7 @@ def _pass_model(lp: ParsedLP, time_limit: float, gap: float):
     model.num_col_ = len(lp.order)
     model.num_row_ = nrow
     model.sense_ = core.ObjSense.kMaximize if lp.maximize else core.ObjSense.kMinimize
+    model.offset_ = lp.offset
     model.col_cost_ = [lp.objective.get(name, 0.0) for name in lp.order]
     model.col_lower_ = [lp.lower.get(name, 0.0) for name in lp.order]
     model.col_upper_ = [lp.upper.get(name, _INF) for name in lp.order]

@@ -2,10 +2,15 @@
 
 This module re-derives every feasibility rule and the objective directly
 from the instance and the batch catalog, deliberately not sharing any logic
-with the MILP emitters: it simulates stock levels by event accumulation and
-checks each rule family on the raw placement set.  Agreement between a
-solver solution and this module is therefore meaningful evidence that the
-model encodes the intended rules.
+with the MILP emitters, and imports nothing from the builder, the LP writer
+or the solver.  Agreement between a solver solution and this module is
+therefore meaningful evidence that the model encodes the intended rules.
+
+The stock rule has its home here: `stock_events` says when and by how much
+one placement moves a tank, and `simulate_occupancy` turns the events of a
+schedule into per-slot stock by a prefix sum.  The oracle and the model's
+assignment helper read stock through these two functions; tank capacity
+comes from `Instance.capacity_max_profile`, the profile the builder reads.
 
 Violation families: packing, routes, flushing, exclusion, capacity_upper,
 capacity_lower, outage, throughput, nomination, fixed.
@@ -15,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import accumulate
+from operator import add
+from typing import NamedTuple
 
-from .batches import BatchCatalog, batch_cost, batch_id, STANDARD
-from .instance import Instance, TankOutage, TransportOutage
-from .milpmodel import BuildOptions
+from .batches import BatchCatalog, BuildOptions, batch_cost, batch_id, STANDARD
+from .instance import Instance, TransportOutage
 from .schedule import Schedule
 
 
@@ -71,48 +77,59 @@ def _check_placements(inst: Instance, catalog: BatchCatalog, schedule: Schedule)
             raise ValueError(f"placement ({e!r}, {b!r}, {t}) does not fit the horizon")
 
 
+class StockEvent(NamedTuple):
+    """One placement's move of one tank: `volume` (inbound positive) counts in
+    blocked stock from slot `blocked_from` and on stock from `on_stock_from`."""
+
+    key: tuple[str, str]  # (site, product)
+    blocked_from: int
+    on_stock_from: int
+    volume: int
+
+
+def stock_events(inst: Instance, catalog: BatchCatalog, edge_id: str, batch: str, start: int) -> list[StockEvent]:
+    """The stock rule for one placement.
+
+    On the last edge of its chain a batch fills the destination tank: it
+    counts in blocked stock from its start and on stock from its arrival.
+    On the first edge it drains the origin tank, the reverse: on stock from
+    its start, blocked stock from its arrival.  Only storage sites hold stock.
+    """
+    spec = catalog.spec_by_id[batch]
+    chain = catalog.chains[batch]
+    edge = inst.edge(edge_id)
+    arrival = start + spec.length
+    events = []
+    if edge_id == chain[-1] and inst.site(edge.destination).is_storage:
+        events.append(StockEvent((edge.destination, spec.product), start, arrival, spec.volume))
+    if edge_id == chain[0] and inst.site(edge.origin).is_storage:
+        events.append(StockEvent((edge.origin, spec.product), arrival, start, -spec.volume))
+    return events
+
+
 def simulate_occupancy(inst: Instance, catalog: BatchCatalog, schedule: Schedule) -> OccupancySeries:
-    """Accumulate stock trajectories for every storage site and product."""
+    """Stock trajectories for every storage site and product.
+
+    Each trajectory is the exogenous base profile plus the prefix sum of a
+    difference array holding the schedule's stock events.
+    """
     _check_placements(inst, catalog, schedule)
     H = inst.grid.horizon_len
+    keys = [(site.id, product.id) for site in inst.storage_sites() for product in inst.products]
+    # one spare slot: an arrival at the horizon fence changes no slot
+    blocked = {key: [0] * (H + 1) for key in keys}
+    on_stock = {key: [0] * (H + 1) for key in keys}
+    for e, b, t in schedule.placements:
+        for event in stock_events(inst, catalog, e, b, t):
+            blocked[event.key][event.blocked_from] += event.volume
+            on_stock[event.key][event.on_stock_from] += event.volume
     upper: dict[tuple[str, str], list[int]] = {}
     lower: dict[tuple[str, str], list[int]] = {}
-    for site in inst.storage_sites():
-        for product in inst.products:
-            base = site.profile(product.id).base_profile(H)
-            upper[(site.id, product.id)] = list(base)
-            lower[(site.id, product.id)] = list(base)
-
-    for e, b, t in schedule.sorted_placements:
-        spec = catalog.spec_by_id[b]
-        edge = inst.edge(e)
-        chain = catalog.chains[b]
-        arrival = t + spec.length
-        if e == chain[-1] and (edge.destination, spec.product) in upper:
-            key = (edge.destination, spec.product)
-            for u in range(t, H):
-                upper[key][u] += spec.volume
-            for u in range(arrival, H):
-                lower[key][u] += spec.volume
-        if e == chain[0] and (edge.origin, spec.product) in upper:
-            key = (edge.origin, spec.product)
-            for u in range(arrival, H):
-                upper[key][u] -= spec.volume
-            for u in range(t, H):
-                lower[key][u] -= spec.volume
+    for key in keys:
+        base = inst.site(key[0]).profile(key[1]).base_profile(H)
+        upper[key] = list(map(add, base, accumulate(blocked[key])))
+        lower[key] = list(map(add, base, accumulate(on_stock[key])))
     return OccupancySeries(upper=upper, lower=lower)
-
-
-def effective_capacity_max(inst: Instance, site: str, product: str, t: int) -> Optional[int]:
-    """Tank capacity at a slot, after subtracting active tank outages."""
-    prof = inst.site(site).profile(product)
-    cap = prof.max_profile(inst.grid.horizon_len)[t]
-    if cap is None:
-        return None
-    for outage in inst.outages:
-        if isinstance(outage, TankOutage) and outage.site == site and outage.product == product and t in outage.times:
-            cap -= outage.reduction
-    return cap
 
 
 def capacity_bound_violations(inst: Instance, occupancy: OccupancySeries) -> list[Violation]:
@@ -121,11 +138,12 @@ def capacity_bound_violations(inst: Instance, occupancy: OccupancySeries) -> lis
     for site in inst.storage_sites():
         for product in inst.products:
             key = (site.id, product.id)
+            caps = inst.capacity_max_profile(site.id, product.id)
             minp = site.profile(product.id).min_profile(H)
             up = occupancy.upper[key]
             lo = occupancy.lower[key]
             for t in range(H):
-                cap = effective_capacity_max(inst, site.id, product.id, t)
+                cap = caps[t]
                 if cap is not None and up[t] > cap:
                     out.append(
                         Violation(

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pipesched.batches import enumerate_batches
+from pipesched.generator import PathExperimentParams, generate_path_instance
 from pipesched.milpmodel import (
+    FAM_CAP_DEF_LOWER,
+    FAM_CAP_DEF_UPPER,
     PLACEMENT,
     build_model,
     extend_placement_assignment,
@@ -15,7 +20,7 @@ from pipesched.milpmodel import (
     violated_rows,
 )
 from pipesched.schedule import Schedule
-from pipesched.validator import check_schedule, evaluate_objective
+from pipesched.validator import capacity_bound_violations, check_schedule, evaluate_objective, simulate_occupancy
 from tests.conftest import single_edge_instance
 
 INST = single_edge_instance(horizon=12, batches=2)
@@ -79,3 +84,30 @@ def test_valid_subsets_score_identically(data):
             picked.append(key)
             cursor = key[2] + catalog.spec_by_id[key[1]].length
     agree(inst, picked)
+
+
+LADDER = {
+    "l4A-SD": PathExperimentParams(vertices=4, setting="A", cost_mode="SD"),
+    "l6B-SDC": PathExperimentParams(vertices=6, setting="B", cost_mode="SDC"),
+}
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_capacity_rows_agree_with_validator_on_ladder(name):
+    """Random dispatch sets, nothing solved: the occupancy recurrences hold and
+    exactly the bound rows the validator flags are violated."""
+    inst = generate_path_instance(LADDER[name])
+    model = build_model(inst)
+    catalog = model.catalog
+    bound_key = {model.constraints[row].name: key for key, row in model.lazy_bounds.items()}
+    initial = [v.key for v in model.variables if v.kind == PLACEMENT and catalog.chains[v.key[1]][0] == v.key[0]]
+    flagged = []
+    for seed, size in enumerate((20, 60, 150)):
+        schedule = Schedule.from_initial(catalog, random.Random(seed).sample(initial, size))
+        broken = violated_rows(model, extend_placement_assignment(model, schedule.placements))
+        assert not [row.name for row in broken if row.family in (FAM_CAP_DEF_UPPER, FAM_CAP_DEF_LOWER)]
+        rows = {bound_key[row.name] for row in broken if row.name in bound_key}
+        report = capacity_bound_violations(inst, simulate_occupancy(inst, catalog, schedule))
+        assert rows == {(v.family, *v.coordinate) for v in report}, (seed, size)
+        flagged.append(len(rows))
+    assert any(flagged), flagged

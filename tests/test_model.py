@@ -12,6 +12,7 @@ from pipesched.generator import PathExperimentParams, generate_path_instance
 from pipesched.instance import (
     ExclusionGroup,
     FixedTransport,
+    TankOutage,
     ThroughputLimit,
     TransportOutage,
 )
@@ -35,6 +36,9 @@ from pipesched.milpmodel import (
     objective_value,
     violated_rows,
 )
+from pipesched.schedule import Schedule
+from pipesched.validator import capacity_bound_violations, simulate_occupancy
+from tests.conftest import single_edge_instance
 
 
 def families(model, assignment):
@@ -141,6 +145,21 @@ def test_capacity_lower_violation_detected(ref1_long):
     model = build_model(floor)
     empty = extend_placement_assignment(model, [])
     assert FAM_CAP_LOWER in families(model, empty)
+
+
+def test_tank_outage_listing_a_slot_twice_lowers_it_once():
+    inst = dataclasses.replace(
+        single_edge_instance(horizon=12, batches=2),
+        outages=(TankOutage(site="s1", product="flush", reduction=50, times=(5, 5)),),
+        name="twice",
+    )
+    model = build_model(inst)
+    rhs = {t: model.constraints[model.lazy_bounds[(FAM_CAP_UPPER, "s1", "flush", t)]].rhs for t in (4, 5)}
+    assert rhs == {4: 600, 5: 550}
+    occupancy = simulate_occupancy(inst, model.catalog, Schedule.from_raw([]))
+    occupancy.upper[("s1", "flush")] = [551] * 12
+    report = capacity_bound_violations(inst, occupancy)
+    assert [(v.family, v.coordinate, v.bound) for v in report] == [(FAM_CAP_UPPER, ("s1", "flush", 5), 550)]
 
 
 def test_throughput_window_counts_volume(ref1):

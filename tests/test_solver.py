@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -13,6 +15,7 @@ from pipesched.lp_io import ParsedSolution
 from pipesched.milpmodel import BuildOptions, build_model
 from pipesched.schedule import Schedule
 from pipesched.solver import (
+    COMMAND_ENV_VAR,
     STATUS_ERROR,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
@@ -117,7 +120,36 @@ def test_unrunnable_command_becomes_error_status(ref1_small):
     res = solve(build_model(ref1_small), cfg)
     assert res.status == STATUS_ERROR
     assert res.schedule is None
-    assert res.message
+    assert res.message.startswith("solver run failed: ") and "No such file or directory: '/nonexistent/solver'" in res.message
+
+
+def test_solver_timeout_becomes_error_status(ref1_small, monkeypatch):
+    # the real subprocess timeout is at least 60 s, so the expiry is simulated
+    seen = {}
+
+    def expire(argv, **kwargs):
+        seen["timeout"] = kwargs["timeout"]
+        raise subprocess.TimeoutExpired(argv, kwargs["timeout"])
+
+    monkeypatch.setattr("pipesched.solver.subprocess.run", expire)
+    res = solve(build_model(ref1_small), SolverConfig(time_limit=1))
+    assert seen == {"timeout": 122}  # twice the time limit plus two minutes
+    assert res.status == STATUS_ERROR and res.schedule is None
+    assert res.message.startswith("solver run failed: ") and res.message.endswith("timed out after 122 seconds")
+
+
+def test_shim_without_the_highs_core_is_an_error(ref1_small, tmp_path, monkeypatch):
+    # an empty `scipy` package first on the child's path hides the real one
+    (tmp_path / "fake" / "scipy").mkdir(parents=True)
+    (tmp_path / "fake" / "scipy" / "__init__.py").write_text("")
+    inherited = os.environ.get("PYTHONPATH")
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [str(tmp_path / "fake"), inherited])))
+    monkeypatch.delenv(COMMAND_ENV_VAR, raising=False)
+    res = solve(build_model(ref1_small), SolverConfig(time_limit=60, work_dir=tmp_path / "work"))
+    assert res.status == STATUS_ERROR and res.schedule is None
+    assert res.message.startswith("solver exit 1: ") and "scipy>=1.15" in res.message
+    solution = (tmp_path / "work" / "model.sol").read_text()
+    assert solution.startswith("# Status = error\n# Message = ImportError: ") and "scipy>=1.15" in solution
 
 
 def test_command_that_writes_no_solution_becomes_error(ref1_small, tmp_path):

@@ -196,30 +196,39 @@ def _assert_same_optimum_or_refused(rc: int, sol: str, reference: float) -> None
     assert objective == pytest.approx(reference, abs=1e-9)
 
 
-TINY_ROWS = {
-    "plain": " c1: x + y <= 1",
-    "lhs constant last": " c1: x + y + 1 <= 2",
-    "lhs constant first": " c1: 1 + x + y <= 2",
-    "lhs constant glued": " c1: x+y+1<=2",
-    "lhs constant negated": " c1: x + y - -1 <= 2",
-    "lhs constant exponent": " c1: x + y + 1e0 <= 2",
-    "two numbers": " c1: 1 1 x + y <= 2",
-    "number after name": " c1: x 1 + y <= 2",
-    "lt": " c1: x + y < 1",
-    "eq lt": " c1: x + y =< 1",
-    "gt": " c1: - x - y > -1",
-    "eq gt": " c1: - x - y => -1",
-    "spaced signs": " c1: + 1 x + 1 y <= 1",
-    "wrapped": "c1:\n  +1 x\n  +1 y\n  <=\n  1",
-    "unnamed rows": " x + y <= 1\n - x <= 0",
-    "negative rhs then unnamed row": " c1: - x - y >= -1\n - x <= 0",
+# variants of TINY_LP: a replacement for its row c1 or, starting `obj:`, for
+# its objective, and the optimum every reader must reach (x + y <= 1 in all)
+TINY_VARIANTS = {
+    "plain": (" c1: x + y <= 1", 2.0),
+    "lhs constant last": (" c1: x + y + 1 <= 2", 2.0),
+    "lhs constant first": (" c1: 1 + x + y <= 2", 2.0),
+    "lhs constant glued": (" c1: x+y+1<=2", 2.0),
+    "lhs constant negated": (" c1: x + y - -1 <= 2", 2.0),
+    "lhs constant exponent": (" c1: x + y + 1e0 <= 2", 2.0),
+    "two numbers": (" c1: 1 1 x + y <= 2", 2.0),
+    "number after name": (" c1: x 1 + y <= 2", 2.0),
+    "lt": (" c1: x + y < 1", 2.0),
+    "eq lt": (" c1: x + y =< 1", 2.0),
+    "gt": (" c1: - x - y > -1", 2.0),
+    "eq gt": (" c1: - x - y => -1", 2.0),
+    "spaced signs": (" c1: + 1 x + 1 y <= 1", 2.0),
+    "glued terms": (" c1: x+y<=1", 2.0),
+    "glued after a coefficient": (" c1: +1 x+y <= 1", 2.0),
+    "double negation": (" c1: x - -1 y <= 1", 2.0),
+    "wrapped": ("c1:\n  +1 x\n  +1 y\n  <=\n  1", 2.0),
+    "unnamed rows": (" x + y <= 1\n - x <= 0", 2.0),
+    "negative rhs then unnamed row": (" c1: - x - y >= -1\n - x <= 0", 2.0),
+    "objective constant": (" obj: x + 2 y + 5", 7.0),
 }
 
 
-@pytest.mark.parametrize("rows", TINY_ROWS.values(), ids=TINY_ROWS.keys())
-def test_main_reaches_reference_optimum_or_refuses(tmp_path, rows):
-    text = TINY_LP.replace(" c1: x + y <= 1", rows)
-    _assert_same_optimum_or_refused(*_solve_file(tmp_path, text), _reference_objective(text))
+@pytest.mark.parametrize("change, optimum", TINY_VARIANTS.values(), ids=TINY_VARIANTS.keys())
+def test_main_reaches_reference_optimum_or_refuses(tmp_path, change, optimum):
+    replaced = " obj: x + 2 y" if change.startswith(" obj:") else " c1: x + y <= 1"
+    text = TINY_LP.replace(replaced, change)
+    reference = _reference_objective(text)
+    assert reference == pytest.approx(optimum, abs=1e-9)
+    _assert_same_optimum_or_refused(*_solve_file(tmp_path, text), reference)
 
 
 def test_lhs_constant_refused_by_row_name(tmp_path):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import pipesched
 from pipesched.batches import enumerate_batches
 from pipesched.generator import PathExperimentParams, generate_path_instance
 from pipesched.instance import FixedTransport, TransportOutage, ThroughputLimit, instance_from_dict
@@ -199,3 +202,18 @@ def test_objective_components_are_exact_fractions(ref1, ref1_catalog):
 def test_unknown_placement_rejected(ref1, ref1_catalog):
     with pytest.raises(Exception):
         check_schedule(ref1, ref1_catalog, Schedule.from_raw([("e1", "nope", 0)]))
+
+
+@pytest.mark.parametrize("module", ["validator", "oracle"])
+def test_judges_import_nothing_from_the_model_path(module):
+    """The validator and the oracle re-derive the rules, so they must not
+    reach the builder, the LP writer or the solver through any import."""
+    tree = ast.parse(Path(pipesched.__file__).with_name(f"{module}.py").read_text(encoding="utf-8"))
+    parts = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            parts.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            parts.update((node.module or "").split("."))
+            parts.update(alias.name for alias in node.names)
+    assert not parts & {"milpmodel", "lp_io", "solver", "solver_shim"}
