@@ -17,7 +17,6 @@ import json
 import sys
 import time
 from dataclasses import asdict
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -37,9 +36,7 @@ from .milpmodel import BuildOptions, ModelBuildError, build_model
 from .oracle import OracleLimits, brute_force_optimum
 from .schedule import Schedule
 from .solver import (
-    STATUS_GAP,
     STATUS_INFEASIBLE,
-    STATUS_OPTIMAL,
     SolveResult,
     SolverConfig,
     solve,
@@ -208,9 +205,8 @@ def cmd_build(args: argparse.Namespace) -> int:
     text = write_lp(model)  # full model; lazy rows included for inspection
     Path(args.out).write_text(text, encoding="utf-8")
     counts = model.family_counts()
-    binaries = sum(1 for v in model.variables if v.binary)
     print(f"wrote {args.out}")
-    print(f"variables: {len(model.variables)} ({binaries} binary)")
+    print(f"variables: {len(model.variables)} ({model.metadata['binaries']} binary)")
     print(f"rows: {len(model.constraints)} ({model.metadata['lazy_rows']} lazily activated)")
     for family in sorted(counts):
         print(f"  {family}: {counts[family]}")

@@ -19,9 +19,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, Optional
 
-from .milpmodel import EQ, GE, LE, LinearConstraint, MILPModel, PLACEMENT
+from .milpmodel import GE, LE, PLACEMENT, SENSES, MILPModel, RowStore, row_name
 from .schedule import Schedule
 
 INTEGRALITY_TOL = 1e-5
@@ -56,34 +57,38 @@ def _terms_text(terms: Iterable[tuple[int, int | Fraction]], names: list[str]) -
     return lines or [""]
 
 
-_SENSE_TEXT = {LE: "<=", GE: ">=", EQ: "="}
+def _row_texts(rows: RowStore, names: list[str]) -> list[str]:
+    """LP lines of every row; '' for a row without terms, which holds vacuously."""
+    signed = {c: f"+{c} " if c >= 0 else f"-{-c} " for c in set(rows.coef)}
+    terms = list(map(str.__add__, map(signed.__getitem__, rows.coef), map(names.__getitem__, rows.col)))
+    texts = []
+    ends = islice(rows.start, 1, None)
+    for s, e, family, rank, sense, rhs in zip(rows.start, ends, rows.family, rows.rank, rows.sense, rows.rhs):
+        name = row_name(family, rank)
+        sense = SENSES[sense]
+        if s == e:
+            if not (0 <= rhs if sense == LE else 0 >= rhs if sense == GE else rhs == 0):
+                raise LPWriteError(f"constraint {name} has no terms and cannot hold (0 {sense} {rhs})")
+            texts.append("")
+        elif e - s <= _TERMS_PER_LINE:
+            texts.append(f" {name}: {' '.join(terms[s:e])} {sense} {rhs}")
+        else:
+            lines = "\n   ".join(" ".join(terms[i : min(i + _TERMS_PER_LINE, e)]) for i in range(s, e, _TERMS_PER_LINE))
+            texts.append(f" {name}: {lines} {sense} {rhs}")
+    return texts
 
 
-def _row_text(c: LinearConstraint, names: list[str]) -> str:
-    """LP lines of one row; '' for a row without terms, which holds vacuously."""
-    if not c.terms:
-        holds = (
-            (c.sense == LE and 0 <= c.rhs)
-            or (c.sense == GE and 0 >= c.rhs)
-            or (c.sense == EQ and c.rhs == 0)
-        )
-        if not holds:
-            raise LPWriteError(f"constraint {c.name} has no terms and cannot hold (0 {c.sense} {c.rhs})")
-        return ""
-    lines = _terms_text(c.terms, names)
-    lines[0] = f" {c.name}: {lines[0]}"
-    for i in range(1, len(lines)):
-        lines[i] = "   " + lines[i]
-    lines[-1] += f" {_SENSE_TEXT[c.sense]} {_num(c.rhs)}"
-    return "\n".join(lines)
-
-
-def _row_texts(model: MILPModel) -> list[str]:
-    """Row text is the same in every lazy round, so it is formatted once per model."""
-    if model.lp_rows is None:
-        names = [v.lp_name for v in model.variables]
-        model.lp_rows = [_row_text(c, names) for c in model.constraints]
-    return model.lp_rows
+def _bound_affixes(lb: int | None, ub: int | None) -> tuple[str, str] | None:
+    """Text before and after a column's name in its Bounds line; None for the LP default [0, inf)."""
+    if lb is None and ub is None:
+        return "", " free"
+    if lb == 0 and ub is None:
+        return None
+    if lb == 0:
+        return "", f" <= {_num(ub)}"
+    if ub is None:
+        return "", f" >= {_num(lb)}"
+    return f"{_num(lb)} <= ", f" <= {_num(ub)}"
 
 
 def write_lp(model: MILPModel, activated_lazy: Optional[set[int]] = None) -> str:
@@ -93,9 +98,12 @@ def write_lp(model: MILPModel, activated_lazy: Optional[set[int]] = None) -> str
     a set only non-lazy rows plus the activated lazy row indices appear.
     Rows with an empty left-hand side cannot be expressed in LP format; they
     are skipped after checking they hold vacuously (on the first call, for
-    every row of the model).
+    every row of the model).  Row text is the same in every lazy round, so
+    it is formatted once per model.
     """
-    names = [v.lp_name for v in model.variables]
+    names = model.lp_names
+    if model.lp_rows is None:
+        model.lp_rows = _row_texts(model.constraints, names)
     out: list[str] = []
     meta = model.metadata or {}
     out.append(f"\\ pipesched model {meta.get('instance', '?')} hash={str(meta.get('instance_hash', ''))[:12]}")
@@ -110,26 +118,23 @@ def write_lp(model: MILPModel, activated_lazy: Optional[set[int]] = None) -> str
     out.append("Subject To")
     out.extend(
         text
-        for idx, (text, c) in enumerate(zip(_row_texts(model), model.constraints))
-        if text and (not c.lazy or activated_lazy is None or idx in activated_lazy)
+        for idx, (text, lazy) in enumerate(zip(model.lp_rows, model.constraints.lazy))
+        if text and (not lazy or activated_lazy is None or idx in activated_lazy)
     )
 
     out.append("Bounds")
-    for v in model.variables:
-        if v.binary:
+    binaries: list[str] = []
+    for block in model.variables.blocks:
+        binary, lb, ub = block.bounds
+        block_names = names[block.start : block.start + block.count]
+        if binary:
+            binaries.extend(block_names)
             continue
-        if v.lb is None and v.ub is None:
-            out.append(f" {names[v.vid]} free")
-        elif v.lb == 0 and v.ub is None:
-            pass  # LP default
-        elif v.lb == 0 and v.ub is not None:
-            out.append(f" {names[v.vid]} <= {_num(v.ub)}")
-        elif v.ub is None:
-            out.append(f" {names[v.vid]} >= {_num(v.lb)}")
-        else:
-            out.append(f" {_num(v.lb)} <= {names[v.vid]} <= {_num(v.ub)}")
+        affixes = _bound_affixes(lb, ub)
+        if affixes is not None:
+            before, after = affixes
+            out.extend(f" {before}{name}{after}" for name in block_names)
 
-    binaries = [names[v.vid] for v in model.variables if v.binary]
     if binaries:
         out.append("Binary")
         for i in range(0, len(binaries), _TERMS_PER_LINE):
@@ -242,16 +247,20 @@ def parse_solution(text: str, model: MILPModel) -> ParsedSolution:
 
     placements = []
     rounded = dict(values)
-    for var in model.variables:
-        val = values.get(var.vid, 0.0)
-        if var.binary:
+    for block in model.variables.blocks:
+        if not block.bounds[0]:
+            continue
+        for vid in range(block.start, block.start + block.count):
+            val = values.get(vid)
+            if val is None:
+                continue  # an unlisted column is 0
             if abs(val - round(val)) > INTEGRALITY_TOL:
                 raise SolutionFormatError(
-                    f"binary variable {var.lp_name} has fractional value {val!r}"
+                    f"binary variable {model.lp_names[vid]} has fractional value {val!r}"
                 )
-            rounded[var.vid] = float(round(val))
-            if round(val) == 1 and var.kind == PLACEMENT:
-                placements.append(var.key)
+            rounded[vid] = float(round(val))
+            if round(val) == 1 and block.kind == PLACEMENT:
+                placements.append((*block.prefix, block.first + vid - block.start))
 
     # recompute over the rounded binaries: that is the solution actually used
     linear = sum(float(coef) * rounded.get(vid, 0.0) for vid, coef in model.objective)

@@ -26,14 +26,32 @@ The objective maximizes weighted extraction minus distribution deviation,
 plan-change and pumping-cost penalties; its coefficients are exact rationals.
 Every row coefficient, right-hand side and variable bound is a volume or a
 count, so rows and bounds hold plain integers.
+
+Storage.  Columns come in blocks (`ColumnBlock`) of one kind whose keys
+differ only in their last, consecutive component.  Placement columns are
+contiguous in t for each (edge, batch): v(e, b, t) is the block's first
+column plus t.  Endpoint markers of a staining (edge, batch) are contiguous
+in the completion instant, occupancy columns of a (site, product) in t.
+Rows live in one integer row store (`RowStore`), in stdlib `array`s: CSR
+row starts, column ids and coefficients, plus per row its sense, right-hand
+side, family, rank within the family (which names it) and lazy flag.  The
+emitters append whole runs of rows to it and build no per-term or per-row
+objects.  `MILPModel.variables` (a `Columns`) and `MILPModel.constraints`
+(the `RowStore`) are read-only sequences that build a `Variable` or a
+`LinearConstraint` only when one is read.  Coefficients and right-hand
+sides are signed 64-bit integers; a larger volume raises OverflowError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from itertools import accumulate, islice
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .batches import (
     BatchCatalog,
@@ -44,14 +62,7 @@ from .batches import (
     batch_id,
     enumerate_batches,
 )
-from .instance import (
-    Instance,
-    InstanceIssue,
-    TankOutage,
-    TransportOutage,
-    instance_hash,
-    validate_instance,
-)
+from .instance import Instance, TankOutage, instance_hash, validate_instance
 from .schedule import Schedule
 from .validator import simulate_occupancy
 
@@ -63,6 +74,14 @@ OCC_LOWER = "occ_lower"
 DEVIATION = "deviation"
 
 _NAME_PREFIX = {PLACEMENT: "v", ENDPOINT: "w", OCC_UPPER: "u", OCC_LOWER: "l", DEVIATION: "d"}
+# kind -> (binary, lower bound, upper bound); placements are the only binaries
+_KIND_BOUNDS = {
+    PLACEMENT: (True, 0, 1),
+    ENDPOINT: (False, 0, 1),
+    OCC_UPPER: (False, None, None),
+    OCC_LOWER: (False, None, None),
+    DEVIATION: (False, 0, None),
+}
 
 # constraint families
 FAM_PACKING = "packing"
@@ -98,18 +117,20 @@ FAMILIES = (
     FAM_FIXED,
     FAM_DISTRIBUTION,
 )
+_FAMILY_ID = {f: i for i, f in enumerate(FAMILIES)}
 
 LE = "<="
 GE = ">="
 EQ = "="
+SENSES = (LE, GE, EQ)
+_SENSE_ID = {s: i for i, s in enumerate(SENSES)}
 
 
 class ModelBuildError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(NamedTuple):
     vid: int
     kind: str
     key: tuple
@@ -122,8 +143,7 @@ class Variable:
         return f"{_NAME_PREFIX[self.kind]}{self.vid}"
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
     name: str
     family: str
     terms: tuple[tuple[int, int], ...]  # (vid, coefficient)
@@ -132,13 +152,150 @@ class LinearConstraint:
     lazy: bool = False
 
 
+def row_name(family: int, rank: int) -> str:
+    """Name of the family's `rank`-th row (`family` indexes FAMILIES), as the LP file writes it."""
+    return f"{FAMILIES[family]}_{rank}"
+
+
+class ColumnBlock(NamedTuple):
+    """Consecutive columns of one kind; column `start + i` has key `(*prefix, first + i)`."""
+
+    kind: str
+    prefix: tuple
+    first: int
+    start: int
+    count: int
+
+    @property
+    def bounds(self) -> tuple[bool, Optional[int], Optional[int]]:
+        """(binary, lower bound, upper bound) of every column in the block."""
+        return _KIND_BOUNDS[self.kind]
+
+
+class Columns(Sequence):
+    """The model's columns as blocks; indexing or iterating builds `Variable`s."""
+
+    def __init__(self) -> None:
+        self.blocks: list[ColumnBlock] = []
+        self._starts: list[int] = []
+        self._by_prefix: dict[tuple, list[ColumnBlock]] = {}
+        self._size = 0
+
+    def add(self, kind: str, prefix: tuple, first: int, count: int) -> ColumnBlock:
+        block = ColumnBlock(kind, prefix, first, self._size, max(0, count))
+        self.blocks.append(block)
+        self._starts.append(block.start)
+        self._by_prefix.setdefault((kind, prefix), []).append(block)
+        self._size += block.count
+        return block
+
+    def of_kind(self, kind: str) -> dict[tuple, ColumnBlock]:
+        """Prefix -> block, for a kind whose prefixes are unique."""
+        return {b.prefix: b for b in self.blocks if b.kind == kind}
+
+    def vid(self, kind: str, key: tuple) -> Optional[int]:
+        for block in self._by_prefix.get((kind, key[:-1]), ()):
+            i = key[-1] - block.first
+            if 0 <= i < block.count:
+                return block.start + i
+        return None
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, vid: int) -> Variable:
+        if vid < 0:
+            vid += self._size
+        if not 0 <= vid < self._size:
+            raise IndexError(f"column {vid} out of range")
+        kind, prefix, first, start, _count = self.blocks[bisect_right(self._starts, vid) - 1]
+        return Variable(vid, kind, (*prefix, first + vid - start), *_KIND_BOUNDS[kind])
+
+    def __iter__(self):
+        for kind, prefix, first, start, count in self.blocks:
+            bounds = _KIND_BOUNDS[kind]
+            for i in range(count):
+                yield Variable(start + i, kind, (*prefix, first + i), *bounds)
+
+
+class RowStore(Sequence):
+    """Every row of the model in CSR form; indexing or iterating builds `LinearConstraint`s.
+
+    Row r holds columns `col[start[r]:start[r+1]]` with coefficients `coef`
+    at the same positions; `sense[r]` indexes SENSES and `family[r]`
+    FAMILIES; `rank[r]` counts the family's earlier rows and names the row.
+    """
+
+    def __init__(self) -> None:
+        self.start = array("q", [0])
+        self.col = array("q")
+        self.coef = array("q")
+        self.sense = array("b")
+        self.rhs = array("q")
+        self.family = array("b")
+        self.rank = array("q")
+        self.lazy = array("b")
+        self.family_sizes = [0] * len(FAMILIES)
+
+    def add(
+        self,
+        family: str,
+        sense: str,
+        cols: Iterable[int],
+        coefs: Iterable[int],
+        sizes: Iterable[int],
+        rhs: Sequence[int],
+        lazy: bool = False,
+    ) -> None:
+        """Append `len(rhs)` rows of one family and sense; row i takes the next `sizes[i]` terms."""
+        n = len(rhs)
+        fid = _FAMILY_ID[family]
+        self.col.extend(cols)
+        self.coef.extend(coefs)
+        self.start.extend(islice(accumulate(sizes, initial=self.start[-1]), 1, None))
+        self.rhs.extend(rhs)
+        self.sense.extend(array("b", [_SENSE_ID[sense]]) * n)
+        self.family.extend(array("b", [fid]) * n)
+        self.lazy.extend(array("b", [lazy]) * n)
+        self.rank.extend(range(self.family_sizes[fid], self.family_sizes[fid] + n))
+        self.family_sizes[fid] += n
+        if self.start[-1] != len(self.col) or len(self.coef) != len(self.col) or len(self.start) != len(self.rhs) + 1:
+            raise ModelBuildError(f"{family} rows do not match their term counts")
+
+    def __len__(self) -> int:
+        return len(self.rhs)
+
+    def __getitem__(self, r: int) -> LinearConstraint:
+        if r < 0:
+            r += len(self)
+        if not 0 <= r < len(self):
+            raise IndexError(f"row {r} out of range")
+        s, e = self.start[r], self.start[r + 1]
+        return LinearConstraint(
+            row_name(self.family[r], self.rank[r]),
+            FAMILIES[self.family[r]],
+            tuple(zip(self.col[s:e], self.coef[s:e])),
+            SENSES[self.sense[r]],
+            self.rhs[r],
+            bool(self.lazy[r]),
+        )
+
+    def __iter__(self):
+        pairs = list(zip(self.col, self.coef))
+        ends = islice(self.start, 1, None)
+        for s, e, family, rank, sense, rhs, lazy in zip(
+            self.start, ends, self.family, self.rank, self.sense, self.rhs, self.lazy
+        ):
+            terms = tuple(pairs[s:e])
+            yield LinearConstraint(row_name(family, rank), FAMILIES[family], terms, SENSES[sense], rhs, bool(lazy))
+
+
 @dataclass
 class MILPModel:
-    variables: tuple[Variable, ...]
-    constraints: tuple[LinearConstraint, ...]
+    variables: Columns
+    constraints: RowStore
     objective: tuple[tuple[int, Fraction], ...]  # maximize
     objective_constant: Fraction
-    var_index: dict[tuple[str, tuple], int]
     lazy_bounds: dict[tuple[str, str, str, int], int]  # (family, site, product, t) -> row idx
     instance: Instance
     catalog: BatchCatalog
@@ -148,46 +305,41 @@ class MILPModel:
     lp_rows: Optional[list[str]] = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
+    def lp_names(self) -> list[str]:
+        """LP name of every column, by vid."""
+        blocks = self.variables.blocks
+        return [f"{_NAME_PREFIX[b.kind]}{vid}" for b in blocks for vid in range(b.start, b.start + b.count)]
+
+    @cached_property
     def name_index(self) -> dict[str, int]:
         """LP name -> vid."""
-        return {v.lp_name: v.vid for v in self.variables}
+        return {name: vid for vid, name in enumerate(self.lp_names)}
 
     def vid(self, kind: str, key: tuple) -> Optional[int]:
-        return self.var_index.get((kind, key))
-
-    def placement_vid(self, edge: str, batch: str, t: int) -> Optional[int]:
-        return self.var_index.get((PLACEMENT, (edge, batch, t)))
-
-    def lp_name(self, vid: int) -> str:
-        return self.variables[vid].lp_name
+        return self.variables.vid(kind, key)
 
     def family_counts(self) -> dict[str, int]:
-        counts = {f: 0 for f in FAMILIES}
-        for c in self.constraints:
-            counts[c.family] += 1
-        return counts
+        return dict(zip(FAMILIES, self.constraints.family_sizes))
 
 
-def _accumulate(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+def _accumulate(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """vid -> summed coefficient, in order of first appearance, zero sums dropped."""
     acc: dict[int, int] = {}
     for vid, coef in pairs:
         acc[vid] = acc.get(vid, 0) + coef
-    return tuple((vid, coef) for vid, coef in acc.items() if coef != 0)
+    return {vid: coef for vid, coef in acc.items() if coef != 0}
 
 
-class _Namer:
-    def __init__(self) -> None:
-        self.counters: dict[str, int] = {}
+def _mirror_rows(rows: RowStore, family: str, a: ColumnBlock, b: ColumnBlock) -> None:
+    """Rows x[a.start + i] - x[b.start + i] = 0, one per column of `a`."""
+    n = a.count
+    cols = [0] * (2 * n)
+    cols[0::2] = range(a.start, a.start + n)
+    cols[1::2] = range(b.start, b.start + n)
+    rows.add(family, EQ, cols, [1, -1] * n, [2] * n, [0] * n)
 
-    def __call__(self, family: str) -> str:
-        k = self.counters.get(family, 0)
-        self.counters[family] = k + 1
-        return f"{family}_{k}"
 
-
-def build_variables(
-    inst: Instance, catalog: BatchCatalog
-) -> tuple[tuple[Variable, ...], dict[tuple[str, tuple], int]]:
+def build_variables(inst: Instance, catalog: BatchCatalog) -> Columns:
     """Create all decision variables in canonical order.
 
     Placements exist for starts t with t + L(b) <= horizon.  Endpoint markers
@@ -196,81 +348,61 @@ def build_variables(
     continuous in [0, 1] because the linkage equality makes them integral.
     """
     H = inst.grid.horizon_len
-    variables: list[Variable] = []
-    index: dict[tuple[str, tuple], int] = {}
-
-    def add(kind: str, key: tuple, binary: bool, lb, ub) -> None:
-        vid = len(variables)
-        variables.append(Variable(vid, kind, key, binary, lb, ub))
-        index[(kind, key)] = vid
-
+    columns = Columns()
     for edge in inst.edges:
         for ref in catalog.refs(edge.id):
-            L = catalog.spec_by_id[ref.batch].length
-            for t in range(H - L + 1):
-                add(PLACEMENT, (edge.id, ref.batch, t), True, 0, 1)
+            columns.add(PLACEMENT, (edge.id, ref.batch), 0, H - catalog.spec_by_id[ref.batch].length + 1)
 
     for edge in inst.edges:
         for ref in catalog.refs(edge.id):
             spec = catalog.spec_by_id[ref.batch]
-            if not ref.is_initial or inst.product(spec.product).is_flushing:
-                continue
-            for t in range(H - spec.length + 1):
-                add(ENDPOINT, (edge.id, ref.batch, t + spec.length), False, 0, 1)
+            if ref.is_initial and not inst.product(spec.product).is_flushing:
+                columns.add(ENDPOINT, (edge.id, ref.batch), spec.length, H - spec.length + 1)
 
-    for site in inst.storage_sites():
-        for product in inst.products:
-            for t in range(H):
-                add(OCC_UPPER, (site.id, product.id, t), False, None, None)
-    for site in inst.storage_sites():
-        for product in inst.products:
-            for t in range(H):
-                add(OCC_LOWER, (site.id, product.id, t), False, None, None)
+    for kind in (OCC_UPPER, OCC_LOWER):
+        for site in inst.storage_sites():
+            for product in inst.products:
+                columns.add(kind, (site.id, product.id), 0, H)
 
     for ti, tgt in enumerate(inst.weights.distribution_targets):
         if tgt.target is not None:
-            add(DEVIATION, (tgt.site, tgt.product, ti), False, 0, None)
+            columns.add(DEVIATION, (tgt.site, tgt.product), ti, 1)
 
-    return tuple(variables), index
+    return columns
 
 
-def emit_packing(inst, catalog, index, namer) -> list[LinearConstraint]:
-    # at most one batch occupies an edge in any slot; a start at t blocks [t, t+L)
+def emit_packing(inst, catalog, columns, rows) -> None:
+    # at most one batch occupies an edge in any slot; a start at t0 blocks [t0, t0+L)
     H = inst.grid.horizon_len
-    rows: list[LinearConstraint] = []
+    place = columns.of_kind(PLACEMENT)
     for edge in inst.edges:
-        covering: list[list[tuple[int, int]]] = [[] for _ in range(H)]
-        for ref in catalog.refs(edge.id):
-            L = catalog.spec_by_id[ref.batch].length
-            for t0 in range(H - L + 1):
-                term = (index[(PLACEMENT, (edge.id, ref.batch, t0))], 1)
-                for t in range(t0, t0 + L):
-                    covering[t].append(term)
+        blocks = [
+            (place[(edge.id, ref.batch)], catalog.spec_by_id[ref.batch].length) for ref in catalog.refs(edge.id)
+        ]
+        cols: list[int] = []
+        sizes: list[int] = []
         for t in range(H):
-            rows.append(LinearConstraint(namer(FAM_PACKING), FAM_PACKING, tuple(covering[t]), LE, 1))
-    return rows
+            before = len(cols)
+            for block, L in blocks:
+                lo = max(0, t - L + 1)
+                hi = min(t + 1, block.count)
+                if lo < hi:
+                    cols.extend(range(block.start + lo, block.start + hi))
+            sizes.append(len(cols) - before)
+        rows.add(FAM_PACKING, LE, cols, [1] * len(cols), sizes, [1] * H)
 
 
-def emit_routes(inst, catalog, index, namer) -> list[LinearConstraint]:
+def emit_routes(inst, catalog, columns, rows) -> None:
     # a batch advances along its whole path at once: placements on consecutive
     # edges of the regime are pairwise equal at every start
-    H = inst.grid.horizon_len
-    rows: list[LinearConstraint] = []
+    place = columns.of_kind(PLACEMENT)
     for spec in catalog.specs:
         chain = catalog.chains[spec.id]
-        if len(chain) < 2:
-            continue
         for e_a, e_b in zip(chain, chain[1:]):
-            for t in range(H - spec.length + 1):
-                va = index[(PLACEMENT, (e_a, spec.id, t))]
-                vb = index[(PLACEMENT, (e_b, spec.id, t))]
-                rows.append(LinearConstraint(namer(FAM_ROUTES), FAM_ROUTES, ((va, 1), (vb, -1)), EQ, 0))
-    return rows
+            _mirror_rows(rows, FAM_ROUTES, place[(e_a, spec.id)], place[(e_b, spec.id)])
 
 
-def emit_flushing(
-    inst, catalog, index, namer, options: BuildOptions
-) -> tuple[list[LinearConstraint], list[str]]:
+def emit_flushing(inst, catalog, columns, rows, options: BuildOptions) -> list[str]:
     """Stain containment: linkage, cross-stain exclusion and flush enforcement.
 
     All rows anchor at stain completion instants te = t + L on the initial
@@ -278,41 +410,41 @@ def emit_flushing(
     actually enter (te <= horizon - 1); enforcement rows cover te up to the
     horizon fence, where they degenerate to banning unflushable stains unless
     `relax_terminal_flush` drops rows with no possible follow-up variable.
+    Returns the build warnings.
     """
     H = inst.grid.horizon_len
-    link: list[LinearConstraint] = []
-    excl: list[LinearConstraint] = []
-    enforce: list[LinearConstraint] = []
+    place = columns.of_kind(PLACEMENT)
+    endpoint = columns.of_kind(ENDPOINT)
     warnings: list[str] = []
 
-    stain_refs = []
-    for edge in inst.edges:
-        for ref in catalog.refs(edge.id):
-            spec = catalog.spec_by_id[ref.batch]
-            if ref.is_initial and not inst.product(spec.product).is_flushing:
-                stain_refs.append((edge.id, spec))
+    def starts_at(eid: str, bids: Iterable[str], te: int) -> list[int]:
+        """Placement columns of `bids` on `eid` that start at te."""
+        out = []
+        for bid in bids:
+            block = place[(eid, bid)]
+            if te < block.count:
+                out.append(block.start + te)
+        return out
+
+    # endpoint markers exist exactly for the staining batches on their initial edge
+    stain_refs = [(eid, catalog.spec_by_id[bid]) for eid, bid in endpoint]
 
     for eid, spec in stain_refs:
-        L = spec.length
-        for t in range(H - L + 1):
-            v = index[(PLACEMENT, (eid, spec.id, t))]
-            w = index[(ENDPOINT, (eid, spec.id, t + L))]
-            link.append(LinearConstraint(namer(FAM_FLUSH_LINK), FAM_FLUSH_LINK, ((v, 1), (w, -1)), EQ, 0))
+        _mirror_rows(rows, FAM_FLUSH_LINK, place[(eid, spec.id)], endpoint[(eid, spec.id)])
 
     for eid, spec in stain_refs:
         others = catalog.stain_exclusions.get((eid, spec.product), ())
         if not others:
             continue
-        L = spec.length
-        for te in range(L, H):
-            terms: list[tuple[int, int]] = []
-            for other in others:
-                v = index.get((PLACEMENT, (eid, other, te)))
-                if v is not None:
-                    terms.append((v, 1))
-            w = index[(ENDPOINT, (eid, spec.id, te))]
-            terms.append((w, 1))
-            excl.append(LinearConstraint(namer(FAM_FLUSH_EXCL), FAM_FLUSH_EXCL, tuple(terms), LE, 1))
+        w0 = endpoint[(eid, spec.id)].start - spec.length  # w(e, b, te) is column w0 + te
+        cols: list[int] = []
+        sizes: list[int] = []
+        for te in range(spec.length, H):
+            terms = starts_at(eid, others, te)
+            terms.append(w0 + te)
+            cols.extend(terms)
+            sizes.append(len(terms))
+        rows.add(FAM_FLUSH_EXCL, LE, cols, [1] * len(cols), sizes, [1] * len(sizes))
 
     for eid, spec in stain_refs:
         candidates = catalog.flush_candidates.get((eid, spec.id), ())
@@ -320,50 +452,52 @@ def emit_flushing(
             warnings.append(
                 f"staining batch {spec.id} on edge {eid} has no flushing batch large enough to push it through"
             )
-        L = spec.length
-        for te in range(L, H + 1):
-            terms: list[tuple[int, int]] = [(index[(ENDPOINT, (eid, spec.id, te))], 1)]
-            for follow in (spec.id, *candidates):
-                v = index.get((PLACEMENT, (eid, follow, te)))
-                if v is not None:
-                    terms.append((v, -1))
-            if len(terms) == 1 and options.relax_terminal_flush:
+        w0 = endpoint[(eid, spec.id)].start - spec.length
+        cols = []
+        coefs: list[int] = []
+        sizes = []
+        for te in range(spec.length, H + 1):
+            follow = starts_at(eid, (spec.id, *candidates), te)
+            if not follow and options.relax_terminal_flush:
                 continue
-            enforce.append(LinearConstraint(namer(FAM_FLUSH_ENFORCE), FAM_FLUSH_ENFORCE, tuple(terms), LE, 0))
+            cols.append(w0 + te)
+            cols.extend(follow)
+            coefs.append(1)
+            coefs.extend([-1] * len(follow))
+            sizes.append(1 + len(follow))
+        rows.add(FAM_FLUSH_ENFORCE, LE, cols, coefs, sizes, [0] * len(sizes))
 
-    return link + excl + enforce, warnings
+    return warnings
 
 
-def emit_regime_exclusions(inst, catalog, index, namer) -> list[LinearConstraint]:
+def emit_regime_exclusions(inst, catalog, columns, rows) -> None:
     # per group and anchor slot t, at most one member batch may start inside
     # the batch's own window [t, t + L(b)]
     H = inst.grid.horizon_len
-    rows: list[LinearConstraint] = []
+    place = columns.of_kind(PLACEMENT)
     for group in inst.exclusion_groups:
         members = set(group.members)
-        entries: list[tuple[int, dict[int, int]]] = []
+        entries: list[tuple[ColumnBlock, int]] = []
         for edge in inst.edges:
             for ref in catalog.refs(edge.id):
                 spec = catalog.spec_by_id[ref.batch]
-                if not ref.is_initial or spec.regime not in members:
-                    continue
-                starts = {t: index[(PLACEMENT, (edge.id, spec.id, t))] for t in range(H - spec.length + 1)}
-                entries.append((spec.length, starts))
+                if ref.is_initial and spec.regime in members:
+                    entries.append((place[(edge.id, spec.id)], spec.length))
+        cols: list[int] = []
+        sizes: list[int] = []
         for t in range(H):
-            terms: list[tuple[int, int]] = []
-            for L, starts in entries:
-                for t0 in range(t, t + L + 1):
-                    vid = starts.get(t0)
-                    if vid is not None:
-                        terms.append((vid, 1))
-            rows.append(LinearConstraint(namer(FAM_EXCLUSION), FAM_EXCLUSION, tuple(terms), LE, 1))
-    return rows
+            before = len(cols)
+            for block, L in entries:
+                hi = min(t + L + 1, block.count)
+                if t < hi:
+                    cols.extend(range(block.start + t, block.start + hi))
+            sizes.append(len(cols) - before)
+        rows.add(FAM_EXCLUSION, LE, cols, [1] * len(cols), sizes, [1] * H)
 
 
-def emit_outages(inst, catalog, index, namer, fixings: dict[int, int]) -> list[LinearConstraint]:
+def emit_outages(inst, catalog, columns, rows, fixings: dict[int, int]) -> None:
     """Forbidden starts become v = 0 rows (tank outages act through the capacity profile)."""
-    rows: list[LinearConstraint] = []
-    fixed_rows: set[int] = set()
+    fixed: dict[int, None] = {}  # vids in order of first appearance
     for outage in inst.outages:
         if isinstance(outage, TankOutage):
             continue
@@ -371,16 +505,14 @@ def emit_outages(inst, catalog, index, namer, fixings: dict[int, int]) -> list[L
             if not any(r.batch == bid for r in catalog.refs(eid)):
                 raise ModelBuildError(f"transport outage references unknown batch coordinate ({eid!r}, {bid!r})")
             for t in outage.times:
-                vid = index.get((PLACEMENT, (eid, bid, t)))
+                vid = columns.vid(PLACEMENT, (eid, bid, t))
                 if vid is None:
                     continue  # no start possible there anyway
                 if fixings.get(vid, 0) == 1:
                     raise ModelBuildError(f"contradictory fixings for placement ({eid!r}, {bid!r}, {t})")
                 fixings[vid] = 0
-                if vid not in fixed_rows:
-                    fixed_rows.add(vid)
-                    rows.append(LinearConstraint(namer(FAM_OUTAGE), FAM_OUTAGE, ((vid, 1),), EQ, 0))
-    return rows
+                fixed[vid] = None
+    rows.add(FAM_OUTAGE, EQ, fixed, [1] * len(fixed), [1] * len(fixed), [0] * len(fixed))
 
 
 def capacity_event_lists(inst: Instance, catalog: BatchCatalog):
@@ -398,9 +530,9 @@ def capacity_event_lists(inst: Instance, catalog: BatchCatalog):
 
 
 def emit_capacity(
-    inst, catalog, index, namer, options: BuildOptions
-) -> tuple[list[LinearConstraint], list[LinearConstraint], dict[tuple[str, str, str, int], int]]:
-    """Occupancy recurrences plus bound rows.
+    inst, catalog, columns, rows, options: BuildOptions
+) -> dict[tuple[str, str, str, int], int]:
+    """Occupancy recurrences plus bound rows; returns (family, site, product, t) -> bound row.
 
     Blocked stock counts an inbound batch from its start and releases an
     outbound batch at its completion; on-stock counts inbound at completion
@@ -408,11 +540,13 @@ def emit_capacity(
     recurrences anchored at t = 0, which keeps the row sparsity linear while
     defining exactly the cumulative sums.  Blocked stock is bounded by the
     instance's outage-reduced tank capacity, on-stock by the minimum stock.
+    A move's placement column appears at most once per row, because edges
+    never loop on a site.
     """
     H = inst.grid.horizon_len
+    place = columns.of_kind(PLACEMENT)
+    occupancy = {kind: columns.of_kind(kind) for kind in (OCC_UPPER, OCC_LOWER)}
     inbound, outbound = capacity_event_lists(inst, catalog)
-    defs: list[LinearConstraint] = []
-    bounds: list[LinearConstraint] = []
     lazy_map: dict[tuple[str, str, str, int], int] = {}
 
     # (occupancy kind, row family, the side counted at completion: -1 inbound, +1 outbound)
@@ -421,47 +555,58 @@ def emit_capacity(
         for product in inst.products:
             key = (site.id, product.id)
             base = site.profile(product.id).base_profile(H)
+            rhs = [base[0]] + [b - a for a, b in zip(base, base[1:])]
             moves = [(eid, spec, -1) for eid, spec in inbound.get(key, ())]
             moves += [(eid, spec, 1) for eid, spec in outbound.get(key, ())]
             for kind, family, delayed in series:
+                occ = occupancy[kind][key].start
+                # (first column, count, slots between the start and the row, coefficient)
+                shifted = []
+                for eid, spec, sign in moves:
+                    block = place[(eid, spec.id)]
+                    shift = spec.length if sign == delayed else 0
+                    shifted.append((block.start, block.count, shift, sign * spec.volume))
+                cols: list[int] = []
+                coefs: list[int] = []
+                sizes: list[int] = []
                 for t in range(H):
-                    terms: list[tuple[int, int]] = [(index[(kind, (site.id, product.id, t))], 1)]
-                    rhs = base[t]
-                    if t >= 1:
-                        terms.append((index[(kind, (site.id, product.id, t - 1))], -1))
-                        rhs -= base[t - 1]
-                    for eid, spec, sign in moves:
-                        start = t - spec.length if sign == delayed else t
-                        vid = index.get((PLACEMENT, (eid, spec.id, start)))
-                        if vid is not None:
-                            terms.append((vid, sign * spec.volume))
-                    defs.append(LinearConstraint(namer(family), family, _accumulate(terms), EQ, rhs))
+                    before = len(cols)
+                    cols.append(occ + t)
+                    coefs.append(1)
+                    if t:
+                        cols.append(occ + t - 1)
+                        coefs.append(-1)
+                    for first, count, shift, coef in shifted:
+                        s = t - shift
+                        if 0 <= s < count:
+                            cols.append(first + s)
+                            coefs.append(coef)
+                    sizes.append(len(cols) - before)
+                rows.add(family, EQ, cols, coefs, sizes, rhs)
 
     for site in inst.storage_sites():
         for product in inst.products:
+            key = (site.id, product.id)
             limits = (
                 (OCC_UPPER, FAM_CAP_UPPER, LE, inst.capacity_max_profile(site.id, product.id)),
                 (OCC_LOWER, FAM_CAP_LOWER, GE, site.profile(product.id).min_profile(H)),
             )
             for kind, family, sense, limit in limits:
-                for t in range(H):
-                    if limit[t] is None:
-                        continue
-                    lazy_map[(family, site.id, product.id, t)] = len(bounds)
-                    occ = index[(kind, (site.id, product.id, t))]
-                    bounds.append(
-                        LinearConstraint(
-                            namer(family), family, ((occ, 1),), sense, limit[t], lazy=options.capacity_lazy
-                        )
-                    )
+                occ = occupancy[kind][key].start
+                slots = [t for t in range(H) if limit[t] is not None]
+                first_row = len(rows)
+                for i, t in enumerate(slots):
+                    lazy_map[(family, site.id, product.id, t)] = first_row + i
+                ones = [1] * len(slots)
+                rhs = [limit[t] for t in slots]
+                rows.add(family, sense, [occ + t for t in slots], ones, ones, rhs, options.capacity_lazy)
 
-    return defs, bounds, lazy_map
+    return lazy_map
 
 
-def emit_throughput_limits(inst, catalog, index, namer, options: BuildOptions) -> list[LinearConstraint]:
+def emit_throughput_limits(inst, catalog, columns, rows, options: BuildOptions) -> None:
     # volume started inside the window is bounded; a batch counts once at its
     # initial edge unless per-edge counting is requested
-    rows: list[LinearConstraint] = []
     for lim in inst.throughput_limits:
         terms: list[tuple[int, int]] = []
         for eid in lim.edges:
@@ -472,151 +617,123 @@ def emit_throughput_limits(inst, catalog, index, namer, options: BuildOptions) -
                 if not options.throughput_per_edge and not ref.is_initial:
                     continue
                 for t in lim.times:
-                    vid = index.get((PLACEMENT, (eid, spec.id, t)))
+                    vid = columns.vid(PLACEMENT, (eid, spec.id, t))
                     if vid is not None:
                         terms.append((vid, spec.volume))
-        rows.append(LinearConstraint(namer(FAM_THROUGHPUT), FAM_THROUGHPUT, _accumulate(terms), LE, lim.limit))
-    return rows
+        acc = _accumulate(terms)
+        rows.add(FAM_THROUGHPUT, LE, acc, acc.values(), [len(acc)], [lim.limit])
 
 
-def emit_nominations(inst, catalog, index, namer) -> list[LinearConstraint]:
+def _initial_blocks(inst, catalog, columns, origin: str, product: str):
+    """(spec, placement block) of every batch of `product` dispatched from `origin`."""
+    place = columns.of_kind(PLACEMENT)
+    for edge in inst.edges:
+        if edge.origin != origin:
+            continue
+        for ref in catalog.refs(edge.id):
+            spec = catalog.spec_by_id[ref.batch]
+            if ref.is_initial and spec.product == product:
+                yield spec, place[(edge.id, spec.id)]
+
+
+def emit_nominations(inst, catalog, columns, rows) -> None:
     # total extracted volume per refinery and product may not exceed the nomination
-    H = inst.grid.horizon_len
-    rows: list[LinearConstraint] = []
     for nom in inst.nominations:
         for pid, volume_cap in nom.limits.items():
-            terms: list[tuple[int, int]] = []
-            for edge in inst.edges:
-                if edge.origin != nom.refinery:
-                    continue
-                for ref in catalog.refs(edge.id):
-                    spec = catalog.spec_by_id[ref.batch]
-                    if not ref.is_initial or spec.product != pid:
-                        continue
-                    for t in range(H - spec.length + 1):
-                        terms.append((index[(PLACEMENT, (edge.id, spec.id, t))], spec.volume))
-            rows.append(LinearConstraint(namer(FAM_NOMINATION), FAM_NOMINATION, tuple(terms), LE, volume_cap))
-    return rows
+            cols: list[int] = []
+            coefs: list[int] = []
+            for spec, block in _initial_blocks(inst, catalog, columns, nom.refinery, pid):
+                cols.extend(range(block.start, block.start + block.count))
+                coefs.extend([spec.volume] * block.count)
+            rows.add(FAM_NOMINATION, LE, cols, coefs, [len(cols)], [volume_cap])
 
 
-def emit_fixed_transport(inst, catalog, index, namer, fixings: dict[int, int]) -> list[LinearConstraint]:
-    rows: list[LinearConstraint] = []
+def emit_fixed_transport(inst, catalog, columns, rows, fixings: dict[int, int]) -> None:
     forced: list[int] = []
     for fx in inst.fixed_transports:
         bid = batch_id(fx.regime, fx.product, STANDARD)
         if bid not in catalog.spec_by_id:
             raise ModelBuildError(f"fixed transport references unknown batch {bid!r}")
         e0 = catalog.initial_edge(bid)
-        vid = index.get((PLACEMENT, (e0, bid, fx.start)))
+        vid = columns.vid(PLACEMENT, (e0, bid, fx.start))
         if vid is None:
             raise ModelBuildError(f"fixed transport {bid!r} at {fx.start} does not fit the horizon")
         forced.append(vid)
     for eid, bid, t in inst.weights.executed:
-        vid = index.get((PLACEMENT, (eid, bid, t)))
+        vid = columns.vid(PLACEMENT, (eid, bid, t))
         if vid is None:
             raise ModelBuildError(f"executed placement ({eid!r}, {bid!r}, {t}) has no variable")
         forced.append(vid)
-    emitted: set[int] = set()
+    emitted: dict[int, None] = {}  # vids in order of first appearance
     for vid in forced:
         if fixings.get(vid, 1) == 0:
-            var = None
-            for (kind, key), idx in index.items():
-                if idx == vid:
-                    var = key
-                    break
-            raise ModelBuildError(f"contradictory fixings for placement {var}")
+            raise ModelBuildError(f"contradictory fixings for placement {columns[vid].key}")
         fixings[vid] = 1
-        if vid not in emitted:
-            emitted.add(vid)
-            rows.append(LinearConstraint(namer(FAM_FIXED), FAM_FIXED, ((vid, 1),), EQ, 1))
-    return rows
+        emitted[vid] = None
+    rows.add(FAM_FIXED, EQ, emitted, [1] * len(emitted), [1] * len(emitted), [1] * len(emitted))
 
 
-def emit_objective(
-    inst, catalog, index, namer
-) -> tuple[dict[int, Fraction], Fraction, list[LinearConstraint]]:
+def emit_objective(inst, catalog, columns, rows) -> tuple[dict[int, Fraction], Fraction]:
     """Objective terms (maximize) plus deviation linearization rows.
 
     Components: alpha * nominated extraction volume (reward-weighted),
     beta * final-stock shaping, gamma * agreement with the previous plan
     (each missed previous placement costs gamma), theta * pumping costs.
+    Extraction and pumping cost are the same for every start of a batch, so
+    they are summed per placement block first.
     """
-    H = inst.grid.horizon_len
     w = inst.weights
-    obj: dict[int, Fraction] = {}
     constant = Fraction(0)
-    rows: list[LinearConstraint] = []
+    per_block: dict[ColumnBlock, Fraction] = {}
 
-    def add(vid: int, coef: Fraction) -> None:
-        obj[vid] = obj[vid] + coef if vid in obj else coef
+    def add(acc: dict, key, coef: Fraction) -> None:
+        acc[key] = acc[key] + coef if key in acc else coef
 
     if w.alpha != 0:
         for nom in inst.nominations:
             for pid in nom.limits:
                 coef_unit = w.alpha * w.eta_for(pid)
-                for edge in inst.edges:
-                    if edge.origin != nom.refinery:
-                        continue
-                    for ref in catalog.refs(edge.id):
-                        spec = catalog.spec_by_id[ref.batch]
-                        if not ref.is_initial or spec.product != pid:
-                            continue
-                        coef = coef_unit * spec.volume
-                        for t in range(H - spec.length + 1):
-                            add(index[(PLACEMENT, (edge.id, spec.id, t))], coef)
-
-    if w.beta != 0:
-        t_final = inst.grid.t_max
-        for ti, tgt in enumerate(w.distribution_targets):
-            l_vid = index.get((OCC_LOWER, (tgt.site, tgt.product, t_final)))
-            if l_vid is None:
-                raise ModelBuildError(f"distribution target on non-storage site {tgt.site!r}")
-            if tgt.target is None:
-                add(l_vid, w.beta * tgt.weight)
-                continue
-            d_vid = index[(DEVIATION, (tgt.site, tgt.product, ti))]
-            # d >= |final on-stock - target| via two one-sided rows
-            rows.append(
-                LinearConstraint(
-                    namer(FAM_DISTRIBUTION),
-                    FAM_DISTRIBUTION,
-                    ((d_vid, 1), (l_vid, -1)),
-                    GE,
-                    -tgt.target,
-                )
-            )
-            rows.append(
-                LinearConstraint(
-                    namer(FAM_DISTRIBUTION),
-                    FAM_DISTRIBUTION,
-                    ((d_vid, 1), (l_vid, 1)),
-                    GE,
-                    tgt.target,
-                )
-            )
-            add(d_vid, -w.beta * tgt.weight)
-
-    if w.gamma != 0:
-        for eid, bid, t in w.previous_plan:
-            vid = index.get((PLACEMENT, (eid, bid, t)))
-            constant -= w.gamma  # each previous placement is a missed one until kept
-            if vid is not None:
-                add(vid, w.gamma)
+                for spec, block in _initial_blocks(inst, catalog, columns, nom.refinery, pid):
+                    add(per_block, block, coef_unit * spec.volume)
 
     if w.theta != 0:
+        place = columns.of_kind(PLACEMENT)
         for edge in inst.edges:
             for ref in catalog.refs(edge.id):
                 if not ref.is_initial:
                     continue
                 spec = catalog.spec_by_id[ref.batch]
                 cost = batch_cost(inst, spec)
-                if cost == 0:
-                    continue
-                coef = -w.theta * cost
-                for t in range(H - spec.length + 1):
-                    add(index[(PLACEMENT, (edge.id, spec.id, t))], coef)
+                if cost != 0:
+                    add(per_block, place[(edge.id, spec.id)], -w.theta * cost)
 
-    return obj, constant, rows
+    obj: dict[int, Fraction] = {}
+    for block, coef in per_block.items():
+        obj.update(dict.fromkeys(range(block.start, block.start + block.count), coef))
+
+    if w.beta != 0:
+        t_final = inst.grid.t_max
+        for ti, tgt in enumerate(w.distribution_targets):
+            l_vid = columns.vid(OCC_LOWER, (tgt.site, tgt.product, t_final))
+            if l_vid is None:
+                raise ModelBuildError(f"distribution target on non-storage site {tgt.site!r}")
+            if tgt.target is None:
+                add(obj, l_vid, w.beta * tgt.weight)
+                continue
+            d_vid = columns.vid(DEVIATION, (tgt.site, tgt.product, ti))
+            # d >= |final on-stock - target| via two one-sided rows
+            cols = (d_vid, l_vid, d_vid, l_vid)
+            rows.add(FAM_DISTRIBUTION, GE, cols, (1, -1, 1, 1), (2, 2), (-tgt.target, tgt.target))
+            add(obj, d_vid, -w.beta * tgt.weight)
+
+    if w.gamma != 0:
+        for eid, bid, t in w.previous_plan:
+            vid = columns.vid(PLACEMENT, (eid, bid, t))
+            constant -= w.gamma  # each previous placement is a missed one until kept
+            if vid is not None:
+                add(obj, vid, w.gamma)
+
+    return obj, constant
 
 
 def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPModel:
@@ -625,52 +742,36 @@ def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPM
         raise ModelBuildError("invalid instance: " + "; ".join(str(i) for i in issues))
 
     catalog = enumerate_batches(inst)
-    variables, index = build_variables(inst, catalog)
-    namer = _Namer()
+    columns = build_variables(inst, catalog)
+    rows = RowStore()
     fixings: dict[int, int] = {}
 
-    outage_rows = emit_outages(inst, catalog, index, namer, fixings)
-    packing = emit_packing(inst, catalog, index, namer)
-    routes = emit_routes(inst, catalog, index, namer)
-    flushing, warnings = emit_flushing(inst, catalog, index, namer, options)
-    exclusion = emit_regime_exclusions(inst, catalog, index, namer)
-    cap_defs, cap_bounds, lazy_offsets = emit_capacity(inst, catalog, index, namer, options)
-    throughput = emit_throughput_limits(inst, catalog, index, namer, options)
-    nomination = emit_nominations(inst, catalog, index, namer)
-    fixed = emit_fixed_transport(inst, catalog, index, namer, fixings)
-    obj, constant, distribution = emit_objective(inst, catalog, index, namer)
-
-    constraints: list[LinearConstraint] = []
-    constraints.extend(packing)
-    constraints.extend(routes)
-    constraints.extend(flushing)
-    constraints.extend(exclusion)
-    constraints.extend(cap_defs)
-    bounds_start = len(constraints)
-    constraints.extend(cap_bounds)
-    lazy_bounds = {key: bounds_start + off for key, off in lazy_offsets.items()}
-    constraints.extend(outage_rows)
-    constraints.extend(throughput)
-    constraints.extend(nomination)
-    constraints.extend(fixed)
-    constraints.extend(distribution)
+    # emitted in the order the rows are written
+    emit_packing(inst, catalog, columns, rows)
+    emit_routes(inst, catalog, columns, rows)
+    warnings = emit_flushing(inst, catalog, columns, rows, options)
+    emit_regime_exclusions(inst, catalog, columns, rows)
+    lazy_bounds = emit_capacity(inst, catalog, columns, rows, options)
+    emit_outages(inst, catalog, columns, rows, fixings)
+    emit_throughput_limits(inst, catalog, columns, rows, options)
+    emit_nominations(inst, catalog, columns, rows)
+    emit_fixed_transport(inst, catalog, columns, rows, fixings)
+    obj, constant = emit_objective(inst, catalog, columns, rows)
 
     model = MILPModel(
-        variables=variables,
-        constraints=tuple(constraints),
+        variables=columns,
+        constraints=rows,
         objective=tuple(sorted(obj.items())),
         objective_constant=constant,
-        var_index=index,
         lazy_bounds=lazy_bounds,
         instance=inst,
         catalog=catalog,
         options=options,
     )
 
-    n_binary = sum(1 for v in variables if v.binary)
     var_counts: dict[str, int] = {}
-    for v in variables:
-        var_counts[v.kind] = var_counts.get(v.kind, 0) + 1
+    for block in columns.blocks:
+        var_counts[block.kind] = var_counts.get(block.kind, 0) + block.count
     # worst-case stock counting error per site: the in-transit volume of the
     # largest regime touching it (blocked/on-stock bracket the true level by it)
     error_bounds = {}
@@ -686,9 +787,9 @@ def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPM
         "instance_hash": instance_hash(inst),
         "horizon": inst.grid.horizon_len,
         "variables": var_counts,
-        "binaries": n_binary,
+        "binaries": sum(b.count for b in columns.blocks if b.bounds[0]),
         "constraints": model.family_counts(),
-        "lazy_rows": sum(1 for c in constraints if c.lazy),
+        "lazy_rows": sum(rows.lazy),
         "options": {
             "capacity_lazy": options.capacity_lazy,
             "relax_terminal_flush": options.relax_terminal_flush,
@@ -711,32 +812,34 @@ def extend_placement_assignment(model: MILPModel, placements: Iterable[tuple[str
     stock and deviations take their minimal feasible value, so the extension
     satisfies every non-placement-family row that can be satisfied at all.
     """
-    inst, catalog = model.instance, model.catalog
+    inst, columns = model.instance, model.variables
     schedule = Schedule.from_raw(placements)
     values: dict[int, int] = {}
-    for var in model.variables:
-        if var.kind == PLACEMENT:
-            values[var.vid] = 1 if var.key in schedule.placements else 0
-    for var in model.variables:
-        if var.kind == ENDPOINT:
-            eid, bid, te = var.key
-            L = catalog.spec_by_id[bid].length
-            values[var.vid] = values[model.var_index[(PLACEMENT, (eid, bid, te - L))]]
+    place = columns.of_kind(PLACEMENT)
+    for block in place.values():
+        for i in range(block.count):
+            values[block.start + i] = 1 if (*block.prefix, i) in schedule.placements else 0
+    for prefix, block in columns.of_kind(ENDPOINT).items():
+        first = place[prefix].start  # w(e, b, t + L) mirrors v(e, b, t)
+        for i in range(block.count):
+            values[block.start + i] = values[first + i]
 
-    occupancy = simulate_occupancy(inst, catalog, schedule)
+    occupancy = simulate_occupancy(inst, model.catalog, schedule)
     for kind, series in ((OCC_UPPER, occupancy.upper), (OCC_LOWER, occupancy.lower)):
-        for (site, product), levels in series.items():
+        blocks = columns.of_kind(kind)
+        for key, levels in series.items():
+            start = blocks[key].start
             for t, level in enumerate(levels):
-                values[model.var_index[(kind, (site, product, t))]] = level
+                values[start + t] = level
 
     t_final = inst.grid.t_max
     for ti, tgt in enumerate(inst.weights.distribution_targets):
         if tgt.target is None:
             continue
-        d_vid = model.var_index.get((DEVIATION, (tgt.site, tgt.product, ti)))
+        d_vid = columns.vid(DEVIATION, (tgt.site, tgt.product, ti))
         if d_vid is None:
             continue
-        l_val = values[model.var_index[(OCC_LOWER, (tgt.site, tgt.product, t_final))]]
+        l_val = values[columns.vid(OCC_LOWER, (tgt.site, tgt.product, t_final))]
         values[d_vid] = abs(l_val - tgt.target)
     return values
 

@@ -63,7 +63,7 @@ def default_solver_command() -> str:
     shim = Path(__file__).resolve().with_name("solver_shim.py")
     return (
         f"{_template_literal(sys.executable)} {_template_literal(str(shim))} "
-        "{model} {solution} --time-limit {time_limit} --gap {gap}"
+        "{model} {solution} --time-limit {time_limit} --gap {gap} --threads {threads}"
     )
 
 

@@ -5,7 +5,7 @@ boundary an honest file-based protocol (any CPLEX-LP-capable solver can be
 substituted via the command template) while needing nothing beyond scipy.
 It imports nothing from `pipesched`, so the driver starts it by file path:
 
-    python .../pipesched/solver_shim.py model.lp model.sol --time-limit 600 --gap 1e-3
+    python .../pipesched/solver_shim.py model.lp model.sol --time-limit 600 --gap 1e-3 --threads 1
 
 `python -m pipesched.solver_shim` works too where the package is importable.
 
@@ -306,10 +306,16 @@ def _check(status, message: str) -> None:
         raise RuntimeError(message)
 
 
-def _configured_highs(time_limit: float, gap: float):
-    """A HiGHS instance with the options both solve paths use."""
+def _configured_highs(time_limit: float, gap: float, threads: int = 1):
+    """A HiGHS instance with the options both solve paths use.
+
+    HiGHS sizes one thread pool per process at its first run, and a later
+    run that asks for another size fails; the child solves once, and
+    in-process callers keep the default.
+    """
     highs = _highs_core()._Highs()
-    for key, value in (("output_flag", False), ("time_limit", float(time_limit)), ("mip_rel_gap", float(gap))):
+    options = {"output_flag": False, "time_limit": float(time_limit), "mip_rel_gap": float(gap), "threads": int(threads)}
+    for key, value in options.items():
         _check(highs.setOptionValue(key, value), f"HiGHS rejected option {key}={value!r}")
     return highs
 
@@ -469,9 +475,9 @@ def _lhs_constant_row(text: bytes) -> str | None:
     return None
 
 
-def _read_model(path: str, time_limit: float, gap: float):
+def _read_model(path: str, time_limit: float, gap: float, threads: int = 1):
     """A configured HiGHS holding the LP file at `path`, read by HiGHS's own reader."""
-    highs = _configured_highs(time_limit, gap)
+    highs = _configured_highs(time_limit, gap, threads)
     with open(path, "rb") as fh:
         row = _lhs_constant_row(fh.read())
     if row is not None:
@@ -494,12 +500,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("solution", help="output solution file")
     parser.add_argument("--time-limit", type=float, default=1e30)
     parser.add_argument("--gap", type=float, default=0.0)
-    parser.add_argument("--threads", type=int, default=1)  # accepted for template compat
+    parser.add_argument("--threads", type=int, default=1, help="HiGHS threads; 0 lets HiGHS choose")
     args = parser.parse_args(argv)
 
     t0 = time.monotonic()
     try:
-        highs = _read_model(args.model, args.time_limit, args.gap)
+        highs = _read_model(args.model, args.time_limit, args.gap, args.threads)
         t_read = time.monotonic()
         res = _run(highs)
         t_solve = time.monotonic()

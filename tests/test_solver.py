@@ -177,13 +177,31 @@ def test_default_command_runs_without_the_package_on_the_path(tmp_path):
     sol_path = tmp_path / "m.sol"
     model_path.write_text(TINY_LP)
     argv = [
-        tok.format(model=model_path, solution=sol_path, time_limit=60, gap=0)
+        tok.format(model=model_path, solution=sol_path, time_limit=60, gap=0, threads=1)
         for tok in shlex.split(default_solver_command())
     ]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "# Status = optimal" in sol_path.read_text()
+
+
+def test_default_command_passes_threads(ref1_small, monkeypatch, quick_cfg):
+    import types
+
+    import pipesched.solver as solver_module
+
+    argvs = []
+
+    def run(argv, **kwargs):
+        argvs.append(argv)
+        return subprocess.run(argv, **kwargs)
+
+    monkeypatch.setattr(solver_module, "subprocess", types.SimpleNamespace(run=run, TimeoutExpired=subprocess.TimeoutExpired))
+    monkeypatch.delenv(COMMAND_ENV_VAR, raising=False)
+    res = solve(build_model(ref1_small), dataclasses.replace(quick_cfg, threads=2))
+    assert (res.status, res.objective) == (STATUS_OPTIMAL, 144)
+    assert argvs[0][-2:] == ["--threads", "2"]
 
 
 def test_finalize_keeps_status_and_message_per_outcome(ref1_small):

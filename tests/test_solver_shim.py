@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 import subprocess
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import pipesched.solver_shim as shim
 from pipesched.generator import PathExperimentParams, generate_oracle_instance, generate_path_instance
 from pipesched.lp_io import write_lp
-from pipesched.milpmodel import BuildOptions, build_model
+from pipesched.milpmodel import GE, LE, SENSES, BuildOptions, build_model
 from pipesched.solver_shim import main, parse_lp, solve_lp
 
 TINY_LP = """\
@@ -308,6 +309,66 @@ def test_highs_reader_and_pass_model_build_the_same_model(tmp_path):
             assert read[key] == passed[key], f"{label}: {key}"
 
 
+def _store_arrays(model, activated) -> dict:
+    """The arrays HiGHS's reader must build from `write_lp(model, activated)`, taken from
+    the row store and the column blocks: columns in order of first appearance in the file
+    (objective, written rows, then the Bounds and Binary sections in column order) and
+    the written rows as a column-wise matrix with rows ascending in each column."""
+    rows, blocks = model.constraints, model.variables.blocks
+
+    def terms(r: int):
+        return zip(rows.col[rows.start[r] : rows.start[r + 1]], rows.coef[rows.start[r] : rows.start[r + 1]])
+
+    written = [
+        r
+        for r in range(len(rows))
+        if rows.start[r] < rows.start[r + 1] and (activated is None or not rows.lazy[r] or r in activated)
+    ]
+    order = dict.fromkeys(vid for vid, _coef in model.objective)
+    for r in written:
+        order.update(dict.fromkeys(vid for vid, _coef in terms(r)))
+    bounds = {vid: b.bounds for b in blocks for vid in range(b.start, b.start + b.count)}
+    order.update(dict.fromkeys(vid for vid, (binary, lb, ub) in bounds.items() if not binary and (lb, ub) != (0, None)))
+    order.update(dict.fromkeys(vid for vid, (binary, _lb, _ub) in bounds.items() if binary))
+    cols = list(order)
+    position = {vid: j for j, vid in enumerate(cols)}
+    entries = sorted((position[vid], i, coef) for i, r in enumerate(written) for vid, coef in terms(r))
+    per_col = [0] * len(cols)
+    for j, _i, _coef in entries:
+        per_col[j] += 1
+    cost = dict(model.objective)
+    inf = float("inf")
+    senses = [SENSES[rows.sense[r]] for r in written]
+    core = shim._highs_core()
+    return {
+        "col_names": [model.lp_names[vid] for vid in cols],
+        "col_cost": [float(cost.get(vid, 0)) for vid in cols],
+        "sense": core.ObjSense.kMaximize,
+        "offset": 0.0,
+        "col_lower": [-inf if bounds[vid][1] is None else float(bounds[vid][1]) for vid in cols],
+        "col_upper": [inf if bounds[vid][2] is None else float(bounds[vid][2]) for vid in cols],
+        "integrality": [int(bounds[vid][0]) for vid in cols],
+        "row_lower": [-inf if sense == LE else float(rows.rhs[r]) for r, sense in zip(written, senses)],
+        "row_upper": [inf if sense == GE else float(rows.rhs[r]) for r, sense in zip(written, senses)],
+        "format": core.MatrixFormat.kColwise,
+        "start": [0, *accumulate(per_col)],
+        "index": [i for _j, i, _coef in entries],
+        "value": [float(coef) for _j, _i, coef in entries],
+    }
+
+
+def test_highs_reader_builds_the_row_store(tmp_path):
+    """HiGHS's reader on the written file gives back the builder's own arrays."""
+    for label, model, activated in _equivalence_cases():
+        path = tmp_path / "m.lp"
+        path.write_text(write_lp(model, activated))
+        read = _model_arrays(shim._read_model(str(path), 60, 0.0))
+        expected = _store_arrays(model, activated)
+        assert len(read["col_names"]) == len(model.variables), label
+        for key in read:
+            assert read[key] == expected[key], f"{label}: {key}"
+
+
 SHIM_PATH = Path(shim.__file__).resolve()
 LOAD_SHIM = f"""
 import importlib.util, sys
@@ -347,6 +408,23 @@ def test_highs_core_is_the_module_scipy_optimize_uses(tmp_path, optimize_first):
         "print(core is _highs_wrapper._h, core is sys.modules['scipy.optimize._highspy._core'])\n"
     )
     assert _fresh_interpreter(code, tmp_path) == "True True"
+
+
+def test_main_hands_threads_to_highs(tmp_path):
+    # HiGHS sizes its thread pool once per process, so this runs in a fresh one
+    (tmp_path / "m.lp").write_text(TINY_LP)
+    code = LOAD_SHIM + (
+        "seen = []\n"
+        "configured = shim._configured_highs\n"
+        "def spy(*args):\n"
+        "    highs = configured(*args)\n"
+        "    seen.append(highs.getOptionValue('threads')[1])\n"
+        "    return highs\n"
+        "shim._configured_highs = spy\n"
+        "print(shim.main(['m.lp', 'm.sol', '--threads', '2']), seen)\n"
+    )
+    assert _fresh_interpreter(code, tmp_path) == "0 [2]"
+    assert "# Status = optimal" in (tmp_path / "m.sol").read_text()
 
 
 def test_main_adds_timing_lines_and_leaves_no_partial_file(tmp_path):
