@@ -69,6 +69,13 @@ def _load(path: str):
     return inst
 
 
+def _generate(params: PathExperimentParams):
+    try:
+        return generate_path_instance(params)
+    except ValueError as exc:
+        raise CliError(f"cannot generate an instance: {exc}") from exc
+
+
 def _build_options(args: argparse.Namespace) -> BuildOptions:
     return BuildOptions(
         capacity_lazy=getattr(args, "lazy", False),
@@ -176,7 +183,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         nomination_batches=args.nomination_batches,
         horizon=args.horizon,
     )
-    inst = generate_path_instance(params)
+    inst = _generate(params)
     save_instance(inst, args.out)
     print(f"wrote {args.out} ({inst.name}, horizon {inst.grid.horizon_len})")
     for warning in precheck_path_feasibility(params):
@@ -313,7 +320,7 @@ def cmd_gantt(args: argparse.Namespace) -> int:
 
 
 def _solve_params(params: PathExperimentParams, args: argparse.Namespace, out_dir: Path, tag: str) -> tuple:
-    inst = generate_path_instance(params)
+    inst = _generate(params)
     save_instance(inst, out_dir / f"{tag}.json")
     options = BuildOptions(capacity_lazy=not args.monolithic)
     model = build_model(inst, options)

@@ -163,7 +163,8 @@ def generate_path_instance(params: PathExperimentParams) -> Instance:
         weights=weights,
     )
     issues = validate_instance(inst)
-    assert not issues, f"generator produced an invalid instance: {issues}"
+    if issues:
+        raise ValueError("these parameters give an invalid instance: " + "; ".join(map(str, issues)))
     return inst
 
 

@@ -311,7 +311,7 @@ class InstanceIssue:
     code: str
     message: str
 
-    def __str__(self) -> str:  # pragma: no cover - convenience only
+    def __str__(self) -> str:
         return f"{self.code}: {self.message}"
 
 

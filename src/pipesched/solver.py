@@ -20,6 +20,7 @@ own rules.
 
 from __future__ import annotations
 
+import itertools
 import os
 import shlex
 import subprocess
@@ -49,7 +50,6 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_ERROR = "error"
 
 COMMAND_ENV_VAR = "PIPESCHED_SOLVER_CMD"
-DEFAULT_MAX_LAZY_ROUNDS = 50
 
 
 def _template_literal(text: str) -> str:
@@ -75,7 +75,6 @@ class SolverConfig:
     threads: int = 1
     work_dir: Optional[Union[str, Path]] = None  # default: fresh temp dir
     keep_files: bool = False  # keep LP/solution files when using a temp dir
-    max_lazy_rounds: int = DEFAULT_MAX_LAZY_ROUNDS
 
     def resolved_command(self) -> str:
         return self.command or os.environ.get(COMMAND_ENV_VAR) or default_solver_command()
@@ -254,13 +253,16 @@ def solve_lazy_capacity(model: MILPModel, config: SolverConfig = SolverConfig())
     Build the model with BuildOptions(capacity_lazy=True) for the bounds to
     start deactivated; definitional occupancy rows always ship.  A model
     without lazy rows degenerates to a single solve.
+
+    The loop ends after at most `len(model.lazy_bounds) + 1` rounds: a round
+    that does not return activates at least one row not yet active, and
+    every activated row is one of the finitely many `lazy_bounds` rows.
     """
     t0 = time.monotonic()
     activated: set[int] = set()
     iterations: list[LazyIteration] = []
     with _WorkDir(config) as workdir:
-        raw: Optional[_RawSolve] = None
-        for round_idx in range(max(1, config.max_lazy_rounds)):
+        for round_idx in itertools.count():
             raw = _run_once(model, config, activated, workdir, f"iter{round_idx}")
             if raw.status in (STATUS_INFEASIBLE, STATUS_ERROR) or raw.parsed is None or raw.parsed.schedule is None:
                 iterations.append(LazyIteration(round_idx, 0, raw.objective_total, raw.status))
@@ -277,8 +279,3 @@ def solve_lazy_capacity(model: MILPModel, config: SolverConfig = SolverConfig())
             if not new_rows:
                 return _finalize(model, raw, iterations, time.monotonic() - t0)
             activated |= new_rows
-        assert raw is not None
-        result = _finalize(model, raw, iterations, time.monotonic() - t0)
-        result.status = STATUS_ERROR
-        result.message = f"lazy capacity loop did not converge within {config.max_lazy_rounds} rounds"
-        return result

@@ -307,3 +307,23 @@ def test_missing_schedule_file_is_config_error(tiny_path, tmp_path, capsys):
     )
     assert rc == EXIT_CONFIG
     assert "schedule file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (["generate", "--vertices", "1"], "at least a refinery and one storage site"),
+        (["experiment", "--suite", "SD", "--vertices", "1"], "at least a refinery and one storage site"),
+        (["generate", "--horizon", "0"], "nonpositive_horizon"),
+        (["generate", "--nomination-batches", "-3"], "nomination_negative_limit"),
+    ],
+    ids=["generate one vertex", "experiment one vertex", "zero horizon", "negative nomination"],
+)
+def test_bad_generator_parameters_are_config_errors(tmp_path, capsys, args, reason):
+    out = ["--out-dir", str(tmp_path / "suite")] if args[0] == "experiment" else ["--out", str(tmp_path / "inst.json")]
+    rc = main(args + out)
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert err.startswith("error: cannot generate an instance: ")
+    assert reason in err
+    assert not (tmp_path / "inst.json").exists()

@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and none imports numpy."""
 
 from __future__ import annotations
 
@@ -37,6 +37,28 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_packages(source: str) -> set[str]:
+    """Top-level packages of every absolute import, at module level or inside a function."""
+    packages = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            packages.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            packages.add(node.module.split(".")[0])
+    return packages
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_numpy_import(path):
+    # numpy is not a dependency; the shim reaches HiGHS through scipy's extension module alone
+    assert "numpy" not in imported_packages(path.read_text(encoding="utf-8"))
+
+
+def test_import_scan_sees_function_level_and_skips_relative_imports():
+    source = "from . import numpy\nfrom .numpy import x\ndef f():\n    import numpy.linalg as la\n    from scipy import sparse\n"
+    assert imported_packages(source) == {"numpy", "scipy"}
 
 
 def test_checker_flags_unused_and_exempts_exports():
