@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 from pipesched.cli import main as pipesched
+from pipesched.solver import SolverConfig
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -27,8 +28,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--setting", default="A", choices=("A", "B", "C"))
     parser.add_argument("--outtake-policy", default="daily",
                         choices=("daily", "front_loaded", "uniform_hourly"))
-    parser.add_argument("--gap", type=float, default=1e-3)
-    parser.add_argument("--time-limit", type=float, default=1800.0)
+    parser.add_argument("--gap", type=float, default=SolverConfig.gap)
+    parser.add_argument("--time-limit", type=float, default=SolverConfig.time_limit)
     args = parser.parse_args(argv)
 
     summaries = []

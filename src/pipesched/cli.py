@@ -6,8 +6,10 @@ solver process (optionally with lazily activated capacity bounds), validate
 and score schedules independently of the solver, run the exhaustive oracle
 on micro instances, drive the experiment suites, and export Gantt tables.
 
-Exit codes: 0 success, 2 proven infeasible, 3 stopped at a limit without a
-usable schedule, 4 validation failure, 5 configuration or input error.
+Exit codes: 0 success, 2 proven infeasible, 3 stopped at a limit (a
+validated incumbent from a time-limited run is still written to
+schedule.json), 4 validation or solver failure, 5 configuration, input or
+usage error.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
@@ -30,18 +31,13 @@ from .generator import (
     generate_path_instance,
     precheck_path_feasibility,
 )
-from .instance import InstanceFormatError, instance_hash, load_instance, save_instance, validate_instance
+from .instance import instance_hash, load_instance, save_instance, validate_instance
 from .lp_io import write_lp
 from .milpmodel import BuildOptions, ModelBuildError, build_model
-from .oracle import OracleLimits, brute_force_optimum
+from .oracle import ORACLE_STATUS_BUDGET, ORACLE_STATUS_INFEASIBLE, OracleLimits, brute_force_optimum
 from .schedule import Schedule
-from .solver import (
-    STATUS_INFEASIBLE,
-    SolveResult,
-    SolverConfig,
-    solve,
-    solve_lazy_capacity,
-)
+from .solver import STATUS_GAP, STATUS_INFEASIBLE, STATUS_TIME_LIMIT
+from .solver import SolveResult, SolverConfig, solve, solve_lazy_capacity
 from .validator import check_schedule, evaluate_objective, simulate_occupancy
 
 EXIT_OK = 0
@@ -60,13 +56,26 @@ def _load(path: str):
         inst = load_instance(path)
     except FileNotFoundError as exc:
         raise CliError(f"instance file not found: {exc.filename}") from exc
-    except (InstanceFormatError, json.JSONDecodeError) as exc:
+    except OSError as exc:
+        raise CliError(f"could not read instance {path}: {exc}") from exc
+    except ValueError as exc:  # InstanceFormatError or json.JSONDecodeError
         raise CliError(f"could not parse instance {path}: {exc}") from exc
     issues = validate_instance(inst)
     if issues:
         lines = "\n".join(f"  - {i.code}: {i.message}" for i in issues)
         raise CliError(f"instance {path} failed validation:\n{lines}")
     return inst
+
+
+def _load_schedule(path: str) -> Schedule:
+    try:
+        return Schedule.load(path)
+    except FileNotFoundError as exc:
+        raise CliError(f"schedule file not found: {exc.filename}") from exc
+    except OSError as exc:
+        raise CliError(f"could not read schedule {path}: {exc}") from exc
+    except ValueError as exc:  # Schedule.from_json_dict's shape error or json.JSONDecodeError
+        raise CliError(f"could not parse schedule {path}: {exc}") from exc
 
 
 def _generate(params: PathExperimentParams):
@@ -76,20 +85,16 @@ def _generate(params: PathExperimentParams):
         raise CliError(f"cannot generate an instance: {exc}") from exc
 
 
-def _build_options(args: argparse.Namespace) -> BuildOptions:
-    return BuildOptions(
-        capacity_lazy=getattr(args, "lazy", False),
-        relax_terminal_flush=getattr(args, "relax_terminal_flush", False),
-        throughput_per_edge=getattr(args, "throughput_per_edge", False),
-    )
+def _build_options(args: argparse.Namespace, capacity_lazy: bool = False) -> BuildOptions:
+    return BuildOptions(capacity_lazy, args.relax_terminal_flush, args.throughput_per_edge)
 
 
 def _solver_config(args: argparse.Namespace, work_dir: Optional[Path] = None) -> SolverConfig:
     return SolverConfig(
-        command=getattr(args, "solver_cmd", None),
-        time_limit=getattr(args, "time_limit", 1800.0),
-        gap=getattr(args, "gap", 1e-3),
-        threads=getattr(args, "threads", 1),
+        command=args.solver_cmd,
+        time_limit=args.time_limit,
+        gap=args.gap,
+        threads=args.threads,
         work_dir=work_dir,
         keep_files=work_dir is not None,
     )
@@ -110,17 +115,17 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _run_manifest(inst, args: argparse.Namespace, result: SolveResult, options: BuildOptions) -> dict:
+def _run_manifest(inst, config: SolverConfig, result: SolveResult, options: BuildOptions) -> dict:
     return {
         "tool": f"pipesched {__version__}",
         "instance": inst.name,
         "instance_hash": instance_hash(inst),
         "options": asdict(options),
         "solver": {
-            "command": SolverConfig(command=getattr(args, "solver_cmd", None)).resolved_command(),
-            "time_limit": getattr(args, "time_limit", None),
-            "gap_target": getattr(args, "gap", None),
-            "threads": getattr(args, "threads", None),
+            "command": config.resolved_command(),
+            "time_limit": config.time_limit,
+            "gap_target": config.gap,
+            "threads": config.threads,
         },
         "status": result.status,
         "objective": _fnum(result.objective),
@@ -134,14 +139,28 @@ def _run_manifest(inst, args: argparse.Namespace, result: SolveResult, options: 
     }
 
 
+_EXIT_CODES = {STATUS_INFEASIBLE: EXIT_INFEASIBLE, STATUS_TIME_LIMIT: EXIT_LIMIT, STATUS_GAP: EXIT_LIMIT}
+
+
 def _solve_exit_code(result: SolveResult) -> int:
-    if result.ok:
-        return EXIT_OK
-    if result.status == STATUS_INFEASIBLE:
-        return EXIT_INFEASIBLE
-    if result.status in ("time_limit", "gap_reached"):
-        return EXIT_LIMIT
-    return EXIT_INVALID
+    return EXIT_OK if result.ok else _EXIT_CODES.get(result.status, EXIT_INVALID)
+
+
+def _solve_and_record(
+    inst, options: BuildOptions, config: SolverConfig, out_dir: Path, prefix: str = ""
+) -> SolveResult:
+    """Build and solve `inst` (lazily when `options.capacity_lazy`), then write
+    `<prefix>manifest.json` and, when there is a schedule, `<prefix>schedule.json`."""
+    try:
+        model = build_model(inst, options)
+    except ModelBuildError as exc:
+        raise CliError(str(exc)) from exc
+    runner = solve_lazy_capacity if options.capacity_lazy else solve
+    result = runner(model, config)
+    _write_json(out_dir / f"{prefix}manifest.json", _run_manifest(inst, config, result, options))
+    if result.schedule is not None:
+        result.schedule.save(out_dir / f"{prefix}schedule.json")
+    return result
 
 
 def _print_result(result: SolveResult) -> None:
@@ -204,9 +223,8 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 def cmd_build(args: argparse.Namespace) -> int:
     inst = _load(args.instance)
-    options = _build_options(args)
     try:
-        model = build_model(inst, options)
+        model = build_model(inst, _build_options(args, args.lazy))
     except ModelBuildError as exc:
         raise CliError(str(exc)) from exc
     text = write_lp(model)  # full model; lazy rows included for inspection
@@ -222,20 +240,12 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     inst = _load(args.instance)
-    options = _build_options(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        model = build_model(inst, options)
-    except ModelBuildError as exc:
-        raise CliError(str(exc)) from exc
     config = _solver_config(args, work_dir=out_dir if args.keep_files else None)
-    runner = solve_lazy_capacity if options.capacity_lazy else solve
-    result = runner(model, config)
+    result = _solve_and_record(inst, _build_options(args, args.lazy), config, out_dir)
     _print_result(result)
-    _write_json(out_dir / "manifest.json", _run_manifest(inst, args, result, options))
     if result.schedule is not None:
-        result.schedule.save(out_dir / "schedule.json")
         print(f"schedule: {out_dir / 'schedule.json'}")
     return _solve_exit_code(result)
 
@@ -243,15 +253,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     inst = _load(args.instance)
     catalog = enumerate_batches(inst)
+    schedule = _load_schedule(args.schedule)
     try:
-        schedule = Schedule.load(args.schedule)
-    except FileNotFoundError as exc:
-        raise CliError(f"schedule file not found: {exc.filename}") from exc
-    except (KeyError, ValueError) as exc:
-        raise CliError(f"could not parse schedule {args.schedule}: {exc}") from exc
-    options = _build_options(args)
-    try:
-        violations = check_schedule(inst, catalog, schedule, options)
+        violations = check_schedule(inst, catalog, schedule, _build_options(args))
     except ValueError as exc:
         raise CliError(f"schedule does not match the instance: {exc}") from exc
     components = evaluate_objective(inst, catalog, schedule)
@@ -279,9 +283,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     result = brute_force_optimum(inst, limits, _build_options(args))
     print(f"status: {result.status}")
     print(f"nodes: {result.nodes}, leaves checked: {result.leaves}")
-    if result.status == "infeasible":
+    if result.status == ORACLE_STATUS_INFEASIBLE:
         return EXIT_INFEASIBLE
-    if result.status == "budget_exceeded":
+    if result.status == ORACLE_STATUS_BUDGET:
         return EXIT_LIMIT
     print(f"objective: {float(result.objective):.6f} (exact {result.objective})")
     parts = ", ".join(f"{k}={float(v):.4f}" for k, v in result.components.items())
@@ -296,10 +300,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def cmd_gantt(args: argparse.Namespace) -> int:
     inst = _load(args.instance)
     catalog = enumerate_batches(inst)
-    try:
-        schedule = Schedule.load(args.schedule)
-    except FileNotFoundError as exc:
-        raise CliError(f"schedule file not found: {exc.filename}") from exc
+    schedule = _load_schedule(args.schedule)
     lines = ["edge,batch,product,start,end,volume"]
     for edge, batch, t in schedule.sorted_placements:
         spec = catalog.spec_by_id.get(batch)
@@ -319,27 +320,17 @@ def cmd_gantt(args: argparse.Namespace) -> int:
 # experiment suites
 
 
-def _solve_params(params: PathExperimentParams, args: argparse.Namespace, out_dir: Path, tag: str) -> tuple:
+def _solve_params(params: PathExperimentParams, args: argparse.Namespace, out_dir: Path, tag: str) -> SolveResult:
     inst = _generate(params)
     save_instance(inst, out_dir / f"{tag}.json")
     options = BuildOptions(capacity_lazy=not args.monolithic)
-    model = build_model(inst, options)
-    config = SolverConfig(
-        command=args.solver_cmd, time_limit=args.time_limit, gap=args.gap, threads=args.threads
-    )
-    runner = solve_lazy_capacity if options.capacity_lazy else solve
-    started = time.monotonic()
-    result = runner(model, config)
-    elapsed = time.monotonic() - started
-    _write_json(out_dir / f"{tag}.manifest.json", _run_manifest(inst, args, result, options))
-    if result.schedule is not None:
-        result.schedule.save(out_dir / f"{tag}.schedule.json")
+    result = _solve_and_record(inst, options, _solver_config(args), out_dir, f"{tag}.")
     print(
         f"[{tag}] status={result.status} objective="
         f"{'-' if result.objective is None else f'{float(result.objective):.4f}'} "
-        f"gap={'-' if result.gap is None else f'{result.gap:.2g}'} wall={elapsed:.1f}s"
+        f"gap={'-' if result.gap is None else f'{result.gap:.2g}'} wall={result.wall_time:.1f}s"
     )
-    return inst, result
+    return result
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
@@ -349,7 +340,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
     if args.suite == "SD":
         params = PathExperimentParams(setting=args.setting, cost_mode="SD", **base)
-        inst, result = _solve_params(params, args, out_dir, f"sd-{args.setting}-l{args.vertices}")
+        result = _solve_params(params, args, out_dir, f"sd-{args.setting}-l{args.vertices}")
         summary = {
             "suite": "SD",
             "setting": args.setting,
@@ -366,8 +357,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         tag = f"l{args.vertices}-{args.setting}"
         params_sd = PathExperimentParams(setting=args.setting, cost_mode="SD", **base)
         params_sdc = PathExperimentParams(setting=args.setting, cost_mode="SDC", **base)
-        inst_sd, res_sd = _solve_params(params_sd, args, out_dir, f"sd-{tag}")
-        inst_sdc, res_sdc = _solve_params(params_sdc, args, out_dir, f"sdc-{tag}")
+        res_sd = _solve_params(params_sd, args, out_dir, f"sd-{tag}")
+        res_sdc = _solve_params(params_sdc, args, out_dir, f"sdc-{tag}")
         summary = {
             "suite": "SDC",
             "setting": args.setting,
@@ -406,7 +397,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             horizon=744,
             **base,
         )
-        inst, result = _solve_params(params, args, out_dir, f"large-l{args.vertices}")
+        result = _solve_params(params, args, out_dir, f"large-l{args.vertices}")
         summary = {
             "suite": "large",
             "vertices": args.vertices,
@@ -428,7 +419,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--lazy", action="store_true", help="mark capacity bounds for lazy activation")
     p.add_argument(
         "--relax-terminal-flush",
         action="store_true",
@@ -442,14 +432,24 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gap", type=float, default=1e-3, help="relative gap target (default 1e-3)")
-    p.add_argument("--time-limit", type=float, default=1800.0, help="seconds per solver call")
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--solver-cmd", default=None, help="solver command template, e.g. 'mysolver {model} {solution}'")
+    p.add_argument("--gap", type=float, default=SolverConfig.gap, help="relative gap target (default %(default)s)")
+    p.add_argument("--time-limit", type=float, default=SolverConfig.time_limit, help="seconds per solver call")
+    p.add_argument("--threads", type=int, default=SolverConfig.threads)
+    p.add_argument(
+        "--solver-cmd", default=SolverConfig.command, help="solver command template, e.g. 'mysolver {model} {solution}'"
+    )
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_CONFIG; argparse's own code, 2, means "proven infeasible" here."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pipesched", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="pipesched", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"pipesched {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -472,6 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="compile the instance and write an LP file")
     p.add_argument("--instance", required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--lazy", action="store_true", help="mark capacity bounds for lazy activation")
     _add_model_flags(p)
     p.set_defaults(func=cmd_build)
 
@@ -479,6 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--keep-files", action="store_true", help="keep LP and solution files in the output dir")
+    p.add_argument("--lazy", action="store_true", help="mark capacity bounds for lazy activation")
     _add_model_flags(p)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_solve)

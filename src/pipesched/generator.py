@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .batches import enumerate_batches
 from .instance import (
     CapacityProfile,
     CostWeights,
@@ -62,7 +63,6 @@ class PathExperimentParams:
     setting: str = "A"
     cost_mode: str = "SD"  # SD: extraction only; SDC: extraction plus pumping cost
     outtake_policy: str = "daily"
-    seed: int = 0  # kept for manifest compatibility; the family is deterministic
     nomination_batches: Optional[int] = None  # override the setting's batch count
     horizon: Optional[int] = None  # override the setting's horizon
     haul_exponent: int = 2  # pumping cost = pump hours x (edge count)^exponent
@@ -201,7 +201,10 @@ def precheck_path_feasibility(params: PathExperimentParams) -> list[str]:
 # randomized micro instances for oracle cross-checks
 
 
-def generate_oracle_instance(seed: int, max_candidates: int = 40) -> Instance:
+ORACLE_MAX_CANDIDATES = 40  # initial-edge placements an oracle instance may offer
+
+
+def generate_oracle_instance(seed: int) -> Instance:
     rng = random.Random(seed)
     for _attempt in range(100):
         inst = _draw_oracle_instance(rng, seed)
@@ -209,8 +212,6 @@ def generate_oracle_instance(seed: int, max_candidates: int = 40) -> Instance:
             continue
         if validate_instance(inst):
             continue
-        from .batches import enumerate_batches  # local to avoid an import cycle
-
         catalog = enumerate_batches(inst)
         n_cands = 0
         for edge in inst.edges:
@@ -218,7 +219,7 @@ def generate_oracle_instance(seed: int, max_candidates: int = 40) -> Instance:
                 if ref.is_initial:
                     spec = catalog.spec_by_id[ref.batch]
                     n_cands += inst.grid.horizon_len - spec.length + 1
-        if 4 <= n_cands <= max_candidates:
+        if 4 <= n_cands <= ORACLE_MAX_CANDIDATES:
             return inst
     raise RuntimeError(f"could not draw an oracle instance for seed {seed}")
 

@@ -534,9 +534,7 @@ class InstanceFormatError(ValueError):
     pass
 
 
-def _check_keys(obj: Mapping, allowed: Iterable[str], where: str, strict: bool) -> None:
-    if not strict:
-        return
+def _check_keys(obj: Mapping, allowed: Iterable[str], where: str) -> None:
     extra = set(obj) - set(allowed)
     if extra:
         raise InstanceFormatError(f"unknown keys {sorted(extra)} in {where}")
@@ -551,7 +549,7 @@ def _require(obj: Mapping, key: str, where: str):
 def _parse_times(spec, horizon: int, where: str) -> tuple[int, ...]:
     """A time window is either an explicit slot list or {"start","end"} inclusive."""
     if isinstance(spec, Mapping):
-        _check_keys(spec, ("start", "end"), where, True)
+        _check_keys(spec, ("start", "end"), where)
         start = int(_require(spec, "start", where))
         end = int(_require(spec, "end", where))
         return tuple(range(start, end + 1))
@@ -560,7 +558,17 @@ def _parse_times(spec, horizon: int, where: str) -> tuple[int, ...]:
     raise InstanceFormatError(f"bad time window in {where}: {spec!r}")
 
 
-def instance_from_dict(data: Mapping, strict: bool = True) -> Instance:
+def instance_from_dict(data: Mapping) -> Instance:
+    """The instance a JSON document describes; any malformed part raises InstanceFormatError."""
+    try:
+        return _instance_from_dict(data)
+    except InstanceFormatError:
+        raise
+    except (ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise InstanceFormatError(f"malformed value ({type(exc).__name__}: {exc})") from exc
+
+
+def _instance_from_dict(data: Mapping) -> Instance:
     where = "instance"
     _check_keys(
         data,
@@ -579,16 +587,15 @@ def instance_from_dict(data: Mapping, strict: bool = True) -> Instance:
             "fixed_transports",
         ),
         where,
-        strict,
     )
     hz = _require(data, "horizon", where)
-    _check_keys(hz, ("length", "step_hours"), "horizon", strict)
+    _check_keys(hz, ("length", "step_hours"), "horizon")
     grid = TimeGrid(int(_require(hz, "length", "horizon")), to_fraction(hz.get("step_hours", 1)))
     horizon = grid.horizon_len
 
     products = []
     for pd in _require(data, "products", where):
-        _check_keys(pd, ("id", "kind", "unit_volume"), "product", strict)
+        _check_keys(pd, ("id", "kind", "unit_volume"), "product")
         products.append(
             Product(
                 id=str(_require(pd, "id", "product")),
@@ -599,10 +606,10 @@ def instance_from_dict(data: Mapping, strict: bool = True) -> Instance:
 
     sites = []
     for sd in _require(data, "sites", where):
-        _check_keys(sd, ("id", "kind", "standard_batch", "capacity"), "site", strict)
+        _check_keys(sd, ("id", "kind", "standard_batch", "capacity"), "site")
         capacity = {}
         for pid, cd in sd.get("capacity", {}).items():
-            _check_keys(cd, ("initial", "max", "min", "deltas"), f"site capacity {pid}", strict)
+            _check_keys(cd, ("initial", "max", "min", "deltas"), f"site capacity {pid}")
             maximum = cd.get("max")
             if isinstance(maximum, Sequence) and not isinstance(maximum, (str, bytes)):
                 maximum = tuple(int(x) for x in maximum)
@@ -630,7 +637,7 @@ def instance_from_dict(data: Mapping, strict: bool = True) -> Instance:
 
     edges = []
     for ed in _require(data, "edges", where):
-        _check_keys(ed, ("id", "origin", "destination", "pipe_volume"), "edge", strict)
+        _check_keys(ed, ("id", "origin", "destination", "pipe_volume"), "edge")
         edges.append(
             Edge(
                 id=str(_require(ed, "id", "edge")),
@@ -642,9 +649,7 @@ def instance_from_dict(data: Mapping, strict: bool = True) -> Instance:
 
     regimes = []
     for rd in _require(data, "regimes", where):
-        _check_keys(
-            rd, ("id", "edges", "flow_rate", "flush_volume", "cost_per_batch", "pass_times"), "regime", strict
-        )
+        _check_keys(rd, ("id", "edges", "flow_rate", "flush_volume", "cost_per_batch", "pass_times"), "regime")
         regimes.append(
             PumpingRegime(
                 id=str(_require(rd, "id", "regime")),
@@ -658,7 +663,7 @@ def instance_from_dict(data: Mapping, strict: bool = True) -> Instance:
 
     nominations = []
     for nd in data.get("nominations", ()):
-        _check_keys(nd, ("refinery", "limits"), "nomination", strict)
+        _check_keys(nd, ("refinery", "limits"), "nomination")
         nominations.append(
             Nomination(
                 refinery=str(_require(nd, "refinery", "nomination")),
@@ -670,7 +675,7 @@ def instance_from_dict(data: Mapping, strict: bool = True) -> Instance:
     for od in data.get("outages", ()):
         kind = _require(od, "kind", "outage")
         if kind == "tank":
-            _check_keys(od, ("kind", "site", "product", "reduction", "times"), "outage", strict)
+            _check_keys(od, ("kind", "site", "product", "reduction", "times"), "outage")
             outages.append(
                 TankOutage(
                     site=str(_require(od, "site", "outage")),
@@ -680,7 +685,7 @@ def instance_from_dict(data: Mapping, strict: bool = True) -> Instance:
                 )
             )
         elif kind == "transport":
-            _check_keys(od, ("kind", "batches", "times"), "outage", strict)
+            _check_keys(od, ("kind", "batches", "times"), "outage")
             outages.append(
                 TransportOutage(
                     batches=tuple((str(e), str(b)) for e, b in _require(od, "batches", "outage")),
@@ -692,7 +697,7 @@ def instance_from_dict(data: Mapping, strict: bool = True) -> Instance:
 
     limits = []
     for ld in data.get("throughput_limits", ()):
-        _check_keys(ld, ("edges", "product", "times", "limit"), "throughput_limit", strict)
+        _check_keys(ld, ("edges", "product", "times", "limit"), "throughput_limit")
         limits.append(
             ThroughputLimit(
                 edges=tuple(str(e) for e in _require(ld, "edges", "throughput_limit")),
@@ -704,7 +709,7 @@ def instance_from_dict(data: Mapping, strict: bool = True) -> Instance:
 
     groups = []
     for gd in data.get("exclusion_groups", ()):
-        _check_keys(gd, ("members",), "exclusion_group", strict)
+        _check_keys(gd, ("members",), "exclusion_group")
         groups.append(ExclusionGroup(members=tuple(str(r) for r in _require(gd, "members", "exclusion_group"))))
 
     wd = data.get("weights", {})
@@ -712,11 +717,10 @@ def instance_from_dict(data: Mapping, strict: bool = True) -> Instance:
         wd,
         ("alpha", "beta", "gamma", "theta", "eta", "distribution_targets", "previous_plan", "executed"),
         "weights",
-        strict,
     )
     targets = []
     for td in wd.get("distribution_targets", ()):
-        _check_keys(td, ("site", "product", "target", "weight", "signed_weight"), "distribution_target", strict)
+        _check_keys(td, ("site", "product", "target", "weight", "signed_weight"), "distribution_target")
         if "signed_weight" in td:
             if "weight" in td or "target" in td:
                 raise InstanceFormatError("distribution target mixes signed and target forms")
@@ -750,7 +754,7 @@ def instance_from_dict(data: Mapping, strict: bool = True) -> Instance:
 
     fixed = []
     for fd in data.get("fixed_transports", ()):
-        _check_keys(fd, ("regime", "product", "start"), "fixed_transport", strict)
+        _check_keys(fd, ("regime", "product", "start"), "fixed_transport")
         fixed.append(
             FixedTransport(
                 regime=str(_require(fd, "regime", "fixed_transport")),
@@ -872,10 +876,10 @@ def instance_to_dict(inst: Instance) -> dict:
     return data
 
 
-def load_instance(path: Union[str, Path], strict: bool = True) -> Instance:
+def load_instance(path: Union[str, Path]) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh, parse_float=Fraction)
-    return instance_from_dict(data, strict=strict)
+    return instance_from_dict(data)
 
 
 def save_instance(inst: Instance, path: Union[str, Path]) -> None:

@@ -17,7 +17,7 @@ against the reported value.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable, Optional
@@ -149,10 +149,8 @@ class ParsedSolution:
 
     schedule: Optional[Schedule]
     objective: Optional[float]  # linear part recomputed from the model
-    reported_objective: Optional[float]
     bound: Optional[float]
-    status_hint: Optional[str]
-    values: dict[int, float] = field(default_factory=dict)
+    status_hint: Optional[str]  # one of the STATUS_* words, or None
 
 
 _META_RE = re.compile(
@@ -167,20 +165,29 @@ _CBC_RE = re.compile(
 _NUM_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
+# the file protocol's status words: what `_normalize_status` reads from a solution file
+STATUS_OPTIMAL = "optimal"
+STATUS_GAP = "gap_reached"
+STATUS_TIME_LIMIT = "time_limit"
+STATUS_INFEASIBLE = "infeasible"
+STATUS_UNBOUNDED = "unbounded"
+STATUS_ERROR = "error"
+
+
 def _normalize_status(text: str) -> Optional[str]:
     low = text.lower()
     if "gap" in low:
-        return "gap_reached"
+        return STATUS_GAP
     if "optimal" in low:
-        return "optimal"
+        return STATUS_OPTIMAL
     if "infeasible" in low:
-        return "infeasible"
+        return STATUS_INFEASIBLE
     if "unbounded" in low:
-        return "unbounded"
+        return STATUS_UNBOUNDED
     if "time" in low or "stopped" in low or "interrupt" in low:
-        return "time_limit"
+        return STATUS_TIME_LIMIT
     if "error" in low:
-        return "error"
+        return STATUS_ERROR
     return None
 
 
@@ -238,12 +245,11 @@ def parse_solution(text: str, model: MILPModel) -> ParsedSolution:
         saw_values_section = True
         values[name_to_vid[name]] = float(value_token)
 
-    if status_hint == "infeasible" or (not saw_values_section and status_hint in ("unbounded", "error")):
-        return ParsedSolution(None, None, reported, bound, status_hint, values)
+    no_values = (STATUS_UNBOUNDED, STATUS_ERROR, STATUS_TIME_LIMIT)  # words that may come without a schedule
+    if status_hint == STATUS_INFEASIBLE or (not saw_values_section and status_hint in no_values):
+        return ParsedSolution(None, None, bound, status_hint)
     if not saw_values_section and reported is None and status_hint is None:
         raise SolutionFormatError("solution file contains neither values nor a recognizable status")
-    if not saw_values_section and status_hint == "time_limit":
-        return ParsedSolution(None, None, reported, bound, status_hint, values)
 
     placements = []
     rounded = dict(values)
@@ -270,4 +276,4 @@ def parse_solution(text: str, model: MILPModel) -> ParsedSolution:
             raise SolutionFormatError(
                 f"solver-reported objective {reported!r} disagrees with recomputed {linear!r}"
             )
-    return ParsedSolution(Schedule.from_raw(placements), linear, reported, bound, status_hint, values)
+    return ParsedSolution(Schedule.from_raw(placements), linear, bound, status_hint)

@@ -802,7 +802,7 @@ def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPM
 
 
 # ---------------------------------------------------------------------------
-# assignment helpers (used by tests and the lazy loop for diagnostics)
+# assignment helpers: a schedule as values of the model's variables, for tests that check rows
 
 
 def extend_placement_assignment(model: MILPModel, placements: Iterable[tuple[str, str, int]]) -> dict[int, int]:

@@ -44,9 +44,6 @@ class Schedule:
     def sorted_placements(self) -> list[Placement]:
         return sorted(self.placements)
 
-    def initial_placements(self, catalog: BatchCatalog) -> list[Placement]:
-        return sorted(p for p in self.placements if catalog.chains[p[1]][0] == p[0])
-
     def __len__(self) -> int:
         return len(self.placements)
 
@@ -55,7 +52,12 @@ class Schedule:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Schedule":
-        return cls.from_raw(tuple(p) for p in data["placements"])
+        """Raises ValueError unless `data` is {"placements": [[edge, batch, start], ...]}."""
+        try:
+            return cls.from_raw(tuple(p) for p in data["placements"])
+        except (KeyError, TypeError, ValueError) as exc:
+            shape = '{"placements": [[edge, batch, start], ...]}'
+            raise ValueError(f"expected {shape} ({type(exc).__name__}: {exc})") from exc
 
     def save(self, path: Union[str, Path]) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8")

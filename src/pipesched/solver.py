@@ -27,12 +27,13 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
-from .lp_io import ParsedSolution, SolutionFormatError, parse_solution, write_lp
+from .lp_io import STATUS_ERROR, STATUS_GAP, STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME_LIMIT, STATUS_UNBOUNDED
+from .lp_io import SolutionFormatError, parse_solution, write_lp
 from .milpmodel import MILPModel
 from .schedule import Schedule
 from .validator import (
@@ -42,12 +43,6 @@ from .validator import (
     evaluate_objective,
     simulate_occupancy,
 )
-
-STATUS_OPTIMAL = "optimal"
-STATUS_GAP = "gap_reached"
-STATUS_TIME_LIMIT = "time_limit"
-STATUS_INFEASIBLE = "infeasible"
-STATUS_ERROR = "error"
 
 COMMAND_ENV_VAR = "PIPESCHED_SOLVER_CMD"
 
@@ -91,42 +86,24 @@ class LazyIteration:
 @dataclass
 class SolveResult:
     status: str
-    schedule: Optional[Schedule]
-    objective: Optional[Fraction]  # exact, validator-evaluated
-    objective_float: Optional[float]
-    bound: Optional[float]
-    gap: Optional[float]
-    components: Optional[dict]
-    wall_time: float
+    schedule: Optional[Schedule] = None
+    objective: Optional[Fraction] = None  # exact, validator-evaluated
+    objective_float: Optional[float] = None  # the solver's, with the model's constant added
+    bound: Optional[float] = None
+    gap: Optional[float] = None
+    components: Optional[dict] = None
+    wall_time: float = 0.0
     iterations: list[LazyIteration] = field(default_factory=list)
     violations: list[Violation] = field(default_factory=list)
     message: str = ""
-    artifacts: dict[str, str] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
         return self.status in (STATUS_OPTIMAL, STATUS_GAP) and self.schedule is not None
 
 
-@dataclass
-class _RawSolve:
-    status: str
-    parsed: Optional[ParsedSolution]
-    objective_total: Optional[float]  # includes the model's objective constant
-    bound_total: Optional[float]
-    gap: Optional[float]
-    wall_time: float
-    message: str
-    artifacts: dict[str, str]
-
-
-def _relative_gap(objective: Optional[float], bound: Optional[float]) -> Optional[float]:
-    if objective is None or bound is None:
-        return None
-    return abs(objective - bound) / max(1.0, abs(objective))
-
-
-def _run_once(model: MILPModel, config: SolverConfig, activated: Optional[set[int]], workdir: Path, tag: str) -> _RawSolve:
+def _run_once(model: MILPModel, config: SolverConfig, activated: Optional[set[int]], workdir: Path, tag: str) -> SolveResult:
+    """One solver call, reported as the solution file says; `_finalize` checks it."""
     lp_path = workdir / f"{tag}.lp"
     sol_path = workdir / f"{tag}.sol"
     lp_path.write_text(write_lp(model, activated), encoding="utf-8")
@@ -142,82 +119,56 @@ def _run_once(model: MILPModel, config: SolverConfig, activated: Optional[set[in
         )
         for tok in shlex.split(config.resolved_command())
     ]
-    artifacts = {f"{tag}_model": str(lp_path), f"{tag}_solution": str(sol_path)}
     t0 = time.monotonic()
     try:
         proc = subprocess.run(
             argv, capture_output=True, text=True, timeout=max(60.0, config.time_limit * 2 + 120)
         )
     except (subprocess.TimeoutExpired, OSError) as exc:
-        return _RawSolve(STATUS_ERROR, None, None, None, None, time.monotonic() - t0, f"solver run failed: {exc}", artifacts)
+        return SolveResult(STATUS_ERROR, wall_time=time.monotonic() - t0, message=f"solver run failed: {exc}")
     wall = time.monotonic() - t0
 
     if not sol_path.exists():
         tail = (proc.stderr or proc.stdout or "").strip()[-400:]
-        return _RawSolve(
-            STATUS_ERROR, None, None, None, None, wall,
-            f"solver exited with code {proc.returncode} and wrote no solution file: {tail}", artifacts,
-        )
+        message = f"solver exited with code {proc.returncode} and wrote no solution file: {tail}"
+        return SolveResult(STATUS_ERROR, wall_time=wall, message=message)
     try:
         parsed = parse_solution(sol_path.read_text(encoding="utf-8"), model)
     except SolutionFormatError as exc:
-        return _RawSolve(STATUS_ERROR, None, None, None, None, wall, str(exc), artifacts)
+        return SolveResult(STATUS_ERROR, wall_time=wall, message=str(exc))
 
     constant = float(model.objective_constant)
-    objective_total = None if parsed.objective is None else parsed.objective + constant
-    bound_total = None if parsed.bound is None else parsed.bound + constant
-    gap = _relative_gap(objective_total, bound_total)
-
-    hint = parsed.status_hint
-    if hint == "infeasible":
-        status = STATUS_INFEASIBLE
-    elif hint == "unbounded":
-        return _RawSolve(STATUS_ERROR, parsed, objective_total, bound_total, gap, wall, "model reported unbounded", artifacts)
-    elif parsed.schedule is None:
-        status = STATUS_TIME_LIMIT if hint == "time_limit" else STATUS_ERROR
-    elif hint in (STATUS_TIME_LIMIT, "error"):
-        status = STATUS_TIME_LIMIT if hint == STATUS_TIME_LIMIT else STATUS_ERROR
-    elif gap is not None and gap > 1e-9:
-        status = STATUS_GAP
-    else:
-        status = "optimal" if hint in (None, STATUS_OPTIMAL) else hint
-    if status == STATUS_ERROR and proc.returncode != 0:
-        tail = (proc.stderr or "").strip()[-400:]
-        return _RawSolve(status, parsed, objective_total, bound_total, gap, wall, f"solver exit {proc.returncode}: {tail}", artifacts)
-    return _RawSolve(status, parsed, objective_total, bound_total, gap, wall, "", artifacts)
+    objective = None if parsed.objective is None else parsed.objective + constant
+    bound = None if parsed.bound is None else parsed.bound + constant
+    gap = None if objective is None or bound is None else abs(objective - bound) / max(1.0, abs(objective))
+    status, message = parsed.status_hint, ""
+    if status == STATUS_UNBOUNDED:
+        status, message = STATUS_ERROR, "model reported unbounded"
+    elif status == STATUS_ERROR and proc.returncode != 0:
+        message = f"solver exit {proc.returncode}: {(proc.stderr or '').strip()[-400:]}"
+    elif status not in (STATUS_INFEASIBLE, STATUS_TIME_LIMIT, STATUS_ERROR):
+        status = STATUS_GAP if gap is not None and gap > 1e-9 else status or STATUS_OPTIMAL
+    return SolveResult(status, parsed.schedule, None, objective, bound, gap, wall_time=wall, message=message)
 
 
-def _finalize(model: MILPModel, raw: _RawSolve, iterations: list[LazyIteration], total_wall: float) -> SolveResult:
-    schedule = raw.parsed.schedule if raw.parsed is not None else None
-    status, message = raw.status, raw.message
-    exact_total = components = None
-    violations: list[Violation] = []
-    if schedule is None or status in (STATUS_INFEASIBLE, STATUS_ERROR):
-        schedule = None
-    else:
-        violations = check_schedule(model.instance, model.catalog, schedule, model.options)
-        components = evaluate_objective(model.instance, model.catalog, schedule)
-        exact_total = components["total"]
-        drift = None if raw.objective_total is None else abs(float(exact_total) - raw.objective_total)
-        if drift is not None and drift > 1e-5 * max(1.0, abs(float(exact_total))):
-            status = STATUS_ERROR
-            message = f"solver objective {raw.objective_total} drifts {drift} from exact re-evaluation {float(exact_total)}"
-        elif violations:
-            status = STATUS_ERROR
-            message = f"solver returned a schedule violating {len(violations)} rule(s)"
-    return SolveResult(
-        status=status,
-        schedule=schedule,
-        objective=exact_total,
-        objective_float=raw.objective_total,
-        bound=raw.bound_total,
-        gap=raw.gap,
-        components=components,
-        wall_time=total_wall,
-        iterations=iterations,
-        violations=violations,
-        message=message,
-        artifacts=raw.artifacts,
+def _finalize(model: MILPModel, found: SolveResult, iterations: list[LazyIteration], wall_time: float) -> SolveResult:
+    """`found` with its schedule checked by the validator and rescored exactly."""
+    found = replace(found, iterations=iterations, wall_time=wall_time)
+    if found.schedule is None or found.status in (STATUS_INFEASIBLE, STATUS_ERROR):
+        return replace(found, schedule=None)
+    violations = check_schedule(model.instance, model.catalog, found.schedule, model.options)
+    components = evaluate_objective(model.instance, model.catalog, found.schedule)
+    exact = components["total"]
+    status, message = found.status, found.message
+    drift = None if found.objective_float is None else abs(float(exact) - found.objective_float)
+    if drift is not None and drift > 1e-5 * max(1.0, abs(float(exact))):
+        status = STATUS_ERROR
+        message = f"solver objective {found.objective_float} drifts {drift} from exact re-evaluation {float(exact)}"
+    elif violations:
+        status = STATUS_ERROR
+        message = f"solver returned a schedule violating {len(violations)} rule(s)"
+    return replace(
+        found, status=status, objective=exact, components=components, violations=violations, message=message
     )
 
 
@@ -243,8 +194,8 @@ def solve(model: MILPModel, config: SolverConfig = SolverConfig()) -> SolveResul
     """Single monolithic solve with every row (lazy rows included)."""
     t0 = time.monotonic()
     with _WorkDir(config) as workdir:
-        raw = _run_once(model, config, None, workdir, "model")
-        return _finalize(model, raw, [], time.monotonic() - t0)
+        found = _run_once(model, config, None, workdir, "model")
+        return _finalize(model, found, [], time.monotonic() - t0)
 
 
 def solve_lazy_capacity(model: MILPModel, config: SolverConfig = SolverConfig()) -> SolveResult:
@@ -263,11 +214,11 @@ def solve_lazy_capacity(model: MILPModel, config: SolverConfig = SolverConfig())
     iterations: list[LazyIteration] = []
     with _WorkDir(config) as workdir:
         for round_idx in itertools.count():
-            raw = _run_once(model, config, activated, workdir, f"iter{round_idx}")
-            if raw.status in (STATUS_INFEASIBLE, STATUS_ERROR) or raw.parsed is None or raw.parsed.schedule is None:
-                iterations.append(LazyIteration(round_idx, 0, raw.objective_total, raw.status))
-                return _finalize(model, raw, iterations, time.monotonic() - t0)
-            occupancy = simulate_occupancy(model.instance, model.catalog, raw.parsed.schedule)
+            found = _run_once(model, config, activated, workdir, f"iter{round_idx}")
+            if found.status in (STATUS_INFEASIBLE, STATUS_ERROR) or found.schedule is None:
+                iterations.append(LazyIteration(round_idx, 0, found.objective_float, found.status))
+                return _finalize(model, found, iterations, time.monotonic() - t0)
+            occupancy = simulate_occupancy(model.instance, model.catalog, found.schedule)
             violated = capacity_bound_violations(model.instance, occupancy)
             new_rows: set[int] = set()
             for v in violated:
@@ -275,7 +226,7 @@ def solve_lazy_capacity(model: MILPModel, config: SolverConfig = SolverConfig())
                 row = model.lazy_bounds.get(key)
                 if row is not None and row not in activated:
                     new_rows.add(row)
-            iterations.append(LazyIteration(round_idx, len(new_rows), raw.objective_total, raw.status))
+            iterations.append(LazyIteration(round_idx, len(new_rows), found.objective_float, found.status))
             if not new_rows:
-                return _finalize(model, raw, iterations, time.monotonic() - t0)
+                return _finalize(model, found, iterations, time.monotonic() - t0)
             activated |= new_rows

@@ -88,11 +88,12 @@ def _set_options(highs, **options) -> None:
 def _configured_highs(time_limit: float, gap: float, threads: int = 1):
     """A HiGHS instance with the options every solve uses.
 
-    HiGHS sizes one thread pool per process at its first run, and a later
-    run that asks for another size fails; the child solves once, and
-    in-process callers keep the default.
+    HiGHS keeps one thread pool per process, sized at the first run; it is
+    reset first, so a run may ask for another `threads` than the last one.
     """
-    highs = _highs_core()._Highs()
+    core = _highs_core()
+    core._Highs.resetGlobalScheduler(True)
+    highs = core._Highs()
     _set_options(highs, output_flag=False, time_limit=float(time_limit), mip_rel_gap=float(gap), threads=int(threads))
     return highs
 

@@ -37,15 +37,6 @@ class Violation:
     bound: object
     message: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "coordinate": list(self.coordinate),
-            "measured": str(self.measured),
-            "bound": str(self.bound),
-            "message": self.message,
-        }
-
 
 @dataclass
 class OccupancySeries:

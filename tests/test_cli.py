@@ -14,7 +14,7 @@ import json
 import pytest
 
 from pipesched.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INVALID, EXIT_LIMIT, EXIT_OK, main
-from pipesched.instance import load_instance, save_instance
+from pipesched.instance import instance_to_dict, load_instance, save_instance
 from pipesched.schedule import Schedule
 
 from tests.conftest import single_edge_instance, with_capacity
@@ -275,6 +275,19 @@ def test_experiment_sd_suite_writes_summary(tmp_path):
     assert (out_dir / "sd-A-l4.schedule.json").exists()
 
 
+def test_experiment_model_build_error_is_config_error(tmp_path, capsys, monkeypatch):
+    from pipesched import cli
+    from pipesched.milpmodel import ModelBuildError
+
+    def refuse(inst, options):
+        raise ModelBuildError("no batch fits")
+
+    monkeypatch.setattr(cli, "build_model", refuse)
+    rc = main(["experiment", "--suite", "SD", "--out-dir", str(tmp_path / "suite")] + FAST_SOLVE)
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: no batch fits\n"
+
+
 # ---------------------------------------------------------------------------
 # configuration errors
 
@@ -299,6 +312,15 @@ def test_incomplete_instance_file_is_config_error(tmp_path, capsys):
     rc = main(["catalog", "--instance", str(bad)])
     assert rc == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["instance", "schedule"])
+def test_directory_as_input_file_is_config_error(tiny_path, tmp_path, capsys, kind):
+    # open() on a directory raises IsADirectoryError, an OSError other than FileNotFoundError
+    instance = tmp_path if kind == "instance" else tiny_path
+    rc = main(["validate", "--instance", str(instance), "--schedule", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: could not read {kind} {tmp_path}: ")
 
 
 def test_missing_schedule_file_is_config_error(tiny_path, tmp_path, capsys):
@@ -327,3 +349,62 @@ def test_bad_generator_parameters_are_config_errors(tmp_path, capsys, args, reas
     assert err.startswith("error: cannot generate an instance: ")
     assert reason in err
     assert not (tmp_path / "inst.json").exists()
+
+
+MALFORMED_INSTANCES = {
+    "horizon length abc": lambda d: d["horizon"].update(length="abc"),
+    "products 5": lambda d: d.update(products=5),
+    "flow rate x": lambda d: d["regimes"][0].update(flow_rate="x"),
+    "pipe volume [1]": lambda d: d["edges"][0].update(pipe_volume=[1]),
+}
+
+
+@pytest.mark.parametrize("spoil", MALFORMED_INSTANCES.values(), ids=MALFORMED_INSTANCES.keys())
+def test_malformed_instance_values_are_config_errors(solved_dir, tmp_path, capsys, spoil):
+    data = instance_to_dict(single_edge_instance(horizon=12, batches=1))
+    spoil(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    rc = main(["validate", "--instance", str(bad), "--schedule", str(solved_dir / "schedule.json")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: could not parse instance {bad}: ")
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("gantt", '{"placements": [["e1"]]}'),
+        ("gantt", "{ not json"),
+        ("validate", '{"placements": 5}'),
+        ("gantt", '{"placements": 5}'),
+        ("validate", "[1, 2]"),
+        ("gantt", "[1, 2]"),
+    ],
+    ids=["gantt short placement", "gantt not json", "validate placements 5", "gantt placements 5",
+         "validate list", "gantt list"],
+)
+def test_malformed_schedule_files_are_config_errors(tiny_path, tmp_path, capsys, command, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text, encoding="utf-8")
+    rc = main([command, "--instance", str(tiny_path), "--schedule", str(bad)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"error: could not parse schedule {bad}: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["solve", "--instance", "x.json"], ["solve", "--instance", "x.json", "--out-dir", "o", "--gap", "abc"], []],
+    ids=["missing out dir", "gap not a number", "no command"],
+)
+def test_usage_errors_exit_with_config_code(capsys, args):
+    with pytest.raises(SystemExit) as stop:
+        main(args)
+    assert stop.value.code == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--help"], ["solve", "--help"], ["--version"]])
+def test_help_and_version_exit_zero(args):
+    with pytest.raises(SystemExit) as stop:
+        main(args)
+    assert stop.value.code == EXIT_OK

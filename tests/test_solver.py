@@ -11,17 +11,19 @@ import sys
 import pytest
 
 from pipesched.batches import enumerate_batches
-from pipesched.lp_io import ParsedSolution
+from pipesched.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_LIMIT, EXIT_OK
 from pipesched.milpmodel import BuildOptions, build_model
 from pipesched.schedule import Schedule
 from pipesched.solver import (
     COMMAND_ENV_VAR,
     STATUS_ERROR,
+    STATUS_GAP,
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
+    STATUS_TIME_LIMIT,
+    SolveResult,
     SolverConfig,
     _finalize,
-    _RawSolve,
     _template_literal,
     default_solver_command,
     solve,
@@ -210,8 +212,7 @@ def test_finalize_keeps_status_and_message_per_outcome(ref1_small):
     overlapping = Schedule.from_raw([flush, ("e1", "r1:stain:standard", 2)])
 
     def raw(status, schedule, objective, message=""):
-        parsed = ParsedSolution(schedule, objective, objective, None, None)
-        return _RawSolve(status, parsed, objective, None, None, 1.0, message, {})
+        return SolveResult(status, schedule, objective_float=objective, wall_time=1.0, message=message)
 
     clean = _finalize(model, raw(STATUS_OPTIMAL, Schedule.from_raw([flush]), 100.0), [], 2.0)
     assert (clean.status, clean.objective, clean.violations, clean.message) == (STATUS_OPTIMAL, 100, [], "")
@@ -262,6 +263,71 @@ def test_solution_cut_inside_its_values_is_an_error(ref1_small, tmp_path, mode):
     assert res.status == STATUS_ERROR
     mismatch = r"unparseable solution line|objective .* disagrees with recomputed|drifts .* from exact re-evaluation"
     assert re.search(mismatch, res.message), res.message
+
+
+COPY_SOLVER = """
+import shutil, sys
+source, code, solution = sys.argv[1:4]
+shutil.copyfile(source, solution)
+print("copied", file=sys.stderr)
+sys.exit(int(code))
+"""
+
+# v0 is the flush dispatch (e1, r1:flush:standard, 0), worth 100 on ref1_small
+FLUSH_ONLY = "# Objective value = 100\nv0 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, exit_code, status, message, cli_code",
+    [
+        ("# Status = optimal\n# Best bound = 100\n" + FLUSH_ONLY, 0, STATUS_OPTIMAL, "", EXIT_OK),
+        ("# Status = optimal\n# Best bound = 144\n" + FLUSH_ONLY, 0, STATUS_GAP, "", EXIT_OK),
+        ("# Status = time_limit\n" + FLUSH_ONLY, 0, STATUS_TIME_LIMIT, "", EXIT_LIMIT),
+        ("# Status = time_limit\n", 0, STATUS_TIME_LIMIT, "", EXIT_LIMIT),
+        ("# Status = infeasible\n", 0, STATUS_INFEASIBLE, "", EXIT_INFEASIBLE),
+        ("# Status = unbounded\n", 0, STATUS_ERROR, "model reported unbounded", EXIT_INVALID),
+        ("# Status = error\n" + FLUSH_ONLY, 0, STATUS_ERROR, "", EXIT_INVALID),
+        ("# Status = error\n", 0, STATUS_ERROR, "", EXIT_INVALID),
+        ("# Status = error\n# Message = boom\n", 1, STATUS_ERROR, "solver exit 1: copied", EXIT_INVALID),
+    ],
+    ids=[
+        "optimal", "gap with bound", "time limit with values", "time limit without values", "infeasible",
+        "unbounded", "error with values", "error without values", "nonzero exit",
+    ],
+)
+def test_solution_file_status_maps_to_result_and_exit_code(
+    ref1_small, tmp_path, text, exit_code, status, message, cli_code
+):
+    from pipesched.cli import _solve_exit_code
+
+    script, source = tmp_path / "copy_solver.py", tmp_path / "canned.sol"
+    script.write_text(COPY_SOLVER)
+    source.write_text(text)
+    words = " ".join(_template_literal(str(word)) for word in (sys.executable, script, source, exit_code))
+    res = solve(build_model(ref1_small), SolverConfig(command=words + " {solution}", time_limit=10))
+    assert res.status == status
+    assert res.message.startswith(message) and bool(res.message) == bool(message), res.message
+    assert (res.schedule is not None) == (status in (STATUS_OPTIMAL, STATUS_GAP, STATUS_TIME_LIMIT) and "v0" in text)
+    assert _solve_exit_code(res) == cli_code
+
+
+def test_shim_status_words_normalize_to_themselves():
+    import ast
+    import inspect
+
+    from pipesched import solver_shim
+    from pipesched.lp_io import _normalize_status
+
+    tree = ast.parse(inspect.getsource(solver_shim._status_of))
+    words = {
+        node.value
+        for ret in ast.walk(tree)
+        if isinstance(ret, ast.Return)
+        for node in ast.walk(ret)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert words == {"optimal", "gap_reached", "time_limit", "infeasible", "unbounded", "error"}
+    assert {word: _normalize_status(word) for word in words} == {word: word for word in words}
 
 
 def test_solver_killed_before_writing_is_an_error(ref1_small, tmp_path):

@@ -431,6 +431,17 @@ def test_main_hands_threads_to_highs(tmp_path):
     assert "# Status = optimal" in (tmp_path / "m.sol").read_text()
 
 
+def test_main_solves_again_with_another_thread_count(tmp_path):
+    # HiGHS keeps one thread pool per process; a fresh one starts with none
+    (tmp_path / "m.lp").write_text(TINY_LP)
+    code = LOAD_SHIM + (
+        "for threads in ('1', '2'):\n"
+        "    rc = shim.main(['m.lp', f'm{threads}.sol', '--threads', threads])\n"
+        "    print(rc, open(f'm{threads}.sol').readline().strip())\n"
+    )
+    assert _fresh_interpreter(code, tmp_path).splitlines() == ["0 # Status = optimal"] * 2
+
+
 def test_main_adds_timing_lines_and_leaves_no_partial_file(tmp_path):
     rc, sol = _solve_file(tmp_path, TINY_LP)
     assert rc == 0
