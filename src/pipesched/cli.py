@@ -8,8 +8,9 @@ on micro instances, drive the experiment suites, and export Gantt tables.
 
 Exit codes: 0 success, 2 proven infeasible, 3 stopped at a limit (a
 validated incumbent from a time-limited run is still written to
-schedule.json), 4 validation or solver failure, 5 configuration, input or
-usage error.
+schedule.json), 4 validation or solver failure (a schedule that fails
+validation is not written), 5 configuration, input or usage error, or an
+output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .lp_io import write_lp
 from .milpmodel import BuildOptions, ModelBuildError, build_model
 from .oracle import ORACLE_STATUS_BUDGET, ORACLE_STATUS_INFEASIBLE, OracleLimits, brute_force_optimum
 from .schedule import Schedule
-from .solver import STATUS_GAP, STATUS_INFEASIBLE, STATUS_TIME_LIMIT
+from .solver import STATUS_ERROR, STATUS_GAP, STATUS_INFEASIBLE, STATUS_TIME_LIMIT
 from .solver import SolveResult, SolverConfig, solve, solve_lazy_capacity
 from .validator import check_schedule, evaluate_objective, simulate_occupancy
 
@@ -96,7 +97,6 @@ def _solver_config(args: argparse.Namespace, work_dir: Optional[Path] = None) ->
         gap=args.gap,
         threads=args.threads,
         work_dir=work_dir,
-        keep_files=work_dir is not None,
     )
 
 
@@ -146,11 +146,16 @@ def _solve_exit_code(result: SolveResult) -> int:
     return EXIT_OK if result.ok else _EXIT_CODES.get(result.status, EXIT_INVALID)
 
 
+def _writes_schedule(result: SolveResult) -> bool:
+    """A schedule the driver rejected (status error) is reported in the manifest, not written."""
+    return result.schedule is not None and result.status != STATUS_ERROR
+
+
 def _solve_and_record(
     inst, options: BuildOptions, config: SolverConfig, out_dir: Path, prefix: str = ""
 ) -> SolveResult:
     """Build and solve `inst` (lazily when `options.capacity_lazy`), then write
-    `<prefix>manifest.json` and, when there is a schedule, `<prefix>schedule.json`."""
+    `<prefix>manifest.json` and, when `_writes_schedule`, `<prefix>schedule.json`."""
     try:
         model = build_model(inst, options)
     except ModelBuildError as exc:
@@ -158,7 +163,7 @@ def _solve_and_record(
     runner = solve_lazy_capacity if options.capacity_lazy else solve
     result = runner(model, config)
     _write_json(out_dir / f"{prefix}manifest.json", _run_manifest(inst, config, result, options))
-    if result.schedule is not None:
+    if _writes_schedule(result):
         result.schedule.save(out_dir / f"{prefix}schedule.json")
     return result
 
@@ -245,7 +250,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     config = _solver_config(args, work_dir=out_dir if args.keep_files else None)
     result = _solve_and_record(inst, _build_options(args, args.lazy), config, out_dir)
     _print_result(result)
-    if result.schedule is not None:
+    if _writes_schedule(result):
         print(f"schedule: {out_dir / 'schedule.json'}")
     return _solve_exit_code(result)
 
@@ -524,7 +529,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, OSError) as exc:  # reading inputs raises CliError, so an OSError is an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -7,19 +7,28 @@ volume units) and rates/weights are exact rationals, so every downstream
 feasibility and objective computation can be carried out without rounding.
 
 Instances are immutable after construction.  `validate_instance` returns a
-machine-readable list of issues; loaders are strict about unknown keys so a
-typo in an instance file fails loudly instead of being ignored.
+machine-readable list of issues.
+
+The JSON format is stated once, as one `_Key` table per object, and that
+table drives both the reader and the writer.  The reader rejects unknown
+keys, so a typo in an instance file fails loudly instead of being ignored,
+and it treats a key as optional exactly when its dataclass field has a
+default (plus `name`, which reads as "unnamed").  Time windows are slot
+lists or {"start", "end"} objects, both ends inclusive; a distribution
+target takes either `target` and `weight` or a lone `signed_weight`.  The
+writer leaves out an `omit` key while it holds its default, so `save_instance`
+and `instance_hash` see one canonical form.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 PRODUCT_KINDS = ("flushing", "staining")
 SITE_KINDS = ("storage", "refinery")
@@ -527,353 +536,224 @@ def validate_instance(inst: Instance) -> list[InstanceIssue]:
 
 
 # ---------------------------------------------------------------------------
-# JSON (de)serialization
+# JSON (de)serialization: one `_Key` tuple per object, walked by `_read` and `_write`
 
 
 class InstanceFormatError(ValueError):
     pass
 
 
-def _check_keys(obj: Mapping, allowed: Iterable[str], where: str) -> None:
-    extra = set(obj) - set(allowed)
-    if extra:
-        raise InstanceFormatError(f"unknown keys {sorted(extra)} in {where}")
+def _same(value):
+    return value
 
 
-def _require(obj: Mapping, key: str, where: str):
-    if key not in obj:
-        raise InstanceFormatError(f"missing key {key!r} in {where}")
-    return obj[key]
+class _Key(NamedTuple):
+    """One JSON key of an object, and how its value maps to a dataclass field."""
+
+    name: str
+    read: Callable[[Any], Any] = str
+    write: Callable[[Any], Any] = _same
+    omit: bool = False  # left out on write while the field holds its default
+    attr: str = ""  # the dataclass field, where it is not `name`
 
 
-def _parse_times(spec, horizon: int, where: str) -> tuple[int, ...]:
+def _default(cls: type, attr: str):
+    """The default of dataclass field `attr` of `cls`; MISSING for a required field."""
+    f = cls.__dataclass_fields__[attr]
+    return f.default if f.default_factory is MISSING else f.default_factory()
+
+
+def _read(cls: type, keys: tuple[_Key, ...], data, where: str):
+    """The `cls` that JSON object `data` describes; absent keys take the field defaults."""
+    if not isinstance(data, Mapping):
+        raise InstanceFormatError(f"{where} must be an object, not {type(data).__name__}")
+    unknown = set(data) - {key.name for key in keys}
+    if unknown:
+        raise InstanceFormatError(f"unknown keys {sorted(unknown)} in {where}")
+    values = {}
+    for key in keys:
+        attr = key.attr or key.name
+        if key.name in data:
+            values[attr] = key.read(data[key.name])
+        elif _default(cls, attr) is MISSING:
+            raise InstanceFormatError(f"missing key {key.name!r} in {where}")
+    return cls(**values)
+
+
+def _write(obj, keys: tuple[_Key, ...]) -> dict:
+    """The JSON object of dataclass `obj`, in table order."""
+    out = {}
+    for key in keys:
+        attr = key.attr or key.name
+        value = getattr(obj, attr)
+        if not (key.omit and value == _default(type(obj), attr)):
+            out[key.name] = key.write(value)
+    return out
+
+
+def _object(cls: type, keys: tuple[_Key, ...], where: str):
+    return lambda data: _read(cls, keys, data, where), lambda obj: _write(obj, keys)
+
+
+def _each(read, write):
+    """A JSON array whose elements `read` and `write` convert."""
+    return lambda values: tuple(read(v) for v in values), lambda values: [write(v) for v in values]
+
+
+def _by_id(read, write):
+    """A JSON object keyed by id whose values `read` and `write` convert."""
+    return (
+        lambda values: {str(k): read(v) for k, v in values.items()},
+        lambda values: {k: write(v) for k, v in values.items()},
+    )
+
+
+def _rows(*reads):
+    """A JSON array of arrays of exactly len(reads) elements, element i read by reads[i]."""
+
+    def read_row(row) -> tuple:
+        items = tuple(row)
+        if len(items) != len(reads):
+            raise InstanceFormatError(f"expected {len(reads)} elements, got {len(items)}")
+        return tuple(read(item) for read, item in zip(reads, items))
+
+    return _each(read_row, list)
+
+
+def _optional(read):
+    return lambda value: None if value is None else read(value)
+
+
+def _read_levels(value) -> Union[int, tuple[int, ...]]:
+    """A stock level: one for every slot, or a list with one per slot."""
+    if isinstance(value, Sequence) and not isinstance(value, (str, bytes)):
+        return tuple(int(x) for x in value)
+    return int(value)
+
+
+def _write_levels(value):
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _read_times(spec) -> tuple[int, ...]:
     """A time window is either an explicit slot list or {"start","end"} inclusive."""
     if isinstance(spec, Mapping):
-        _check_keys(spec, ("start", "end"), where)
-        start = int(_require(spec, "start", where))
-        end = int(_require(spec, "end", where))
-        return tuple(range(start, end + 1))
+        if set(spec) != {"start", "end"}:
+            raise InstanceFormatError(f"a time window object takes exactly 'start' and 'end', not {sorted(spec)}")
+        return tuple(range(int(spec["start"]), int(spec["end"]) + 1))
     if isinstance(spec, Sequence) and not isinstance(spec, (str, bytes)):
         return tuple(int(t) for t in spec)
-    raise InstanceFormatError(f"bad time window in {where}: {spec!r}")
+    raise InstanceFormatError(f"bad time window {spec!r}")
+
+
+_FRACTION = (to_fraction, fraction_to_json)
+_IDS = _each(str, _same)
+_INTS_BY_ID = _by_id(int, _same)
+_FRACTIONS_BY_ID = _by_id(*_FRACTION)
+_TIMES = (_read_times, list)
+
+_GRID_KEYS = (_Key("length", int, attr="horizon_len"), _Key("step_hours", *_FRACTION))
+_PRODUCT_KEYS = (_Key("id"), _Key("kind"), _Key("unit_volume", *_FRACTION))
+_CAPACITY_KEYS = (
+    _Key("initial", int),
+    _Key("max", _optional(_read_levels), _write_levels, omit=True, attr="maximum"),
+    _Key("min", _read_levels, _write_levels, omit=True, attr="minimum"),
+    _Key("deltas", *_rows(int, int), omit=True),
+)
+_SITE_KEYS = (
+    _Key("id"),
+    _Key("kind"),
+    _Key("standard_batch", *_INTS_BY_ID),
+    _Key("capacity", *_by_id(*_object(CapacityProfile, _CAPACITY_KEYS, "site capacity"))),
+)
+_EDGE_KEYS = (_Key("id"), _Key("origin"), _Key("destination"), _Key("pipe_volume", int))
+_REGIME_KEYS = (
+    _Key("id"),
+    _Key("edges", *_IDS),
+    _Key("flow_rate", *_FRACTIONS_BY_ID),
+    _Key("flush_volume", _optional(int), omit=True),
+    _Key("cost_per_batch", *_FRACTIONS_BY_ID, omit=True),
+    _Key("pass_times", *_INTS_BY_ID, omit=True),
+)
+_NOMINATION_KEYS = (_Key("refinery"), _Key("limits", *_INTS_BY_ID))
+# outages also carry "kind", which picks one of these tables
+_TANK_OUTAGE_KEYS = (_Key("site"), _Key("product"), _Key("reduction", int), _Key("times", *_TIMES))
+_TRANSPORT_OUTAGE_KEYS = (_Key("batches", *_rows(str, str)), _Key("times", *_TIMES))
+_OUTAGE_KINDS = (("tank", TankOutage, _TANK_OUTAGE_KEYS), ("transport", TransportOutage, _TRANSPORT_OUTAGE_KEYS))
+_LIMIT_KEYS = (_Key("edges", *_IDS), _Key("product"), _Key("times", *_TIMES), _Key("limit", int))
+_GROUP_KEYS = (_Key("members", *_IDS),)
+# a target-form distribution target must also give "target"
+_TARGET_KEYS = (_Key("site"), _Key("product"), _Key("target", int), _Key("weight", *_FRACTION))
+_SIGNED_TARGET_KEYS = (_Key("site"), _Key("product"), _Key("signed_weight", *_FRACTION, attr="weight"))
+_FIXED_KEYS = (_Key("regime"), _Key("product"), _Key("start", int))
+
+
+def _read_outage(data) -> Outage:
+    kind = data.get("kind") if isinstance(data, Mapping) else None
+    for name, cls, keys in _OUTAGE_KINDS:
+        if kind == name:
+            return _read(cls, keys, {k: v for k, v in data.items() if k != "kind"}, f"{name} outage")
+    raise InstanceFormatError(f"an outage needs kind 'tank' or 'transport', not {kind!r}")
+
+
+def _write_outage(outage: Outage) -> dict:
+    name, _, keys = next(form for form in _OUTAGE_KINDS if isinstance(outage, form[1]))
+    return {"kind": name, **_write(outage, keys)}
+
+
+def _read_target(data) -> DistributionTarget:
+    if isinstance(data, Mapping) and "signed_weight" in data:
+        return _read(DistributionTarget, _SIGNED_TARGET_KEYS, data, "signed-weight distribution_target")
+    target = _read(DistributionTarget, _TARGET_KEYS, data, "distribution_target")
+    if target.target is None:
+        raise InstanceFormatError("missing key 'target' in distribution_target")
+    return target
+
+
+def _write_target(target: DistributionTarget) -> dict:
+    return _write(target, _SIGNED_TARGET_KEYS if target.target is None else _TARGET_KEYS)
+
+
+_WEIGHTS_KEYS = (
+    _Key("alpha", *_FRACTION),
+    _Key("beta", *_FRACTION),
+    _Key("gamma", *_FRACTION),
+    _Key("theta", *_FRACTION),
+    _Key("eta", *_FRACTIONS_BY_ID, omit=True),
+    _Key("distribution_targets", *_each(_read_target, _write_target), omit=True),
+    _Key("previous_plan", *_rows(str, str, int), omit=True),
+    _Key("executed", *_rows(str, str, int), omit=True),
+)
+_INSTANCE_KEYS = (
+    _Key("name"),
+    _Key("horizon", *_object(TimeGrid, _GRID_KEYS, "horizon"), attr="grid"),
+    _Key("products", *_each(*_object(Product, _PRODUCT_KEYS, "product"))),
+    _Key("sites", *_each(*_object(Site, _SITE_KEYS, "site"))),
+    _Key("edges", *_each(*_object(Edge, _EDGE_KEYS, "edge"))),
+    _Key("regimes", *_each(*_object(PumpingRegime, _REGIME_KEYS, "regime"))),
+    _Key("nominations", *_each(*_object(Nomination, _NOMINATION_KEYS, "nomination")), omit=True),
+    _Key("outages", *_each(_read_outage, _write_outage), omit=True),
+    _Key("throughput_limits", *_each(*_object(ThroughputLimit, _LIMIT_KEYS, "throughput_limit")), omit=True),
+    _Key("exclusion_groups", *_each(*_object(ExclusionGroup, _GROUP_KEYS, "exclusion_group")), omit=True),
+    _Key("weights", *_object(CostWeights, _WEIGHTS_KEYS, "weights")),
+    _Key("fixed_transports", *_each(*_object(FixedTransport, _FIXED_KEYS, "fixed_transport")), omit=True),
+)
 
 
 def instance_from_dict(data: Mapping) -> Instance:
     """The instance a JSON document describes; any malformed part raises InstanceFormatError."""
     try:
-        return _instance_from_dict(data)
+        if isinstance(data, Mapping):
+            data = {"name": "unnamed", **data}  # the one required field with a fallback
+        return _read(Instance, _INSTANCE_KEYS, data, "instance")
     except InstanceFormatError:
         raise
     except (ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
         raise InstanceFormatError(f"malformed value ({type(exc).__name__}: {exc})") from exc
 
 
-def _instance_from_dict(data: Mapping) -> Instance:
-    where = "instance"
-    _check_keys(
-        data,
-        (
-            "name",
-            "horizon",
-            "products",
-            "sites",
-            "edges",
-            "regimes",
-            "nominations",
-            "outages",
-            "throughput_limits",
-            "exclusion_groups",
-            "weights",
-            "fixed_transports",
-        ),
-        where,
-    )
-    hz = _require(data, "horizon", where)
-    _check_keys(hz, ("length", "step_hours"), "horizon")
-    grid = TimeGrid(int(_require(hz, "length", "horizon")), to_fraction(hz.get("step_hours", 1)))
-    horizon = grid.horizon_len
-
-    products = []
-    for pd in _require(data, "products", where):
-        _check_keys(pd, ("id", "kind", "unit_volume"), "product")
-        products.append(
-            Product(
-                id=str(_require(pd, "id", "product")),
-                kind=str(_require(pd, "kind", "product")),
-                unit_volume=to_fraction(pd.get("unit_volume", 1)),
-            )
-        )
-
-    sites = []
-    for sd in _require(data, "sites", where):
-        _check_keys(sd, ("id", "kind", "standard_batch", "capacity"), "site")
-        capacity = {}
-        for pid, cd in sd.get("capacity", {}).items():
-            _check_keys(cd, ("initial", "max", "min", "deltas"), f"site capacity {pid}")
-            maximum = cd.get("max")
-            if isinstance(maximum, Sequence) and not isinstance(maximum, (str, bytes)):
-                maximum = tuple(int(x) for x in maximum)
-            elif maximum is not None:
-                maximum = int(maximum)
-            minimum = cd.get("min", 0)
-            if isinstance(minimum, Sequence) and not isinstance(minimum, (str, bytes)):
-                minimum = tuple(int(x) for x in minimum)
-            else:
-                minimum = int(minimum)
-            capacity[str(pid)] = CapacityProfile(
-                initial=int(cd.get("initial", 0)),
-                maximum=maximum,
-                minimum=minimum,
-                deltas=tuple((int(t), int(dv)) for t, dv in cd.get("deltas", ())),
-            )
-        sites.append(
-            Site(
-                id=str(_require(sd, "id", "site")),
-                kind=str(_require(sd, "kind", "site")),
-                standard_batch={str(k): int(v) for k, v in sd.get("standard_batch", {}).items()},
-                capacity=capacity,
-            )
-        )
-
-    edges = []
-    for ed in _require(data, "edges", where):
-        _check_keys(ed, ("id", "origin", "destination", "pipe_volume"), "edge")
-        edges.append(
-            Edge(
-                id=str(_require(ed, "id", "edge")),
-                origin=str(_require(ed, "origin", "edge")),
-                destination=str(_require(ed, "destination", "edge")),
-                pipe_volume=int(ed.get("pipe_volume", 0)),
-            )
-        )
-
-    regimes = []
-    for rd in _require(data, "regimes", where):
-        _check_keys(rd, ("id", "edges", "flow_rate", "flush_volume", "cost_per_batch", "pass_times"), "regime")
-        regimes.append(
-            PumpingRegime(
-                id=str(_require(rd, "id", "regime")),
-                edges=tuple(str(e) for e in _require(rd, "edges", "regime")),
-                flow_rate={str(k): to_fraction(v) for k, v in _require(rd, "flow_rate", "regime").items()},
-                flush_volume=None if rd.get("flush_volume") is None else int(rd["flush_volume"]),
-                cost_per_batch={str(k): to_fraction(v) for k, v in rd.get("cost_per_batch", {}).items()},
-                pass_times={str(k): int(v) for k, v in rd.get("pass_times", {}).items()},
-            )
-        )
-
-    nominations = []
-    for nd in data.get("nominations", ()):
-        _check_keys(nd, ("refinery", "limits"), "nomination")
-        nominations.append(
-            Nomination(
-                refinery=str(_require(nd, "refinery", "nomination")),
-                limits={str(k): int(v) for k, v in _require(nd, "limits", "nomination").items()},
-            )
-        )
-
-    outages: list[Outage] = []
-    for od in data.get("outages", ()):
-        kind = _require(od, "kind", "outage")
-        if kind == "tank":
-            _check_keys(od, ("kind", "site", "product", "reduction", "times"), "outage")
-            outages.append(
-                TankOutage(
-                    site=str(_require(od, "site", "outage")),
-                    product=str(_require(od, "product", "outage")),
-                    reduction=int(_require(od, "reduction", "outage")),
-                    times=_parse_times(_require(od, "times", "outage"), horizon, "outage"),
-                )
-            )
-        elif kind == "transport":
-            _check_keys(od, ("kind", "batches", "times"), "outage")
-            outages.append(
-                TransportOutage(
-                    batches=tuple((str(e), str(b)) for e, b in _require(od, "batches", "outage")),
-                    times=_parse_times(_require(od, "times", "outage"), horizon, "outage"),
-                )
-            )
-        else:
-            raise InstanceFormatError(f"unknown outage kind {kind!r}")
-
-    limits = []
-    for ld in data.get("throughput_limits", ()):
-        _check_keys(ld, ("edges", "product", "times", "limit"), "throughput_limit")
-        limits.append(
-            ThroughputLimit(
-                edges=tuple(str(e) for e in _require(ld, "edges", "throughput_limit")),
-                product=str(_require(ld, "product", "throughput_limit")),
-                times=_parse_times(_require(ld, "times", "throughput_limit"), horizon, "throughput_limit"),
-                limit=int(_require(ld, "limit", "throughput_limit")),
-            )
-        )
-
-    groups = []
-    for gd in data.get("exclusion_groups", ()):
-        _check_keys(gd, ("members",), "exclusion_group")
-        groups.append(ExclusionGroup(members=tuple(str(r) for r in _require(gd, "members", "exclusion_group"))))
-
-    wd = data.get("weights", {})
-    _check_keys(
-        wd,
-        ("alpha", "beta", "gamma", "theta", "eta", "distribution_targets", "previous_plan", "executed"),
-        "weights",
-    )
-    targets = []
-    for td in wd.get("distribution_targets", ()):
-        _check_keys(td, ("site", "product", "target", "weight", "signed_weight"), "distribution_target")
-        if "signed_weight" in td:
-            if "weight" in td or "target" in td:
-                raise InstanceFormatError("distribution target mixes signed and target forms")
-            targets.append(
-                DistributionTarget(
-                    site=str(_require(td, "site", "distribution_target")),
-                    product=str(_require(td, "product", "distribution_target")),
-                    weight=to_fraction(td["signed_weight"]),
-                    target=None,
-                )
-            )
-        else:
-            targets.append(
-                DistributionTarget(
-                    site=str(_require(td, "site", "distribution_target")),
-                    product=str(_require(td, "product", "distribution_target")),
-                    weight=to_fraction(_require(td, "weight", "distribution_target")),
-                    target=int(_require(td, "target", "distribution_target")),
-                )
-            )
-    weights = CostWeights(
-        alpha=to_fraction(wd.get("alpha", 1)),
-        beta=to_fraction(wd.get("beta", 0)),
-        gamma=to_fraction(wd.get("gamma", 0)),
-        theta=to_fraction(wd.get("theta", 0)),
-        eta={str(k): to_fraction(v) for k, v in wd.get("eta", {}).items()},
-        distribution_targets=tuple(targets),
-        previous_plan=tuple((str(e), str(b), int(t)) for e, b, t in wd.get("previous_plan", ())),
-        executed=tuple((str(e), str(b), int(t)) for e, b, t in wd.get("executed", ())),
-    )
-
-    fixed = []
-    for fd in data.get("fixed_transports", ()):
-        _check_keys(fd, ("regime", "product", "start"), "fixed_transport")
-        fixed.append(
-            FixedTransport(
-                regime=str(_require(fd, "regime", "fixed_transport")),
-                product=str(_require(fd, "product", "fixed_transport")),
-                start=int(_require(fd, "start", "fixed_transport")),
-            )
-        )
-
-    return Instance(
-        name=str(data.get("name", "unnamed")),
-        grid=grid,
-        products=tuple(products),
-        sites=tuple(sites),
-        edges=tuple(edges),
-        regimes=tuple(regimes),
-        nominations=tuple(nominations),
-        outages=tuple(outages),
-        throughput_limits=tuple(limits),
-        exclusion_groups=tuple(groups),
-        weights=weights,
-        fixed_transports=tuple(fixed),
-    )
-
-
 def instance_to_dict(inst: Instance) -> dict:
-    def cap_dict(prof: CapacityProfile) -> dict:
-        out: dict = {"initial": prof.initial}
-        if prof.maximum is not None:
-            out["max"] = list(prof.maximum) if isinstance(prof.maximum, tuple) else prof.maximum
-        if prof.minimum != 0:
-            out["min"] = list(prof.minimum) if isinstance(prof.minimum, tuple) else prof.minimum
-        if prof.deltas:
-            out["deltas"] = [[t, d] for t, d in prof.deltas]
-        return out
-
-    data: dict = {
-        "name": inst.name,
-        "horizon": {"length": inst.grid.horizon_len, "step_hours": fraction_to_json(inst.grid.step_hours)},
-        "products": [
-            {"id": p.id, "kind": p.kind, "unit_volume": fraction_to_json(p.unit_volume)} for p in inst.products
-        ],
-        "sites": [
-            {
-                "id": s.id,
-                "kind": s.kind,
-                "standard_batch": dict(s.standard_batch),
-                "capacity": {pid: cap_dict(prof) for pid, prof in s.capacity.items()},
-            }
-            for s in inst.sites
-        ],
-        "edges": [
-            {"id": e.id, "origin": e.origin, "destination": e.destination, "pipe_volume": e.pipe_volume}
-            for e in inst.edges
-        ],
-        "regimes": [
-            {
-                "id": r.id,
-                "edges": list(r.edges),
-                "flow_rate": {pid: fraction_to_json(v) for pid, v in r.flow_rate.items()},
-                **({"flush_volume": r.flush_volume} if r.flush_volume is not None else {}),
-                **(
-                    {"cost_per_batch": {bid: fraction_to_json(v) for bid, v in r.cost_per_batch.items()}}
-                    if r.cost_per_batch
-                    else {}
-                ),
-                **({"pass_times": dict(r.pass_times)} if r.pass_times else {}),
-            }
-            for r in inst.regimes
-        ],
-    }
-    if inst.nominations:
-        data["nominations"] = [{"refinery": n.refinery, "limits": dict(n.limits)} for n in inst.nominations]
-    if inst.outages:
-        outs = []
-        for o in inst.outages:
-            if isinstance(o, TankOutage):
-                outs.append(
-                    {"kind": "tank", "site": o.site, "product": o.product, "reduction": o.reduction, "times": list(o.times)}
-                )
-            else:
-                outs.append({"kind": "transport", "batches": [list(b) for b in o.batches], "times": list(o.times)})
-        data["outages"] = outs
-    if inst.throughput_limits:
-        data["throughput_limits"] = [
-            {"edges": list(l.edges), "product": l.product, "times": list(l.times), "limit": l.limit}
-            for l in inst.throughput_limits
-        ]
-    if inst.exclusion_groups:
-        data["exclusion_groups"] = [{"members": list(g.members)} for g in inst.exclusion_groups]
-
-    w = inst.weights
-    wd: dict = {
-        "alpha": fraction_to_json(w.alpha),
-        "beta": fraction_to_json(w.beta),
-        "gamma": fraction_to_json(w.gamma),
-        "theta": fraction_to_json(w.theta),
-    }
-    if w.eta:
-        wd["eta"] = {pid: fraction_to_json(v) for pid, v in w.eta.items()}
-    if w.distribution_targets:
-        tds = []
-        for t in w.distribution_targets:
-            if t.target is None:
-                tds.append({"site": t.site, "product": t.product, "signed_weight": fraction_to_json(t.weight)})
-            else:
-                tds.append(
-                    {"site": t.site, "product": t.product, "target": t.target, "weight": fraction_to_json(t.weight)}
-                )
-        wd["distribution_targets"] = tds
-    if w.previous_plan:
-        wd["previous_plan"] = [list(c) for c in w.previous_plan]
-    if w.executed:
-        wd["executed"] = [list(c) for c in w.executed]
-    data["weights"] = wd
-    if inst.fixed_transports:
-        data["fixed_transports"] = [
-            {"regime": f.regime, "product": f.product, "start": f.start} for f in inst.fixed_transports
-        ]
-    return data
+    return _write(inst, _INSTANCE_KEYS)
 
 
 def load_instance(path: Union[str, Path]) -> Instance:

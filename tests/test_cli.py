@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 
 import pytest
 
 from pipesched.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INVALID, EXIT_LIMIT, EXIT_OK, main
 from pipesched.instance import instance_to_dict, load_instance, save_instance
+from pipesched.milpmodel import PLACEMENT, build_model
 from pipesched.schedule import Schedule
+from pipesched.solver import _template_literal
 
 from tests.conftest import single_edge_instance, with_capacity
 
@@ -157,6 +160,26 @@ def test_solve_reports_proven_infeasibility(infeasible_path, tmp_path, capsys):
     assert "status: infeasible" in capsys.readouterr().out
     manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["status"] == "infeasible"
+    assert not (out_dir / "schedule.json").exists()
+
+
+def test_solve_does_not_write_a_rejected_schedule(tiny_path, tmp_path, capsys):
+    # a stand-in solver "finds" flush at 0 and stain at 2, which overlap in the one pipe
+    model = build_model(load_instance(tiny_path))
+    overlap = [("e1", "r1:flush:standard", 0), ("e1", "r1:stain:standard", 2)]
+    names = [model.lp_names[model.vid(PLACEMENT, placement)] for placement in overlap]
+    canned = tmp_path / "overlap.sol"
+    canned.write_text("# Status = optimal\n" + "".join(f"{name} 1\n" for name in names))
+    script = tmp_path / "copy_solver.py"
+    script.write_text("import shutil, sys\nshutil.copyfile(sys.argv[1], sys.argv[2])\n")
+    command = " ".join(_template_literal(str(word)) for word in (sys.executable, script, canned)) + " {solution}"
+    out_dir = tmp_path / "run"
+    rc = main(["solve", "--instance", str(tiny_path), "--out-dir", str(out_dir), "--solver-cmd", command])
+    assert rc == EXIT_INVALID
+    stdout = capsys.readouterr().out
+    assert "status: error" in stdout and "violating" in stdout
+    assert "schedule:" not in stdout
+    assert json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["status"] == "error"
     assert not (out_dir / "schedule.json").exists()
 
 
@@ -349,6 +372,24 @@ def test_bad_generator_parameters_are_config_errors(tmp_path, capsys, args, reas
     assert err.startswith("error: cannot generate an instance: ")
     assert reason in err
     assert not (tmp_path / "inst.json").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "build", "catalog", "gantt", "oracle", "validate"])
+def test_output_into_missing_directory_is_config_error(solved_dir, tiny_path, tmp_path, capsys, command):
+    target = tmp_path / "nodir" / "out"
+    schedule = str(solved_dir / "schedule.json")
+    args = {
+        "generate": ["--out", str(target), "--vertices", "2", "--horizon", "12", "--nomination-batches", "1"],
+        "build": ["--instance", str(tiny_path), "--out", str(target)],
+        "catalog": ["--instance", str(tiny_path), "--out", str(target)],
+        "gantt": ["--instance", str(tiny_path), "--schedule", schedule, "--out", str(target)],
+        "oracle": ["--instance", str(tiny_path), "--out", str(target)],
+        "validate": ["--instance", str(tiny_path), "--schedule", schedule, "--occupancy", str(target)],
+    }[command]
+    rc = main([command] + args)
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert err.startswith("error: ") and str(target) in err
 
 
 MALFORMED_INSTANCES = {

@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
+from pipesched.generator import PathExperimentParams, generate_oracle_instance, generate_path_instance
 from pipesched.instance import (
+    DistributionTarget,
     InstanceFormatError,
     instance_from_dict,
     instance_hash,
@@ -187,3 +189,79 @@ def test_time_window_object_form_accepted():
     data["throughput_limits"] = [{"edges": ["e1"], "product": "f", "times": {"start": 1, "end": 3}, "limit": 4}]
     inst = instance_from_dict(data)
     assert inst.throughput_limits[0].times == (1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# the file format, pinned: these hold for any reader and writer of the format
+
+
+@pytest.mark.parametrize(
+    "make, digest",
+    [
+        (
+            lambda: generate_path_instance(PathExperimentParams(vertices=4, setting="A", cost_mode="SD")),
+            "73c5512f92da08e36dd6c463aea11b500531cc8fa0c09a6c6445f715b53da10e",
+        ),
+        (
+            lambda: generate_path_instance(PathExperimentParams(vertices=6, setting="B", cost_mode="SDC")),
+            "014dabcf2a3d77c7190302452a961b2b75b1718718dfd407309eefd54c8b9905",
+        ),
+        (lambda: generate_oracle_instance(3), "bd614092f41e5d65d0739e9d97521e95c00f82a6a242cf1140bb0e35975cb2fd"),
+    ],
+    ids=["l4A-SD", "l6B-SDC", "oracle seed 3"],
+)
+def test_instance_hash_is_pinned(make, digest):
+    assert instance_hash(make()) == digest
+
+
+def _with_target(d, target):
+    d["weights"]["beta"] = 1
+    d["weights"]["distribution_targets"] = [{"site": "S", "product": "f", **target}]
+
+
+REJECTED_EDGE_CASES = {
+    "target form without target": lambda d: _with_target(d, {"weight": 2}),
+    "signed and target forms mixed": lambda d: _with_target(d, {"signed_weight": 1, "weight": 2}),
+    "min null": lambda d: d["sites"][1]["capacity"]["f"].update(min=None),
+    "previous plan entry of 4": lambda d: d["weights"].update(previous_plan=[["e1", "r1:f:standard", 0, 1]]),
+    "deltas entry of 3": lambda d: d["sites"][1]["capacity"]["f"].update(deltas=[[2, -1, 0]]),
+    "extra key in a window": lambda d: d.update(
+        throughput_limits=[{"edges": ["e1"], "product": "f", "times": {"start": 1, "end": 3, "step": 1}, "limit": 4}]
+    ),
+    "outage without kind": lambda d: d.update(outages=[{"site": "S", "product": "f", "reduction": 1, "times": [1]}]),
+    "products [5]": lambda d: d.update(products=[5]),
+}
+
+
+@pytest.mark.parametrize("spoil", REJECTED_EDGE_CASES.values(), ids=REJECTED_EDGE_CASES.keys())
+def test_format_edge_cases_rejected(spoil):
+    data = minimal_dict()
+    spoil(data)
+    with pytest.raises(InstanceFormatError):
+        instance_from_dict(data)
+
+
+ACCEPTED_EDGE_CASES = {
+    "max null": (
+        lambda d: d["sites"][1]["capacity"]["f"].update(max=None),
+        lambda inst: inst.site("S").profile("f").maximum is None,
+    ),
+    "flush volume null": (
+        lambda d: d["regimes"][0].update(flush_volume=None),
+        lambda inst: inst.regime("r1").flush_volume is None,
+    ),
+    "no name": (lambda d: d.pop("name"), lambda inst: inst.name == "unnamed"),
+    "signed weight form": (
+        lambda d: _with_target(d, {"signed_weight": "-1/2"}),
+        lambda inst: inst.weights.distribution_targets == (DistributionTarget("S", "f", Fraction(-1, 2), None),),
+    ),
+}
+
+
+@pytest.mark.parametrize("spoil, check", ACCEPTED_EDGE_CASES.values(), ids=ACCEPTED_EDGE_CASES.keys())
+def test_format_edge_cases_accepted(spoil, check):
+    data = minimal_dict()
+    spoil(data)
+    inst = instance_from_dict(data)
+    assert check(inst)
+    assert instance_from_dict(instance_to_dict(inst)) == inst
