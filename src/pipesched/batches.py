@@ -9,8 +9,7 @@ each edge of its regime for `length` slots, length = ceil(volume / flow).
 The catalog also precomputes the relational sets the model emitters and the
 validator share as *data* (never as constraint logic): per-edge placement
 references with their chain classification, flush-candidate sets and
-stain-exclusion sets.  `BuildOptions`, the rule switches the builder, the
-validator and the oracle all honour, lives here for the same reason.
+stain-exclusion sets.
 """
 
 from __future__ import annotations
@@ -29,13 +28,6 @@ INITIAL_FINAL = "initial_final"
 
 STANDARD = "standard"
 FLUSH_FILL = "flush_fill"
-
-
-@dataclass(frozen=True)
-class BuildOptions:
-    capacity_lazy: bool = False  # mark occupancy bound rows lazy
-    relax_terminal_flush: bool = False  # drop enforcement rows with no possible follow-up
-    throughput_per_edge: bool = False  # count every listed edge instead of initial edges only
 
 
 @dataclass(frozen=True)

@@ -86,10 +86,6 @@ def _generate(params: PathExperimentParams):
         raise CliError(f"cannot generate an instance: {exc}") from exc
 
 
-def _build_options(args: argparse.Namespace, capacity_lazy: bool = False) -> BuildOptions:
-    return BuildOptions(capacity_lazy, args.relax_terminal_flush, args.throughput_per_edge)
-
-
 def _solver_config(args: argparse.Namespace, work_dir: Optional[Path] = None) -> SolverConfig:
     return SolverConfig(
         command=args.solver_cmd,
@@ -155,7 +151,8 @@ def _solve_and_record(
     inst, options: BuildOptions, config: SolverConfig, out_dir: Path, prefix: str = ""
 ) -> SolveResult:
     """Build and solve `inst` (lazily when `options.capacity_lazy`), then write
-    `<prefix>manifest.json` and, when `_writes_schedule`, `<prefix>schedule.json`."""
+    `<prefix>manifest.json` and, when `_writes_schedule`, `<prefix>schedule.json`;
+    otherwise delete any `<prefix>schedule.json` an earlier run left there."""
     try:
         model = build_model(inst, options)
     except ModelBuildError as exc:
@@ -163,8 +160,11 @@ def _solve_and_record(
     runner = solve_lazy_capacity if options.capacity_lazy else solve
     result = runner(model, config)
     _write_json(out_dir / f"{prefix}manifest.json", _run_manifest(inst, config, result, options))
+    schedule_path = out_dir / f"{prefix}schedule.json"
     if _writes_schedule(result):
-        result.schedule.save(out_dir / f"{prefix}schedule.json")
+        result.schedule.save(schedule_path)
+    else:
+        schedule_path.unlink(missing_ok=True)
     return result
 
 
@@ -229,7 +229,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 def cmd_build(args: argparse.Namespace) -> int:
     inst = _load(args.instance)
     try:
-        model = build_model(inst, _build_options(args, args.lazy))
+        model = build_model(inst, BuildOptions(capacity_lazy=args.lazy))
     except ModelBuildError as exc:
         raise CliError(str(exc)) from exc
     text = write_lp(model)  # full model; lazy rows included for inspection
@@ -248,7 +248,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _solver_config(args, work_dir=out_dir if args.keep_files else None)
-    result = _solve_and_record(inst, _build_options(args, args.lazy), config, out_dir)
+    result = _solve_and_record(inst, BuildOptions(capacity_lazy=args.lazy), config, out_dir)
     _print_result(result)
     if _writes_schedule(result):
         print(f"schedule: {out_dir / 'schedule.json'}")
@@ -260,7 +260,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     catalog = enumerate_batches(inst)
     schedule = _load_schedule(args.schedule)
     try:
-        violations = check_schedule(inst, catalog, schedule, _build_options(args))
+        violations = check_schedule(inst, catalog, schedule)
     except ValueError as exc:
         raise CliError(f"schedule does not match the instance: {exc}") from exc
     components = evaluate_objective(inst, catalog, schedule)
@@ -285,7 +285,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     inst = _load(args.instance)
     limits = OracleLimits(node_budget=args.node_budget)
-    result = brute_force_optimum(inst, limits, _build_options(args))
+    result = brute_force_optimum(inst, limits)
     print(f"status: {result.status}")
     print(f"nodes: {result.nodes}, leaves checked: {result.leaves}")
     if result.status == ORACLE_STATUS_INFEASIBLE:
@@ -423,19 +423,6 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 # argument parsing
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--relax-terminal-flush",
-        action="store_true",
-        help="drop flush obligations that no in-horizon follow-up could satisfy",
-    )
-    p.add_argument(
-        "--throughput-per-edge",
-        action="store_true",
-        help="count every travelled edge (not just dispatches) against throughput windows",
-    )
-
-
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gap", type=float, default=SolverConfig.gap, help="relative gap target (default %(default)s)")
     p.add_argument("--time-limit", type=float, default=SolverConfig.time_limit, help="seconds per solver call")
@@ -478,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--lazy", action="store_true", help="mark capacity bounds for lazy activation")
-    _add_model_flags(p)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("solve", help="compile, solve and validate")
@@ -486,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--keep-files", action="store_true", help="keep LP and solution files in the output dir")
     p.add_argument("--lazy", action="store_true", help="mark capacity bounds for lazy activation")
-    _add_model_flags(p)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_solve)
 
@@ -495,14 +480,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", required=True)
     p.add_argument("--occupancy", default=None, help="also write the simulated stock series as CSV")
     p.add_argument("--max-violations", type=int, default=20)
-    _add_model_flags(p)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("oracle", help="exhaustive optimum for micro instances")
     p.add_argument("--instance", required=True)
     p.add_argument("--out", default=None, help="write the optimal schedule as JSON")
     p.add_argument("--node-budget", type=int, default=OracleLimits().node_budget)
-    _add_model_flags(p)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("experiment", help="run a benchmark suite")

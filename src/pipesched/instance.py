@@ -28,7 +28,7 @@ from dataclasses import MISSING, dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Union
 
 PRODUCT_KINDS = ("flushing", "staining")
 SITE_KINDS = ("storage", "refinery")
@@ -547,11 +547,31 @@ def _same(value):
     return value
 
 
+def _int(value) -> int:
+    """A JSON integer; a bool, a string or a number with a fraction part or point is not one."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InstanceFormatError(f"expected an integer, not {type(value).__name__} {value!r}")
+    return value
+
+
+def _id(value) -> str:
+    """A JSON string (ids, kinds and names)."""
+    if not isinstance(value, str):
+        raise InstanceFormatError(f"expected a string, not {type(value).__name__} {value!r}")
+    return value
+
+
+def _array(value) -> list:
+    if not isinstance(value, list):
+        raise InstanceFormatError(f"expected an array, not {type(value).__name__} {value!r}")
+    return value
+
+
 class _Key(NamedTuple):
     """One JSON key of an object, and how its value maps to a dataclass field."""
 
     name: str
-    read: Callable[[Any], Any] = str
+    read: Callable[[Any], Any] = _id
     write: Callable[[Any], Any] = _same
     omit: bool = False  # left out on write while the field holds its default
     attr: str = ""  # the dataclass field, where it is not `name`
@@ -574,7 +594,10 @@ def _read(cls: type, keys: tuple[_Key, ...], data, where: str):
     for key in keys:
         attr = key.attr or key.name
         if key.name in data:
-            values[attr] = key.read(data[key.name])
+            try:
+                values[attr] = key.read(data[key.name])
+            except InstanceFormatError as exc:
+                raise InstanceFormatError(f"{where} {key.name!r}: {exc}") from None
         elif _default(cls, attr) is MISSING:
             raise InstanceFormatError(f"missing key {key.name!r} in {where}")
     return cls(**values)
@@ -597,22 +620,25 @@ def _object(cls: type, keys: tuple[_Key, ...], where: str):
 
 def _each(read, write):
     """A JSON array whose elements `read` and `write` convert."""
-    return lambda values: tuple(read(v) for v in values), lambda values: [write(v) for v in values]
+    return lambda values: tuple(read(v) for v in _array(values)), lambda values: [write(v) for v in values]
 
 
 def _by_id(read, write):
     """A JSON object keyed by id whose values `read` and `write` convert."""
-    return (
-        lambda values: {str(k): read(v) for k, v in values.items()},
-        lambda values: {k: write(v) for k, v in values.items()},
-    )
+
+    def read_map(values) -> dict:
+        if not isinstance(values, Mapping):
+            raise InstanceFormatError(f"expected an object, not {type(values).__name__} {values!r}")
+        return {_id(k): read(v) for k, v in values.items()}
+
+    return read_map, lambda values: {k: write(v) for k, v in values.items()}
 
 
 def _rows(*reads):
     """A JSON array of arrays of exactly len(reads) elements, element i read by reads[i]."""
 
     def read_row(row) -> tuple:
-        items = tuple(row)
+        items = _array(row)
         if len(items) != len(reads):
             raise InstanceFormatError(f"expected {len(reads)} elements, got {len(items)}")
         return tuple(read(item) for read, item in zip(reads, items))
@@ -626,9 +652,9 @@ def _optional(read):
 
 def _read_levels(value) -> Union[int, tuple[int, ...]]:
     """A stock level: one for every slot, or a list with one per slot."""
-    if isinstance(value, Sequence) and not isinstance(value, (str, bytes)):
-        return tuple(int(x) for x in value)
-    return int(value)
+    if isinstance(value, list):
+        return tuple(_int(x) for x in value)
+    return _int(value)
 
 
 def _write_levels(value):
@@ -640,25 +666,23 @@ def _read_times(spec) -> tuple[int, ...]:
     if isinstance(spec, Mapping):
         if set(spec) != {"start", "end"}:
             raise InstanceFormatError(f"a time window object takes exactly 'start' and 'end', not {sorted(spec)}")
-        return tuple(range(int(spec["start"]), int(spec["end"]) + 1))
-    if isinstance(spec, Sequence) and not isinstance(spec, (str, bytes)):
-        return tuple(int(t) for t in spec)
-    raise InstanceFormatError(f"bad time window {spec!r}")
+        return tuple(range(_int(spec["start"]), _int(spec["end"]) + 1))
+    return tuple(_int(t) for t in _array(spec))
 
 
 _FRACTION = (to_fraction, fraction_to_json)
-_IDS = _each(str, _same)
-_INTS_BY_ID = _by_id(int, _same)
+_IDS = _each(_id, _same)
+_INTS_BY_ID = _by_id(_int, _same)
 _FRACTIONS_BY_ID = _by_id(*_FRACTION)
 _TIMES = (_read_times, list)
 
-_GRID_KEYS = (_Key("length", int, attr="horizon_len"), _Key("step_hours", *_FRACTION))
+_GRID_KEYS = (_Key("length", _int, attr="horizon_len"), _Key("step_hours", *_FRACTION))
 _PRODUCT_KEYS = (_Key("id"), _Key("kind"), _Key("unit_volume", *_FRACTION))
 _CAPACITY_KEYS = (
-    _Key("initial", int),
+    _Key("initial", _int),
     _Key("max", _optional(_read_levels), _write_levels, omit=True, attr="maximum"),
     _Key("min", _read_levels, _write_levels, omit=True, attr="minimum"),
-    _Key("deltas", *_rows(int, int), omit=True),
+    _Key("deltas", *_rows(_int, _int), omit=True),
 )
 _SITE_KEYS = (
     _Key("id"),
@@ -666,26 +690,26 @@ _SITE_KEYS = (
     _Key("standard_batch", *_INTS_BY_ID),
     _Key("capacity", *_by_id(*_object(CapacityProfile, _CAPACITY_KEYS, "site capacity"))),
 )
-_EDGE_KEYS = (_Key("id"), _Key("origin"), _Key("destination"), _Key("pipe_volume", int))
+_EDGE_KEYS = (_Key("id"), _Key("origin"), _Key("destination"), _Key("pipe_volume", _int))
 _REGIME_KEYS = (
     _Key("id"),
     _Key("edges", *_IDS),
     _Key("flow_rate", *_FRACTIONS_BY_ID),
-    _Key("flush_volume", _optional(int), omit=True),
+    _Key("flush_volume", _optional(_int), omit=True),
     _Key("cost_per_batch", *_FRACTIONS_BY_ID, omit=True),
     _Key("pass_times", *_INTS_BY_ID, omit=True),
 )
 _NOMINATION_KEYS = (_Key("refinery"), _Key("limits", *_INTS_BY_ID))
 # outages also carry "kind", which picks one of these tables
-_TANK_OUTAGE_KEYS = (_Key("site"), _Key("product"), _Key("reduction", int), _Key("times", *_TIMES))
-_TRANSPORT_OUTAGE_KEYS = (_Key("batches", *_rows(str, str)), _Key("times", *_TIMES))
+_TANK_OUTAGE_KEYS = (_Key("site"), _Key("product"), _Key("reduction", _int), _Key("times", *_TIMES))
+_TRANSPORT_OUTAGE_KEYS = (_Key("batches", *_rows(_id, _id)), _Key("times", *_TIMES))
 _OUTAGE_KINDS = (("tank", TankOutage, _TANK_OUTAGE_KEYS), ("transport", TransportOutage, _TRANSPORT_OUTAGE_KEYS))
-_LIMIT_KEYS = (_Key("edges", *_IDS), _Key("product"), _Key("times", *_TIMES), _Key("limit", int))
+_LIMIT_KEYS = (_Key("edges", *_IDS), _Key("product"), _Key("times", *_TIMES), _Key("limit", _int))
 _GROUP_KEYS = (_Key("members", *_IDS),)
 # a target-form distribution target must also give "target"
-_TARGET_KEYS = (_Key("site"), _Key("product"), _Key("target", int), _Key("weight", *_FRACTION))
+_TARGET_KEYS = (_Key("site"), _Key("product"), _Key("target", _int), _Key("weight", *_FRACTION))
 _SIGNED_TARGET_KEYS = (_Key("site"), _Key("product"), _Key("signed_weight", *_FRACTION, attr="weight"))
-_FIXED_KEYS = (_Key("regime"), _Key("product"), _Key("start", int))
+_FIXED_KEYS = (_Key("regime"), _Key("product"), _Key("start", _int))
 
 
 def _read_outage(data) -> Outage:
@@ -721,8 +745,8 @@ _WEIGHTS_KEYS = (
     _Key("theta", *_FRACTION),
     _Key("eta", *_FRACTIONS_BY_ID, omit=True),
     _Key("distribution_targets", *_each(_read_target, _write_target), omit=True),
-    _Key("previous_plan", *_rows(str, str, int), omit=True),
-    _Key("executed", *_rows(str, str, int), omit=True),
+    _Key("previous_plan", *_rows(_id, _id, _int), omit=True),
+    _Key("executed", *_rows(_id, _id, _int), omit=True),
 )
 _INSTANCE_KEYS = (
     _Key("name"),

@@ -56,7 +56,6 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 from .batches import (
     BatchCatalog,
     BatchSpec,
-    BuildOptions,
     STANDARD,
     batch_cost,
     batch_id,
@@ -299,7 +298,6 @@ class MILPModel:
     lazy_bounds: dict[tuple[str, str, str, int], int]  # (family, site, product, t) -> row idx
     instance: Instance
     catalog: BatchCatalog
-    options: BuildOptions
     metadata: dict = field(default_factory=dict)
     # LP text of each row, formatted by lp_io.write_lp on its first call
     lp_rows: Optional[list[str]] = field(default=None, init=False, repr=False, compare=False)
@@ -320,14 +318,6 @@ class MILPModel:
 
     def family_counts(self) -> dict[str, int]:
         return dict(zip(FAMILIES, self.constraints.family_sizes))
-
-
-def _accumulate(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
-    """vid -> summed coefficient, in order of first appearance, zero sums dropped."""
-    acc: dict[int, int] = {}
-    for vid, coef in pairs:
-        acc[vid] = acc.get(vid, 0) + coef
-    return {vid: coef for vid, coef in acc.items() if coef != 0}
 
 
 def _mirror_rows(rows: RowStore, family: str, a: ColumnBlock, b: ColumnBlock) -> None:
@@ -402,14 +392,14 @@ def emit_routes(inst, catalog, columns, rows) -> None:
             _mirror_rows(rows, FAM_ROUTES, place[(e_a, spec.id)], place[(e_b, spec.id)])
 
 
-def emit_flushing(inst, catalog, columns, rows, options: BuildOptions) -> list[str]:
+def emit_flushing(inst, catalog, columns, rows) -> list[str]:
     """Stain containment: linkage, cross-stain exclusion and flush enforcement.
 
     All rows anchor at stain completion instants te = t + L on the initial
     edge.  Exclusion rows only exist where another staining product could
     actually enter (te <= horizon - 1); enforcement rows cover te up to the
-    horizon fence, where they degenerate to banning unflushable stains unless
-    `relax_terminal_flush` drops rows with no possible follow-up variable.
+    horizon fence.  Where no follow-up fits inside the horizon a row reads
+    w <= 0, so a stain that cannot be flushed in time is banned.
     Returns the build warnings.
     """
     H = inst.grid.horizon_len
@@ -458,8 +448,6 @@ def emit_flushing(inst, catalog, columns, rows, options: BuildOptions) -> list[s
         sizes = []
         for te in range(spec.length, H + 1):
             follow = starts_at(eid, (spec.id, *candidates), te)
-            if not follow and options.relax_terminal_flush:
-                continue
             cols.append(w0 + te)
             cols.extend(follow)
             coefs.append(1)
@@ -604,24 +592,23 @@ def emit_capacity(
     return lazy_map
 
 
-def emit_throughput_limits(inst, catalog, columns, rows, options: BuildOptions) -> None:
-    # volume started inside the window is bounded; a batch counts once at its
-    # initial edge unless per-edge counting is requested
+def emit_throughput_limits(inst, catalog, columns, rows) -> None:
+    # volume started inside the window is bounded; a batch counts once, on its
+    # dispatch edge, and a slot or edge the window lists twice counts once
     for lim in inst.throughput_limits:
-        terms: list[tuple[int, int]] = []
-        for eid in lim.edges:
+        cols: list[int] = []
+        coefs: list[int] = []
+        for eid in dict.fromkeys(lim.edges):
             for ref in catalog.refs(eid):
                 spec = catalog.spec_by_id[ref.batch]
-                if spec.product != lim.product:
+                if spec.product != lim.product or not ref.is_initial:
                     continue
-                if not options.throughput_per_edge and not ref.is_initial:
-                    continue
-                for t in lim.times:
+                for t in dict.fromkeys(lim.times):
                     vid = columns.vid(PLACEMENT, (eid, spec.id, t))
                     if vid is not None:
-                        terms.append((vid, spec.volume))
-        acc = _accumulate(terms)
-        rows.add(FAM_THROUGHPUT, LE, acc, acc.values(), [len(acc)], [lim.limit])
+                        cols.append(vid)
+                        coefs.append(spec.volume)
+        rows.add(FAM_THROUGHPUT, LE, cols, coefs, [len(cols)], [lim.limit])
 
 
 def _initial_blocks(inst, catalog, columns, origin: str, product: str):
@@ -736,6 +723,11 @@ def emit_objective(inst, catalog, columns, rows) -> tuple[dict[int, Fraction], F
     return obj, constant
 
 
+@dataclass(frozen=True)
+class BuildOptions:
+    capacity_lazy: bool = False  # mark occupancy bound rows lazy
+
+
 def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPModel:
     issues = validate_instance(inst)
     if issues:
@@ -749,11 +741,11 @@ def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPM
     # emitted in the order the rows are written
     emit_packing(inst, catalog, columns, rows)
     emit_routes(inst, catalog, columns, rows)
-    warnings = emit_flushing(inst, catalog, columns, rows, options)
+    warnings = emit_flushing(inst, catalog, columns, rows)
     emit_regime_exclusions(inst, catalog, columns, rows)
     lazy_bounds = emit_capacity(inst, catalog, columns, rows, options)
     emit_outages(inst, catalog, columns, rows, fixings)
-    emit_throughput_limits(inst, catalog, columns, rows, options)
+    emit_throughput_limits(inst, catalog, columns, rows)
     emit_nominations(inst, catalog, columns, rows)
     emit_fixed_transport(inst, catalog, columns, rows, fixings)
     obj, constant = emit_objective(inst, catalog, columns, rows)
@@ -766,7 +758,6 @@ def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPM
         lazy_bounds=lazy_bounds,
         instance=inst,
         catalog=catalog,
-        options=options,
     )
 
     var_counts: dict[str, int] = {}
@@ -790,11 +781,7 @@ def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPM
         "binaries": sum(b.count for b in columns.blocks if b.bounds[0]),
         "constraints": model.family_counts(),
         "lazy_rows": sum(rows.lazy),
-        "options": {
-            "capacity_lazy": options.capacity_lazy,
-            "relax_terminal_flush": options.relax_terminal_flush,
-            "throughput_per_edge": options.throughput_per_edge,
-        },
+        "options": {"capacity_lazy": options.capacity_lazy},
         "warnings": warnings,
         "stock_counting_error_bound": error_bounds,
     }

@@ -7,6 +7,9 @@ objective.  On ties the lexicographically smallest placement set wins, so
 results are deterministic.  This is the ground truth the MILP path is tested
 against; it must never be fast at the expense of being right, so every prune
 only cuts branches whose violations cannot be repaired by further additions.
+The prunes follow the validator's fixed rules: a stain with no in-horizon
+follow-up start is never included, and a throughput window counts a
+candidate's volume only when it lists the candidate's dispatch edge.
 
 The running stock levels behind the capacity prunes apply the validator's
 `stock_events` rule incrementally and compare against the instance's
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .batches import BatchCatalog, BuildOptions, enumerate_batches, batch_id, STANDARD
+from .batches import BatchCatalog, enumerate_batches, batch_id, STANDARD
 from .instance import Instance, TransportOutage, validate_instance
 from .schedule import Schedule
 from .validator import check_schedule, evaluate_objective, simulate_occupancy, stock_events
@@ -93,11 +96,7 @@ def _candidates(inst: Instance, catalog: BatchCatalog) -> list[_Candidate]:
     return out
 
 
-def brute_force_optimum(
-    inst: Instance,
-    limits: OracleLimits = OracleLimits(),
-    options: BuildOptions = BuildOptions(),
-) -> OracleResult:
+def brute_force_optimum(inst: Instance, limits: OracleLimits = OracleLimits()) -> OracleResult:
     issues = validate_instance(inst)
     if issues:
         raise ValueError("invalid instance: " + "; ".join(str(i) for i in issues))
@@ -164,20 +163,17 @@ def brute_force_optimum(
 
     # flush obligations: after including a stain, one allowed follow-up start
     # must also be included; satisfiers are candidate indices at the completion
-    allowed_followups: dict[int, tuple[frozenset[int], bool]] = {}
+    # (none where no follow-up fits inside the horizon, which bans the stain)
+    allowed_followups: dict[int, frozenset[int]] = {}
     by_coord = {(c.edge, c.batch, c.start): c.index for c in cands}
     for c in cands:
         if not c.staining:
             continue
         te = c.start + c.length
         allowed = (c.batch, *catalog.flush_candidates.get((c.edge, c.batch), ()))
-        satisfiers = frozenset(
+        allowed_followups[c.index] = frozenset(
             by_coord[(c.edge, fb, te)] for fb in allowed if (c.edge, fb, te) in by_coord
         )
-        # waived only when no follow-up variable could exist at all
-        variable_could_exist = any(te + catalog.spec_by_id[fb].length <= H for fb in allowed)
-        waived = options.relax_terminal_flush and not variable_could_exist
-        allowed_followups[c.index] = (satisfiers, waived)
 
     # stock bookkeeping: each candidate's stock events, from the placements on
     # every edge of its chain; the levels start at the empty schedule's stock
@@ -226,12 +222,8 @@ def brute_force_optimum(
         window = set(lim.times)
         contribution: dict[int, int] = {}
         for c in cands:
-            if c.product != lim.product or c.start not in window:
-                continue
-            counted_edges = c.chain if options.throughput_per_edge else (c.edge,)
-            hits = sum(1 for e in counted_edges if e in lim.edges)
-            if hits:
-                contribution[c.index] = hits * c.volume
+            if c.product == lim.product and c.start in window and c.edge in lim.edges:
+                contribution[c.index] = c.volume
         throughput_windows.append((contribution, lim.limit))
     throughput_used = [0] * len(throughput_windows)
 
@@ -272,11 +264,8 @@ def brute_force_optimum(
     def obligations_dead(next_index: int) -> bool:
         # a chosen stain whose every satisfier lies before next_index must be satisfied
         for j in chosen:
-            entry = allowed_followups.get(j)
-            if entry is None:
-                continue
-            satisfiers, waived = entry
-            if waived:
+            satisfiers = allowed_followups.get(j)
+            if satisfiers is None:
                 continue
             if not satisfiers:
                 return True
@@ -316,7 +305,7 @@ def brute_force_optimum(
         nonlocal best_objective, best_placements, best_components, leaves
         leaves += 1
         schedule = Schedule.from_initial(catalog, [(cands[j].edge, cands[j].batch, cands[j].start) for j in chosen])
-        if check_schedule(inst, catalog, schedule, options):
+        if check_schedule(inst, catalog, schedule):
             return
         components = evaluate_objective(inst, catalog, schedule)
         objective = components["total"]

@@ -156,7 +156,7 @@ def _finalize(model: MILPModel, found: SolveResult, iterations: list[LazyIterati
     found = replace(found, iterations=iterations, wall_time=wall_time)
     if found.schedule is None or found.status in (STATUS_INFEASIBLE, STATUS_ERROR):
         return replace(found, schedule=None)
-    violations = check_schedule(model.instance, model.catalog, found.schedule, model.options)
+    violations = check_schedule(model.instance, model.catalog, found.schedule)
     components = evaluate_objective(model.instance, model.catalog, found.schedule)
     exact = components["total"]
     status, message = found.status, found.message

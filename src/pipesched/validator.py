@@ -13,7 +13,10 @@ assignment helper read stock through these two functions; tank capacity
 comes from `Instance.capacity_max_profile`, the profile the builder reads.
 
 Violation families: packing, routes, flushing, exclusion, capacity_upper,
-capacity_lower, outage, throughput, nomination, fixed.
+capacity_lower, outage, throughput, nomination, fixed.  The rules have no
+switches: a stain completion with no immediate follow-up is a violation even
+where no follow-up fits inside the horizon, and a throughput window counts a
+batch once, on its dispatch edge, at a start the window lists.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from itertools import accumulate
 from operator import add
 from typing import NamedTuple
 
-from .batches import BatchCatalog, BuildOptions, batch_cost, batch_id, STANDARD
+from .batches import BatchCatalog, batch_cost, batch_id, STANDARD
 from .instance import Instance, TransportOutage
 from .schedule import Schedule
 
@@ -162,7 +165,7 @@ def check_schedule(
     inst: Instance,
     catalog: BatchCatalog,
     schedule: Schedule,
-    options: BuildOptions = BuildOptions(),
+    options=None,  # ignored: the rules have no switches; kept while callers still pass build options
 ) -> list[Violation]:
     """All rule families on the raw placement set; empty list = feasible."""
     _check_placements(inst, catalog, schedule)
@@ -210,17 +213,15 @@ def check_schedule(
         allowed = (b, *catalog.flush_candidates.get((e, b), ()))
         followed = any((e, c, te) in placements for c in allowed)
         if not followed:
-            can_follow = any(te + catalog.spec_by_id[c].length <= H for c in allowed)
-            if can_follow or not options.relax_terminal_flush:
-                out.append(
-                    Violation(
-                        "flushing",
-                        (e, b, te),
-                        "unflushed",
-                        "follow-up",
-                        f"stain {b} completing at {te} on {e} has no immediate follow-up",
-                    )
+            out.append(
+                Violation(
+                    "flushing",
+                    (e, b, te),
+                    "unflushed",
+                    "follow-up",
+                    f"stain {b} completing at {te} on {e} has no immediate follow-up",
                 )
+            )
         for other in catalog.stain_exclusions.get((e, spec.product), ()):
             if (e, other, te) in placements:
                 out.append(
@@ -275,9 +276,7 @@ def check_schedule(
             if e not in lim.edges or t not in window:
                 continue
             spec = catalog.spec_by_id[b]
-            if spec.product != lim.product:
-                continue
-            if not options.throughput_per_edge and catalog.chains[b][0] != e:
+            if spec.product != lim.product or catalog.chains[b][0] != e:
                 continue
             total += spec.volume
         if total > lim.limit:

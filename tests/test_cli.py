@@ -142,6 +142,7 @@ def test_solve_writes_manifest_and_schedule(solved_dir, tiny_path):
     assert manifest["objective"] == pytest.approx(144.0)
     assert manifest["instance_hash"]
     assert manifest["lazy_iterations"] == []
+    assert manifest["options"] == {"capacity_lazy": False}
     schedule = Schedule.load(solved_dir / "schedule.json")
     assert len(schedule) == manifest["placements"] > 0
 
@@ -179,6 +180,17 @@ def test_solve_does_not_write_a_rejected_schedule(tiny_path, tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "status: error" in stdout and "violating" in stdout
     assert "schedule:" not in stdout
+    assert json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["status"] == "error"
+    assert not (out_dir / "schedule.json").exists()
+
+
+def test_solve_without_a_schedule_removes_an_earlier_one(solved_dir, tiny_path, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    (out_dir / "schedule.json").write_bytes((solved_dir / "schedule.json").read_bytes())
+    rc = main(["solve", "--instance", str(tiny_path), "--out-dir", str(out_dir), "--solver-cmd", "false"])
+    assert rc == EXIT_INVALID
+    assert "schedule:" not in capsys.readouterr().out
     assert json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["status"] == "error"
     assert not (out_dir / "schedule.json").exists()
 
@@ -397,6 +409,10 @@ MALFORMED_INSTANCES = {
     "products 5": lambda d: d.update(products=5),
     "flow rate x": lambda d: d["regimes"][0].update(flow_rate="x"),
     "pipe volume [1]": lambda d: d["edges"][0].update(pipe_volume=[1]),
+    "pipe volume 2.5": lambda d: d["edges"][0].update(pipe_volume=2.5),
+    "edge id null": lambda d: d["edges"][0].update(id=None),
+    "regime edges a string": lambda d: d["regimes"][0].update(edges="e1"),
+    "nominations {}": lambda d: d.update(nominations={}),
 }
 
 

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pipesched.batches import enumerate_batches
 from pipesched.generator import PathExperimentParams, generate_path_instance
+from pipesched.instance import ThroughputLimit
 from pipesched.milpmodel import (
     FAM_CAP_DEF_LOWER,
     FAM_CAP_DEF_UPPER,
@@ -25,8 +27,14 @@ from tests.conftest import single_edge_instance
 
 INST = single_edge_instance(horizon=12, batches=2)
 TIGHT = single_edge_instance(horizon=12, batches=2, cmax=230)
-MODELS = {id(inst): build_model(inst) for inst in (INST, TIGHT)}
-CATALOGS = {id(inst): enumerate_batches(inst) for inst in (INST, TIGHT)}
+# r2 dispatches on e1 and travels on to e2; the window lists e1 and slot 0
+# twice, and each counts once, so one flush batch (100) fits and two do not
+TWO_EDGE = replace(
+    generate_path_instance(PathExperimentParams(vertices=3, horizon=12)),
+    throughput_limits=(ThroughputLimit(("e1", "e2", "e1"), "flush", (0, 0, 1, 2, 3), 100),),
+)
+MODELS = {id(inst): build_model(inst) for inst in (INST, TIGHT, TWO_EDGE)}
+CATALOGS = {id(inst): enumerate_batches(inst) for inst in (INST, TIGHT, TWO_EDGE)}
 
 
 def placement_coords(inst):
@@ -53,7 +61,7 @@ def agree(inst, subset):
 
 
 def test_exhaustive_subsets_up_to_two_placements():
-    for inst in (INST, TIGHT):
+    for inst in (INST, TIGHT, TWO_EDGE):
         coords = placement_coords(inst)
         for single in coords:
             agree(inst, [single])

@@ -241,6 +241,29 @@ def test_format_edge_cases_rejected(spoil):
         instance_from_dict(data)
 
 
+# each value has the wrong JSON type for its key; none is coerced
+WRONG_TYPES = {
+    "integer true": lambda d: d["edges"][0].update(pipe_volume=True),
+    "integer 2.5": lambda d: d["edges"][0].update(pipe_volume=2.5),
+    "integer string": lambda d: d["edges"][0].update(pipe_volume="3"),
+    "integer 2.0": lambda d: d["edges"][0].update(pipe_volume=2.0),
+    "id null": lambda d: d["edges"][0].update(id=None),
+    "id []": lambda d: d["edges"][0].update(id=[]),
+    "edges a string": lambda d: d["regimes"][0].update(edges="e1"),
+    "nominations {}": lambda d: d.update(nominations={}),
+}
+
+
+@pytest.mark.parametrize("spoil", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+def test_values_of_the_wrong_json_type_rejected(tmp_path, spoil):
+    data = minimal_dict()
+    spoil(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(InstanceFormatError):
+        load_instance(path)
+
+
 ACCEPTED_EDGE_CASES = {
     "max null": (
         lambda d: d["sites"][1]["capacity"]["f"].update(max=None),

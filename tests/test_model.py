@@ -301,8 +301,10 @@ def test_lazy_flag_only_marks_bound_rows(ref1):
     flagged = {c.family for c in lazy.constraints if c.lazy}
     assert flagged == {FAM_CAP_UPPER, FAM_CAP_LOWER}
     assert lazy.metadata["lazy_rows"] == 96
+    assert lazy.metadata["options"] == {"capacity_lazy": True}
     eager = build_model(ref1)
     assert eager.metadata["lazy_rows"] == 0
+    assert eager.metadata["options"] == {"capacity_lazy": False}
     # the coordinate index exists either way and addresses every bound row
     assert len(eager.lazy_bounds) == 96
 
