@@ -5,6 +5,9 @@ the batch catalog, write the MILP to an LP file, solve through an external
 solver process (optionally with lazily activated capacity bounds), validate
 and score schedules independently of the solver, run the exhaustive oracle
 on micro instances, drive the experiment suites, and export Gantt tables.
+The suites are one table, `SUITES`, of named generator settings; `experiment`
+solves each of a suite's runs once per `--vertices` length and writes one
+`summary.json` layout for every suite.
 
 Exit codes: 0 success, 2 proven infeasible, 3 stopped at a limit (a
 validated incumbent from a time-limited run is still written to
@@ -284,8 +287,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     inst = _load(args.instance)
-    limits = OracleLimits(node_budget=args.node_budget)
-    result = brute_force_optimum(inst, limits)
+    try:
+        result = brute_force_optimum(inst, OracleLimits(node_budget=args.node_budget))
+    except ValueError as exc:  # the instance exceeds an edge, horizon or candidate limit
+        raise CliError(f"too large for the oracle: {exc}") from exc
     print(f"status: {result.status}")
     print(f"nodes: {result.nodes}, leaves checked: {result.leaves}")
     if result.status == ORACLE_STATUS_INFEASIBLE:
@@ -325,8 +330,19 @@ def cmd_gantt(args: argparse.Namespace) -> int:
 # experiment suites
 
 
-def _solve_params(params: PathExperimentParams, args: argparse.Namespace, out_dir: Path, tag: str) -> SolveResult:
-    inst = _generate(params)
+# Each suite is a table of runs: a run name and the PathExperimentParams fields it
+# sets on top of --setting and --outtake-policy.  Every run is solved once per
+# --vertices value and tagged `{run}-{setting}-l{vertices}`.
+SUITES: dict[str, tuple[tuple[str, dict], ...]] = {
+    "SD": (("sd", {"cost_mode": "SD"}),),
+    "SDC": (("sd", {"cost_mode": "SD"}), ("sdc", {"cost_mode": "SDC"})),
+    "large": (("large", {"setting": "C", "cost_mode": "SDC", "nomination_batches": 40, "horizon": 744}),),
+}
+
+
+def _solve_params(name: str, params: PathExperimentParams, inst, args: argparse.Namespace, out_dir: Path):
+    """Save and solve one run of a suite as `<tag>.*`; return its result and its `summary.json` record."""
+    tag = f"{name}-{params.setting}-l{params.vertices}"
     save_instance(inst, out_dir / f"{tag}.json")
     options = BuildOptions(capacity_lazy=not args.monolithic)
     result = _solve_and_record(inst, options, _solver_config(args), out_dir, f"{tag}.")
@@ -335,98 +351,99 @@ def _solve_params(params: PathExperimentParams, args: argparse.Namespace, out_di
         f"{'-' if result.objective is None else f'{float(result.objective):.4f}'} "
         f"gap={'-' if result.gap is None else f'{result.gap:.2g}'} wall={result.wall_time:.1f}s"
     )
-    return result
+    record = {
+        "tag": tag,
+        "vertices": params.vertices,
+        "setting": params.setting,
+        "cost_mode": params.cost_mode,
+        "horizon": inst.grid.horizon_len,
+        "status": result.status,
+        "objective": _fnum(result.objective),
+        "gap": result.gap,
+        "wall_time": result.wall_time,
+        "components": _component_floats(result.components),
+    }
+    return result, record
+
+
+def _cost_comparison(params: PathExperimentParams, sd: SolveResult, sdc: SolveResult) -> dict:
+    """The pumping cost and extraction of one network solved without and with the cost term."""
+    # components report cost as a negative contribution; compare magnitudes
+    cost_sd = -sd.components["pumping_cost"]
+    cost_sdc = -sdc.components["pumping_cost"]
+    extraction_sd = sd.components["extraction"]
+    extraction_sdc = sdc.components["extraction"]
+    improvement = None if cost_sd == 0 else float((cost_sd - cost_sdc) / cost_sd)
+    print(
+        f"pumping cost {float(cost_sd):.2f} -> {float(cost_sdc):.2f}"
+        + ("" if improvement is None else f" ({improvement:.1%} lower)")
+        + f", extraction {float(extraction_sd):.1f} -> {float(extraction_sdc):.1f}"
+    )
+    return {
+        "vertices": params.vertices,
+        "setting": params.setting,
+        "pumping_cost_sd": float(cost_sd),
+        "pumping_cost_sdc": float(cost_sdc),
+        "extraction_sd": float(extraction_sd),
+        "extraction_sdc": float(extraction_sdc),
+        "cost_improvement": improvement,
+    }
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    # generating an instance checks it, so a bad length fails before anything is solved
+    plan = []
+    for vertices in dict.fromkeys(args.vertices):
+        runs = []
+        for name, overrides in SUITES[args.suite]:
+            params = PathExperimentParams(
+                **{"vertices": vertices, "setting": args.setting, "outtake_policy": args.outtake_policy, **overrides}
+            )
+            runs.append((name, params, _generate(params)))
+        plan.append(runs)
+
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = dict(vertices=args.vertices, outtake_policy=args.outtake_policy)
-
-    if args.suite == "SD":
-        params = PathExperimentParams(setting=args.setting, cost_mode="SD", **base)
-        result = _solve_params(params, args, out_dir, f"sd-{args.setting}-l{args.vertices}")
-        summary = {
-            "suite": "SD",
-            "setting": args.setting,
-            "vertices": args.vertices,
-            "outtake_policy": args.outtake_policy,
-            "status": result.status,
-            "objective": _fnum(result.objective),
-            "components": _component_floats(result.components),
-        }
-        _write_json(out_dir / "summary.json", summary)
-        return _solve_exit_code(result)
-
-    if args.suite == "SDC":
-        tag = f"l{args.vertices}-{args.setting}"
-        params_sd = PathExperimentParams(setting=args.setting, cost_mode="SD", **base)
-        params_sdc = PathExperimentParams(setting=args.setting, cost_mode="SDC", **base)
-        res_sd = _solve_params(params_sd, args, out_dir, f"sd-{tag}")
-        res_sdc = _solve_params(params_sdc, args, out_dir, f"sdc-{tag}")
-        summary = {
-            "suite": "SDC",
-            "setting": args.setting,
-            "vertices": args.vertices,
-            "outtake_policy": args.outtake_policy,
-            "sd": {"status": res_sd.status, "components": _component_floats(res_sd.components)},
-            "sdc": {"status": res_sdc.status, "components": _component_floats(res_sdc.components)},
-        }
-        if res_sd.ok and res_sdc.ok:
-            # components report cost as a negative contribution; compare magnitudes
-            cost_sd = -res_sd.components["pumping_cost"]
-            cost_sdc = -res_sdc.components["pumping_cost"]
-            extraction_sd = res_sd.components["extraction"]
-            extraction_sdc = res_sdc.components["extraction"]
-            improvement = None if cost_sd == 0 else float((cost_sd - cost_sdc) / cost_sd)
-            summary["pumping_cost_sd"] = float(cost_sd)
-            summary["pumping_cost_sdc"] = float(cost_sdc)
-            summary["extraction_sd"] = float(extraction_sd)
-            summary["extraction_sdc"] = float(extraction_sdc)
-            summary["cost_improvement"] = improvement
-            print(
-                f"pumping cost {float(cost_sd):.2f} -> {float(cost_sdc):.2f}"
-                + ("" if improvement is None else f" ({improvement:.1%} lower)")
-                + f", extraction {float(extraction_sd):.1f} -> {float(extraction_sdc):.1f}"
-            )
-        _write_json(out_dir / "summary.json", summary)
-        if not (res_sd.ok and res_sdc.ok):
-            return max(_solve_exit_code(res_sd), _solve_exit_code(res_sdc))
-        return EXIT_OK
-
-    if args.suite == "large":
-        params = PathExperimentParams(
-            setting="C",
-            cost_mode="SDC",
-            nomination_batches=40,
-            horizon=744,
-            **base,
-        )
-        result = _solve_params(params, args, out_dir, f"large-l{args.vertices}")
-        summary = {
-            "suite": "large",
-            "vertices": args.vertices,
-            "outtake_policy": args.outtake_policy,
-            "horizon": 744,
-            "status": result.status,
-            "objective": _fnum(result.objective),
-            "gap": result.gap,
-            "components": _component_floats(result.components),
-        }
-        _write_json(out_dir / "summary.json", summary)
-        return _solve_exit_code(result)
-
-    raise CliError(f"unknown suite {args.suite!r}")
+    summary = {"suite": args.suite, "outtake_policy": args.outtake_policy, "runs": [], "comparisons": []}
+    worst = EXIT_OK
+    for runs in plan:
+        solved = {}
+        for name, params, inst in runs:
+            solved[name], record = _solve_params(name, params, inst, args, out_dir)
+            summary["runs"].append(record)
+            worst = max(worst, _solve_exit_code(solved[name]))
+        if "sdc" in solved and solved["sd"].ok and solved["sdc"].ok:
+            summary["comparisons"].append(_cost_comparison(params, solved["sd"], solved["sdc"]))
+    _write_json(out_dir / "summary.json", summary)
+    return worst
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
+def _at_least(convert, low, strict: bool = False):
+    """An argparse type: `convert`, then reject a value below `low` (or equal to it when `strict`)."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not (value > low if strict else value >= low):  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}, not {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in "invalid float value"
+    return parse
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gap", type=float, default=SolverConfig.gap, help="relative gap target (default %(default)s)")
-    p.add_argument("--time-limit", type=float, default=SolverConfig.time_limit, help="seconds per solver call")
-    p.add_argument("--threads", type=int, default=SolverConfig.threads)
+    p.add_argument(
+        "--gap", type=_at_least(float, 0), default=SolverConfig.gap, help="relative gap target (default %(default)s)"
+    )
+    p.add_argument(
+        "--time-limit", type=_at_least(float, 0, strict=True), default=SolverConfig.time_limit,
+        help="seconds per solver call",
+    )
+    p.add_argument("--threads", type=_at_least(int, 0), default=SolverConfig.threads, help="0 lets the solver choose")
     p.add_argument(
         "--solver-cmd", default=SolverConfig.command, help="solver command template, e.g. 'mysolver {model} {solution}'"
     )
@@ -489,9 +506,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("experiment", help="run a benchmark suite")
-    p.add_argument("--suite", choices=("SD", "SDC", "large"), required=True)
+    p.add_argument("--suite", choices=tuple(SUITES), required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--vertices", type=int, default=4)
+    p.add_argument(
+        "--vertices", type=int, nargs="+", default=[4], help="path lengths incl. refinery; each runs the suite (default 4)"
+    )
     p.add_argument("--setting", choices=sorted(SETTINGS), default="A")
     p.add_argument("--outtake-policy", choices=OUTTAKE_POLICIES, default="daily")
     p.add_argument("--monolithic", action="store_true", help="solve with all capacity rows up front")

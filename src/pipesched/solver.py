@@ -102,6 +102,12 @@ class SolveResult:
         return self.status in (STATUS_OPTIMAL, STATUS_GAP) and self.schedule is not None
 
 
+def _quote_output(message: str, output: Optional[str]) -> str:
+    """`message`, followed by the tail of the child's `output` when it printed any."""
+    tail = (output or "").strip()[-400:]
+    return f"{message}: {tail}" if tail else message
+
+
 def _run_once(model: MILPModel, config: SolverConfig, activated: Optional[set[int]], workdir: Path, tag: str) -> SolveResult:
     """One solver call, reported as the solution file says; `_finalize` checks it."""
     lp_path = workdir / f"{tag}.lp"
@@ -129,8 +135,8 @@ def _run_once(model: MILPModel, config: SolverConfig, activated: Optional[set[in
     wall = time.monotonic() - t0
 
     if not sol_path.exists():
-        tail = (proc.stderr or proc.stdout or "").strip()[-400:]
-        message = f"solver exited with code {proc.returncode} and wrote no solution file: {tail}"
+        message = f"solver exited with code {proc.returncode} and wrote no solution file"
+        message = _quote_output(message, proc.stderr or proc.stdout)
         return SolveResult(STATUS_ERROR, wall_time=wall, message=message)
     try:
         parsed = parse_solution(sol_path.read_text(encoding="utf-8"), model)
@@ -145,7 +151,7 @@ def _run_once(model: MILPModel, config: SolverConfig, activated: Optional[set[in
     if status == STATUS_UNBOUNDED:
         status, message = STATUS_ERROR, "model reported unbounded"
     elif status == STATUS_ERROR and proc.returncode != 0:
-        message = f"solver exit {proc.returncode}: {(proc.stderr or '').strip()[-400:]}"
+        message = _quote_output(f"solver exit {proc.returncode}", proc.stderr)
     elif status not in (STATUS_INFEASIBLE, STATUS_TIME_LIMIT, STATUS_ERROR):
         status = STATUS_GAP if gap is not None and gap > 1e-9 else status or STATUS_OPTIMAL
     return SolveResult(status, parsed.schedule, None, objective, bound, gap, wall_time=wall, message=message)

@@ -14,7 +14,8 @@ import sys
 
 import pytest
 
-from pipesched.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INVALID, EXIT_LIMIT, EXIT_OK, main
+from pipesched.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INVALID, EXIT_LIMIT, EXIT_OK, build_parser, main
+from pipesched.generator import PathExperimentParams, generate_path_instance
 from pipesched.instance import instance_to_dict, load_instance, save_instance
 from pipesched.milpmodel import PLACEMENT, build_model
 from pipesched.schedule import Schedule
@@ -195,6 +196,18 @@ def test_solve_without_a_schedule_removes_an_earlier_one(solved_dir, tiny_path, 
     assert not (out_dir / "schedule.json").exists()
 
 
+@pytest.mark.parametrize("command", ["false", "true {model}"])
+def test_silent_solver_without_solution_quotes_no_output(tiny_path, tmp_path, capsys, command):
+    out_dir = tmp_path / "run"
+    rc = main(["solve", "--instance", str(tiny_path), "--out-dir", str(out_dir), "--solver-cmd", command])
+    assert rc == EXIT_INVALID
+    notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note: ")]
+    message = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["message"]
+    code = 1 if command == "false" else 0
+    assert notes == [f"note: {message}"]
+    assert message == f"solver exited with code {code} and wrote no solution file"
+
+
 def test_solve_lazy_records_iterations(tiny_path, tmp_path):
     out_dir = tmp_path / "lazy"
     rc = main(
@@ -278,6 +291,16 @@ def test_oracle_detects_infeasibility(infeasible_path, capsys):
     assert "status: infeasible" in capsys.readouterr().out
 
 
+def test_oracle_beyond_its_limits_is_config_error(tmp_path, capsys):
+    path = tmp_path / "l4.json"
+    save_instance(generate_path_instance(PathExperimentParams(vertices=4)), path)
+    rc = main(["oracle", "--instance", str(path)])
+    captured = capsys.readouterr()
+    assert rc == EXIT_CONFIG
+    assert captured.err == "error: too large for the oracle: instance has 3 edges, oracle limit is 2\n"
+    assert "status:" not in captured.out
+
+
 def test_gantt_lists_each_placement(solved_dir, tiny_path, capsys):
     rc = main(
         ["gantt", "--instance", str(tiny_path), "--schedule", str(solved_dir / "schedule.json")]
@@ -297,17 +320,81 @@ def test_gantt_lists_each_placement(solved_dir, tiny_path, capsys):
 # experiment suite
 
 
+def _summary(out_dir) -> dict:
+    return json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+
+
 def test_experiment_sd_suite_writes_summary(tmp_path):
     out_dir = tmp_path / "suite"
     rc = main(["experiment", "--suite", "SD", "--out-dir", str(out_dir)] + FAST_SOLVE)
     assert rc == EXIT_OK
-    summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+    summary = _summary(out_dir)
     assert summary["suite"] == "SD"
-    assert summary["status"] == "optimal"
-    assert summary["objective"] == pytest.approx(1440.0)
+    assert summary["runs"][0]["status"] == "optimal"
+    assert summary["runs"][0]["objective"] == pytest.approx(1440.0)
     assert (out_dir / "sd-A-l4.json").exists()
     assert (out_dir / "sd-A-l4.manifest.json").exists()
     assert (out_dir / "sd-A-l4.schedule.json").exists()
+
+
+def test_experiment_runs_the_suite_once_per_length(tmp_path):
+    out_dir = tmp_path / "suite"
+    rc = main(["experiment", "--suite", "SD", "--vertices", "2", "3", "--out-dir", str(out_dir)] + FAST_SOLVE)
+    assert rc == EXIT_OK
+    summary = _summary(out_dir)
+    assert set(summary) == {"suite", "outtake_policy", "runs", "comparisons"}
+    assert summary["outtake_policy"] == "daily" and summary["comparisons"] == []
+    assert [(run["tag"], run["vertices"]) for run in summary["runs"]] == [("sd-A-l2", 2), ("sd-A-l3", 3)]
+    for run in summary["runs"]:
+        assert run["status"] == "optimal" and run["setting"] == "A" and run["cost_mode"] == "SD"
+        assert run["horizon"] == 480 and run["wall_time"] > 0
+        assert run["objective"] == run["components"]["total"] > 0
+        for suffix in ("json", "manifest.json", "schedule.json"):
+            assert (out_dir / f"{run['tag']}.{suffix}").exists()
+
+
+def test_experiment_sdc_suite_compares_pumping_cost(tmp_path, capsys):
+    out_dir = tmp_path / "suite"
+    rc = main(["experiment", "--suite", "SDC", "--vertices", "3", "--setting", "B", "--out-dir", str(out_dir)])
+    assert rc == EXIT_OK
+    summary = _summary(out_dir)
+    sd, sdc = summary["runs"]
+    assert (sd["tag"], sd["cost_mode"], sdc["tag"], sdc["cost_mode"]) == ("sd-B-l3", "SD", "sdc-B-l3", "SDC")
+    [comparison] = summary["comparisons"]
+    assert (comparison["vertices"], comparison["setting"]) == (3, "B")
+    assert comparison["pumping_cost_sd"] == -sd["components"]["pumping_cost"]
+    assert comparison["pumping_cost_sdc"] == -sdc["components"]["pumping_cost"]
+    assert comparison["pumping_cost_sdc"] <= comparison["pumping_cost_sd"]
+    assert comparison["extraction_sd"] == comparison["extraction_sdc"] == sd["objective"]
+    improvement = comparison["cost_improvement"]
+    assert improvement == pytest.approx(1 - comparison["pumping_cost_sdc"] / comparison["pumping_cost_sd"])
+    assert f"({improvement:.1%} lower)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "suite, tags",
+    [("SDC", ["sd-A-l2", "sdc-A-l2"]), ("large", ["large-C-l2"])],
+)
+def test_experiment_exits_with_the_worst_run_code(tmp_path, suite, tags):
+    out_dir = tmp_path / "suite"
+    rc = main(["experiment", "--suite", suite, "--vertices", "2", "--out-dir", str(out_dir), "--solver-cmd", "false"])
+    assert rc == EXIT_INVALID
+    summary = _summary(out_dir)
+    assert [run["tag"] for run in summary["runs"]] == tags
+    assert {run["status"] for run in summary["runs"]} == {"error"}
+    assert summary["comparisons"] == []
+    if suite == "large":
+        assert (summary["runs"][0]["horizon"], summary["runs"][0]["cost_mode"]) == (744, "SDC")
+
+
+def test_experiment_checks_every_length_before_solving(tmp_path, capsys):
+    out_dir = tmp_path / "suite"
+    rc = main(["experiment", "--suite", "SD", "--vertices", "3", "1", "--out-dir", str(out_dir)])
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot generate an instance: ")
+    assert "[sd-" not in captured.out
+    assert not list(tmp_path.rglob("*manifest.json"))
 
 
 def test_experiment_model_build_error_is_config_error(tmp_path, capsys, monkeypatch):
@@ -448,16 +535,36 @@ def test_malformed_schedule_files_are_config_errors(tiny_path, tmp_path, capsys,
     assert capsys.readouterr().err.startswith(f"error: could not parse schedule {bad}: ")
 
 
+SOLVE_X = ["solve", "--instance", "x.json", "--out-dir", "o"]
+
+
 @pytest.mark.parametrize(
     "args",
-    [["solve", "--instance", "x.json"], ["solve", "--instance", "x.json", "--out-dir", "o", "--gap", "abc"], []],
-    ids=["missing out dir", "gap not a number", "no command"],
+    [
+        ["solve", "--instance", "x.json"],
+        SOLVE_X + ["--gap", "abc"],
+        [],
+        SOLVE_X + ["--time-limit", "-5"],
+        SOLVE_X + ["--time-limit", "0"],
+        SOLVE_X + ["--gap", "-1"],
+        SOLVE_X + ["--gap", "nan"],
+        SOLVE_X + ["--threads", "-3"],
+        ["experiment", "--suite", "SD", "--out-dir", "o", "--time-limit", "-5"],
+        ["experiment", "--suite", "SD", "--out-dir", "o", "--vertices"],
+    ],
+    ids=["missing out dir", "gap not a number", "no command", "negative time limit", "zero time limit",
+         "negative gap", "gap nan", "negative threads", "experiment negative time limit", "experiment no vertices"],
 )
 def test_usage_errors_exit_with_config_code(capsys, args):
     with pytest.raises(SystemExit) as stop:
         main(args)
     assert stop.value.code == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
+
+
+def test_solver_flags_accept_their_bounds():
+    args = build_parser().parse_args(SOLVE_X + ["--gap", "0", "--threads", "0", "--time-limit", "0.5"])
+    assert (args.gap, args.threads, args.time_limit) == (0.0, 0, 0.5)
 
 
 @pytest.mark.parametrize("args", [["--help"], ["solve", "--help"], ["--version"]])

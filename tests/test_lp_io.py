@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
+
+from pipesched.generator import PathExperimentParams, generate_path_instance
 
 from pipesched.lp_io import (
     INTEGRALITY_TOL,
@@ -23,6 +27,24 @@ def test_lp_write_is_byte_deterministic(ref1):
     a = write_lp(build_model(ref1))
     b = write_lp(build_model(ref1))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "vertices, setting, cost_mode, lazy, size, digest",
+    [
+        (4, "A", "SD", False, 1_237_370, "f864c775cbd08559ec69e05a7dc4005c284f892c94dab8c2ee92aadd4b8ffbfd"),
+        (4, "A", "SD", True, 1_023_558, "3b4f4017490fc992793ce9156ad8a884a740322b25826900a07b9321e33ba6fd"),
+        (6, "B", "SDC", False, 3_093_524, "1eb4ce281f393fec98f06928aa116bf93f99eda9932063104ffa581eb1730784"),
+        (6, "B", "SDC", True, 2_657_984, "bd92329d047c4ecaf6d37da82dcb97f4cafd216c76329fd51c62dcac7f7fb081"),
+    ],
+    ids=["l4A-SD mono", "l4A-SD lazy round 0", "l6B-SDC mono", "l6B-SDC lazy round 0"],
+)
+def test_lp_bytes_are_pinned(vertices, setting, cost_mode, lazy, size, digest):
+    # the exact file the solver reads; a change to the model or the writer that is
+    # meant to alter it updates these pins and says why
+    inst = generate_path_instance(PathExperimentParams(vertices=vertices, setting=setting, cost_mode=cost_mode))
+    text = write_lp(build_model(inst, BuildOptions(capacity_lazy=lazy)), set() if lazy else None).encode("utf-8")
+    assert (len(text), hashlib.sha256(text).hexdigest()) == (size, digest)
 
 
 def test_lp_sections_and_binary_count(ref_model):
