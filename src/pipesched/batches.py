@@ -17,17 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
-from .instance import Instance, PumpingRegime
+from .instance import FLUSH_FILL, STANDARD, Instance, PumpingRegime, batch_id
 
 # chain position of a batch on an edge
 INITIAL = "initial"
 TRANSIT = "transit"
 FINAL = "final"
 INITIAL_FINAL = "initial_final"
-
-STANDARD = "standard"
-FLUSH_FILL = "flush_fill"
 
 
 @dataclass(frozen=True)
@@ -45,14 +43,6 @@ class PlacedBatchRef:
     edge: str
     batch: str
     classification: str
-
-    @property
-    def is_initial(self) -> bool:
-        return self.classification in (INITIAL, INITIAL_FINAL)
-
-    @property
-    def is_final(self) -> bool:
-        return self.classification in (FINAL, INITIAL_FINAL)
 
 
 @dataclass
@@ -75,9 +65,20 @@ class BatchCatalog:
     def initial_edge(self, batch_id: str) -> str:
         return self.chains[batch_id][0]
 
+    def dispatches(self) -> Iterator[tuple[str, BatchSpec]]:
+        """(edge, spec) of every batch on the first edge of its path, where it is dispatched;
+        in edge order, then catalog order."""
+        return self._on_path_end(0)
 
-def batch_id(regime: str, product: str, variant: str) -> str:
-    return f"{regime}:{product}:{variant}"
+    def deliveries(self) -> Iterator[tuple[str, BatchSpec]]:
+        """(edge, spec) of every batch on the last edge of its path, in the same order."""
+        return self._on_path_end(-1)
+
+    def _on_path_end(self, end: int) -> Iterator[tuple[str, BatchSpec]]:
+        for eid, refs in self.refs_by_edge.items():
+            for ref in refs:
+                if self.chains[ref.batch][end] == eid:
+                    yield eid, self.spec_by_id[ref.batch]
 
 
 def compute_batch_length(regime: PumpingRegime, product: str, volume: int) -> int:

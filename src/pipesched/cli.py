@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -122,7 +123,7 @@ def _run_manifest(inst, config: SolverConfig, result: SolveResult, options: Buil
         "options": asdict(options),
         "solver": {
             "command": config.resolved_command(),
-            "time_limit": config.time_limit,
+            "time_limit": config.time_limit if math.isfinite(config.time_limit) else None,  # inf: no limit
             "gap_target": config.gap,
             "threads": config.threads,
         },
@@ -232,15 +233,14 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 def cmd_build(args: argparse.Namespace) -> int:
     inst = _load(args.instance)
     try:
-        model = build_model(inst, BuildOptions(capacity_lazy=args.lazy))
+        model = build_model(inst)
     except ModelBuildError as exc:
         raise CliError(str(exc)) from exc
-    text = write_lp(model)  # full model; lazy rows included for inspection
-    Path(args.out).write_text(text, encoding="utf-8")
+    Path(args.out).write_text(write_lp(model), encoding="utf-8")
     counts = model.family_counts()
     print(f"wrote {args.out}")
     print(f"variables: {len(model.variables)} ({model.metadata['binaries']} binary)")
-    print(f"rows: {len(model.constraints)} ({model.metadata['lazy_rows']} lazily activated)")
+    print(f"rows: {len(model.constraints)}")
     for family in sorted(counts):
         print(f"  {family}: {counts[family]}")
     return EXIT_OK
@@ -391,13 +391,17 @@ def _cost_comparison(params: PathExperimentParams, sd: SolveResult, sdc: SolveRe
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    chosen = {} if args.setting is None else {"setting": args.setting}
+    for _name, overrides in SUITES[args.suite]:
+        if chosen and overrides.get("setting", args.setting) != args.setting:
+            raise CliError(f"suite {args.suite} runs setting {overrides['setting']}, not --setting {args.setting}")
     # generating an instance checks it, so a bad length fails before anything is solved
     plan = []
     for vertices in dict.fromkeys(args.vertices):
         runs = []
         for name, overrides in SUITES[args.suite]:
             params = PathExperimentParams(
-                **{"vertices": vertices, "setting": args.setting, "outtake_policy": args.outtake_policy, **overrides}
+                **{"vertices": vertices, "outtake_policy": args.outtake_policy, **chosen, **overrides}
             )
             runs.append((name, params, _generate(params)))
         plan.append(runs)
@@ -441,7 +445,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--time-limit", type=_at_least(float, 0, strict=True), default=SolverConfig.time_limit,
-        help="seconds per solver call",
+        help="seconds per solver call; inf for no limit",
     )
     p.add_argument("--threads", type=_at_least(int, 0), default=SolverConfig.threads, help="0 lets the solver choose")
     p.add_argument(
@@ -481,7 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="compile the instance and write an LP file")
     p.add_argument("--instance", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--lazy", action="store_true", help="mark capacity bounds for lazy activation")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("solve", help="compile, solve and validate")
@@ -496,13 +499,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--schedule", required=True)
     p.add_argument("--occupancy", default=None, help="also write the simulated stock series as CSV")
-    p.add_argument("--max-violations", type=int, default=20)
+    p.add_argument("--max-violations", type=_at_least(int, 0), default=20)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("oracle", help="exhaustive optimum for micro instances")
     p.add_argument("--instance", required=True)
     p.add_argument("--out", default=None, help="write the optimal schedule as JSON")
-    p.add_argument("--node-budget", type=int, default=OracleLimits().node_budget)
+    p.add_argument("--node-budget", type=_at_least(int, 1), default=OracleLimits().node_budget)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("experiment", help="run a benchmark suite")
@@ -511,7 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--vertices", type=int, nargs="+", default=[4], help="path lengths incl. refinery; each runs the suite (default 4)"
     )
-    p.add_argument("--setting", choices=sorted(SETTINGS), default="A")
+    p.add_argument(
+        "--setting", choices=sorted(SETTINGS), default=None, help="default A; a suite run with its own setting takes no other"
+    )
     p.add_argument("--outtake-policy", choices=OUTTAKE_POLICIES, default="daily")
     p.add_argument("--monolithic", action="store_true", help="solve with all capacity rows up front")
     _add_solver_flags(p)
@@ -529,6 +534,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "solver_cmd" in args:  # the flag's or the environment's template, checked before anything is built
+        try:
+            _solver_config(args).argv("model.lp", "model.sol")
+        except ValueError as exc:
+            parser.exit(EXIT_CONFIG, f"error: {exc}\n")
     try:
         return args.func(args)
     except (CliError, OSError) as exc:  # reading inputs raises CliError, so an OSError is an unwritable output

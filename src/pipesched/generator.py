@@ -212,13 +212,8 @@ def generate_oracle_instance(seed: int) -> Instance:
             continue
         if validate_instance(inst):
             continue
-        catalog = enumerate_batches(inst)
-        n_cands = 0
-        for edge in inst.edges:
-            for ref in catalog.refs(edge.id):
-                if ref.is_initial:
-                    spec = catalog.spec_by_id[ref.batch]
-                    n_cands += inst.grid.horizon_len - spec.length + 1
+        dispatches = enumerate_batches(inst).dispatches()
+        n_cands = sum(inst.grid.horizon_len - spec.length + 1 for _eid, spec in dispatches)
         if 4 <= n_cands <= ORACLE_MAX_CANDIDATES:
             return inst
     raise RuntimeError(f"could not draw an oracle instance for seed {seed}")

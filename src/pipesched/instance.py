@@ -33,6 +33,10 @@ from typing import Any, Callable, Mapping, NamedTuple, Optional, Union
 PRODUCT_KINDS = ("flushing", "staining")
 SITE_KINDS = ("storage", "refinery")
 
+# batch size variants: the origin's standard batch, or a flush fill of the regime's flush volume
+STANDARD = "standard"
+FLUSH_FILL = "flush_fill"
+
 Numberish = Union[int, str, float, Fraction]
 
 
@@ -59,6 +63,11 @@ def fraction_to_json(value: Fraction) -> Union[int, str]:
     if value.denominator == 1:
         return int(value)
     return str(value)
+
+
+def batch_id(regime: str, product: str, variant: str) -> str:
+    """A batch's id, as schedules and `cost_per_batch` keys name it."""
+    return f"{regime}:{product}:{variant}"
 
 
 @dataclass(frozen=True)
@@ -154,10 +163,6 @@ class TimeGrid:
     @property
     def t_max(self) -> int:
         return self.horizon_len - 1
-
-    @property
-    def slots(self) -> range:
-        return range(self.horizon_len)
 
 
 @dataclass(frozen=True)
@@ -289,9 +294,6 @@ class Instance:
 
     def regime_origin(self, regime: PumpingRegime) -> str:
         return self.edge(regime.edges[0]).origin
-
-    def regime_destination(self, regime: PumpingRegime) -> str:
-        return self.edge(regime.edges[-1]).destination
 
     def capacity_max_profile(self, site: str, product: str) -> list[Optional[int]]:
         """Tank capacity per slot after tank outages (None = uncapped).
@@ -425,6 +427,10 @@ def validate_instance(inst: Instance) -> list[InstanceIssue]:
                 bad("regime_nonpositive_flow", f"regime {r.id!r} product {pid!r} flow {rate}")
         if r.flush_volume is not None and r.flush_volume < 0:
             bad("regime_negative_flush_volume", f"regime {r.id!r} flush volume {r.flush_volume}")
+        priced = {batch_id(r.id, pid, variant) for pid in r.flow_rate for variant in (STANDARD, FLUSH_FILL)}
+        for key in r.cost_per_batch:
+            if key not in priced:
+                bad("unknown_batch", f"regime {r.id!r} prices {key!r}, not <regime>:<pumped product>:<variant>")
         origin = inst.edge(r.edges[0]).origin if inst.has_edge(r.edges[0]) else None
         if origin is not None and inst.has_site(origin):
             std = inst.site(origin).standard_batch
@@ -671,6 +677,8 @@ def _read_times(spec) -> tuple[int, ...]:
 
 
 _FRACTION = (to_fraction, fraction_to_json)
+# [edge, batch, start] triples of two strings and an integer, in instance and schedule files
+read_placements, _write_placements = _rows(_id, _id, _int)
 _IDS = _each(_id, _same)
 _INTS_BY_ID = _by_id(_int, _same)
 _FRACTIONS_BY_ID = _by_id(*_FRACTION)
@@ -745,8 +753,8 @@ _WEIGHTS_KEYS = (
     _Key("theta", *_FRACTION),
     _Key("eta", *_FRACTIONS_BY_ID, omit=True),
     _Key("distribution_targets", *_each(_read_target, _write_target), omit=True),
-    _Key("previous_plan", *_rows(_id, _id, _int), omit=True),
-    _Key("executed", *_rows(_id, _id, _int), omit=True),
+    _Key("previous_plan", read_placements, _write_placements, omit=True),
+    _Key("executed", read_placements, _write_placements, omit=True),
 )
 _INSTANCE_KEYS = (
     _Key("name"),

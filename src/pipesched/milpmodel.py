@@ -343,11 +343,9 @@ def build_variables(inst: Instance, catalog: BatchCatalog) -> Columns:
         for ref in catalog.refs(edge.id):
             columns.add(PLACEMENT, (edge.id, ref.batch), 0, H - catalog.spec_by_id[ref.batch].length + 1)
 
-    for edge in inst.edges:
-        for ref in catalog.refs(edge.id):
-            spec = catalog.spec_by_id[ref.batch]
-            if ref.is_initial and not inst.product(spec.product).is_flushing:
-                columns.add(ENDPOINT, (edge.id, ref.batch), spec.length, H - spec.length + 1)
+    for eid, spec in catalog.dispatches():
+        if not inst.product(spec.product).is_flushing:
+            columns.add(ENDPOINT, (eid, spec.id), spec.length, H - spec.length + 1)
 
     for kind in (OCC_UPPER, OCC_LOWER):
         for site in inst.storage_sites():
@@ -465,12 +463,7 @@ def emit_regime_exclusions(inst, catalog, columns, rows) -> None:
     place = columns.of_kind(PLACEMENT)
     for group in inst.exclusion_groups:
         members = set(group.members)
-        entries: list[tuple[ColumnBlock, int]] = []
-        for edge in inst.edges:
-            for ref in catalog.refs(edge.id):
-                spec = catalog.spec_by_id[ref.batch]
-                if ref.is_initial and spec.regime in members:
-                    entries.append((place[(edge.id, spec.id)], spec.length))
+        entries = [(place[(eid, spec.id)], spec.length) for eid, spec in catalog.dispatches() if spec.regime in members]
         cols: list[int] = []
         sizes: list[int] = []
         for t in range(H):
@@ -507,13 +500,14 @@ def capacity_event_lists(inst: Instance, catalog: BatchCatalog):
     """(site, product) -> inbound/outbound (edge, spec) pairs affecting stock."""
     inbound: dict[tuple[str, str], list[tuple[str, BatchSpec]]] = {}
     outbound: dict[tuple[str, str], list[tuple[str, BatchSpec]]] = {}
-    for edge in inst.edges:
-        for ref in catalog.refs(edge.id):
-            spec = catalog.spec_by_id[ref.batch]
-            if ref.is_final and inst.site(edge.destination).is_storage:
-                inbound.setdefault((edge.destination, spec.product), []).append((edge.id, spec))
-            if ref.is_initial and inst.site(edge.origin).is_storage:
-                outbound.setdefault((edge.origin, spec.product), []).append((edge.id, spec))
+    for eid, spec in catalog.deliveries():
+        site = inst.edge(eid).destination
+        if inst.site(site).is_storage:
+            inbound.setdefault((site, spec.product), []).append((eid, spec))
+    for eid, spec in catalog.dispatches():
+        site = inst.edge(eid).origin
+        if inst.site(site).is_storage:
+            outbound.setdefault((site, spec.product), []).append((eid, spec))
     return inbound, outbound
 
 
@@ -599,9 +593,8 @@ def emit_throughput_limits(inst, catalog, columns, rows) -> None:
         cols: list[int] = []
         coefs: list[int] = []
         for eid in dict.fromkeys(lim.edges):
-            for ref in catalog.refs(eid):
-                spec = catalog.spec_by_id[ref.batch]
-                if spec.product != lim.product or not ref.is_initial:
+            for dispatch_edge, spec in catalog.dispatches():
+                if dispatch_edge != eid or spec.product != lim.product:
                     continue
                 for t in dict.fromkeys(lim.times):
                     vid = columns.vid(PLACEMENT, (eid, spec.id, t))
@@ -614,13 +607,9 @@ def emit_throughput_limits(inst, catalog, columns, rows) -> None:
 def _initial_blocks(inst, catalog, columns, origin: str, product: str):
     """(spec, placement block) of every batch of `product` dispatched from `origin`."""
     place = columns.of_kind(PLACEMENT)
-    for edge in inst.edges:
-        if edge.origin != origin:
-            continue
-        for ref in catalog.refs(edge.id):
-            spec = catalog.spec_by_id[ref.batch]
-            if ref.is_initial and spec.product == product:
-                yield spec, place[(edge.id, spec.id)]
+    for eid, spec in catalog.dispatches():
+        if inst.edge(eid).origin == origin and spec.product == product:
+            yield spec, place[(eid, spec.id)]
 
 
 def emit_nominations(inst, catalog, columns, rows) -> None:
@@ -685,14 +674,10 @@ def emit_objective(inst, catalog, columns, rows) -> tuple[dict[int, Fraction], F
 
     if w.theta != 0:
         place = columns.of_kind(PLACEMENT)
-        for edge in inst.edges:
-            for ref in catalog.refs(edge.id):
-                if not ref.is_initial:
-                    continue
-                spec = catalog.spec_by_id[ref.batch]
-                cost = batch_cost(inst, spec)
-                if cost != 0:
-                    add(per_block, place[(edge.id, spec.id)], -w.theta * cost)
+        for eid, spec in catalog.dispatches():
+            cost = batch_cost(inst, spec)
+            if cost != 0:
+                add(per_block, place[(eid, spec.id)], -w.theta * cost)
 
     obj: dict[int, Fraction] = {}
     for block, coef in per_block.items():
@@ -760,30 +745,13 @@ def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPM
         catalog=catalog,
     )
 
-    var_counts: dict[str, int] = {}
-    for block in columns.blocks:
-        var_counts[block.kind] = var_counts.get(block.kind, 0) + block.count
-    # worst-case stock counting error per site: the in-transit volume of the
-    # largest regime touching it (blocked/on-stock bracket the true level by it)
-    error_bounds = {}
-    for site in inst.storage_sites():
-        touching = [
-            sum(inst.edge(e).pipe_volume for e in r.edges)
-            for r in inst.regimes
-            if inst.regime_origin(r) == site.id or inst.regime_destination(r) == site.id
-        ]
-        error_bounds[site.id] = max(touching, default=0)
     model.metadata = {
         "instance": inst.name,
         "instance_hash": instance_hash(inst),
-        "horizon": inst.grid.horizon_len,
-        "variables": var_counts,
         "binaries": sum(b.count for b in columns.blocks if b.bounds[0]),
-        "constraints": model.family_counts(),
         "lazy_rows": sum(rows.lazy),
         "options": {"capacity_lazy": options.capacity_lazy},
         "warnings": warnings,
-        "stock_counting_error_bound": error_bounds,
     }
     return model
 

@@ -73,26 +73,22 @@ class _Candidate:
 def _candidates(inst: Instance, catalog: BatchCatalog) -> list[_Candidate]:
     H = inst.grid.horizon_len
     out: list[_Candidate] = []
-    for edge in inst.edges:
-        for ref in catalog.refs(edge.id):
-            if not ref.is_initial:
-                continue
-            spec = catalog.spec_by_id[ref.batch]
-            for t in range(H - spec.length + 1):
-                out.append(
-                    _Candidate(
-                        index=len(out),
-                        edge=edge.id,
-                        batch=spec.id,
-                        start=t,
-                        volume=spec.volume,
-                        length=spec.length,
-                        product=spec.product,
-                        regime=spec.regime,
-                        staining=not inst.product(spec.product).is_flushing,
-                        chain=catalog.chains[spec.id],
-                    )
+    for eid, spec in catalog.dispatches():
+        for t in range(H - spec.length + 1):
+            out.append(
+                _Candidate(
+                    index=len(out),
+                    edge=eid,
+                    batch=spec.id,
+                    start=t,
+                    volume=spec.volume,
+                    length=spec.length,
+                    product=spec.product,
+                    regime=spec.regime,
+                    staining=not inst.product(spec.product).is_flushing,
+                    chain=catalog.chains[spec.id],
                 )
+            )
     return out
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Iterable, Union
 
 from .batches import BatchCatalog
+from .instance import read_placements
 
 Placement = tuple[str, str, int]  # (edge id, batch id, start slot)
 
@@ -52,9 +53,10 @@ class Schedule:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Schedule":
-        """Raises ValueError unless `data` is {"placements": [[edge, batch, start], ...]}."""
+        """Raises ValueError unless `data` is {"placements": [[edge, batch, start], ...]}
+        with string ids and an integer start."""
         try:
-            return cls.from_raw(tuple(p) for p in data["placements"])
+            return cls(frozenset(read_placements(data["placements"])))
         except (KeyError, TypeError, ValueError) as exc:
             shape = '{"placements": [[edge, batch, start], ...]}'
             raise ValueError(f"expected {shape} ({type(exc).__name__}: {exc})") from exc

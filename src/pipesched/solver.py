@@ -4,7 +4,8 @@ The driver knows nothing about any particular solver: it writes an LP file,
 runs a command built from a template with {model}, {solution}, {time_limit},
 {gap} and {threads} placeholders, and parses the solution file back.  The
 template comes from SolverConfig.command, the PIPESCHED_SOLVER_CMD
-environment variable, or falls back to the bundled scipy/HiGHS shim.
+environment variable, or falls back to the bundled scipy/HiGHS shim.  A time
+limit of inf means no limit: the child then runs without a watchdog.
 
 `solve` ships the full model.  `solve_lazy_capacity` starts from the model
 without its occupancy bound rows, simulates stock levels of each incumbent
@@ -45,6 +46,8 @@ from .validator import (
 )
 
 COMMAND_ENV_VAR = "PIPESCHED_SOLVER_CMD"
+# subprocess.run waits with poll(), whose timeout is an int of milliseconds; a longer wait overflows it
+_MAX_WATCHDOG_S = (2**31 - 1) / 1000
 
 
 def _template_literal(text: str) -> str:
@@ -73,6 +76,20 @@ class SolverConfig:
 
     def resolved_command(self) -> str:
         return self.command or os.environ.get(COMMAND_ENV_VAR) or default_solver_command()
+
+    def argv(self, model: Union[str, Path], solution: Union[str, Path]) -> list[str]:
+        """The resolved template split into shell words with their placeholders filled in;
+        raises ValueError for a template that does not split or names an unknown placeholder."""
+        template = self.resolved_command()
+        fields = dict(
+            model=str(model), solution=str(solution), time_limit=self.time_limit, gap=self.gap, threads=self.threads
+        )
+        try:
+            return [tok.format(**fields) for tok in shlex.split(template)]
+        except (LookupError, AttributeError) as exc:  # {foo}, {0}, {model.x}
+            raise ValueError(f"solver command {template!r} has an unknown placeholder ({exc})") from None
+        except ValueError as exc:  # an unclosed quote or a lone brace
+            raise ValueError(f"solver command {template!r}: {exc}") from None
 
 
 @dataclass
@@ -112,23 +129,18 @@ def _run_once(model: MILPModel, config: SolverConfig, activated: Optional[set[in
     """One solver call, reported as the solution file says; `_finalize` checks it."""
     lp_path = workdir / f"{tag}.lp"
     sol_path = workdir / f"{tag}.sol"
+    try:
+        argv = config.argv(lp_path, sol_path)
+    except ValueError as exc:
+        return SolveResult(STATUS_ERROR, message=str(exc))
     lp_path.write_text(write_lp(model, activated), encoding="utf-8")
     sol_path.unlink(missing_ok=True)  # a kept work dir may hold an earlier run's solution
 
-    argv = [
-        tok.format(
-            model=str(lp_path),
-            solution=str(sol_path),
-            time_limit=config.time_limit,
-            gap=config.gap,
-            threads=config.threads,
-        )
-        for tok in shlex.split(config.resolved_command())
-    ]
+    watchdog = max(60.0, config.time_limit * 2 + 120)
     t0 = time.monotonic()
     try:
         proc = subprocess.run(
-            argv, capture_output=True, text=True, timeout=max(60.0, config.time_limit * 2 + 120)
+            argv, capture_output=True, text=True, timeout=watchdog if watchdog <= _MAX_WATCHDOG_S else None
         )
     except (subprocess.TimeoutExpired, OSError) as exc:
         return SolveResult(STATUS_ERROR, wall_time=time.monotonic() - t0, message=f"solver run failed: {exc}")

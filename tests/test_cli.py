@@ -121,16 +121,6 @@ def test_build_writes_lp_and_reports_sizes(tiny_path, tmp_path, capsys):
     assert "Maximize" in text and "Binary" in text
     stdout = capsys.readouterr().out
     assert "variables:" in stdout and "rows:" in stdout
-    assert "(0 lazily activated)" in stdout
-
-
-def test_build_lazy_marks_capacity_rows(tiny_path, tmp_path, capsys):
-    out = tmp_path / "model.lp"
-    rc = main(["build", "--instance", str(tiny_path), "--out", str(out), "--lazy"])
-    assert rc == EXIT_OK
-    stdout = capsys.readouterr().out
-    lazily = int(stdout.split("(")[-1].split(" lazily")[0])
-    assert lazily > 0
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +141,14 @@ def test_solve_writes_manifest_and_schedule(solved_dir, tiny_path):
 def test_solve_keep_files_retains_solver_artifacts(solved_dir):
     assert list(solved_dir.glob("*.lp")), "LP file should be kept"
     assert list(solved_dir.glob("*.sol")), "solution file should be kept"
+
+
+def test_solve_without_a_time_limit(tiny_path, tmp_path):
+    out_dir = tmp_path / "run"
+    rc = main(["solve", "--instance", str(tiny_path), "--out-dir", str(out_dir), "--time-limit", "inf"])
+    assert rc == EXIT_OK
+    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["status"] == "optimal" and manifest["solver"]["time_limit"] is None
 
 
 def test_solve_reports_proven_infeasibility(infeasible_path, tmp_path, capsys):
@@ -387,6 +385,14 @@ def test_experiment_exits_with_the_worst_run_code(tmp_path, suite, tags):
         assert (summary["runs"][0]["horizon"], summary["runs"][0]["cost_mode"]) == (744, "SDC")
 
 
+def test_experiment_rejects_a_setting_its_suite_overrides(tmp_path, capsys):
+    out_dir = tmp_path / "suite"
+    rc = main(["experiment", "--suite", "large", "--vertices", "2", "--setting", "B", "--out-dir", str(out_dir)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: suite large runs setting C, not --setting B\n"
+    assert not out_dir.exists()
+
+
 def test_experiment_checks_every_length_before_solving(tmp_path, capsys):
     out_dir = tmp_path / "suite"
     rc = main(["experiment", "--suite", "SD", "--vertices", "3", "1", "--out-dir", str(out_dir)])
@@ -523,9 +529,12 @@ def test_malformed_instance_values_are_config_errors(solved_dir, tmp_path, capsy
         ("gantt", '{"placements": 5}'),
         ("validate", "[1, 2]"),
         ("gantt", "[1, 2]"),
+        ("validate", '{"placements": [["e1", "r1:flush:standard", 1.7]]}'),
+        ("gantt", '{"placements": [["e1", "r1:flush:standard", true]]}'),
+        ("validate", '{"placements": [["e1", null, 0]]}'),
     ],
     ids=["gantt short placement", "gantt not json", "validate placements 5", "gantt placements 5",
-         "validate list", "gantt list"],
+         "validate list", "gantt list", "validate float start", "gantt boolean start", "validate null batch"],
 )
 def test_malformed_schedule_files_are_config_errors(tiny_path, tmp_path, capsys, command, text):
     bad = tmp_path / "bad.json"
@@ -551,9 +560,16 @@ SOLVE_X = ["solve", "--instance", "x.json", "--out-dir", "o"]
         SOLVE_X + ["--threads", "-3"],
         ["experiment", "--suite", "SD", "--out-dir", "o", "--time-limit", "-5"],
         ["experiment", "--suite", "SD", "--out-dir", "o", "--vertices"],
+        SOLVE_X + ["--solver-cmd", "mysolver {model} {solution} {foo}"],
+        SOLVE_X + ["--solver-cmd", "mysolver 'open {model} {solution}"],
+        ["experiment", "--suite", "SD", "--out-dir", "o", "--solver-cmd", "x {model} {nope}"],
+        ["validate", "--instance", "x.json", "--schedule", "s.json", "--max-violations", "-1"],
+        ["oracle", "--instance", "x.json", "--node-budget", "0"],
     ],
     ids=["missing out dir", "gap not a number", "no command", "negative time limit", "zero time limit",
-         "negative gap", "gap nan", "negative threads", "experiment negative time limit", "experiment no vertices"],
+         "negative gap", "gap nan", "negative threads", "experiment negative time limit", "experiment no vertices",
+         "unknown template placeholder", "unclosed template quote", "experiment unknown placeholder",
+         "negative max violations", "zero node budget"],
 )
 def test_usage_errors_exit_with_config_code(capsys, args):
     with pytest.raises(SystemExit) as stop:

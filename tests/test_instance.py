@@ -122,6 +122,8 @@ def test_hash_changes_with_content(ref1, ref1_small):
         (lambda d: d["nominations"][0]["limits"].__setitem__("f", -4), "nomination_negative_limit"),
         (lambda d: d["weights"].__setitem__("alpha", -1), "negative_weight"),
         (lambda d: d["weights"]["eta"].__setitem__("f", -2), "negative_eta"),
+        (lambda d: d["regimes"][0].__setitem__("cost_per_batch", {"r1:f:std": 1}), "unknown_batch"),
+        (lambda d: d["regimes"][0].__setitem__("cost_per_batch", {"r9:f:standard": 1}), "unknown_batch"),
     ],
 )
 def test_validation_codes(mutate, code):

@@ -309,14 +309,6 @@ def test_lazy_flag_only_marks_bound_rows(ref1):
     assert len(eager.lazy_bounds) == 96
 
 
-def test_stock_counting_error_bound_reported():
-    inst = generate_path_instance(PathExperimentParams(vertices=4, setting="A", horizon=24))
-    model = build_model(inst)
-    # in-transit volume of the largest regime delivering to or drawing from
-    # each site; regimes merely passing through never touch its stock
-    assert model.metadata["stock_counting_error_bound"] == {"s1": 100, "s2": 200, "s3": 300}
-
-
 @pytest.mark.parametrize("vertices,setting,cost_mode", [(4, "A", "SD"), (6, "B", "SDC")])
 def test_rows_and_bounds_are_plain_integers(vertices, setting, cost_mode):
     # only the objective is rational; every row and bound is a volume or a count

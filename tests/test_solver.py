@@ -140,6 +140,31 @@ def test_solver_timeout_becomes_error_status(ref1_small, monkeypatch):
     assert res.message.startswith("solver run failed: ") and res.message.endswith("timed out after 122 seconds")
 
 
+@pytest.mark.parametrize("time_limit", [float("inf"), 1e7])
+def test_time_limit_beyond_the_watchdog_range_runs_without_one(ref1_small, monkeypatch, time_limit):
+    seen = {}
+
+    def refuse(argv, **kwargs):
+        seen["timeout"] = kwargs["timeout"]
+        raise OSError("not started")
+
+    monkeypatch.setattr("pipesched.solver.subprocess.run", refuse)
+    res = solve(build_model(ref1_small), SolverConfig(time_limit=time_limit))
+    assert seen == {"timeout": None}
+    assert res.status == STATUS_ERROR and res.message == "solver run failed: not started"
+
+
+@pytest.mark.parametrize(
+    "template, problem",
+    [("mysolver {model} {solution} {foo}", "unknown placeholder ('foo')"), ("mysolver 'open", "No closing quotation")],
+)
+def test_bad_command_template_becomes_error_status(ref1_small, tmp_path, template, problem):
+    res = solve(build_model(ref1_small), SolverConfig(command=template, work_dir=tmp_path))
+    assert res.status == STATUS_ERROR and res.schedule is None
+    assert res.message.startswith(f"solver command {template!r}") and problem in res.message
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_shim_without_the_highs_core_is_an_error(ref1_small, tmp_path, monkeypatch):
     # an empty `scipy` package first on the child's path hides the real one
     (tmp_path / "fake" / "scipy").mkdir(parents=True)
