@@ -1,19 +1,19 @@
 """Command line interface.
 
 Subcommands cover the full workflow: generate benchmark instances, inspect
-the batch catalog, write the MILP to an LP file, solve through an external
-solver process (optionally with lazily activated capacity bounds), validate
-and score schedules independently of the solver, run the exhaustive oracle
-on micro instances, drive the experiment suites, and export Gantt tables.
+the batch catalog, write the MILP to an LP file, solve it whole through an
+external solver process, validate and score schedules independently of the
+solver, run the exhaustive oracle on micro instances, drive the experiment
+suites, and export Gantt tables.
 The suites are one table, `SUITES`, of named generator settings; `experiment`
 solves each of a suite's runs once per `--vertices` length and writes one
-`summary.json` layout for every suite.
+`summary.json` layout for every suite.  Build warnings go to stderr.
 
 Exit codes: 0 success, 2 proven infeasible, 3 stopped at a limit (a
 validated incumbent from a time-limited run is still written to
 schedule.json), 4 validation or solver failure (a schedule that fails
 validation is not written), 5 configuration, input or usage error, or an
-output file that cannot be written.
+output file that cannot be written.  A closed stdout is not an error.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -36,13 +36,13 @@ from .generator import (
     generate_path_instance,
     precheck_path_feasibility,
 )
-from .instance import instance_hash, load_instance, save_instance, validate_instance
+from .instance import load_instance, save_instance, validate_instance
 from .lp_io import write_lp
-from .milpmodel import BuildOptions, ModelBuildError, build_model
+from .milpmodel import MILPModel, ModelBuildError, build_model
 from .oracle import ORACLE_STATUS_BUDGET, ORACLE_STATUS_INFEASIBLE, OracleLimits, brute_force_optimum
 from .schedule import Schedule
 from .solver import STATUS_ERROR, STATUS_GAP, STATUS_INFEASIBLE, STATUS_TIME_LIMIT
-from .solver import SolveResult, SolverConfig, solve, solve_lazy_capacity
+from .solver import SolveResult, SolverConfig, solve
 from .validator import check_schedule, evaluate_objective, simulate_occupancy
 
 EXIT_OK = 0
@@ -56,15 +56,19 @@ class CliError(Exception):
     """Bad input or configuration; maps to exit code 5."""
 
 
-def _load(path: str):
+def _read(what: str, path: str, reader):
     try:
-        inst = load_instance(path)
+        return reader(path)
     except FileNotFoundError as exc:
-        raise CliError(f"instance file not found: {exc.filename}") from exc
+        raise CliError(f"{what} file not found: {exc.filename}") from exc
     except OSError as exc:
-        raise CliError(f"could not read instance {path}: {exc}") from exc
-    except ValueError as exc:  # InstanceFormatError or json.JSONDecodeError
-        raise CliError(f"could not parse instance {path}: {exc}") from exc
+        raise CliError(f"could not read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # a shape error of the reader's own, or json.JSONDecodeError
+        raise CliError(f"could not parse {what} {path}: {exc}") from exc
+
+
+def _load(path: str):
+    inst = _read("instance", path, load_instance)
     issues = validate_instance(inst)
     if issues:
         lines = "\n".join(f"  - {i.code}: {i.message}" for i in issues)
@@ -73,14 +77,7 @@ def _load(path: str):
 
 
 def _load_schedule(path: str) -> Schedule:
-    try:
-        return Schedule.load(path)
-    except FileNotFoundError as exc:
-        raise CliError(f"schedule file not found: {exc.filename}") from exc
-    except OSError as exc:
-        raise CliError(f"could not read schedule {path}: {exc}") from exc
-    except ValueError as exc:  # Schedule.from_json_dict's shape error or json.JSONDecodeError
-        raise CliError(f"could not parse schedule {path}: {exc}") from exc
+    return _read("schedule", path, Schedule.load)
 
 
 def _generate(params: PathExperimentParams):
@@ -110,17 +107,40 @@ def _component_floats(components: Optional[dict]) -> Optional[dict]:
     return {k: float(v) for k, v in components.items()}
 
 
+def _print_or_write(text: str, out: Optional[str]) -> None:
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+        print(f"wrote {out}")
+    else:
+        print(text, end="")
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _run_manifest(inst, config: SolverConfig, result: SolveResult, options: BuildOptions) -> dict:
+def _warn(warnings: list[str]) -> None:
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+
+
+def _build(inst) -> MILPModel:
+    """The model of `inst`, its build warnings printed."""
+    try:
+        model = build_model(inst)
+    except ModelBuildError as exc:
+        raise CliError(str(exc)) from exc
+    _warn(model.metadata["warnings"])
+    return model
+
+
+def _run_manifest(model: MILPModel, config: SolverConfig, result: SolveResult) -> dict:
     return {
         "tool": f"pipesched {__version__}",
-        "instance": inst.name,
-        "instance_hash": instance_hash(inst),
-        "options": asdict(options),
+        "instance": model.instance.name,
+        "instance_hash": model.metadata["instance_hash"],
+        "warnings": model.metadata["warnings"],
         "solver": {
             "command": config.resolved_command(),
             "time_limit": config.time_limit if math.isfinite(config.time_limit) else None,  # inf: no limit
@@ -134,7 +154,6 @@ def _run_manifest(inst, config: SolverConfig, result: SolveResult, options: Buil
         "components": _component_floats(result.components),
         "placements": None if result.schedule is None else len(result.schedule),
         "wall_time": result.wall_time,
-        "lazy_iterations": [asdict(it) for it in result.iterations],
         "message": result.message,
     }
 
@@ -151,19 +170,13 @@ def _writes_schedule(result: SolveResult) -> bool:
     return result.schedule is not None and result.status != STATUS_ERROR
 
 
-def _solve_and_record(
-    inst, options: BuildOptions, config: SolverConfig, out_dir: Path, prefix: str = ""
-) -> SolveResult:
-    """Build and solve `inst` (lazily when `options.capacity_lazy`), then write
-    `<prefix>manifest.json` and, when `_writes_schedule`, `<prefix>schedule.json`;
-    otherwise delete any `<prefix>schedule.json` an earlier run left there."""
-    try:
-        model = build_model(inst, options)
-    except ModelBuildError as exc:
-        raise CliError(str(exc)) from exc
-    runner = solve_lazy_capacity if options.capacity_lazy else solve
-    result = runner(model, config)
-    _write_json(out_dir / f"{prefix}manifest.json", _run_manifest(inst, config, result, options))
+def _solve_and_record(inst, config: SolverConfig, out_dir: Path, prefix: str = "") -> SolveResult:
+    """Build and solve `inst`, then write `<prefix>manifest.json` and, when
+    `_writes_schedule`, `<prefix>schedule.json`; otherwise delete any
+    `<prefix>schedule.json` an earlier run left there."""
+    model = _build(inst)
+    result = solve(model, config)
+    _write_json(out_dir / f"{prefix}manifest.json", _run_manifest(model, config, result))
     schedule_path = out_dir / f"{prefix}schedule.json"
     if _writes_schedule(result):
         result.schedule.save(schedule_path)
@@ -185,9 +198,6 @@ def _print_result(result: SolveResult) -> None:
         print(f"components: {parts}")
     if result.schedule is not None:
         print(f"placements: {len(result.schedule)}")
-    if result.iterations:
-        added = [it.added_rows for it in result.iterations]
-        print(f"lazy rounds: {len(added)} (capacity rows activated per round: {added})")
     if result.message:
         print(f"note: {result.message}")
     print(f"wall time: {result.wall_time:.2f}s")
@@ -199,43 +209,30 @@ def _print_result(result: SolveResult) -> None:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.oracle_seed is not None:
-        inst = generate_oracle_instance(args.oracle_seed)
-        save_instance(inst, args.out)
-        print(f"wrote {args.out} ({inst.name}, horizon {inst.grid.horizon_len})")
-        return EXIT_OK
-    params = PathExperimentParams(
-        vertices=args.vertices,
-        setting=args.setting,
-        cost_mode=args.cost_mode,
-        outtake_policy=args.outtake_policy,
-        nomination_batches=args.nomination_batches,
-        horizon=args.horizon,
-    )
-    inst = _generate(params)
+        inst, warnings = generate_oracle_instance(args.oracle_seed), []
+    else:
+        params = PathExperimentParams(
+            vertices=args.vertices,
+            setting=args.setting,
+            cost_mode=args.cost_mode,
+            outtake_policy=args.outtake_policy,
+            nomination_batches=args.nomination_batches,
+            horizon=args.horizon,
+        )
+        inst, warnings = _generate(params), precheck_path_feasibility(params)
     save_instance(inst, args.out)
     print(f"wrote {args.out} ({inst.name}, horizon {inst.grid.horizon_len})")
-    for warning in precheck_path_feasibility(params):
-        print(f"warning: {warning}", file=sys.stderr)
+    _warn(warnings)
     return EXIT_OK
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
-    inst = _load(args.instance)
-    csv_text = catalog_to_csv(enumerate_batches(inst))
-    if args.out:
-        Path(args.out).write_text(csv_text, encoding="utf-8")
-        print(f"wrote {args.out}")
-    else:
-        print(csv_text, end="")
+    _print_or_write(catalog_to_csv(enumerate_batches(_load(args.instance))), args.out)
     return EXIT_OK
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    inst = _load(args.instance)
-    try:
-        model = build_model(inst)
-    except ModelBuildError as exc:
-        raise CliError(str(exc)) from exc
+    model = _build(_load(args.instance))
     Path(args.out).write_text(write_lp(model), encoding="utf-8")
     counts = model.family_counts()
     print(f"wrote {args.out}")
@@ -251,7 +248,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _solver_config(args, work_dir=out_dir if args.keep_files else None)
-    result = _solve_and_record(inst, BuildOptions(capacity_lazy=args.lazy), config, out_dir)
+    result = _solve_and_record(inst, config, out_dir)
     _print_result(result)
     if _writes_schedule(result):
         print(f"schedule: {out_dir / 'schedule.json'}")
@@ -317,12 +314,7 @@ def cmd_gantt(args: argparse.Namespace) -> int:
         if spec is None:
             raise CliError(f"schedule references unknown batch {batch!r}")
         lines.append(f"{edge},{batch},{spec.product},{t},{t + spec.length},{spec.volume}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
+    _print_or_write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -344,8 +336,7 @@ def _solve_params(name: str, params: PathExperimentParams, inst, args: argparse.
     """Save and solve one run of a suite as `<tag>.*`; return its result and its `summary.json` record."""
     tag = f"{name}-{params.setting}-l{params.vertices}"
     save_instance(inst, out_dir / f"{tag}.json")
-    options = BuildOptions(capacity_lazy=not args.monolithic)
-    result = _solve_and_record(inst, options, _solver_config(args), out_dir, f"{tag}.")
+    result = _solve_and_record(inst, _solver_config(args), out_dir, f"{tag}.")
     print(
         f"[{tag}] status={result.status} objective="
         f"{'-' if result.objective is None else f'{float(result.objective):.4f}'} "
@@ -491,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--keep-files", action="store_true", help="keep LP and solution files in the output dir")
-    p.add_argument("--lazy", action="store_true", help="mark capacity bounds for lazy activation")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_solve)
 
@@ -518,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--setting", choices=sorted(SETTINGS), default=None, help="default A; a suite run with its own setting takes no other"
     )
     p.add_argument("--outtake-policy", choices=OUTTAKE_POLICIES, default="daily")
-    p.add_argument("--monolithic", action="store_true", help="solve with all capacity rows up front")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_experiment)
 
@@ -531,19 +520,58 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if "solver_cmd" in args:  # the flag's or the environment's template, checked before anything is built
+class _ClosedPipeGuard:
+    """A stdout that drops what it is given once its reader has left; other write errors still raise."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def __getattr__(self, name):
+        return getattr(self.stream, name)
+
+    def write(self, text: str) -> int:
+        self._guard(self.stream.write, text)
+        return len(text)
+
+    def flush(self) -> None:
+        self._guard(self.stream.flush)
+
+    def _guard(self, call, *args) -> None:
         try:
-            _solver_config(args).argv("model.lp", "model.sol")
-        except ValueError as exc:
-            parser.exit(EXIT_CONFIG, f"error: {exc}\n")
+            call(*args)
+        except OSError as exc:  # the buffered rest, and the interpreter's flush at exit, go to the null device
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, self.stream.fileno())
+            os.close(null)
+            if not isinstance(exc, BrokenPipeError):
+                raise
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    stdout = sys.stdout
+    if stdout is not None:  # None when the process started without a stdout; print() then writes nothing
+        sys.stdout = _ClosedPipeGuard(stdout)
     try:
-        return args.func(args)
+        return _run(argv)
     except (CliError, OSError) as exc:  # reading inputs raises CliError, so an OSError is an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        sys.stdout = stdout
+
+
+def _run(argv: Optional[list[str]]) -> int:
+    try:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if "solver_cmd" in args:  # the flag's or the environment's template, checked before anything is built
+            try:
+                _solver_config(args).argv("model.lp", "model.sol")
+            except ValueError as exc:
+                parser.exit(EXIT_CONFIG, f"error: {exc}\n")
+        return args.func(args)
+    finally:
+        print(end="", flush=True)  # now, so that an unwritable stdout is reported like any other output
 
 
 def console_main() -> None:

@@ -53,6 +53,7 @@ SITE_CAPACITY = 600
 BASE_STOCK = 120  # first storage site; +10 per further site
 DAILY_OUTTAKE = 10  # units per product, site and day
 DAY = 24
+HAUL_EXPONENT = 2  # pumping cost = pump hours x (edge count)^exponent
 
 OUTTAKE_POLICIES = ("daily", "front_loaded", "uniform_hourly")
 
@@ -65,7 +66,6 @@ class PathExperimentParams:
     outtake_policy: str = "daily"
     nomination_batches: Optional[int] = None  # override the setting's batch count
     horizon: Optional[int] = None  # override the setting's horizon
-    haul_exponent: int = 2  # pumping cost = pump hours x (edge count)^exponent
 
 
 def _outtake_deltas(policy: str, horizon: int) -> list[tuple[int, int]]:
@@ -124,8 +124,8 @@ def generate_path_instance(params: PathExperimentParams) -> Instance:
         flush_std_len = math.ceil(FLUSH_STD / FLUSH_RATE)
         stain_len = math.ceil(STAIN_STD / STAIN_RATE)
         # pumping cost: pump hours scaled by haul length; the superlinear
-        # default keeps near and far deliveries clearly separated in price
-        haul = k**params.haul_exponent
+        # exponent keeps near and far deliveries clearly separated in price
+        haul = k**HAUL_EXPONENT
         costs = {
             f"r{k}:{FLUSH}:standard": flush_std_len * haul,
             f"r{k}:{STAIN}:standard": stain_len * haul,

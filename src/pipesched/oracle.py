@@ -32,12 +32,11 @@ ORACLE_STATUS_OPTIMAL = "optimal"
 ORACLE_STATUS_INFEASIBLE = "infeasible"
 ORACLE_STATUS_BUDGET = "budget_exceeded"
 
+MAX_EDGES, MAX_HORIZON, MAX_CANDIDATES = 2, 24, 200  # beyond these `brute_force_optimum` raises ValueError
+
 
 @dataclass(frozen=True)
 class OracleLimits:
-    max_edges: int = 2
-    max_horizon: int = 24
-    max_candidates: int = 200
     node_budget: int = 200_000
 
 
@@ -96,16 +95,16 @@ def brute_force_optimum(inst: Instance, limits: OracleLimits = OracleLimits()) -
     issues = validate_instance(inst)
     if issues:
         raise ValueError("invalid instance: " + "; ".join(str(i) for i in issues))
-    if len(inst.edges) > limits.max_edges:
-        raise ValueError(f"instance has {len(inst.edges)} edges, oracle limit is {limits.max_edges}")
+    if len(inst.edges) > MAX_EDGES:
+        raise ValueError(f"instance has {len(inst.edges)} edges, oracle limit is {MAX_EDGES}")
     H = inst.grid.horizon_len
-    if H > limits.max_horizon:
-        raise ValueError(f"horizon {H} exceeds oracle limit {limits.max_horizon}")
+    if H > MAX_HORIZON:
+        raise ValueError(f"horizon {H} exceeds oracle limit {MAX_HORIZON}")
 
     catalog = enumerate_batches(inst)
     cands = _candidates(inst, catalog)
-    if len(cands) > limits.max_candidates:
-        raise ValueError(f"{len(cands)} candidate placements exceed oracle limit {limits.max_candidates}")
+    if len(cands) > MAX_CANDIDATES:
+        raise ValueError(f"{len(cands)} candidate placements exceed oracle limit {MAX_CANDIDATES}")
 
     # transport outages remove candidates outright; forced placements must stay
     forbidden: set[tuple[str, str, int]] = set()

@@ -12,7 +12,7 @@ without its occupancy bound rows, simulates stock levels of each incumbent
 and re-solves with exactly the violated bounds activated until the incumbent
 is capacity-clean; since only relaxations are solved, a clean optimum is
 optimal for the full model, and relaxation infeasibility proves the full
-model infeasible.
+model infeasible.  The command line uses `solve` only.
 
 Every returned schedule is re-checked by the independent validator and
 re-scored exactly; the driver refuses to report a schedule that fails its

@@ -138,8 +138,7 @@ def l6a_run(tmp_path_factory):
     )
     out_dir = work / "run"
     rc = cli_main(
-        ["solve", "--instance", str(inst_path), "--out-dir", str(out_dir),
-         "--lazy", "--gap", "1e-3", "--time-limit", "1800"]
+        ["solve", "--instance", str(inst_path), "--out-dir", str(out_dir), "--gap", "1e-3", "--time-limit", "1800"]
     )
     manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
     schedule = Schedule.load(out_dir / "schedule.json") if (out_dir / "schedule.json").exists() else None

@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import pipesched
 from pipesched.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INVALID, EXIT_LIMIT, EXIT_OK, build_parser, main
 from pipesched.generator import PathExperimentParams, generate_path_instance
 from pipesched.instance import instance_to_dict, load_instance, save_instance
@@ -132,8 +136,7 @@ def test_solve_writes_manifest_and_schedule(solved_dir, tiny_path):
     assert manifest["status"] == "optimal"
     assert manifest["objective"] == pytest.approx(144.0)
     assert manifest["instance_hash"]
-    assert manifest["lazy_iterations"] == []
-    assert manifest["options"] == {"capacity_lazy": False}
+    assert manifest["warnings"] == []
     schedule = Schedule.load(solved_dir / "schedule.json")
     assert len(schedule) == manifest["placements"] > 0
 
@@ -206,15 +209,37 @@ def test_silent_solver_without_solution_quotes_no_output(tiny_path, tmp_path, ca
     assert message == f"solver exited with code {code} and wrote no solution file"
 
 
-def test_solve_lazy_records_iterations(tiny_path, tmp_path):
-    out_dir = tmp_path / "lazy"
-    rc = main(
-        ["solve", "--instance", str(tiny_path), "--out-dir", str(out_dir), "--lazy"] + FAST_SOLVE
+NO_FLUSH_WARNING = (
+    "staining batch r1:stain:standard on edge e1 has no flushing batch large enough to push it through"
+)
+
+
+@pytest.fixture(scope="module")
+def no_flush_path(tmp_path_factory):
+    """The tiny instance with a regime that cannot pump the flushing product."""
+    inst = single_edge_instance(horizon=12, batches=1)
+    [regime] = inst.regimes
+    regime = dataclasses.replace(
+        regime, flow_rate={"stain": regime.flow_rate["stain"]}, cost_per_batch={"r1:stain:standard": 3}
     )
+    path = tmp_path_factory.mktemp("cli-no-flush") / "no-flush.json"
+    save_instance(dataclasses.replace(inst, regimes=(regime,)), path)
+    return path
+
+
+def test_solve_reports_build_warnings(no_flush_path, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    rc = main(["solve", "--instance", str(no_flush_path), "--out-dir", str(out_dir)] + FAST_SOLVE)
     assert rc == EXIT_OK
+    assert capsys.readouterr().err == f"warning: {NO_FLUSH_WARNING}\n"
     manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["objective"] == pytest.approx(144.0)
-    assert len(manifest["lazy_iterations"]) >= 1
+    assert manifest["warnings"] == [NO_FLUSH_WARNING]
+    assert (manifest["status"], manifest["placements"]) == ("optimal", 0)
+
+
+def test_build_reports_build_warnings(no_flush_path, tmp_path, capsys):
+    assert main(["build", "--instance", str(no_flush_path), "--out", str(tmp_path / "m.lp")]) == EXIT_OK
+    assert capsys.readouterr().err == f"warning: {NO_FLUSH_WARNING}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +356,7 @@ def test_experiment_sd_suite_writes_summary(tmp_path):
     assert summary["runs"][0]["status"] == "optimal"
     assert summary["runs"][0]["objective"] == pytest.approx(1440.0)
     assert (out_dir / "sd-A-l4.json").exists()
-    assert (out_dir / "sd-A-l4.manifest.json").exists()
+    assert json.loads((out_dir / "sd-A-l4.manifest.json").read_text(encoding="utf-8"))["warnings"] == []
     assert (out_dir / "sd-A-l4.schedule.json").exists()
 
 
@@ -407,7 +432,7 @@ def test_experiment_model_build_error_is_config_error(tmp_path, capsys, monkeypa
     from pipesched import cli
     from pipesched.milpmodel import ModelBuildError
 
-    def refuse(inst, options):
+    def refuse(inst):
         raise ModelBuildError("no batch fits")
 
     monkeypatch.setattr(cli, "build_model", refuse)
@@ -565,11 +590,13 @@ SOLVE_X = ["solve", "--instance", "x.json", "--out-dir", "o"]
         ["experiment", "--suite", "SD", "--out-dir", "o", "--solver-cmd", "x {model} {nope}"],
         ["validate", "--instance", "x.json", "--schedule", "s.json", "--max-violations", "-1"],
         ["oracle", "--instance", "x.json", "--node-budget", "0"],
+        SOLVE_X + ["--lazy"],
+        ["experiment", "--suite", "SD", "--out-dir", "o", "--monolithic"],
     ],
     ids=["missing out dir", "gap not a number", "no command", "negative time limit", "zero time limit",
          "negative gap", "gap nan", "negative threads", "experiment negative time limit", "experiment no vertices",
          "unknown template placeholder", "unclosed template quote", "experiment unknown placeholder",
-         "negative max violations", "zero node budget"],
+         "negative max violations", "zero node budget", "solve lazy", "experiment monolithic"],
 )
 def test_usage_errors_exit_with_config_code(capsys, args):
     with pytest.raises(SystemExit) as stop:
@@ -588,3 +615,57 @@ def test_help_and_version_exit_zero(args):
     with pytest.raises(SystemExit) as stop:
         main(args)
     assert stop.value.code == EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# a closed standard output
+
+
+def _cli_subprocess(args, cwd, stdout, unbuffered: str, **kwargs):
+    """`python -m pipesched.cli ARGS` with the given stdout, each print written at once or only at exit."""
+    env = {**os.environ, "PYTHONPATH": str(Path(pipesched.__file__).parents[1]), "PYTHONUNBUFFERED": unbuffered}
+    return subprocess.run(
+        [sys.executable, "-m", "pipesched.cli", *args], cwd=cwd, stdout=stdout, stderr=subprocess.PIPE, text=True,
+        timeout=120, env=env, **kwargs,
+    )
+
+
+BUFFERING = pytest.mark.parametrize("unbuffered", ["1", ""], ids=["every print writes", "the exit flush writes"])
+
+
+@BUFFERING
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        (["catalog"], EXIT_OK),
+        (["build", "--out", "m.lp"], EXIT_OK),
+        (["solve", "--out-dir", "run", "--solver-cmd", "false"], EXIT_INVALID),
+    ],
+    ids=["catalog", "build", "failing solve"],
+)
+def test_closed_stdout_keeps_the_exit_code(tiny_path, tmp_path, command, code, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has left before the command prints anything
+    try:
+        args = [command[0], "--instance", str(tiny_path), *command[1:]]
+        proc = _cli_subprocess(args, tmp_path, write_end, unbuffered)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, "")
+    if command[0] == "build":
+        assert "Maximize" in (tmp_path / "m.lp").read_text(encoding="utf-8")
+
+
+@BUFFERING
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_is_an_unwritable_output(tiny_path, tmp_path, unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = _cli_subprocess(["catalog", "--instance", str(tiny_path)], tmp_path, full, unbuffered)
+    assert (proc.returncode, proc.stderr) == (EXIT_CONFIG, "error: [Errno 28] No space left on device\n")
+
+
+def test_no_stdout_at_all_prints_nothing(tiny_path, tmp_path):
+    # file descriptor 1 closed before the interpreter starts, so sys.stdout is None
+    args = ["catalog", "--instance", str(tiny_path)]
+    proc = _cli_subprocess(args, tmp_path, None, "", preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")

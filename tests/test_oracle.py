@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 
 from pipesched.batches import enumerate_batches
-from pipesched.generator import generate_oracle_instance
+from pipesched.generator import PathExperimentParams, generate_oracle_instance, generate_path_instance
 from pipesched.instance import FixedTransport, TransportOutage
 from pipesched.oracle import (
     ORACLE_STATUS_BUDGET,
@@ -43,13 +43,16 @@ def test_node_budget_sentinel(ref1_small):
 
 
 def test_limit_guards_reject_large_inputs():
-    wide = generate_oracle_instance(seed=0)
-    with pytest.raises(ValueError, match="edges"):
-        brute_force_optimum(wide, OracleLimits(max_edges=0))
-    with pytest.raises(ValueError, match="horizon"):
-        brute_force_optimum(wide, OracleLimits(max_horizon=4))
-    with pytest.raises(ValueError, match="candidate"):
-        brute_force_optimum(wide, OracleLimits(max_candidates=1))
+    three_edges = generate_path_instance(PathExperimentParams(vertices=4, horizon=12))
+    with pytest.raises(ValueError, match="instance has 3 edges, oracle limit is 2"):
+        brute_force_optimum(three_edges)
+    with pytest.raises(ValueError, match="horizon 25 exceeds oracle limit 24"):
+        brute_force_optimum(single_edge_instance(horizon=25))
+    # five copies of the one regime offer 5 x 41 dispatches on the 24-slot pipe
+    base = single_edge_instance()
+    copies = tuple(dataclasses.replace(base.regimes[0], id=f"r{k}", cost_per_batch={}) for k in range(1, 6))
+    with pytest.raises(ValueError, match="205 candidate placements exceed oracle limit 200"):
+        brute_force_optimum(dataclasses.replace(base, regimes=copies))
 
 
 def test_forced_transport_appears_in_optimum(ref1_small):
