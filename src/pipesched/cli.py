@@ -37,7 +37,7 @@ from .generator import (
     precheck_path_feasibility,
 )
 from .instance import load_instance, save_instance, validate_instance
-from .lp_io import write_lp
+from .lp_io import write_lp, write_text_file
 from .milpmodel import MILPModel, ModelBuildError, build_model
 from .oracle import ORACLE_STATUS_BUDGET, ORACLE_STATUS_INFEASIBLE, OracleLimits, brute_force_optimum
 from .schedule import Schedule
@@ -233,7 +233,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 def cmd_build(args: argparse.Namespace) -> int:
     model = _build(_load(args.instance))
-    Path(args.out).write_text(write_lp(model), encoding="utf-8")
+    write_text_file(args.out, write_lp(model))
     counts = model.family_counts()
     print(f"wrote {args.out}")
     print(f"variables: {len(model.variables)} ({model.metadata['binaries']} binary)")

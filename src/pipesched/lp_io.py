@@ -2,6 +2,9 @@
 
 `write_lp` emits CPLEX-dialect LP text deterministically: identical models
 produce byte-identical files, so file hashes can anchor regression tests.
+It formats rows from the model's row store a chunk at a time and joins the
+chunks once, caching nothing on the model; `write_text_file` writes the text
+out without encoding all of it at once.
 Variable names are kind-prefixed dense ids (v=placement, w=endpoint,
 u=blocked stock, l=on-stock, d=deviation).  The objective constant is never
 written into the file; callers add it back to reported values.
@@ -17,10 +20,11 @@ against the reported value.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from typing import Iterable, Optional
+from pathlib import Path
+from typing import Iterator, Optional, Union
 
 from .milpmodel import GE, LE, PLACEMENT, SENSES, MILPModel, RowStore, row_name
 from .schedule import Schedule
@@ -29,6 +33,8 @@ INTEGRALITY_TOL = 1e-5
 OBJECTIVE_CHECK_TOL = 1e-6
 
 _TERMS_PER_LINE = 8
+_CHUNK_TERMS = 8192  # terms formatted at a time by `write_lp`
+_WRITE_SLICE = 1 << 18  # characters encoded at a time by `write_text_file`: at most 1 MiB of UTF-8
 
 
 class LPWriteError(ValueError):
@@ -47,35 +53,38 @@ def _num(x: int | Fraction) -> str:
     return repr(float(x))
 
 
-def _terms_text(terms: Iterable[tuple[int, int | Fraction]], names: list[str]) -> list[str]:
-    chunks = [
-        f"+{_num(coef)} {names[vid]}" if coef >= 0 else f"-{_num(-coef)} {names[vid]}" for vid, coef in terms
-    ]
-    lines = []
-    for i in range(0, len(chunks), _TERMS_PER_LINE):
-        lines.append(" ".join(chunks[i : i + _TERMS_PER_LINE]))
-    return lines or [""]
+def _wrap(words: list[str], indent: str) -> str:
+    """`words` joined by spaces, `_TERMS_PER_LINE` to a line; each further line starts with `indent`."""
+    return f"\n{indent}".join(" ".join(words[i : i + _TERMS_PER_LINE]) for i in range(0, len(words), _TERMS_PER_LINE))
 
 
-def _row_texts(rows: RowStore, names: list[str]) -> list[str]:
-    """LP lines of every row; '' for a row without terms, which holds vacuously."""
+def _row_chunks(rows: RowStore, names: list[str], activated_lazy: Optional[set[int]]) -> Iterator[str]:
+    """The shipped rows' LP lines, one string per run of rows holding about `_CHUNK_TERMS` terms;
+    every row without terms, shipped or not, is checked to hold vacuously and left out."""
+    start = rows.start
     signed = {c: f"+{c} " if c >= 0 else f"-{-c} " for c in set(rows.coef)}
-    terms = list(map(str.__add__, map(signed.__getitem__, rows.coef), map(names.__getitem__, rows.col)))
-    texts = []
-    ends = islice(rows.start, 1, None)
-    for s, e, family, rank, sense, rhs in zip(rows.start, ends, rows.family, rows.rank, rows.sense, rows.rhs):
-        name = row_name(family, rank)
-        sense = SENSES[sense]
-        if s == e:
-            if not (0 <= rhs if sense == LE else 0 >= rhs if sense == GE else rhs == 0):
-                raise LPWriteError(f"constraint {name} has no terms and cannot hold (0 {sense} {rhs})")
-            texts.append("")
-        elif e - s <= _TERMS_PER_LINE:
-            texts.append(f" {name}: {' '.join(terms[s:e])} {sense} {rhs}")
-        else:
-            lines = "\n   ".join(" ".join(terms[i : min(i + _TERMS_PER_LINE, e)]) for i in range(s, e, _TERMS_PER_LINE))
-            texts.append(f" {name}: {lines} {sense} {rhs}")
-    return texts
+    r0 = 0
+    while r0 < len(rows):
+        r1 = max(r0 + 1, bisect_right(start, start[r0] + _CHUNK_TERMS, r0) - 1)
+        s0, s1 = start[r0], start[r1]
+        coefs, cols = rows.coef[s0:s1], rows.col[s0:s1]
+        terms = list(map(str.__add__, map(signed.__getitem__, coefs), map(names.__getitem__, cols)))
+        lines = []
+        for r, s, e, family, rank, sense, rhs, lazy in zip(
+            range(r0, r1), start[r0:r1], start[r0 + 1 : r1 + 1], rows.family[r0:r1],
+            rows.rank[r0:r1], rows.sense[r0:r1], rows.rhs[r0:r1], rows.lazy[r0:r1],
+        ):
+            name, sense = row_name(family, rank), SENSES[sense]
+            if s == e:
+                if not (0 <= rhs if sense == LE else 0 >= rhs if sense == GE else rhs == 0):
+                    raise LPWriteError(f"constraint {name} has no terms and cannot hold (0 {sense} {rhs})")
+            elif not lazy or activated_lazy is None or r in activated_lazy:
+                lhs = terms[s - s0 : e - s0]
+                lhs = " ".join(lhs) if len(lhs) <= _TERMS_PER_LINE else _wrap(lhs, "   ")
+                lines.append(f" {name}: {lhs} {sense} {rhs}")
+        if lines:
+            yield "\n".join(lines)
+        r0 = r1
 
 
 def _bound_affixes(lb: int | None, ub: int | None) -> tuple[str, str] | None:
@@ -96,51 +105,40 @@ def write_lp(model: MILPModel, activated_lazy: Optional[set[int]] = None) -> str
 
     With `activated_lazy=None` every row is written (monolithic model); with
     a set only non-lazy rows plus the activated lazy row indices appear.
-    Rows with an empty left-hand side cannot be expressed in LP format; they
-    are skipped after checking they hold vacuously (on the first call, for
-    every row of the model).  Row text is the same in every lazy round, so
-    it is formatted once per model.
+    A row without terms is left out after checking that it holds vacuously.
     """
     names = model.lp_names
-    if model.lp_rows is None:
-        model.lp_rows = _row_texts(model.constraints, names)
-    out: list[str] = []
     meta = model.metadata or {}
-    out.append(f"\\ pipesched model {meta.get('instance', '?')} hash={str(meta.get('instance_hash', ''))[:12]}")
-    out.append("Maximize")
-    if model.objective:
-        obj_lines = _terms_text(model.objective, names)
-    else:
-        obj_lines = [f"+0 {names[0]}"] if names else ["+0 x0"]
-    out.append(" obj: " + obj_lines[0])
-    out.extend("   " + line for line in obj_lines[1:])
-
-    out.append("Subject To")
-    out.extend(
-        text
-        for idx, (text, lazy) in enumerate(zip(model.lp_rows, model.constraints.lazy))
-        if text and (not lazy or activated_lazy is None or idx in activated_lazy)
-    )
-
-    out.append("Bounds")
+    objective = [f"+{_num(c)} {names[vid]}" if c >= 0 else f"-{_num(-c)} {names[vid]}" for vid, c in model.objective]
+    objective = _wrap(objective or [f"+0 {names[0]}" if names else "+0 x0"], "   ")  # the terms are freed here
+    pieces = [
+        f"\\ pipesched model {meta.get('instance', '?')} hash={str(meta.get('instance_hash', ''))[:12]}",
+        "Maximize",
+        f" obj: {objective}",
+        "Subject To",
+        *_row_chunks(model.constraints, names, activated_lazy),
+        "Bounds",
+    ]
     binaries: list[str] = []
     for block in model.variables.blocks:
         binary, lb, ub = block.bounds
         block_names = names[block.start : block.start + block.count]
         if binary:
             binaries.extend(block_names)
-            continue
-        affixes = _bound_affixes(lb, ub)
-        if affixes is not None:
-            before, after = affixes
-            out.extend(f" {before}{name}{after}" for name in block_names)
+        elif block_names and (affixes := _bound_affixes(lb, ub)) is not None:
+            pieces.append("\n".join(f" {affixes[0]}{name}{affixes[1]}" for name in block_names))
 
     if binaries:
-        out.append("Binary")
-        for i in range(0, len(binaries), _TERMS_PER_LINE):
-            out.append(" " + " ".join(binaries[i : i + _TERMS_PER_LINE]))
-    out.append("End")
-    return "\n".join(out) + "\n"
+        pieces += ["Binary", " " + _wrap(binaries, " ")]
+    pieces.append("End\n")
+    return "\n".join(pieces)
+
+
+def write_text_file(path: Union[str, Path], text: str) -> None:
+    """Write `text` to `path` as UTF-8, encoding at most 1 MiB at a time rather than a copy of all of it."""
+    with open(path, "w", encoding="utf-8") as f:
+        for i in range(0, len(text), _WRITE_SLICE):
+            f.write(text[i : i + _WRITE_SLICE])
 
 
 @dataclass
@@ -191,8 +189,17 @@ def _normalize_status(text: str) -> Optional[str]:
     return None
 
 
+def _name_vid(name: str, names: list[str]) -> Optional[int]:
+    """The column an LP name denotes: its kind prefix, then its vid in ASCII digits; None for any other token."""
+    digits = name[1:]
+    if not (digits.isascii() and digits.isdigit()) or len(digits) > len(str(len(names))):
+        return None
+    vid = int(digits)
+    return vid if vid < len(names) and names[vid] == name else None
+
+
 def parse_solution(text: str, model: MILPModel) -> ParsedSolution:
-    name_to_vid = model.name_index
+    names = model.lp_names
     values: dict[int, float] = {}
     reported: Optional[float] = None
     bound: Optional[float] = None
@@ -226,24 +233,24 @@ def parse_solution(text: str, model: MILPModel) -> ParsedSolution:
                     pass
             continue
         if not saw_values_section:
-            m = _CBC_RE.match(line)
-            if m and line.split()[0].lower() not in name_to_vid:
+            m = _CBC_RE.match(line)  # no column name (a letter, then digits) starts with a status word
+            if m:
                 status_hint = _normalize_status(m.group(1)) or status_hint
                 if m.group(2) is not None:
                     reported = float(m.group(2))
                 continue
 
         tokens = line.split()
-        name = value_token = None
-        if tokens[0] in name_to_vid and len(tokens) >= 2:
-            name, value_token = tokens[0], tokens[1]
-        elif len(tokens) >= 3 and _NUM_RE.match(tokens[0]) and tokens[1] in name_to_vid:
-            name, value_token = tokens[1], tokens[2]  # "<row#> name value [rcost]"
-        if name is None or not _NUM_RE.match(value_token):
+        vid = value_token = None
+        if len(tokens) >= 2 and (vid := _name_vid(tokens[0], names)) is not None:
+            value_token = tokens[1]
+        elif len(tokens) >= 3 and _NUM_RE.match(tokens[0]) and (vid := _name_vid(tokens[1], names)) is not None:
+            value_token = tokens[2]  # "<row#> name value [rcost]"
+        if vid is None or not _NUM_RE.match(value_token):
             excerpt = line if len(line) <= 120 else line[:117] + "..."
             raise SolutionFormatError(f"unparseable solution line {lineno}: {excerpt!r}")
         saw_values_section = True
-        values[name_to_vid[name]] = float(value_token)
+        values[vid] = float(value_token)
 
     no_values = (STATUS_UNBOUNDED, STATUS_ERROR, STATUS_TIME_LIMIT)  # words that may come without a schedule
     if status_hint == STATUS_INFEASIBLE or (not saw_values_section and status_hint in no_values):

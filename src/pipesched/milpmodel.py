@@ -299,19 +299,12 @@ class MILPModel:
     instance: Instance
     catalog: BatchCatalog
     metadata: dict = field(default_factory=dict)
-    # LP text of each row, formatted by lp_io.write_lp on its first call
-    lp_rows: Optional[list[str]] = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def lp_names(self) -> list[str]:
-        """LP name of every column, by vid."""
+        """LP name of every column, by vid: its kind's one-letter prefix, then the vid in decimal."""
         blocks = self.variables.blocks
         return [f"{_NAME_PREFIX[b.kind]}{vid}" for b in blocks for vid in range(b.start, b.start + b.count)]
-
-    @cached_property
-    def name_index(self) -> dict[str, int]:
-        """LP name -> vid."""
-        return {name: vid for vid, name in enumerate(self.lp_names)}
 
     def vid(self, kind: str, key: tuple) -> Optional[int]:
         return self.variables.vid(kind, key)
@@ -749,8 +742,6 @@ def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPM
         "instance": inst.name,
         "instance_hash": instance_hash(inst),
         "binaries": sum(b.count for b in columns.blocks if b.bounds[0]),
-        "lazy_rows": sum(rows.lazy),
-        "options": {"capacity_lazy": options.capacity_lazy},
         "warnings": warnings,
     }
     return model

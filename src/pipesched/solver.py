@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .lp_io import STATUS_ERROR, STATUS_GAP, STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME_LIMIT, STATUS_UNBOUNDED
-from .lp_io import SolutionFormatError, parse_solution, write_lp
+from .lp_io import SolutionFormatError, parse_solution, write_lp, write_text_file
 from .milpmodel import MILPModel
 from .schedule import Schedule
 from .validator import (
@@ -133,7 +133,7 @@ def _run_once(model: MILPModel, config: SolverConfig, activated: Optional[set[in
         argv = config.argv(lp_path, sol_path)
     except ValueError as exc:
         return SolveResult(STATUS_ERROR, message=str(exc))
-    lp_path.write_text(write_lp(model, activated), encoding="utf-8")
+    write_text_file(lp_path, write_lp(model, activated))  # the text is freed before the child starts
     sol_path.unlink(missing_ok=True)  # a kept work dir may hold an earlier run's solution
 
     watchdog = max(60.0, config.time_limit * 2 + 120)

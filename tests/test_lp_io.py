@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,7 @@ from pipesched.lp_io import (
     SolutionFormatError,
     parse_solution,
     write_lp,
+    write_text_file,
 )
 from pipesched.milpmodel import BuildOptions, build_model
 
@@ -30,21 +32,49 @@ def test_lp_write_is_byte_deterministic(ref1):
 
 
 @pytest.mark.parametrize(
-    "vertices, setting, cost_mode, lazy, size, digest",
+    "vertices, setting, cost_mode, ship, size, digest",
     [
-        (4, "A", "SD", False, 1_237_370, "f864c775cbd08559ec69e05a7dc4005c284f892c94dab8c2ee92aadd4b8ffbfd"),
-        (4, "A", "SD", True, 1_023_558, "3b4f4017490fc992793ce9156ad8a884a740322b25826900a07b9321e33ba6fd"),
-        (6, "B", "SDC", False, 3_093_524, "1eb4ce281f393fec98f06928aa116bf93f99eda9932063104ffa581eb1730784"),
-        (6, "B", "SDC", True, 2_657_984, "bd92329d047c4ecaf6d37da82dcb97f4cafd216c76329fd51c62dcac7f7fb081"),
+        (4, "A", "SD", None, 1_237_370, "f864c775cbd08559ec69e05a7dc4005c284f892c94dab8c2ee92aadd4b8ffbfd"),
+        (4, "A", "SD", slice(0), 1_023_558, "3b4f4017490fc992793ce9156ad8a884a740322b25826900a07b9321e33ba6fd"),
+        (6, "B", "SDC", None, 3_093_524, "1eb4ce281f393fec98f06928aa116bf93f99eda9932063104ffa581eb1730784"),
+        (6, "B", "SDC", slice(0), 2_657_984, "bd92329d047c4ecaf6d37da82dcb97f4cafd216c76329fd51c62dcac7f7fb081"),
+        (6, "B", "SDC", slice(None, None, 5), 2_745_091,
+         "5564b69b6f0e142c3dcec021d4f4352cb49f85bdb0fcd3e06a1871f76a1e4dde"),
     ],
-    ids=["l4A-SD mono", "l4A-SD lazy round 0", "l6B-SDC mono", "l6B-SDC lazy round 0"],
+    ids=["l4A-SD mono", "l4A-SD lazy round 0", "l6B-SDC mono", "l6B-SDC lazy round 0", "l6B-SDC lazy every 5th bound"],
 )
-def test_lp_bytes_are_pinned(vertices, setting, cost_mode, lazy, size, digest):
+def test_lp_bytes_are_pinned(vertices, setting, cost_mode, ship, size, digest):
     # the exact file the solver reads; a change to the model or the writer that is
-    # meant to alter it updates these pins and says why
+    # meant to alter it updates these pins and says why.  `ship` picks the lazy bound
+    # rows activated, in row order (2304 of them for every 5th); None is the monolithic model
     inst = generate_path_instance(PathExperimentParams(vertices=vertices, setting=setting, cost_mode=cost_mode))
-    text = write_lp(build_model(inst, BuildOptions(capacity_lazy=lazy)), set() if lazy else None).encode("utf-8")
+    model = build_model(inst, BuildOptions(capacity_lazy=ship is not None))
+    activated = None if ship is None else set(sorted(model.lazy_bounds.values())[ship])
+    text = write_lp(model, activated).encode("utf-8")
     assert (len(text), hashlib.sha256(text).hexdigest()) == (size, digest)
+
+
+def test_write_lp_holds_little_besides_its_text():
+    # chunked formatting: the peak stays near the text and its chunks, and nothing is cached on the model
+    model = build_model(generate_path_instance(PathExperimentParams(vertices=4, setting="A", cost_mode="SD")))
+    model.lp_names  # built once per model, outside what is measured
+    tracemalloc.start()
+    try:
+        text = write_lp(model)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * len(text)
+    assert held <= 1.1 * len(text)
+
+
+def test_write_text_file_writes_the_text_in_slices(tmp_path):
+    text = "".join(f"line {i} \u00e9\n" for i in range(200_000))  # longer than one slice, not all ASCII
+    path = tmp_path / "m.lp"
+    write_text_file(path, text)
+    assert path.read_bytes() == text.encode("utf-8")
+    write_text_file(path, "")
+    assert path.read_bytes() == b""
 
 
 def test_lp_sections_and_binary_count(ref_model):
@@ -142,6 +172,22 @@ def test_near_integral_values_round(ref_model):
 def test_unknown_variable_names_rejected(ref_model):
     with pytest.raises(SolutionFormatError, match="zz9"):
         parse_solution("# Objective value = 0\nzz9 1\n", ref_model)
+
+
+def test_names_that_are_no_column_are_rejected(ref_model):
+    # a name is a kind prefix and the vid's ASCII digits, exactly as the writer spells it; "u3"
+    # has the digits of a placement column, "v" + 5000 digits is past int()'s digit limit
+    names = ref_model.lp_names
+    assert names[3] == "v3"
+    for name in ["v01", "v\u00b2", "q5", "v+5", "v", "v" + "9" * 5000, f"v{len(names)}", "u3"]:
+        with pytest.raises(SolutionFormatError, match="unparseable solution line"):
+            parse_solution(f"# Objective value = 0\n{name} 1\n", ref_model)
+
+
+def test_every_column_name_reads_back_as_its_vid(ref_model):
+    text = "".join(f"{name} {int(vid == 28)}\n" for vid, name in enumerate(ref_model.lp_names))
+    parsed = parse_solution("# Status = optimal\n" + text, ref_model)
+    assert parsed.schedule.placements == frozenset({ref_model.variables[28].key})
 
 
 def test_garbage_line_rejected(ref_model):

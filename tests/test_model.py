@@ -300,11 +300,12 @@ def test_lazy_flag_only_marks_bound_rows(ref1):
     lazy = build_model(ref1, BuildOptions(capacity_lazy=True))
     flagged = {c.family for c in lazy.constraints if c.lazy}
     assert flagged == {FAM_CAP_UPPER, FAM_CAP_LOWER}
-    assert lazy.metadata["lazy_rows"] == 96
-    assert lazy.metadata["options"] == {"capacity_lazy": True}
+    assert sum(lazy.constraints.lazy) == 96
+    assert [bool(flag) for flag in lazy.constraints.lazy] == [
+        c.family in (FAM_CAP_UPPER, FAM_CAP_LOWER) for c in lazy.constraints
+    ]
     eager = build_model(ref1)
-    assert eager.metadata["lazy_rows"] == 0
-    assert eager.metadata["options"] == {"capacity_lazy": False}
+    assert sum(eager.constraints.lazy) == 0
     # the coordinate index exists either way and addresses every bound row
     assert len(eager.lazy_bounds) == 96
 
