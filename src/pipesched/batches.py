@@ -6,27 +6,23 @@ volume exceeds the standard size, a single enlarged "flush fill" that can
 push a preceding batch through the whole path on its own.  A batch occupies
 each edge of its regime for `length` slots, length = ceil(volume / flow).
 
-The catalog also precomputes the relational sets the model emitters and the
-validator share as *data* (never as constraint logic): per-edge placement
-references with their chain classification, flush-candidate sets and
-stain-exclusion sets.
+A batch's path is stored once, in `chains`; the per-edge batch lists and a
+batch's position on an edge (initial, transit, final or both ends, which only
+`catalog_to_csv` writes) are derived from it.  The catalog also precomputes
+the relational sets the model emitters and the validator share as *data*
+(never as constraint logic): flush-candidate sets, read where a staining
+batch is dispatched, and stain-exclusion sets per (edge, product).
 """
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .instance import FLUSH_FILL, STANDARD, Instance, PumpingRegime, batch_id
-
-# chain position of a batch on an edge
-INITIAL = "initial"
-TRANSIT = "transit"
-FINAL = "final"
-INITIAL_FINAL = "initial_final"
-
 
 @dataclass(frozen=True)
 class BatchSpec:
@@ -38,29 +34,20 @@ class BatchSpec:
     size_variant: str  # STANDARD | FLUSH_FILL
 
 
-@dataclass(frozen=True)
-class PlacedBatchRef:
-    edge: str
-    batch: str
-    classification: str
-
-
 @dataclass
 class BatchCatalog:
     specs: tuple[BatchSpec, ...]
+    chains: dict[str, tuple[str, ...]]  # batch -> ordered edges of its path
+    # edge -> ids of the batches whose path holds it, in catalog order; every edge of the instance is a key
+    batches_by_edge: dict[str, tuple[str, ...]]
     spec_by_id: dict[str, BatchSpec] = field(init=False)
-    chains: dict[str, tuple[str, ...]] = field(default_factory=dict)  # batch -> ordered edges
-    refs_by_edge: dict[str, tuple[PlacedBatchRef, ...]] = field(default_factory=dict)
-    # (edge, staining batch id) -> candidate flushing batch ids able to push it through
-    flush_candidates: dict[tuple[str, str], tuple[str, ...]] = field(default_factory=dict)
+    # staining batch id -> flushing batch ids able to push it through, from its dispatch edge on
+    flush_candidates: dict[str, tuple[str, ...]] = field(default_factory=dict)
     # (edge, staining product) -> staining batch ids of other products on that edge
     stain_exclusions: dict[tuple[str, str], tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.spec_by_id = {s.id: s for s in self.specs}
-
-    def refs(self, edge_id: str) -> tuple[PlacedBatchRef, ...]:
-        return self.refs_by_edge.get(edge_id, ())
 
     def initial_edge(self, batch_id: str) -> str:
         return self.chains[batch_id][0]
@@ -75,10 +62,10 @@ class BatchCatalog:
         return self._on_path_end(-1)
 
     def _on_path_end(self, end: int) -> Iterator[tuple[str, BatchSpec]]:
-        for eid, refs in self.refs_by_edge.items():
-            for ref in refs:
-                if self.chains[ref.batch][end] == eid:
-                    yield eid, self.spec_by_id[ref.batch]
+        for eid, bids in self.batches_by_edge.items():
+            for bid in bids:
+                if self.chains[bid][end] == eid:
+                    yield eid, self.spec_by_id[bid]
 
 
 def compute_batch_length(regime: PumpingRegime, product: str, volume: int) -> int:
@@ -107,7 +94,7 @@ def enumerate_batches(inst: Instance) -> BatchCatalog:
     """Build the full catalog in canonical (regime, product, variant) order."""
     specs: list[BatchSpec] = []
     chains: dict[str, tuple[str, ...]] = {}
-    refs_by_edge: dict[str, list[PlacedBatchRef]] = {e.id: [] for e in inst.edges}
+    by_edge: dict[str, list[str]] = {e.id: [] for e in inst.edges}
 
     for regime in inst.regimes:
         origin = inst.site(inst.regime_origin(regime))
@@ -129,57 +116,57 @@ def enumerate_batches(inst: Instance) -> BatchCatalog:
                 )
                 specs.append(spec)
                 chains[bid] = regime.edges
-                n = len(regime.edges)
-                for i, eid in enumerate(regime.edges):
-                    if n == 1:
-                        cls = INITIAL_FINAL
-                    elif i == 0:
-                        cls = INITIAL
-                    elif i == n - 1:
-                        cls = FINAL
-                    else:
-                        cls = TRANSIT
-                    refs_by_edge[eid].append(PlacedBatchRef(edge=eid, batch=bid, classification=cls))
+                for eid in regime.edges:
+                    by_edge[eid].append(bid)
 
     catalog = BatchCatalog(
         specs=tuple(specs),
         chains=chains,
-        refs_by_edge={eid: tuple(refs) for eid, refs in refs_by_edge.items()},
+        batches_by_edge={eid: tuple(bids) for eid, bids in by_edge.items()},
     )
 
-    # flush candidates: same edge, same regime, flushing product, volume >= regime flush volume
-    # (equality qualifies); stain exclusions: staining batches of a different product on the edge
-    for eid, refs in catalog.refs_by_edge.items():
-        staining_here = [r for r in refs if not inst.product(catalog.spec_by_id[r.batch].product).is_flushing]
-        for ref in staining_here:
-            spec = catalog.spec_by_id[ref.batch]
-            regime = inst.regime(spec.regime)
-            rv = inst.regime_flush_volume(regime)
-            cands = tuple(
-                r.batch
-                for r in refs
-                if catalog.spec_by_id[r.batch].regime == spec.regime
-                and inst.product(catalog.spec_by_id[r.batch].product).is_flushing
-                and catalog.spec_by_id[r.batch].volume >= rv
+    # flush candidates: same regime (so the same path), flushing product, volume >= regime flush
+    # volume (equality qualifies); stain exclusions: staining batches of a different product on the edge
+    staining = {s.id for s in specs if not inst.product(s.product).is_flushing}
+    for spec in specs:
+        if spec.id in staining:
+            rv = inst.regime_flush_volume(inst.regime(spec.regime))
+            catalog.flush_candidates[spec.id] = tuple(
+                s.id for s in specs if s.regime == spec.regime and s.id not in staining and s.volume >= rv
             )
-            catalog.flush_candidates[(eid, ref.batch)] = cands
-        stain_products = {catalog.spec_by_id[r.batch].product for r in staining_here}
-        for pid in sorted(stain_products):
+    for eid, bids in catalog.batches_by_edge.items():
+        staining_here = [bid for bid in bids if bid in staining]
+        for pid in sorted({catalog.spec_by_id[bid].product for bid in staining_here}):
             catalog.stain_exclusions[(eid, pid)] = tuple(
-                r.batch for r in staining_here if catalog.spec_by_id[r.batch].product != pid
+                bid for bid in staining_here if catalog.spec_by_id[bid].product != pid
             )
 
     return catalog
 
 
+def csv_text(rows: Iterable[Sequence]) -> str:
+    """`rows` as CSV lines ending in "\\n"; a field holding a comma, a quote or a line break is quoted."""
+    import csv  # here, not at the top: no solve writes CSV, and the module adds 0.13 MB to a solve's peak RSS
+
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _position(chain: tuple[str, ...], eid: str) -> str:
+    """Where `eid` lies on a batch's path: initial, transit, final, or initial_final for a one-edge path."""
+    first, last = eid == chain[0], eid == chain[-1]
+    return "initial_final" if first and last else "initial" if first else "final" if last else "transit"
+
+
 def catalog_to_csv(catalog: BatchCatalog) -> str:
     """Flat dump of all edge placements, one row per (edge, batch)."""
-    lines = ["edge,batch,regime,product,volume,length,classification"]
-    for eid in catalog.refs_by_edge:
-        for ref in catalog.refs_by_edge[eid]:
-            s = catalog.spec_by_id[ref.batch]
-            lines.append(f"{eid},{s.id},{s.regime},{s.product},{s.volume},{s.length},{ref.classification}")
-    return "\n".join(lines) + "\n"
+    rows = [("edge", "batch", "regime", "product", "volume", "length", "classification")]
+    for eid, bids in catalog.batches_by_edge.items():
+        for bid in bids:
+            s = catalog.spec_by_id[bid]
+            rows.append((eid, s.id, s.regime, s.product, s.volume, s.length, _position(catalog.chains[bid], eid)))
+    return csv_text(rows)
 
 
 def batch_cost(inst: Instance, spec: BatchSpec) -> Fraction:

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .batches import catalog_to_csv, enumerate_batches
+from .batches import catalog_to_csv, csv_text, enumerate_batches
 from .generator import (
     OUTTAKE_POLICIES,
     SETTINGS,
@@ -308,13 +308,13 @@ def cmd_gantt(args: argparse.Namespace) -> int:
     inst = _load(args.instance)
     catalog = enumerate_batches(inst)
     schedule = _load_schedule(args.schedule)
-    lines = ["edge,batch,product,start,end,volume"]
+    rows = [("edge", "batch", "product", "start", "end", "volume")]
     for edge, batch, t in schedule.sorted_placements:
         spec = catalog.spec_by_id.get(batch)
         if spec is None:
             raise CliError(f"schedule references unknown batch {batch!r}")
-        lines.append(f"{edge},{batch},{spec.product},{t},{t + spec.length},{spec.volume}")
-    _print_or_write("\n".join(lines) + "\n", args.out)
+        rows.append((edge, batch, spec.product, t, t + spec.length, spec.volume))
+    _print_or_write(csv_text(rows), args.out)
     return EXIT_OK
 
 

@@ -6,8 +6,10 @@ It formats rows from the model's row store a chunk at a time and joins the
 chunks once, caching nothing on the model; `write_text_file` writes the text
 out without encoding all of it at once.
 Variable names are kind-prefixed dense ids (v=placement, w=endpoint,
-u=blocked stock, l=on-stock, d=deviation).  The objective constant is never
-written into the file; callers add it back to reported values.
+u=blocked stock, l=on-stock, d=deviation).  The header comment writes the
+instance name with backslash escapes, so it stays on one line and the file
+is ASCII.  The objective constant is never written into the file; callers
+add it back to reported values.
 
 `parse_solution` accepts the common solution-file shapes: `name value`
 pairs, `#`-comment metadata (objective/bound/status), `objective value:` /
@@ -108,11 +110,11 @@ def write_lp(model: MILPModel, activated_lazy: Optional[set[int]] = None) -> str
     A row without terms is left out after checking that it holds vacuously.
     """
     names = model.lp_names
-    meta = model.metadata or {}
+    instance = model.instance.name.encode("unicode_escape").decode("ascii")  # on one line, in ASCII
     objective = [f"+{_num(c)} {names[vid]}" if c >= 0 else f"-{_num(-c)} {names[vid]}" for vid, c in model.objective]
     objective = _wrap(objective or [f"+0 {names[0]}" if names else "+0 x0"], "   ")  # the terms are freed here
     pieces = [
-        f"\\ pipesched model {meta.get('instance', '?')} hash={str(meta.get('instance_hash', ''))[:12]}",
+        f"\\ pipesched model {instance} hash={model.metadata['instance_hash'][:12]}",
         "Maximize",
         f" obj: {objective}",
         "Subject To",

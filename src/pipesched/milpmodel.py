@@ -36,16 +36,20 @@ Rows live in one integer row store (`RowStore`), in stdlib `array`s: CSR
 row starts, column ids and coefficients, plus per row its sense, right-hand
 side, family, rank within the family (which names it) and lazy flag.  The
 emitters append whole runs of rows to it and build no per-term or per-row
-objects.  `MILPModel.variables` (a `Columns`) and `MILPModel.constraints`
-(the `RowStore`) are read-only sequences that build a `Variable` or a
-`LinearConstraint` only when one is read.  Coefficients and right-hand
-sides are signed 64-bit integers; a larger volume raises OverflowError.
+objects, and every reader (the LP writer, `violated_rows`, the tests) reads
+rows from these arrays and columns from the blocks; a row is named by
+`row_name`, a column by `MILPModel.lp_names`.  Iterating `MILPModel.variables`
+(a `Columns`) or `MILPModel.constraints` (the `RowStore`) builds one
+`Variable` or `LinearConstraint` at a time; these two views and their
+`len()` remain only for the benchmark's model counts
+(`perfbench/op.py::model_counts`) until its next revision reads the arrays.
+Coefficients and right-hand sides are signed 64-bit integers; a larger
+volume raises OverflowError.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -129,6 +133,7 @@ class ModelBuildError(ValueError):
     pass
 
 
+# the items of the two iteration views, kept for `perfbench/op.py::model_counts`
 class Variable(NamedTuple):
     vid: int
     kind: str
@@ -136,10 +141,6 @@ class Variable(NamedTuple):
     binary: bool
     lb: Optional[int]
     ub: Optional[int]
-
-    @property
-    def lp_name(self) -> str:
-        return f"{_NAME_PREFIX[self.kind]}{self.vid}"
 
 
 class LinearConstraint(NamedTuple):
@@ -171,19 +172,17 @@ class ColumnBlock(NamedTuple):
         return _KIND_BOUNDS[self.kind]
 
 
-class Columns(Sequence):
-    """The model's columns as blocks; indexing or iterating builds `Variable`s."""
+class Columns:
+    """The model's columns as blocks; iterating builds `Variable`s."""
 
     def __init__(self) -> None:
         self.blocks: list[ColumnBlock] = []
-        self._starts: list[int] = []
         self._by_prefix: dict[tuple, list[ColumnBlock]] = {}
         self._size = 0
 
     def add(self, kind: str, prefix: tuple, first: int, count: int) -> ColumnBlock:
         block = ColumnBlock(kind, prefix, first, self._size, max(0, count))
         self.blocks.append(block)
-        self._starts.append(block.start)
         self._by_prefix.setdefault((kind, prefix), []).append(block)
         self._size += block.count
         return block
@@ -202,14 +201,6 @@ class Columns(Sequence):
     def __len__(self) -> int:
         return self._size
 
-    def __getitem__(self, vid: int) -> Variable:
-        if vid < 0:
-            vid += self._size
-        if not 0 <= vid < self._size:
-            raise IndexError(f"column {vid} out of range")
-        kind, prefix, first, start, _count = self.blocks[bisect_right(self._starts, vid) - 1]
-        return Variable(vid, kind, (*prefix, first + vid - start), *_KIND_BOUNDS[kind])
-
     def __iter__(self):
         for kind, prefix, first, start, count in self.blocks:
             bounds = _KIND_BOUNDS[kind]
@@ -217,8 +208,8 @@ class Columns(Sequence):
                 yield Variable(start + i, kind, (*prefix, first + i), *bounds)
 
 
-class RowStore(Sequence):
-    """Every row of the model in CSR form; indexing or iterating builds `LinearConstraint`s.
+class RowStore:
+    """Every row of the model in CSR form; iterating builds `LinearConstraint`s.
 
     Row r holds columns `col[start[r]:start[r+1]]` with coefficients `coef`
     at the same positions; `sense[r]` indexes SENSES and `family[r]`
@@ -264,28 +255,12 @@ class RowStore(Sequence):
     def __len__(self) -> int:
         return len(self.rhs)
 
-    def __getitem__(self, r: int) -> LinearConstraint:
-        if r < 0:
-            r += len(self)
-        if not 0 <= r < len(self):
-            raise IndexError(f"row {r} out of range")
-        s, e = self.start[r], self.start[r + 1]
-        return LinearConstraint(
-            row_name(self.family[r], self.rank[r]),
-            FAMILIES[self.family[r]],
-            tuple(zip(self.col[s:e], self.coef[s:e])),
-            SENSES[self.sense[r]],
-            self.rhs[r],
-            bool(self.lazy[r]),
-        )
-
     def __iter__(self):
-        pairs = list(zip(self.col, self.coef))
         ends = islice(self.start, 1, None)
         for s, e, family, rank, sense, rhs, lazy in zip(
             self.start, ends, self.family, self.rank, self.sense, self.rhs, self.lazy
         ):
-            terms = tuple(pairs[s:e])
+            terms = tuple(zip(self.col[s:e], self.coef[s:e]))
             yield LinearConstraint(row_name(family, rank), FAMILIES[family], terms, SENSES[sense], rhs, bool(lazy))
 
 
@@ -305,9 +280,6 @@ class MILPModel:
         """LP name of every column, by vid: its kind's one-letter prefix, then the vid in decimal."""
         blocks = self.variables.blocks
         return [f"{_NAME_PREFIX[b.kind]}{vid}" for b in blocks for vid in range(b.start, b.start + b.count)]
-
-    def vid(self, kind: str, key: tuple) -> Optional[int]:
-        return self.variables.vid(kind, key)
 
     def family_counts(self) -> dict[str, int]:
         return dict(zip(FAMILIES, self.constraints.family_sizes))
@@ -333,8 +305,8 @@ def build_variables(inst: Instance, catalog: BatchCatalog) -> Columns:
     H = inst.grid.horizon_len
     columns = Columns()
     for edge in inst.edges:
-        for ref in catalog.refs(edge.id):
-            columns.add(PLACEMENT, (edge.id, ref.batch), 0, H - catalog.spec_by_id[ref.batch].length + 1)
+        for bid in catalog.batches_by_edge[edge.id]:
+            columns.add(PLACEMENT, (edge.id, bid), 0, H - catalog.spec_by_id[bid].length + 1)
 
     for eid, spec in catalog.dispatches():
         if not inst.product(spec.product).is_flushing:
@@ -357,9 +329,7 @@ def emit_packing(inst, catalog, columns, rows) -> None:
     H = inst.grid.horizon_len
     place = columns.of_kind(PLACEMENT)
     for edge in inst.edges:
-        blocks = [
-            (place[(edge.id, ref.batch)], catalog.spec_by_id[ref.batch].length) for ref in catalog.refs(edge.id)
-        ]
+        blocks = [(place[(edge.id, bid)], catalog.spec_by_id[bid].length) for bid in catalog.batches_by_edge[edge.id]]
         cols: list[int] = []
         sizes: list[int] = []
         for t in range(H):
@@ -408,12 +378,12 @@ def emit_flushing(inst, catalog, columns, rows) -> list[str]:
         return out
 
     # endpoint markers exist exactly for the staining batches on their initial edge
-    stain_refs = [(eid, catalog.spec_by_id[bid]) for eid, bid in endpoint]
+    stains = [(eid, catalog.spec_by_id[bid]) for eid, bid in endpoint]
 
-    for eid, spec in stain_refs:
+    for eid, spec in stains:
         _mirror_rows(rows, FAM_FLUSH_LINK, place[(eid, spec.id)], endpoint[(eid, spec.id)])
 
-    for eid, spec in stain_refs:
+    for eid, spec in stains:
         others = catalog.stain_exclusions.get((eid, spec.product), ())
         if not others:
             continue
@@ -427,8 +397,8 @@ def emit_flushing(inst, catalog, columns, rows) -> list[str]:
             sizes.append(len(terms))
         rows.add(FAM_FLUSH_EXCL, LE, cols, [1] * len(cols), sizes, [1] * len(sizes))
 
-    for eid, spec in stain_refs:
-        candidates = catalog.flush_candidates.get((eid, spec.id), ())
+    for eid, spec in stains:
+        candidates = catalog.flush_candidates[spec.id]
         if not candidates:
             warnings.append(
                 f"staining batch {spec.id} on edge {eid} has no flushing batch large enough to push it through"
@@ -476,7 +446,7 @@ def emit_outages(inst, catalog, columns, rows, fixings: dict[int, int]) -> None:
         if isinstance(outage, TankOutage):
             continue
         for eid, bid in outage.batches:
-            if not any(r.batch == bid for r in catalog.refs(eid)):
+            if bid not in catalog.batches_by_edge.get(eid, ()):
                 raise ModelBuildError(f"transport outage references unknown batch coordinate ({eid!r}, {bid!r})")
             for t in outage.times:
                 vid = columns.vid(PLACEMENT, (eid, bid, t))
@@ -618,25 +588,25 @@ def emit_nominations(inst, catalog, columns, rows) -> None:
 
 
 def emit_fixed_transport(inst, catalog, columns, rows, fixings: dict[int, int]) -> None:
-    forced: list[int] = []
+    forced: list[tuple[int, tuple]] = []  # (vid, placement)
     for fx in inst.fixed_transports:
         bid = batch_id(fx.regime, fx.product, STANDARD)
         if bid not in catalog.spec_by_id:
             raise ModelBuildError(f"fixed transport references unknown batch {bid!r}")
-        e0 = catalog.initial_edge(bid)
-        vid = columns.vid(PLACEMENT, (e0, bid, fx.start))
+        key = (catalog.initial_edge(bid), bid, fx.start)
+        vid = columns.vid(PLACEMENT, key)
         if vid is None:
             raise ModelBuildError(f"fixed transport {bid!r} at {fx.start} does not fit the horizon")
-        forced.append(vid)
-    for eid, bid, t in inst.weights.executed:
-        vid = columns.vid(PLACEMENT, (eid, bid, t))
+        forced.append((vid, key))
+    for key in inst.weights.executed:
+        vid = columns.vid(PLACEMENT, key)
         if vid is None:
-            raise ModelBuildError(f"executed placement ({eid!r}, {bid!r}, {t}) has no variable")
-        forced.append(vid)
+            raise ModelBuildError(f"executed placement {key} has no variable")
+        forced.append((vid, key))
     emitted: dict[int, None] = {}  # vids in order of first appearance
-    for vid in forced:
+    for vid, key in forced:
         if fixings.get(vid, 1) == 0:
-            raise ModelBuildError(f"contradictory fixings for placement {columns[vid].key}")
+            raise ModelBuildError(f"contradictory fixings for placement {key}")
         fixings[vid] = 1
         emitted[vid] = None
     rows.add(FAM_FIXED, EQ, emitted, [1] * len(emitted), [1] * len(emitted), [1] * len(emitted))
@@ -739,7 +709,6 @@ def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPM
     )
 
     model.metadata = {
-        "instance": inst.name,
         "instance_hash": instance_hash(inst),
         "binaries": sum(b.count for b in columns.blocks if b.bounds[0]),
         "warnings": warnings,
@@ -790,17 +759,18 @@ def extend_placement_assignment(model: MILPModel, placements: Iterable[tuple[str
     return values
 
 
-def violated_rows(
-    model: MILPModel, values: Mapping[int, int], include_lazy: bool = True
-) -> list[LinearConstraint]:
+def violated_rows(model: MILPModel, values: Mapping[int, int], include_lazy: bool = True) -> list[int]:
+    """Indices of the rows that `values` (vid -> value, every column present) violates."""
+    rows = model.constraints
+    ends = islice(rows.start, 1, None)
     out = []
-    for c in model.constraints:
-        if c.lazy and not include_lazy:
+    for r, (s, e, sense, rhs, lazy) in enumerate(zip(rows.start, ends, rows.sense, rows.rhs, rows.lazy)):
+        if lazy and not include_lazy:
             continue
-        lhs = sum(coef * values[vid] for vid, coef in c.terms)
-        ok = lhs <= c.rhs if c.sense == LE else lhs >= c.rhs if c.sense == GE else lhs == c.rhs
-        if not ok:
-            out.append(c)
+        lhs = sum(coef * values[vid] for vid, coef in zip(rows.col[s:e], rows.coef[s:e]))
+        sense = SENSES[sense]
+        if not (lhs <= rhs if sense == LE else lhs >= rhs if sense == GE else lhs == rhs):
+            out.append(r)
     return out
 
 

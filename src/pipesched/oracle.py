@@ -165,7 +165,7 @@ def brute_force_optimum(inst: Instance, limits: OracleLimits = OracleLimits()) -
         if not c.staining:
             continue
         te = c.start + c.length
-        allowed = (c.batch, *catalog.flush_candidates.get((c.edge, c.batch), ()))
+        allowed = (c.batch, *catalog.flush_candidates[c.batch])
         allowed_followups[c.index] = frozenset(
             by_coord[(c.edge, fb, te)] for fb in allowed if (c.edge, fb, te) in by_coord
         )

@@ -27,7 +27,7 @@ from itertools import accumulate
 from operator import add
 from typing import NamedTuple
 
-from .batches import BatchCatalog, batch_cost, batch_id, STANDARD
+from .batches import BatchCatalog, batch_cost, batch_id, csv_text, STANDARD
 from .instance import Instance, TransportOutage
 from .schedule import Schedule
 
@@ -49,14 +49,10 @@ class OccupancySeries:
     lower: dict[tuple[str, str], list[int]]  # on-stock: inbound at completion, outbound from start
 
     def to_csv(self) -> str:
-        lines = ["site,product,t,lower,upper"]
+        rows = [("site", "product", "t", "lower", "upper")]
         for key in sorted(self.upper):
-            site, product = key
-            lo = self.lower[key]
-            up = self.upper[key]
-            for t in range(len(up)):
-                lines.append(f"{site},{product},{t},{lo[t]},{up[t]}")
-        return "\n".join(lines) + "\n"
+            rows.extend((*key, t, lo, up) for t, (lo, up) in enumerate(zip(self.lower[key], self.upper[key])))
+        return csv_text(rows)
 
 
 def _check_placements(inst: Instance, catalog: BatchCatalog, schedule: Schedule) -> None:
@@ -210,7 +206,7 @@ def check_schedule(
         if inst.product(spec.product).is_flushing or catalog.chains[b][0] != e:
             continue
         te = t + spec.length
-        allowed = (b, *catalog.flush_candidates.get((e, b), ()))
+        allowed = (b, *catalog.flush_candidates[b])
         followed = any((e, c, te) in placements for c in allowed)
         if not followed:
             out.append(

@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
+
 from pipesched.batches import (
     FLUSH_FILL,
-    INITIAL,
-    INITIAL_FINAL,
-    FINAL,
-    TRANSIT,
     STANDARD,
     catalog_to_csv,
     compute_batch_length,
@@ -18,6 +18,12 @@ from pipesched.batches import (
     regime_batch_sizes,
 )
 from pipesched.generator import PathExperimentParams, generate_path_instance
+
+
+def classifications(cat, batch: str) -> dict[str, str]:
+    """edge -> chain position of `batch`, as `catalog_to_csv` writes it."""
+    rows = csv.DictReader(catalog_to_csv(cat).splitlines())
+    return {row["edge"]: row["classification"] for row in rows if row["batch"] == batch}
 
 
 def test_reference_batch_lengths(ref1):
@@ -42,7 +48,7 @@ def test_single_edge_catalog_shape(ref1):
     for spec in cat.specs:
         assert spec.size_variant == STANDARD
         assert cat.chains[spec.id] == ("e1",)
-    assert all(r.classification == INITIAL_FINAL for r in cat.refs("e1"))
+        assert classifications(cat, spec.id) == {"e1": "initial_final"}
 
 
 def test_flush_candidates_accept_equal_volume(ref1):
@@ -50,7 +56,7 @@ def test_flush_candidates_accept_equal_volume(ref1):
     cat = enumerate_batches(ref1)
     stain = next(s for s in cat.specs if s.product == "stain")
     flush = next(s for s in cat.specs if s.product == "flush")
-    assert cat.flush_candidates[("e1", stain.id)] == (flush.id,)
+    assert cat.flush_candidates[stain.id] == (flush.id,)
 
 
 def test_fill_variant_appears_when_flush_volume_exceeds_standard():
@@ -77,20 +83,17 @@ def test_chain_classifications_on_two_edge_regime():
     cat = enumerate_batches(inst)
     r2_flush = "r2:flush:standard"
     assert cat.chains[r2_flush] == ("e1", "e2")
-    by_edge = {r.edge: r.classification for r in [*cat.refs("e1"), *cat.refs("e2")] if r.batch == r2_flush}
-    assert by_edge == {"e1": INITIAL, "e2": FINAL}
+    assert classifications(cat, r2_flush) == {"e1": "initial", "e2": "final"}
     # single-edge regime stays initial_final
-    assert all(
-        r.classification == INITIAL_FINAL for r in cat.refs("e1") if r.batch.startswith("r1:")
-    )
+    for bid in ("r1:flush:standard", "r1:stain:standard"):
+        assert classifications(cat, bid) == {"e1": "initial_final"}
 
 
 def test_transit_classification_needs_three_edges():
     inst = generate_path_instance(PathExperimentParams(vertices=4, setting="A"))
     cat = enumerate_batches(inst)
     r3 = "r3:flush:standard"
-    by_edge = {r.edge: r.classification for e in ("e1", "e2", "e3") for r in cat.refs(e) if r.batch == r3}
-    assert by_edge == {"e1": INITIAL, "e2": TRANSIT, "e3": FINAL}
+    assert classifications(cat, r3) == {"e1": "initial", "e2": "transit", "e3": "final"}
 
 
 def test_cross_stain_exclusion_sets():
@@ -113,3 +116,20 @@ def test_enumeration_order_is_deterministic(ref1):
     b = enumerate_batches(ref1)
     assert [s.id for s in a.specs] == [s.id for s in b.specs]
     assert catalog_to_csv(a) == catalog_to_csv(b)
+
+
+@pytest.mark.parametrize(
+    "vertices, setting, size, digest",
+    [
+        (4, "A", 581, "b19ebdf32aae7a4589be19f764a01f30aada04eabbbe521a26239aa514334ff0"),
+        (6, "A", 1356, "dc96a7cd95e6c185afaedaa8a362dfea14e0a6ae19a09a0aa250cc515627cefd"),
+        (6, "B", 1356, "dc96a7cd95e6c185afaedaa8a362dfea14e0a6ae19a09a0aa250cc515627cefd"),
+        (8, "C", 2479, "eb5a33373749c87717021dda9f81e0502fb54b17ead7bbdf965a0c512f4ac8de"),
+    ],
+    ids=["l4A", "l6A", "l6B", "l8C"],
+)
+def test_catalog_csv_bytes_are_pinned(vertices, setting, size, digest):
+    # settings A and B differ in capacities and nominations, not in the catalog
+    inst = generate_path_instance(PathExperimentParams(vertices=vertices, setting=setting))
+    text = catalog_to_csv(enumerate_batches(inst)).encode("utf-8")
+    assert (len(text), hashlib.sha256(text).hexdigest()) == (size, digest)

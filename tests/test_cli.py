@@ -8,6 +8,7 @@ instances so the whole module stays fast.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import os
@@ -170,7 +171,7 @@ def test_solve_does_not_write_a_rejected_schedule(tiny_path, tmp_path, capsys):
     # a stand-in solver "finds" flush at 0 and stain at 2, which overlap in the one pipe
     model = build_model(load_instance(tiny_path))
     overlap = [("e1", "r1:flush:standard", 0), ("e1", "r1:stain:standard", 2)]
-    names = [model.lp_names[model.vid(PLACEMENT, placement)] for placement in overlap]
+    names = [model.lp_names[model.variables.vid(PLACEMENT, placement)] for placement in overlap]
     canned = tmp_path / "overlap.sol"
     canned.write_text("# Status = optimal\n" + "".join(f"{name} 1\n" for name in names))
     script = tmp_path / "copy_solver.py"
@@ -337,6 +338,44 @@ def test_gantt_lists_each_placement(solved_dir, tiny_path, capsys):
         edge, batch, product, start, end, volume = line.split(",")
         assert (edge, batch, int(start)) in schedule.placements
         assert int(end) > int(start)
+
+
+@pytest.fixture(scope="module")
+def awkward_path(tmp_path_factory):
+    """The tiny instance with a comma in its site id and a quote in its edge id."""
+    text = json.dumps(instance_to_dict(single_edge_instance(horizon=12, batches=1)))
+    path = tmp_path_factory.mktemp("cli-awkward") / "awkward.json"
+    path.write_text(text.replace('"s1"', json.dumps("s,1")).replace('"e1"', json.dumps('e"1')), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name, written", [("june\nMinimize", r"june\nMinimize"), ("x\r\nEnd", r"x\r\nEnd")])
+def test_line_breaks_in_the_instance_name_stay_in_the_lp_comment(tiny_path, tmp_path, name, written):
+    path = tmp_path / "named.json"
+    save_instance(dataclasses.replace(load_instance(tiny_path), name=name), path)
+    out_dir = tmp_path / "run"
+    rc = main(["solve", "--instance", str(path), "--out-dir", str(out_dir), "--keep-files"] + FAST_SOLVE)
+    assert rc == EXIT_OK
+    assert json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["objective"] == pytest.approx(144.0)
+    text = next(out_dir.glob("*.lp")).read_bytes().decode("ascii")
+    header = text.split("\n", 1)[0]
+    assert header.startswith(f"\\ pipesched model {written} hash=")
+
+
+def test_csv_outputs_quote_ids(awkward_path, tmp_path):
+    # every row reads back with the header's field count and the ids as written
+    run, catalog, occupancy, gantt = (tmp_path / name for name in ("run", "c.csv", "o.csv", "g.csv"))
+    assert main(["solve", "--instance", str(awkward_path), "--out-dir", str(run)] + FAST_SOLVE) == EXIT_OK
+    given = ["--instance", str(awkward_path)]
+    with_schedule = given + ["--schedule", str(run / "schedule.json")]
+    assert main(["catalog", *given, "--out", str(catalog)]) == EXIT_OK
+    assert main(["validate", *with_schedule, "--occupancy", str(occupancy)]) == EXIT_OK
+    assert main(["gantt", *with_schedule, "--out", str(gantt)]) == EXIT_OK
+    for path, first_id in ((catalog, 'e"1'), (occupancy, "s,1"), (gantt, 'e"1')):
+        with open(path, newline="", encoding="utf-8") as f:
+            header, *rows = csv.reader(f)
+        assert rows and all(len(row) == len(header) for row in rows), path.name
+        assert {row[0] for row in rows} == {first_id}, path.name
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,12 @@ from pipesched.instance import ThroughputLimit
 from pipesched.milpmodel import (
     FAM_CAP_DEF_LOWER,
     FAM_CAP_DEF_UPPER,
+    FAMILIES,
     PLACEMENT,
     build_model,
     extend_placement_assignment,
     objective_value,
+    row_name,
     violated_rows,
 )
 from pipesched.schedule import Schedule
@@ -38,8 +40,8 @@ CATALOGS = {id(inst): enumerate_batches(inst) for inst in (INST, TIGHT, TWO_EDGE
 
 
 def placement_coords(inst):
-    model = MODELS[id(inst)]
-    return [v.key for v in model.variables if v.kind == PLACEMENT]
+    blocks = MODELS[id(inst)].variables.of_kind(PLACEMENT)
+    return [(*prefix, t) for prefix, block in blocks.items() for t in range(block.first, block.first + block.count)]
 
 
 def agree(inst, subset):
@@ -51,7 +53,7 @@ def agree(inst, subset):
     report = check_schedule(inst, catalog, Schedule.from_raw(subset))
     assert bool(rows_broken) == bool(report), (
         subset,
-        [r.name for r in rows_broken[:4]],
+        [row_name(model.constraints.family[r], model.constraints.rank[r]) for r in rows_broken[:4]],
         [v.message for v in report[:4]],
     )
     if not report:
@@ -107,14 +109,16 @@ def test_capacity_rows_agree_with_validator_on_ladder(name):
     inst = generate_path_instance(LADDER[name])
     model = build_model(inst)
     catalog = model.catalog
-    bound_key = {model.constraints[row].name: key for key, row in model.lazy_bounds.items()}
-    initial = [v.key for v in model.variables if v.kind == PLACEMENT and catalog.chains[v.key[1]][0] == v.key[0]]
+    bound_key = {row: key for key, row in model.lazy_bounds.items()}
+    H = inst.grid.horizon_len
+    initial = [(eid, spec.id, t) for eid, spec in catalog.dispatches() for t in range(H - spec.length + 1)]
     flagged = []
     for seed, size in enumerate((20, 60, 150)):
         schedule = Schedule.from_initial(catalog, random.Random(seed).sample(initial, size))
         broken = violated_rows(model, extend_placement_assignment(model, schedule.placements))
-        assert not [row.name for row in broken if row.family in (FAM_CAP_DEF_UPPER, FAM_CAP_DEF_LOWER)]
-        rows = {bound_key[row.name] for row in broken if row.name in bound_key}
+        families = {FAMILIES[model.constraints.family[r]] for r in broken}
+        assert not families & {FAM_CAP_DEF_UPPER, FAM_CAP_DEF_LOWER}
+        rows = {bound_key[r] for r in broken if r in bound_key}
         report = capacity_bound_violations(inst, simulate_occupancy(inst, catalog, schedule))
         assert rows == {(v.family, *v.coordinate) for v in report}, (seed, size)
         flagged.append(len(rows))

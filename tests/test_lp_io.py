@@ -17,7 +17,7 @@ from pipesched.lp_io import (
     write_lp,
     write_text_file,
 )
-from pipesched.milpmodel import BuildOptions, build_model
+from pipesched.milpmodel import BuildOptions, build_model, row_name
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +115,7 @@ def test_lazy_rows_omitted_until_activated(ref1):
     assert "capacity_upper" not in without and "capacity_lower" not in without
     some = next(iter(model.lazy_bounds.values()))
     partial = write_lp(model, activated_lazy={some})
-    name = model.constraints[some].name
+    name = row_name(model.constraints.family[some], model.constraints.rank[some])
     assert name in partial
     full = write_lp(model, activated_lazy=None)
     assert full.count("capacity_upper_") == 48
@@ -187,7 +187,8 @@ def test_names_that_are_no_column_are_rejected(ref_model):
 def test_every_column_name_reads_back_as_its_vid(ref_model):
     text = "".join(f"{name} {int(vid == 28)}\n" for vid, name in enumerate(ref_model.lp_names))
     parsed = parse_solution("# Status = optimal\n" + text, ref_model)
-    assert parsed.schedule.placements == frozenset({ref_model.variables[28].key})
+    block = next(b for b in ref_model.variables.blocks if b.start <= 28 < b.start + b.count)
+    assert parsed.schedule.placements == frozenset({(*block.prefix, block.first + 28 - block.start)})
 
 
 def test_garbage_line_rejected(ref_model):

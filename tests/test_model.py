@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -26,6 +28,7 @@ from pipesched.milpmodel import (
     FAM_OUTAGE,
     FAM_ROUTES,
     FAM_THROUGHPUT,
+    FAMILIES,
     OCC_LOWER,
     OCC_UPPER,
     PLACEMENT,
@@ -34,6 +37,7 @@ from pipesched.milpmodel import (
     build_model,
     extend_placement_assignment,
     objective_value,
+    row_name,
     violated_rows,
 )
 from pipesched.schedule import Schedule
@@ -42,7 +46,7 @@ from tests.conftest import single_edge_instance
 
 
 def families(model, assignment):
-    return {row.family for row in violated_rows(model, assignment)}
+    return {FAMILIES[model.constraints.family[r]] for r in violated_rows(model, assignment)}
 
 
 def test_reference_variable_counts(ref1):
@@ -103,17 +107,17 @@ def test_stain_completion_requires_immediate_follow_up(ref1):
 def test_endpoint_marker_follows_placement(ref1):
     model = build_model(ref1)
     assignment = extend_placement_assignment(model, [("e1", "r1:stain:standard", 4)])
-    w = model.vid(ENDPOINT, ("e1", "r1:stain:standard", 7))
+    w = model.variables.vid(ENDPOINT, ("e1", "r1:stain:standard", 7))
     assert assignment[w] == 1
-    other = model.vid(ENDPOINT, ("e1", "r1:stain:standard", 5))
+    other = model.variables.vid(ENDPOINT, ("e1", "r1:stain:standard", 5))
     assert assignment[other] == 0
 
 
 def test_blocked_and_on_stock_jump_at_different_instants(ref1):
     model = build_model(ref1)
     assignment = extend_placement_assignment(model, [("e1", "r1:flush:standard", 2)])
-    upper = {t: assignment[model.vid(OCC_UPPER, ("s1", "flush", t))] for t in range(12)}
-    lower = {t: assignment[model.vid(OCC_LOWER, ("s1", "flush", t))] for t in range(12)}
+    upper = {t: assignment[model.variables.vid(OCC_UPPER, ("s1", "flush", t))] for t in range(12)}
+    lower = {t: assignment[model.variables.vid(OCC_LOWER, ("s1", "flush", t))] for t in range(12)}
     assert upper[1] == 120 and upper[2] == 220  # counted from pour start
     assert lower[7] == 120 and lower[8] == 220  # counted from completion
     assert violated_rows(model, assignment) == []
@@ -154,7 +158,7 @@ def test_tank_outage_listing_a_slot_twice_lowers_it_once():
         name="twice",
     )
     model = build_model(inst)
-    rhs = {t: model.constraints[model.lazy_bounds[(FAM_CAP_UPPER, "s1", "flush", t)]].rhs for t in (4, 5)}
+    rhs = {t: model.constraints.rhs[model.lazy_bounds[(FAM_CAP_UPPER, "s1", "flush", t)]] for t in (4, 5)}
     assert rhs == {4: 600, 5: 550}
     occupancy = simulate_occupancy(inst, model.catalog, Schedule.from_raw([]))
     occupancy.upper[("s1", "flush")] = [551] * 12
@@ -336,3 +340,21 @@ def test_model_objective_matches_validator_on_oracle_optima():
         assert value == evaluate_objective(inst, model.catalog, res.schedule)["total"] == res.objective, seed
         checked += 1
     assert checked >= 8
+
+
+def test_row_iteration_lists_no_terms_ahead():
+    # the iteration view, kept for the benchmark's model counts, builds one row at a time: walking
+    # the 6B model's 166k terms peaks under 4 MB, where a list of every (column, coefficient) pair takes 15.7 MB
+    model = build_model(generate_path_instance(PathExperimentParams(vertices=6, setting="B", cost_mode="SDC")))
+    rows = model.constraints
+    tracemalloc.start()
+    try:
+        nnz = sum(len(c.terms) for c in rows)
+        _held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert nnz == len(rows.col) == 166_130
+    assert peak < 4 * 2**20
+    (last,) = deque(rows, maxlen=1)
+    assert last.terms == tuple(zip(rows.col[rows.start[-2] :], rows.coef[rows.start[-2] :]))
+    assert (last.name, last.rhs) == (row_name(rows.family[-1], rows.rank[-1]), rows.rhs[-1])

@@ -91,7 +91,7 @@ def _restyled(model, write_row) -> str:
     text = write_lp(model)
     head, rest = text.split("Subject To\n", 1)
     tail = rest.split("Bounds\n", 1)[1]
-    names = [v.lp_name for v in model.variables]
+    names = model.lp_names
     rows = [
         write_row(c.name, [(coef, names[vid]) for vid, coef in c.terms], c.sense, c.rhs)
         for c in model.constraints
