@@ -37,7 +37,7 @@ from .generator import (
     precheck_path_feasibility,
 )
 from .instance import load_instance, save_instance, validate_instance
-from .lp_io import write_lp, write_text_file
+from .lp_io import LPWriteError, write_lp
 from .milpmodel import MILPModel, ModelBuildError, build_model
 from .oracle import ORACLE_STATUS_BUDGET, ORACLE_STATUS_INFEASIBLE, OracleLimits, brute_force_optimum
 from .schedule import Schedule
@@ -233,11 +233,14 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 def cmd_build(args: argparse.Namespace) -> int:
     model = _build(_load(args.instance))
-    write_text_file(args.out, write_lp(model))
+    try:
+        write_lp(model, args.out)
+    except LPWriteError as exc:
+        raise CliError(f"cannot write {args.out}: {exc}") from exc
     counts = model.family_counts()
     print(f"wrote {args.out}")
-    print(f"variables: {len(model.variables)} ({model.metadata['binaries']} binary)")
-    print(f"rows: {len(model.constraints)}")
+    print(f"variables: {sum(b.count for b in model.variables.blocks)} ({model.metadata['binaries']} binary)")
+    print(f"rows: {len(model.constraints.rhs)}")
     for family in sorted(counts):
         print(f"  {family}: {counts[family]}")
     return EXIT_OK

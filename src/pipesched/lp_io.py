@@ -1,10 +1,10 @@
 """LP-format serialization and solver solution parsing.
 
-`write_lp` emits CPLEX-dialect LP text deterministically: identical models
+`write_lp` writes CPLEX-dialect LP files deterministically: identical models
 produce byte-identical files, so file hashes can anchor regression tests.
-It formats rows from the model's row store a chunk at a time and joins the
-chunks once, caching nothing on the model; `write_text_file` writes the text
-out without encoding all of it at once.
+It formats rows from the model's row store a chunk at a time and writes each
+chunk to the file as it is made, so it never holds the whole text and caches
+nothing on the model.
 Variable names are kind-prefixed dense ids (v=placement, w=endpoint,
 u=blocked stock, l=on-stock, d=deviation).  The header comment writes the
 instance name with backslash escapes, so it stays on one line and the file
@@ -21,12 +21,13 @@ against the reported value.
 
 from __future__ import annotations
 
+import os
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .milpmodel import GE, LE, PLACEMENT, SENSES, MILPModel, RowStore, row_name
 from .schedule import Schedule
@@ -36,7 +37,6 @@ OBJECTIVE_CHECK_TOL = 1e-6
 
 _TERMS_PER_LINE = 8
 _CHUNK_TERMS = 8192  # terms formatted at a time by `write_lp`
-_WRITE_SLICE = 1 << 18  # characters encoded at a time by `write_text_file`: at most 1 MiB of UTF-8
 
 
 class LPWriteError(ValueError):
@@ -65,8 +65,8 @@ def _row_chunks(rows: RowStore, names: list[str], activated_lazy: Optional[set[i
     every row without terms, shipped or not, is checked to hold vacuously and left out."""
     start = rows.start
     signed = {c: f"+{c} " if c >= 0 else f"-{-c} " for c in set(rows.coef)}
-    r0 = 0
-    while r0 < len(rows):
+    r0, n = 0, len(rows.rhs)
+    while r0 < n:
         r1 = max(r0 + 1, bisect_right(start, start[r0] + _CHUNK_TERMS, r0) - 1)
         s0, s1 = start[r0], start[r1]
         coefs, cols = rows.coef[s0:s1], rows.col[s0:s1]
@@ -89,6 +89,12 @@ def _row_chunks(rows: RowStore, names: list[str], activated_lazy: Optional[set[i
         r0 = r1
 
 
+def _objective_line(objective: tuple[tuple[int, Fraction], ...], names: list[str]) -> str:
+    """The `obj:` line; an empty objective is written as zero times the first column."""
+    terms = [f"+{_num(c)} {names[vid]}" if c >= 0 else f"-{_num(-c)} {names[vid]}" for vid, c in objective]
+    return f" obj: {_wrap(terms or [f'+0 {names[0]}' if names else '+0 x0'], '   ')}"
+
+
 def _bound_affixes(lb: int | None, ub: int | None) -> tuple[str, str] | None:
     """Text before and after a column's name in its Bounds line; None for the LP default [0, inf)."""
     if lb is None and ub is None:
@@ -102,25 +108,40 @@ def _bound_affixes(lb: int | None, ub: int | None) -> tuple[str, str] | None:
     return f"{_num(lb)} <= ", f" <= {_num(ub)}"
 
 
-def write_lp(model: MILPModel, activated_lazy: Optional[set[int]] = None) -> str:
-    """Serialize the model; `activated_lazy` restricts which lazy rows appear.
+def write_lp(model: MILPModel, path: Union[str, Path], activated_lazy: Optional[set[int]] = None) -> str:
+    """Write the model to the LP file `path` and return `path` as a string.
 
     With `activated_lazy=None` every row is written (monolithic model); with
     a set only non-lazy rows plus the activated lazy row indices appear.
     A row without terms is left out after checking that it holds vacuously.
+    The file is written a piece at a time to `<path>.part` and renamed to
+    `path` once complete; a write that fails removes the part file and
+    leaves `path` as it was.
     """
+    path = str(path)
+    part = f"{path}.part"
+    try:
+        with open(part, "w", encoding="utf-8") as f:
+            for piece in _lp_pieces(model, activated_lazy):
+                f.write(piece)
+                f.write("\n")
+        os.replace(part, path)
+    except BaseException:
+        Path(part).unlink(missing_ok=True)
+        raise
+    return path
+
+
+def _lp_pieces(model: MILPModel, activated_lazy: Optional[set[int]]) -> Iterator[str]:
+    """The LP file's text in order, a line or a run of lines at a time, each without its final line break."""
     names = model.lp_names
     instance = model.instance.name.encode("unicode_escape").decode("ascii")  # on one line, in ASCII
-    objective = [f"+{_num(c)} {names[vid]}" if c >= 0 else f"-{_num(-c)} {names[vid]}" for vid, c in model.objective]
-    objective = _wrap(objective or [f"+0 {names[0]}" if names else "+0 x0"], "   ")  # the terms are freed here
-    pieces = [
-        f"\\ pipesched model {instance} hash={model.metadata['instance_hash'][:12]}",
-        "Maximize",
-        f" obj: {objective}",
-        "Subject To",
-        *_row_chunks(model.constraints, names, activated_lazy),
-        "Bounds",
-    ]
+    yield f"\\ pipesched model {instance} hash={model.metadata['instance_hash'][:12]}"
+    yield "Maximize"
+    yield _objective_line(model.objective, names)
+    yield "Subject To"
+    yield from _row_chunks(model.constraints, names, activated_lazy)
+    yield "Bounds"
     binaries: list[str] = []
     for block in model.variables.blocks:
         binary, lb, ub = block.bounds
@@ -128,19 +149,11 @@ def write_lp(model: MILPModel, activated_lazy: Optional[set[int]] = None) -> str
         if binary:
             binaries.extend(block_names)
         elif block_names and (affixes := _bound_affixes(lb, ub)) is not None:
-            pieces.append("\n".join(f" {affixes[0]}{name}{affixes[1]}" for name in block_names))
-
+            yield "\n".join(f" {affixes[0]}{name}{affixes[1]}" for name in block_names)
     if binaries:
-        pieces += ["Binary", " " + _wrap(binaries, " ")]
-    pieces.append("End\n")
-    return "\n".join(pieces)
-
-
-def write_text_file(path: Union[str, Path], text: str) -> None:
-    """Write `text` to `path` as UTF-8, encoding at most 1 MiB at a time rather than a copy of all of it."""
-    with open(path, "w", encoding="utf-8") as f:
-        for i in range(0, len(text), _WRITE_SLICE):
-            f.write(text[i : i + _WRITE_SLICE])
+        yield "Binary"
+        yield " " + _wrap(binaries, " ")
+    yield "End"
 
 
 @dataclass
@@ -200,7 +213,8 @@ def _name_vid(name: str, names: list[str]) -> Optional[int]:
     return vid if vid < len(names) and names[vid] == name else None
 
 
-def parse_solution(text: str, model: MILPModel) -> ParsedSolution:
+def parse_solution(text: Union[str, Iterable[str]], model: MILPModel) -> ParsedSolution:
+    """Read a solution file's content, given as one string or as lines (an open text file)."""
     names = model.lp_names
     values: dict[int, float] = {}
     reported: Optional[float] = None
@@ -208,7 +222,8 @@ def parse_solution(text: str, model: MILPModel) -> ParsedSolution:
     status_hint: Optional[str] = None
     saw_values_section = False
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines() if isinstance(text, str) else text
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -261,7 +276,6 @@ def parse_solution(text: str, model: MILPModel) -> ParsedSolution:
         raise SolutionFormatError("solution file contains neither values nor a recognizable status")
 
     placements = []
-    rounded = dict(values)
     for block in model.variables.blocks:
         if not block.bounds[0]:
             continue
@@ -273,12 +287,12 @@ def parse_solution(text: str, model: MILPModel) -> ParsedSolution:
                 raise SolutionFormatError(
                     f"binary variable {model.lp_names[vid]} has fractional value {val!r}"
                 )
-            rounded[vid] = float(round(val))
+            values[vid] = float(round(val))
             if round(val) == 1 and block.kind == PLACEMENT:
                 placements.append((*block.prefix, block.first + vid - block.start))
 
     # recompute over the rounded binaries: that is the solution actually used
-    linear = sum(float(coef) * rounded.get(vid, 0.0) for vid, coef in model.objective)
+    linear = sum(float(coef) * values.get(vid, 0.0) for vid, coef in model.objective)
     if reported is not None:
         tol = OBJECTIVE_CHECK_TOL + 1e-9 * abs(linear)
         if abs(linear - reported) > tol:

@@ -36,12 +36,14 @@ Rows live in one integer row store (`RowStore`), in stdlib `array`s: CSR
 row starts, column ids and coefficients, plus per row its sense, right-hand
 side, family, rank within the family (which names it) and lazy flag.  The
 emitters append whole runs of rows to it and build no per-term or per-row
-objects, and every reader (the LP writer, `violated_rows`, the tests) reads
-rows from these arrays and columns from the blocks; a row is named by
-`row_name`, a column by `MILPModel.lp_names`.  Iterating `MILPModel.variables`
-(a `Columns`) or `MILPModel.constraints` (the `RowStore`) builds one
-`Variable` or `LinearConstraint` at a time; these two views and their
-`len()` remain only for the benchmark's model counts
+objects, and every reader (the LP writer, `violated_rows`, `bound_rows`, the
+tests) reads rows from these arrays and columns from the blocks; a row is
+named by `row_name`, a column by `MILPModel.lp_names`.  The model keeps no
+index from a bound row's (site, product, slot) to the row: `bound_rows`
+derives it from the arrays for the lazy loop, once per solve.  Iterating
+`MILPModel.variables` (a `Columns`) or `MILPModel.constraints` (the
+`RowStore`) builds one `Variable` or `LinearConstraint` at a time; these two
+views and their `len()` remain only for the benchmark's model counts
 (`perfbench/op.py::model_counts`) until its next revision reads the arrays.
 Coefficients and right-hand sides are signed 64-bit integers; a larger
 volume raises OverflowError.
@@ -50,6 +52,7 @@ volume raises OverflowError.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -270,7 +273,6 @@ class MILPModel:
     constraints: RowStore
     objective: tuple[tuple[int, Fraction], ...]  # maximize
     objective_constant: Fraction
-    lazy_bounds: dict[tuple[str, str, str, int], int]  # (family, site, product, t) -> row idx
     instance: Instance
     catalog: BatchCatalog
     metadata: dict = field(default_factory=dict)
@@ -474,10 +476,8 @@ def capacity_event_lists(inst: Instance, catalog: BatchCatalog):
     return inbound, outbound
 
 
-def emit_capacity(
-    inst, catalog, columns, rows, options: BuildOptions
-) -> dict[tuple[str, str, str, int], int]:
-    """Occupancy recurrences plus bound rows; returns (family, site, product, t) -> bound row.
+def emit_capacity(inst, catalog, columns, rows, options: BuildOptions) -> None:
+    """Occupancy recurrences plus bound rows.
 
     Blocked stock counts an inbound batch from its start and releases an
     outbound batch at its completion; on-stock counts inbound at completion
@@ -486,13 +486,13 @@ def emit_capacity(
     defining exactly the cumulative sums.  Blocked stock is bounded by the
     instance's outage-reduced tank capacity, on-stock by the minimum stock.
     A move's placement column appears at most once per row, because edges
-    never loop on a site.
+    never loop on a site.  A bound row's single term is the occupancy column
+    it bounds, which is how `bound_rows` finds it again.
     """
     H = inst.grid.horizon_len
     place = columns.of_kind(PLACEMENT)
     occupancy = {kind: columns.of_kind(kind) for kind in (OCC_UPPER, OCC_LOWER)}
     inbound, outbound = capacity_event_lists(inst, catalog)
-    lazy_map: dict[tuple[str, str, str, int], int] = {}
 
     # (occupancy kind, row family, the side counted at completion: -1 inbound, +1 outbound)
     series = ((OCC_UPPER, FAM_CAP_DEF_UPPER, 1), (OCC_LOWER, FAM_CAP_DEF_LOWER, -1))
@@ -539,14 +539,28 @@ def emit_capacity(
             for kind, family, sense, limit in limits:
                 occ = occupancy[kind][key].start
                 slots = [t for t in range(H) if limit[t] is not None]
-                first_row = len(rows)
-                for i, t in enumerate(slots):
-                    lazy_map[(family, site.id, product.id, t)] = first_row + i
                 ones = [1] * len(slots)
                 rhs = [limit[t] for t in slots]
                 rows.add(family, sense, [occ + t for t in slots], ones, ones, rhs, options.capacity_lazy)
 
-    return lazy_map
+
+def bound_rows(model: MILPModel) -> dict[tuple[str, str, str, int], int]:
+    """(family, site, product, t) -> row, for every occupancy bound row of the model.
+
+    Each bound row holds one term, the occupancy column of its (site,
+    product) at slot t, so the column's block gives the row's coordinate.
+    """
+    rows = model.constraints
+    occupancy = [b for b in model.variables.blocks if b.kind in (OCC_UPPER, OCC_LOWER)]
+    starts = [b.start for b in occupancy]
+    families = {_FAMILY_ID[FAM_CAP_UPPER], _FAMILY_ID[FAM_CAP_LOWER]}
+    out = {}
+    for r, family in enumerate(rows.family):
+        if family in families:
+            col = rows.col[rows.start[r]]
+            block = occupancy[bisect_right(starts, col) - 1]
+            out[(FAMILIES[family], *block.prefix, block.first + col - block.start)] = r
+    return out
 
 
 def emit_throughput_limits(inst, catalog, columns, rows) -> None:
@@ -691,7 +705,7 @@ def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPM
     emit_routes(inst, catalog, columns, rows)
     warnings = emit_flushing(inst, catalog, columns, rows)
     emit_regime_exclusions(inst, catalog, columns, rows)
-    lazy_bounds = emit_capacity(inst, catalog, columns, rows, options)
+    emit_capacity(inst, catalog, columns, rows, options)
     emit_outages(inst, catalog, columns, rows, fixings)
     emit_throughput_limits(inst, catalog, columns, rows)
     emit_nominations(inst, catalog, columns, rows)
@@ -703,7 +717,6 @@ def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPM
         constraints=rows,
         objective=tuple(sorted(obj.items())),
         objective_constant=constant,
-        lazy_bounds=lazy_bounds,
         instance=inst,
         catalog=catalog,
     )

@@ -34,8 +34,8 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .lp_io import STATUS_ERROR, STATUS_GAP, STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME_LIMIT, STATUS_UNBOUNDED
-from .lp_io import SolutionFormatError, parse_solution, write_lp, write_text_file
-from .milpmodel import MILPModel
+from .lp_io import SolutionFormatError, parse_solution, write_lp
+from .milpmodel import MILPModel, bound_rows
 from .schedule import Schedule
 from .validator import (
     Violation,
@@ -133,7 +133,7 @@ def _run_once(model: MILPModel, config: SolverConfig, activated: Optional[set[in
         argv = config.argv(lp_path, sol_path)
     except ValueError as exc:
         return SolveResult(STATUS_ERROR, message=str(exc))
-    write_text_file(lp_path, write_lp(model, activated))  # the text is freed before the child starts
+    write_lp(model, lp_path, activated)
     sol_path.unlink(missing_ok=True)  # a kept work dir may hold an earlier run's solution
 
     watchdog = max(60.0, config.time_limit * 2 + 120)
@@ -151,7 +151,8 @@ def _run_once(model: MILPModel, config: SolverConfig, activated: Optional[set[in
         message = _quote_output(message, proc.stderr or proc.stdout)
         return SolveResult(STATUS_ERROR, wall_time=wall, message=message)
     try:
-        parsed = parse_solution(sol_path.read_text(encoding="utf-8"), model)
+        with open(sol_path, encoding="utf-8") as solution:
+            parsed = parse_solution(solution, model)
     except SolutionFormatError as exc:
         return SolveResult(STATUS_ERROR, wall_time=wall, message=str(exc))
 
@@ -223,11 +224,12 @@ def solve_lazy_capacity(model: MILPModel, config: SolverConfig = SolverConfig())
     start deactivated; definitional occupancy rows always ship.  A model
     without lazy rows degenerates to a single solve.
 
-    The loop ends after at most `len(model.lazy_bounds) + 1` rounds: a round
-    that does not return activates at least one row not yet active, and
-    every activated row is one of the finitely many `lazy_bounds` rows.
+    The loop ends after at most one round more than the model has bound
+    rows: a round that does not return activates at least one row not yet
+    active, and every activated row is one of the finitely many bound rows.
     """
     t0 = time.monotonic()
+    bounds = bound_rows(model)
     activated: set[int] = set()
     iterations: list[LazyIteration] = []
     with _WorkDir(config) as workdir:
@@ -241,7 +243,7 @@ def solve_lazy_capacity(model: MILPModel, config: SolverConfig = SolverConfig())
             new_rows: set[int] = set()
             for v in violated:
                 key = (v.family, *v.coordinate)
-                row = model.lazy_bounds.get(key)
+                row = bounds.get(key)
                 if row is not None and row not in activated:
                     new_rows.add(row)
             iterations.append(LazyIteration(round_idx, len(new_rows), found.objective_float, found.status))

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from pipesched.batches import enumerate_batches
 from pipesched.generator import PathExperimentParams, generate_path_instance
+from pipesched.lp_io import write_lp
 from pipesched.solver import SolverConfig
 
 
@@ -32,6 +35,12 @@ def with_capacity(inst, maximum):
         caps = {pid: dataclasses.replace(prof, maximum=maximum) for pid, prof in s.capacity.items()}
         sites.append(dataclasses.replace(s, capacity=caps))
     return dataclasses.replace(inst, sites=tuple(sites), name=f"{inst.name}-cmax{maximum}")
+
+
+def lp_text(model, activated_lazy=None) -> str:
+    """The LP file `write_lp` writes for `model`, read back as text."""
+    with tempfile.TemporaryDirectory(prefix="pipesched_test_") as tmp:
+        return Path(write_lp(model, Path(tmp) / "m.lp", activated_lazy)).read_text(encoding="utf-8")
 
 
 @pytest.fixture(scope="session")

@@ -51,7 +51,6 @@ from pipesched.instance import (
     load_instance,
     save_instance,
 )
-from pipesched.lp_io import write_lp
 from pipesched.milpmodel import BuildOptions, build_model
 from pipesched.oracle import ORACLE_STATUS_INFEASIBLE, ORACLE_STATUS_OPTIMAL, brute_force_optimum
 from pipesched.schedule import Schedule
@@ -65,7 +64,7 @@ from pipesched.solver import (
 )
 from pipesched.validator import check_schedule
 
-from tests.conftest import ACCEPTANCE_LINES, single_edge_instance
+from tests.conftest import ACCEPTANCE_LINES, lp_text, single_edge_instance
 
 EXACT = SolverConfig(time_limit=300.0, gap=0.0)
 TARGET = SolverConfig(time_limit=1800.0, gap=1e-3)
@@ -410,8 +409,8 @@ def _expected_family_counts(vertices: int, horizon: int) -> dict[str, int]:
 
 def test_08_model_build_is_deterministic_with_predicted_row_counts():
     started = time.monotonic()
-    first = write_lp(build_model(single_edge_instance(horizon=36), BuildOptions()))
-    second = write_lp(build_model(single_edge_instance(horizon=36), BuildOptions()))
+    first = lp_text(build_model(single_edge_instance(horizon=36), BuildOptions()))
+    second = lp_text(build_model(single_edge_instance(horizon=36), BuildOptions()))
     identical = first == second
     small_elapsed = time.monotonic() - started
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import pipesched
+import pipesched.lp_io as lp_io
 from pipesched.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INVALID, EXIT_LIMIT, EXIT_OK, build_parser, main
 from pipesched.generator import PathExperimentParams, generate_path_instance
 from pipesched.instance import instance_to_dict, load_instance, save_instance
@@ -125,7 +126,23 @@ def test_build_writes_lp_and_reports_sizes(tiny_path, tmp_path, capsys):
     text = out.read_text(encoding="utf-8")
     assert "Maximize" in text and "Binary" in text
     stdout = capsys.readouterr().out
-    assert "variables:" in stdout and "rows:" in stdout
+    model = build_model(load_instance(tiny_path))
+    assert f"\nvariables: {len(model.variables)} ({model.metadata['binaries']} binary)\n" in stdout
+    assert f"\nrows: {len(model.constraints)}\n" in stdout
+
+
+def test_build_that_fails_to_write_its_lp_leaves_no_file(tiny_path, tmp_path, capsys, monkeypatch):
+    real = lp_io._row_chunks
+
+    def one_chunk_then_fail(*args):
+        yield next(real(*args))
+        raise lp_io.LPWriteError("constraint throughput_0 has no terms and cannot hold (0 <= -1)")
+
+    monkeypatch.setattr(lp_io, "_row_chunks", one_chunk_then_fail)
+    out = tmp_path / "m.lp"
+    assert main(["build", "--instance", str(tiny_path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: cannot write {out}: constraint throughput_0 has no terms and cannot hold (0 <= -1)\n"
+    assert not out.exists() and not (tmp_path / "m.lp.part").exists()
 
 
 # ---------------------------------------------------------------------------

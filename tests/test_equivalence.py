@@ -17,6 +17,7 @@ from pipesched.milpmodel import (
     FAM_CAP_DEF_UPPER,
     FAMILIES,
     PLACEMENT,
+    bound_rows,
     build_model,
     extend_placement_assignment,
     objective_value,
@@ -109,7 +110,7 @@ def test_capacity_rows_agree_with_validator_on_ladder(name):
     inst = generate_path_instance(LADDER[name])
     model = build_model(inst)
     catalog = model.catalog
-    bound_key = {row: key for key, row in model.lazy_bounds.items()}
+    bound_key = {row: key for key, row in bound_rows(model).items()}
     H = inst.grid.horizon_len
     initial = [(eid, spec.id, t) for eid, spec in catalog.dispatches() for t in range(H - spec.length + 1)]
     flagged = []

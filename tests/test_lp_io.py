@@ -4,20 +4,21 @@ from __future__ import annotations
 
 import hashlib
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import pipesched.lp_io as lp_io
 from pipesched.generator import PathExperimentParams, generate_path_instance
-
 from pipesched.lp_io import (
     INTEGRALITY_TOL,
     LPWriteError,
     SolutionFormatError,
     parse_solution,
     write_lp,
-    write_text_file,
 )
-from pipesched.milpmodel import BuildOptions, build_model, row_name
+from pipesched.milpmodel import BuildOptions, bound_rows, build_model, row_name
+from tests.conftest import lp_text
 
 
 @pytest.fixture(scope="module")
@@ -26,8 +27,8 @@ def ref_model(ref1):
 
 
 def test_lp_write_is_byte_deterministic(ref1):
-    a = write_lp(build_model(ref1))
-    b = write_lp(build_model(ref1))
+    a = lp_text(build_model(ref1))
+    b = lp_text(build_model(ref1))
     assert a == b
 
 
@@ -43,42 +44,55 @@ def test_lp_write_is_byte_deterministic(ref1):
     ],
     ids=["l4A-SD mono", "l4A-SD lazy round 0", "l6B-SDC mono", "l6B-SDC lazy round 0", "l6B-SDC lazy every 5th bound"],
 )
-def test_lp_bytes_are_pinned(vertices, setting, cost_mode, ship, size, digest):
+def test_lp_bytes_are_pinned(tmp_path, vertices, setting, cost_mode, ship, size, digest):
     # the exact file the solver reads; a change to the model or the writer that is
     # meant to alter it updates these pins and says why.  `ship` picks the lazy bound
     # rows activated, in row order (2304 of them for every 5th); None is the monolithic model
     inst = generate_path_instance(PathExperimentParams(vertices=vertices, setting=setting, cost_mode=cost_mode))
     model = build_model(inst, BuildOptions(capacity_lazy=ship is not None))
-    activated = None if ship is None else set(sorted(model.lazy_bounds.values())[ship])
-    text = write_lp(model, activated).encode("utf-8")
-    assert (len(text), hashlib.sha256(text).hexdigest()) == (size, digest)
+    activated = None if ship is None else set(sorted(bound_rows(model).values())[ship])
+    data = Path(write_lp(model, tmp_path / "m.lp", activated)).read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
-def test_write_lp_holds_little_besides_its_text():
-    # chunked formatting: the peak stays near the text and its chunks, and nothing is cached on the model
-    model = build_model(generate_path_instance(PathExperimentParams(vertices=4, setting="A", cost_mode="SD")))
+def test_write_lp_streams_the_file_in_bounded_memory(tmp_path):
+    # rows are formatted a chunk at a time and each chunk goes to the file as it is made:
+    # the peak stays far below the 3.09 MB file, and nothing is cached on the model
+    model = build_model(generate_path_instance(PathExperimentParams(vertices=6, setting="B", cost_mode="SDC")))
     model.lp_names  # built once per model, outside what is measured
+    path = tmp_path / "m.lp"
     tracemalloc.start()
     try:
-        text = write_lp(model)
+        written = write_lp(model, path)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * len(text)
-    assert held <= 1.1 * len(text)
+    assert written == str(path) and not (tmp_path / "m.lp.part").exists()
+    assert peak < 2_500_000
+    assert held < 50_000
+    data = path.read_bytes()
+    digest = "1eb4ce281f393fec98f06928aa116bf93f99eda9932063104ffa581eb1730784"  # the l6B-SDC mono pin
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (3_093_524, digest)
 
 
-def test_write_text_file_writes_the_text_in_slices(tmp_path):
-    text = "".join(f"line {i} \u00e9\n" for i in range(200_000))  # longer than one slice, not all ASCII
+def test_failed_write_keeps_the_earlier_file(ref_model, tmp_path, monkeypatch):
     path = tmp_path / "m.lp"
-    write_text_file(path, text)
-    assert path.read_bytes() == text.encode("utf-8")
-    write_text_file(path, "")
-    assert path.read_bytes() == b""
+    path.write_text("earlier\n")
+    real = lp_io._row_chunks
+
+    def one_chunk_then_fail(*args):
+        yield next(real(*args))
+        raise LPWriteError("constraint throughput_0 has no terms and cannot hold (0 <= -1)")
+
+    monkeypatch.setattr(lp_io, "_row_chunks", one_chunk_then_fail)
+    with pytest.raises(LPWriteError, match="throughput_0"):
+        write_lp(ref_model, path)
+    assert path.read_text() == "earlier\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["m.lp"]
 
 
 def test_lp_sections_and_binary_count(ref_model):
-    text = write_lp(ref_model)
+    text = lp_text(ref_model)
     lines = text.splitlines()
     assert lines[0].startswith("\\ pipesched model")
     assert "Maximize" in lines and "Subject To" in lines and "Bounds" in lines
@@ -88,7 +102,7 @@ def test_lp_sections_and_binary_count(ref_model):
 
 
 def test_lp_variable_names_match_kinds(ref_model):
-    text = write_lp(ref_model)
+    text = lp_text(ref_model)
     assert " v0" in text and " w" in text and " u" in text and " l" in text
 
 
@@ -102,7 +116,7 @@ def test_objective_constant_stays_out_of_the_file(ref1):
     inst = dataclasses.replace(ref1, weights=weights, name="prev")
     model = build_model(inst)
     assert model.objective_constant != 0 or model.objective
-    text = write_lp(model)
+    text = lp_text(model)
     for token in text.split("Subject To", 1)[0].split():
         assert not token.lstrip("+-").replace(".", "").isdigit() or token.lstrip("+-") != str(
             model.objective_constant
@@ -111,13 +125,13 @@ def test_objective_constant_stays_out_of_the_file(ref1):
 
 def test_lazy_rows_omitted_until_activated(ref1):
     model = build_model(ref1, BuildOptions(capacity_lazy=True))
-    without = write_lp(model, activated_lazy=set())
+    without = lp_text(model, activated_lazy=set())
     assert "capacity_upper" not in without and "capacity_lower" not in without
-    some = next(iter(model.lazy_bounds.values()))
-    partial = write_lp(model, activated_lazy={some})
+    some = next(iter(bound_rows(model).values()))
+    partial = lp_text(model, activated_lazy={some})
     name = row_name(model.constraints.family[some], model.constraints.rank[some])
     assert name in partial
-    full = write_lp(model, activated_lazy=None)
+    full = lp_text(model, activated_lazy=None)
     assert full.count("capacity_upper_") == 48
 
 
@@ -209,7 +223,7 @@ def test_empty_rows_never_serialized():
     for seed in range(8):
         inst = generate_oracle_instance(seed)
         model = build_model(inst)
-        text = write_lp(model)
+        text = lp_text(model)
         for line in text.splitlines():
             stripped = line.strip()
             if any(stripped.startswith(f"{fam}_") for fam in ("throughput", "exclusion")):
@@ -219,12 +233,12 @@ def test_empty_rows_never_serialized():
 
 def test_cached_row_text_never_leaks_between_activation_sets(ref1):
     model = build_model(ref1, BuildOptions(capacity_lazy=True))
-    bounds = sorted(model.lazy_bounds.values())
+    bounds = sorted(bound_rows(model).values())
     set_a, set_b = set(bounds[:5]), set(bounds[-7:])
-    first_a = write_lp(model, set_a)
-    text_b = write_lp(model, set_b)
-    assert write_lp(model, set_a) == first_a
-    assert text_b == write_lp(build_model(ref1, BuildOptions(capacity_lazy=True)), set_b)
+    first_a = lp_text(model, set_a)
+    text_b = lp_text(model, set_b)
+    assert lp_text(model, set_a) == first_a
+    assert text_b == lp_text(build_model(ref1, BuildOptions(capacity_lazy=True)), set_b)
     assert first_a != text_b
 
 
@@ -232,3 +246,33 @@ def test_shim_timing_lines_are_ignored(ref_model):
     text = "# Status = optimal\n# Objective value = 144\n# Wall time = 0.5\nv0 1\nv28 1.0\n"
     timed = text.replace("# Wall time = 0.5\n", "# Wall time = 0.5\n# MIP nodes = 12\n# Read time = 0.25\n# Solve time = 0.125\n")
     assert parse_solution(timed, ref_model) == parse_solution(text, ref_model)
+
+
+SOLUTION_TEXTS = {
+    "gurobi": "# Solution for model x\n# Objective value = 144\nv0 1\nv28 1.0000000000\n",
+    "header": "solution status: optimal\nobjective value: 100\nv0  1 \t(obj:100)\n",
+    "indexed": "Optimal - objective value 100.00000000\n      0 v0      1          0\n",
+    "infeasible": "# Status = infeasible\n",
+    "timed": "# Status = optimal\n# Objective value = 144\n# Wall time = 0.5\n# MIP nodes = 12\nv0 1\nv28 1.0\n",
+    "crlf": "# Status = optimal\r\n# Objective value = 144\r\nv0 1\r\n\r\nv28 1.0\r\n",
+    "no final newline": "# Objective value = 100\nv0 1",
+    "fractional": "# Objective value = 1\nv0 0.5\n",
+    "garbage": "# Objective value = 0\nhello world again extra\n",
+    "objective mismatch": "# Objective value = 500\nv0 1\n",
+}
+
+
+@pytest.mark.parametrize("text", list(SOLUTION_TEXTS.values()), ids=list(SOLUTION_TEXTS))
+def test_solution_parses_alike_from_text_and_open_file(ref_model, tmp_path, text):
+    path = tmp_path / "m.sol"
+    path.write_bytes(text.encode("utf-8"))
+
+    def outcome(source):
+        try:
+            return parse_solution(source, ref_model)
+        except SolutionFormatError as exc:
+            return str(exc)
+
+    with open(path, encoding="utf-8") as solution:
+        from_file = outcome(solution)
+    assert from_file == outcome(text)

@@ -34,6 +34,7 @@ from pipesched.milpmodel import (
     PLACEMENT,
     BuildOptions,
     ModelBuildError,
+    bound_rows,
     build_model,
     extend_placement_assignment,
     objective_value,
@@ -158,7 +159,7 @@ def test_tank_outage_listing_a_slot_twice_lowers_it_once():
         name="twice",
     )
     model = build_model(inst)
-    rhs = {t: model.constraints.rhs[model.lazy_bounds[(FAM_CAP_UPPER, "s1", "flush", t)]] for t in (4, 5)}
+    rhs = {t: model.constraints.rhs[bound_rows(model)[(FAM_CAP_UPPER, "s1", "flush", t)]] for t in (4, 5)}
     assert rhs == {4: 600, 5: 550}
     occupancy = simulate_occupancy(inst, model.catalog, Schedule.from_raw([]))
     occupancy.upper[("s1", "flush")] = [551] * 12
@@ -310,8 +311,15 @@ def test_lazy_flag_only_marks_bound_rows(ref1):
     ]
     eager = build_model(ref1)
     assert sum(eager.constraints.lazy) == 0
-    # the coordinate index exists either way and addresses every bound row
-    assert len(eager.lazy_bounds) == 96
+    # the coordinate index is derived the same either way and addresses exactly the bound rows
+    index = bound_rows(lazy)
+    assert index == bound_rows(eager)
+    assert sorted(index.values()) == [r for r, flag in enumerate(lazy.constraints.lazy) if flag]
+    rows, columns = lazy.constraints, lazy.variables
+    for (family, site, product, t), r in index.items():
+        kind = OCC_UPPER if family == FAM_CAP_UPPER else OCC_LOWER
+        assert FAMILIES[rows.family[r]] == family
+        assert rows.col[rows.start[r] : rows.start[r + 1]].tolist() == [columns.vid(kind, (site, product, t))]
 
 
 @pytest.mark.parametrize("vertices,setting,cost_mode", [(4, "A", "SD"), (6, "B", "SDC")])

@@ -13,8 +13,9 @@ import pytest
 import pipesched.solver_shim as shim
 from pipesched.generator import PathExperimentParams, generate_oracle_instance, generate_path_instance
 from pipesched.lp_io import write_lp
-from pipesched.milpmodel import GE, LE, SENSES, BuildOptions, build_model
+from pipesched.milpmodel import GE, LE, SENSES, BuildOptions, bound_rows, build_model
 from pipesched.solver_shim import main, parse_lp, solve_lp
+from tests.conftest import lp_text
 
 INF = float("inf")
 
@@ -79,7 +80,7 @@ def test_parse_signs_and_implicit_coefficients():
 def test_parse_accepts_model_lp_output(ref1):
     # the shim must accept every LP file the writer emits
     model = build_model(ref1)
-    lp = _model_arrays(parse_lp(write_lp(model)))
+    lp = _model_arrays(parse_lp(lp_text(model)))
     assert lp["sense"] == shim._highs_core().ObjSense.kMaximize
     assert len(lp["col_names"]) == len(model.variables)
     assert sum(lp["integrality"]) == sum(1 for v in model.variables if v.binary)
@@ -88,7 +89,7 @@ def test_parse_accepts_model_lp_output(ref1):
 
 def _restyled(model, write_row) -> str:
     """The writer's LP text with every row rewritten by `write_row(name, terms, sense, rhs)`."""
-    text = write_lp(model)
+    text = lp_text(model)
     head, rest = text.split("Subject To\n", 1)
     tail = rest.split("Bounds\n", 1)[1]
     names = model.lp_names
@@ -133,13 +134,13 @@ def _lhs_constant(name, terms, sense, rhs):
 def test_hand_formatted_rows_parse_like_writer_output(ref1, write_row):
     model = build_model(ref1)
     variant = _restyled(model, write_row)
-    assert variant != write_lp(model)
+    assert variant != lp_text(model)
     if write_row in (_other_senses, _lhs_constant):
         # HiGHS's reader rejects `<`, `=<` and `>`; the guard refuses the constant
         with pytest.raises((RuntimeError, ValueError)):
             parse_lp(variant)
         return
-    assert _model_arrays(parse_lp(variant)) == _model_arrays(parse_lp(write_lp(model)))
+    assert _model_arrays(parse_lp(variant)) == _model_arrays(parse_lp(lp_text(model)))
 
 
 def test_row_without_operator_rejected(tmp_path):
@@ -170,7 +171,7 @@ def test_solve_reports_infeasible():
 
 def test_in_process_solve_matches_main(tmp_path):
     """`solve_lp(parse_lp(text))`, as the benchmark replays a round, solves what `main` solves."""
-    text = write_lp(build_model(generate_path_instance(PathExperimentParams(vertices=4, setting="A", cost_mode="SD"))))
+    text = lp_text(build_model(generate_path_instance(PathExperimentParams(vertices=4, setting="A", cost_mode="SD"))))
     highs = parse_lp(text)
     res, _names = solve_lp(highs, 60, 1e-3)
     assert [highs.getOptionValue(key)[1] for key in ("time_limit", "mip_rel_gap", "threads")] == [60.0, 1e-3, 1]
@@ -292,7 +293,7 @@ def test_lhs_constant_scan_names_the_row(rows, row):
 @pytest.mark.parametrize("write_row", [_spaced_signs, _implicit_ones, _wrapped, _other_senses, _lhs_constant])
 def test_hand_formatted_rows_through_main(ref1, tmp_path, write_row):
     model = build_model(ref1)
-    rc, sol = _solve_file(tmp_path, write_lp(model), "writer")
+    rc, sol = _solve_file(tmp_path, lp_text(model), "writer")
     assert rc == 0 and "# Status = optimal" in sol
     optimum = float(re.search(r"# Objective value = (\S+)", sol).group(1))
     rc, sol = _solve_file(tmp_path, _restyled(model, write_row))
@@ -309,14 +310,14 @@ def _equivalence_cases():
     l6b_params = PathExperimentParams(vertices=6, setting="B", cost_mode="SDC")
     yield "l6B-SDC mono", build_model(generate_path_instance(l6b_params)), None
     lazy = build_model(generate_path_instance(l6b_params), BuildOptions(capacity_lazy=True))
-    yield "l6B-SDC lazy", lazy, set(sorted(lazy.lazy_bounds.values())[::7])
+    yield "l6B-SDC lazy", lazy, set(sorted(bound_rows(lazy).values())[::7])
     for seed in range(6):
         yield f"oracle {seed}", build_model(generate_oracle_instance(seed)), None
 
 
 def _store_arrays(model, activated) -> dict:
-    """The arrays HiGHS's reader must build from `write_lp(model, activated)`, taken from
-    the row store and the column blocks: columns in order of first appearance in the file
+    """The arrays HiGHS's reader must build from the file `write_lp(model, path, activated)`
+    writes, taken from the row store and the column blocks: columns in order of first appearance in the file
     (objective, written rows, then the Bounds and Binary sections in column order) and
     the written rows as a column-wise matrix with rows ascending in each column."""
     rows, blocks = model.constraints, model.variables.blocks
@@ -365,7 +366,7 @@ def test_highs_reader_builds_the_row_store(tmp_path):
     """HiGHS's reader on the written file gives back the builder's own arrays."""
     for label, model, activated in _equivalence_cases():
         path = tmp_path / "m.lp"
-        path.write_text(write_lp(model, activated))
+        write_lp(model, path, activated)
         read = _model_arrays(shim._read_model(str(path), 60, 0.0))
         expected = _store_arrays(model, activated)
         assert len(read["col_names"]) == len(model.variables), label
