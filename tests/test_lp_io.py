@@ -55,7 +55,7 @@ def test_lp_bytes_are_pinned(tmp_path, vertices, setting, cost_mode, ship, size,
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
-def test_write_lp_streams_the_file_in_bounded_memory(tmp_path):
+def test_write_lp_holds_little_besides_its_text(tmp_path):
     # rows are formatted a chunk at a time and each chunk goes to the file as it is made:
     # the peak stays far below the 3.09 MB file, and nothing is cached on the model
     model = build_model(generate_path_instance(PathExperimentParams(vertices=6, setting="B", cost_mode="SDC")))
@@ -73,6 +73,20 @@ def test_write_lp_streams_the_file_in_bounded_memory(tmp_path):
     data = path.read_bytes()
     digest = "1eb4ce281f393fec98f06928aa116bf93f99eda9932063104ffa581eb1730784"  # the l6B-SDC mono pin
     assert (len(data), hashlib.sha256(data).hexdigest()) == (3_093_524, digest)
+
+
+def test_write_text_file_writes_the_text_in_slices(ref_model, tmp_path, monkeypatch):
+    # `write_lp` writes the text piece by piece as UTF-8; a text longer than one piece
+    # and not all ASCII reaches the file whole, and no pieces leave an empty file
+    lines = [f"line {i} \u00e9" for i in range(200_000)]
+    path = tmp_path / "m.lp"
+    monkeypatch.setattr(lp_io, "_lp_pieces", lambda model, activated: iter(lines))
+    write_lp(ref_model, path)
+    assert path.read_bytes() == "".join(f"{line}\n" for line in lines).encode("utf-8")
+    monkeypatch.setattr(lp_io, "_lp_pieces", lambda model, activated: iter(()))
+    write_lp(ref_model, path)
+    assert path.read_bytes() == b""
+    assert [p.name for p in tmp_path.iterdir()] == ["m.lp"]
 
 
 def test_failed_write_keeps_the_earlier_file(ref_model, tmp_path, monkeypatch):
