@@ -2,11 +2,12 @@
 
 `write_lp` writes CPLEX-dialect LP files deterministically: identical models
 produce byte-identical files, so file hashes can anchor regression tests.
-It formats rows from the model's row store a chunk at a time and writes each
-chunk to the file as it is made, so it never holds the whole text and caches
-nothing on the model.
+It formats the objective, the rows (straight from the model's row store) and
+the Binary section a chunk at a time and writes each chunk to the file as it
+is made, so it never holds the whole text and caches nothing on the model.
 Variable names are kind-prefixed dense ids (v=placement, w=endpoint,
-u=blocked stock, l=on-stock, d=deviation).  The header comment writes the
+u=blocked stock, l=on-stock, d=deviation), formed as they are written from
+`column_letters`; no list of names is kept.  The header comment writes the
 instance name with backslash escapes, so it stays on one line and the file
 is ASCII.  The objective constant is never written into the file; callers
 add it back to reported values.
@@ -14,9 +15,10 @@ add it back to reported values.
 `parse_solution` accepts the common solution-file shapes: `name value`
 pairs, `#`-comment metadata (objective/bound/status), `objective value:` /
 `solution status:` headers, report lines `<idx> name value reduced-cost`,
-and trailing `(obj: ...)` annotations.  Binary values are checked for
-integrality and the objective is recomputed from the model and cross-checked
-against the reported value.
+and trailing `(obj: ...)` annotations.  A name is read back from its digits
+and accepted only if the writer spells that column the same way.  Binary
+values are checked to be integral and 0 or 1, and the objective is
+recomputed from the model and cross-checked against the reported value.
 """
 
 from __future__ import annotations
@@ -26,17 +28,18 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
-from .milpmodel import GE, LE, PLACEMENT, SENSES, MILPModel, RowStore, row_name
+from .milpmodel import GE, LE, PLACEMENT, SENSES, MILPModel, RowStore, column_letters, row_name
 from .schedule import Schedule
 
 INTEGRALITY_TOL = 1e-5
 OBJECTIVE_CHECK_TOL = 1e-6
 
 _TERMS_PER_LINE = 8
-_CHUNK_TERMS = 8192  # terms formatted at a time by `write_lp`
+_CHUNK_TERMS = 2048  # terms or names formatted at a time by `write_lp`; a multiple of _TERMS_PER_LINE
 
 
 class LPWriteError(ValueError):
@@ -60,7 +63,7 @@ def _wrap(words: list[str], indent: str) -> str:
     return f"\n{indent}".join(" ".join(words[i : i + _TERMS_PER_LINE]) for i in range(0, len(words), _TERMS_PER_LINE))
 
 
-def _row_chunks(rows: RowStore, names: list[str], activated_lazy: Optional[set[int]]) -> Iterator[str]:
+def _row_chunks(rows: RowStore, letters: str, activated_lazy: Optional[set[int]]) -> Iterator[str]:
     """The shipped rows' LP lines, one string per run of rows holding about `_CHUNK_TERMS` terms;
     every row without terms, shipped or not, is checked to hold vacuously and left out."""
     start = rows.start
@@ -70,7 +73,7 @@ def _row_chunks(rows: RowStore, names: list[str], activated_lazy: Optional[set[i
         r1 = max(r0 + 1, bisect_right(start, start[r0] + _CHUNK_TERMS, r0) - 1)
         s0, s1 = start[r0], start[r1]
         coefs, cols = rows.coef[s0:s1], rows.col[s0:s1]
-        terms = list(map(str.__add__, map(signed.__getitem__, coefs), map(names.__getitem__, cols)))
+        terms = [f"{signed[c]}{letters[vid]}{vid}" for c, vid in zip(coefs, cols)]  # no Python call per term
         lines = []
         for r, s, e, family, rank, sense, rhs, lazy in zip(
             range(r0, r1), start[r0:r1], start[r0 + 1 : r1 + 1], rows.family[r0:r1],
@@ -89,10 +92,20 @@ def _row_chunks(rows: RowStore, names: list[str], activated_lazy: Optional[set[i
         r0 = r1
 
 
-def _objective_line(objective: tuple[tuple[int, Fraction], ...], names: list[str]) -> str:
-    """The `obj:` line; an empty objective is written as zero times the first column."""
-    terms = [f"+{_num(c)} {names[vid]}" if c >= 0 else f"-{_num(-c)} {names[vid]}" for vid, c in objective]
-    return f" obj: {_wrap(terms or [f'+0 {names[0]}' if names else '+0 x0'], '   ')}"
+def _wrapped(words: Iterable[str], head: str, indent: str) -> Iterator[str]:
+    """`head + _wrap(words, indent)`, formed `_CHUNK_TERMS` words at a time: each piece holds whole
+    lines, so the pieces joined by line breaks are the text formed at once."""
+    words = iter(words)
+    while chunk := list(islice(words, _CHUNK_TERMS)):
+        yield head + _wrap(chunk, indent)
+        head = indent
+
+
+def _objective_terms(objective: tuple[tuple[int, Fraction], ...], letters: str) -> Iterable[str]:
+    """The `obj:` line's terms; an empty objective is written as zero times the first column."""
+    if not objective:
+        return [f"+0 {letters[0]}0" if letters else "+0 x0"]
+    return (f"+{_num(c)} {letters[vid]}{vid}" if c >= 0 else f"-{_num(-c)} {letters[vid]}{vid}" for vid, c in objective)
 
 
 def _bound_affixes(lb: int | None, ub: int | None) -> tuple[str, str] | None:
@@ -134,25 +147,28 @@ def write_lp(model: MILPModel, path: Union[str, Path], activated_lazy: Optional[
 
 def _lp_pieces(model: MILPModel, activated_lazy: Optional[set[int]]) -> Iterator[str]:
     """The LP file's text in order, a line or a run of lines at a time, each without its final line break."""
-    names = model.lp_names
+    letters = column_letters(model)
     instance = model.instance.name.encode("unicode_escape").decode("ascii")  # on one line, in ASCII
     yield f"\\ pipesched model {instance} hash={model.metadata['instance_hash'][:12]}"
     yield "Maximize"
-    yield _objective_line(model.objective, names)
+    yield from _wrapped(_objective_terms(model.objective, letters), " obj: ", "   ")
     yield "Subject To"
-    yield from _row_chunks(model.constraints, names, activated_lazy)
+    yield from _row_chunks(model.constraints, letters, activated_lazy)
     yield "Bounds"
-    binaries: list[str] = []
+    binaries = []
     for block in model.variables.blocks:
         binary, lb, ub = block.bounds
-        block_names = names[block.start : block.start + block.count]
+        if not block.count:
+            continue
+        vids = range(block.start, block.start + block.count)
         if binary:
-            binaries.extend(block_names)
-        elif block_names and (affixes := _bound_affixes(lb, ub)) is not None:
-            yield "\n".join(f" {affixes[0]}{name}{affixes[1]}" for name in block_names)
+            binaries.append(vids)
+        elif (affixes := _bound_affixes(lb, ub)) is not None:
+            pre, post = f" {affixes[0]}{letters[block.start]}", affixes[1]
+            yield "\n".join(f"{pre}{vid}{post}" for vid in vids)
     if binaries:
         yield "Binary"
-        yield " " + _wrap(binaries, " ")
+        yield from _wrapped((f"{letters[vid]}{vid}" for vid in chain.from_iterable(binaries)), " ", " ")
     yield "End"
 
 
@@ -204,18 +220,22 @@ def _normalize_status(text: str) -> Optional[str]:
     return None
 
 
-def _name_vid(name: str, names: list[str]) -> Optional[int]:
-    """The column an LP name denotes: its kind prefix, then its vid in ASCII digits; None for any other token."""
+def _name_vid(name: str, letters: str) -> Optional[int]:
+    """The column an LP name denotes: its kind letter, then its vid in ASCII digits as `str(vid)` spells it;
+    None for any other token."""
     digits = name[1:]
-    if not (digits.isascii() and digits.isdigit()) or len(digits) > len(str(len(names))):
+    if not (digits.isascii() and digits.isdigit()) or len(digits) > len(str(len(letters))):
         return None
     vid = int(digits)
-    return vid if vid < len(names) and names[vid] == name else None
+    return vid if vid < len(letters) and letters[vid] == name[0] and str(vid) == digits else None
 
 
 def parse_solution(text: Union[str, Iterable[str]], model: MILPModel) -> ParsedSolution:
     """Read a solution file's content, given as one string or as lines (an open text file)."""
-    names = model.lp_names
+    letters = column_letters(model)
+    # only binaries and objective columns are read again below: every other value is checked, then dropped
+    binary_letters = {letters[b.start] for b in model.variables.blocks if b.bounds[0] and b.count}
+    kept = {vid for vid, _coef in model.objective if letters[vid] not in binary_letters}
     values: dict[int, float] = {}
     reported: Optional[float] = None
     bound: Optional[float] = None
@@ -259,15 +279,16 @@ def parse_solution(text: Union[str, Iterable[str]], model: MILPModel) -> ParsedS
 
         tokens = line.split()
         vid = value_token = None
-        if len(tokens) >= 2 and (vid := _name_vid(tokens[0], names)) is not None:
+        if len(tokens) >= 2 and (vid := _name_vid(tokens[0], letters)) is not None:
             value_token = tokens[1]
-        elif len(tokens) >= 3 and _NUM_RE.match(tokens[0]) and (vid := _name_vid(tokens[1], names)) is not None:
+        elif len(tokens) >= 3 and _NUM_RE.match(tokens[0]) and (vid := _name_vid(tokens[1], letters)) is not None:
             value_token = tokens[2]  # "<row#> name value [rcost]"
         if vid is None or not _NUM_RE.match(value_token):
             excerpt = line if len(line) <= 120 else line[:117] + "..."
             raise SolutionFormatError(f"unparseable solution line {lineno}: {excerpt!r}")
         saw_values_section = True
-        values[vid] = float(value_token)
+        if letters[vid] in binary_letters or vid in kept:
+            values[vid] = float(value_token)
 
     no_values = (STATUS_UNBOUNDED, STATUS_ERROR, STATUS_TIME_LIMIT)  # words that may come without a schedule
     if status_hint == STATUS_INFEASIBLE or (not saw_values_section and status_hint in no_values):
@@ -284,9 +305,9 @@ def parse_solution(text: Union[str, Iterable[str]], model: MILPModel) -> ParsedS
             if val is None:
                 continue  # an unlisted column is 0
             if abs(val - round(val)) > INTEGRALITY_TOL:
-                raise SolutionFormatError(
-                    f"binary variable {model.lp_names[vid]} has fractional value {val!r}"
-                )
+                raise SolutionFormatError(f"binary variable {letters[vid]}{vid} has fractional value {val!r}")
+            if round(val) not in (0, 1):
+                raise SolutionFormatError(f"binary variable {letters[vid]}{vid} has value {val!r} outside [0, 1]")
             values[vid] = float(round(val))
             if round(val) == 1 and block.kind == PLACEMENT:
                 placements.append((*block.prefix, block.first + vid - block.start))

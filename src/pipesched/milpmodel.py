@@ -37,16 +37,20 @@ row starts, column ids and coefficients, plus per row its sense, right-hand
 side, family, rank within the family (which names it) and lazy flag.  The
 emitters append whole runs of rows to it and build no per-term or per-row
 objects, and every reader (the LP writer, `violated_rows`, `bound_rows`, the
-tests) reads rows from these arrays and columns from the blocks; a row is
-named by `row_name`, a column by `MILPModel.lp_names`.  The model keeps no
-index from a bound row's (site, product, slot) to the row: `bound_rows`
-derives it from the arrays for the lazy loop, once per solve.  Iterating
-`MILPModel.variables` (a `Columns`) or `MILPModel.constraints` (the
-`RowStore`) builds one `Variable` or `LinearConstraint` at a time; these two
-views and their `len()` remain only for the benchmark's model counts
-(`perfbench/op.py::model_counts`) until its next revision reads the arrays.
-Coefficients and right-hand sides are signed 64-bit integers; a larger
-volume raises OverflowError.
+tests) reads rows from these arrays and columns from the blocks.  Names are
+formed when they are written, not stored: a row is named by `row_name`, and
+column `vid` by its kind letter, `column_letters(model)[vid]`, then `vid` in
+decimal.  The model keeps no index from a bound row's (site, product, slot)
+to the row: `bound_rows` derives it from the arrays for the lazy loop, once
+per solve.  Iterating `MILPModel.variables` (a `Columns`) or
+`MILPModel.constraints` (the `RowStore`) builds one `Variable` or
+`LinearConstraint` at a time; these two views and their `len()` remain only
+for the benchmark's model counts (`perfbench/op.py::model_counts`) until its
+next revision reads the arrays.
+Column ids, row starts and ranks are signed 32-bit integers, so a model with
+more than 2**31 - 1 columns or terms raises OverflowError while it is built;
+coefficients and right-hand sides are signed 64-bit integers, and a larger
+volume raises OverflowError too.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, islice
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -220,13 +223,13 @@ class RowStore:
     """
 
     def __init__(self) -> None:
-        self.start = array("q", [0])
-        self.col = array("q")
+        self.start = array("i", [0])
+        self.col = array("i")
         self.coef = array("q")
         self.sense = array("b")
         self.rhs = array("q")
         self.family = array("b")
-        self.rank = array("q")
+        self.rank = array("i")
         self.lazy = array("b")
         self.family_sizes = [0] * len(FAMILIES)
 
@@ -277,14 +280,16 @@ class MILPModel:
     catalog: BatchCatalog
     metadata: dict = field(default_factory=dict)
 
-    @cached_property
-    def lp_names(self) -> list[str]:
-        """LP name of every column, by vid: its kind's one-letter prefix, then the vid in decimal."""
-        blocks = self.variables.blocks
-        return [f"{_NAME_PREFIX[b.kind]}{vid}" for b in blocks for vid in range(b.start, b.start + b.count)]
-
     def family_counts(self) -> dict[str, int]:
         return dict(zip(FAMILIES, self.constraints.family_sizes))
+
+
+def column_letters(model: MILPModel) -> str:
+    """The kind letter of every column, by vid; column `vid` is named `letters[vid] + str(vid)`.
+
+    Built on each call from the blocks, one character per column, and never cached.
+    """
+    return "".join(_NAME_PREFIX[b.kind] * b.count for b in model.variables.blocks)
 
 
 def _mirror_rows(rows: RowStore, family: str, a: ColumnBlock, b: ColumnBlock) -> None:

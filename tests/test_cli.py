@@ -23,7 +23,7 @@ import pipesched.lp_io as lp_io
 from pipesched.cli import EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_INVALID, EXIT_LIMIT, EXIT_OK, build_parser, main
 from pipesched.generator import PathExperimentParams, generate_path_instance
 from pipesched.instance import instance_to_dict, load_instance, save_instance
-from pipesched.milpmodel import PLACEMENT, build_model
+from pipesched.milpmodel import PLACEMENT, build_model, column_letters
 from pipesched.schedule import Schedule
 from pipesched.solver import _template_literal
 
@@ -188,7 +188,9 @@ def test_solve_does_not_write_a_rejected_schedule(tiny_path, tmp_path, capsys):
     # a stand-in solver "finds" flush at 0 and stain at 2, which overlap in the one pipe
     model = build_model(load_instance(tiny_path))
     overlap = [("e1", "r1:flush:standard", 0), ("e1", "r1:stain:standard", 2)]
-    names = [model.lp_names[model.variables.vid(PLACEMENT, placement)] for placement in overlap]
+    letters = column_letters(model)
+    vids = [model.variables.vid(PLACEMENT, placement) for placement in overlap]
+    names = [f"{letters[vid]}{vid}" for vid in vids]
     canned = tmp_path / "overlap.sol"
     canned.write_text("# Status = optimal\n" + "".join(f"{name} 1\n" for name in names))
     script = tmp_path / "copy_solver.py"

@@ -17,7 +17,7 @@ from pipesched.lp_io import (
     parse_solution,
     write_lp,
 )
-from pipesched.milpmodel import BuildOptions, bound_rows, build_model, row_name
+from pipesched.milpmodel import BuildOptions, bound_rows, build_model, column_letters, row_name
 from tests.conftest import lp_text
 
 
@@ -56,10 +56,10 @@ def test_lp_bytes_are_pinned(tmp_path, vertices, setting, cost_mode, ship, size,
 
 
 def test_write_lp_holds_little_besides_its_text(tmp_path):
-    # rows are formatted a chunk at a time and each chunk goes to the file as it is made:
-    # the peak stays far below the 3.09 MB file, and nothing is cached on the model
+    # rows and names are formatted a chunk at a time and each chunk goes to the file as it is
+    # made: the peak, column names included, stays far below the 3.09 MB file, and nothing is
+    # cached on the model
     model = build_model(generate_path_instance(PathExperimentParams(vertices=6, setting="B", cost_mode="SDC")))
-    model.lp_names  # built once per model, outside what is measured
     path = tmp_path / "m.lp"
     tracemalloc.start()
     try:
@@ -73,6 +73,21 @@ def test_write_lp_holds_little_besides_its_text(tmp_path):
     data = path.read_bytes()
     digest = "1eb4ce281f393fec98f06928aa116bf93f99eda9932063104ffa581eb1730784"  # the l6B-SDC mono pin
     assert (len(data), hashlib.sha256(data).hexdigest()) == (3_093_524, digest)
+
+
+def test_built_model_holds_little_after_a_write(tmp_path):
+    # the 6B model keeps its row arrays (column ids, row starts and ranks in 32 bits) and its
+    # column blocks; writing the LP forms every column name and keeps none of them
+    inst = generate_path_instance(PathExperimentParams(vertices=6, setting="B", cost_mode="SDC"))
+    tracemalloc.start()
+    try:
+        model = build_model(inst)
+        write_lp(model, tmp_path / "m.lp")
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(model.constraints.col) == 166_130
+    assert held < 4_000_000
 
 
 def test_write_text_file_writes_the_text_in_slices(ref_model, tmp_path, monkeypatch):
@@ -185,10 +200,18 @@ def test_infeasible_report_yields_no_schedule(ref_model):
     assert parsed.schedule is None
 
 
-def test_fractional_binary_rejected(ref_model):
-    text = "# Objective value = 1\nv0 0.5\n"
-    with pytest.raises(SolutionFormatError, match="fractional"):
-        parse_solution(text, ref_model)
+@pytest.mark.parametrize(
+    "value, match", [("0.5", "fractional value 0.5"), ("2", r"value 2\.0 outside"), ("-1", r"value -1\.0 outside")],
+    ids=["0.5", "2", "-1"],
+)
+def test_fractional_binary_rejected(ref1, value, match):
+    # v0 has objective coefficient 0 here, so the objective check cannot catch a value other than 0 or 1
+    import dataclasses
+
+    model = build_model(dataclasses.replace(ref1, weights=dataclasses.replace(ref1.weights, alpha=0)))
+    assert not dict(model.objective).get(0)
+    with pytest.raises(SolutionFormatError, match=f"binary variable v0 has {match}"):
+        parse_solution(f"# Objective value = 0\nv0 {value}\n", model)
 
 
 def test_near_integral_values_round(ref_model):
@@ -205,15 +228,15 @@ def test_unknown_variable_names_rejected(ref_model):
 def test_names_that_are_no_column_are_rejected(ref_model):
     # a name is a kind prefix and the vid's ASCII digits, exactly as the writer spells it; "u3"
     # has the digits of a placement column, "v" + 5000 digits is past int()'s digit limit
-    names = ref_model.lp_names
-    assert names[3] == "v3"
-    for name in ["v01", "v\u00b2", "q5", "v+5", "v", "v" + "9" * 5000, f"v{len(names)}", "u3"]:
+    letters = column_letters(ref_model)
+    assert letters[3] == "v"
+    for name in ["v01", "v\u00b2", "q5", "v+5", "v", "v" + "9" * 5000, f"v{len(letters)}", "u3"]:
         with pytest.raises(SolutionFormatError, match="unparseable solution line"):
             parse_solution(f"# Objective value = 0\n{name} 1\n", ref_model)
 
 
 def test_every_column_name_reads_back_as_its_vid(ref_model):
-    text = "".join(f"{name} {int(vid == 28)}\n" for vid, name in enumerate(ref_model.lp_names))
+    text = "".join(f"{letter}{vid} {int(vid == 28)}\n" for vid, letter in enumerate(column_letters(ref_model)))
     parsed = parse_solution("# Status = optimal\n" + text, ref_model)
     block = next(b for b in ref_model.variables.blocks if b.start <= 28 < b.start + b.count)
     assert parsed.schedule.placements == frozenset({(*block.prefix, block.first + 28 - block.start)})

@@ -26,14 +26,17 @@ from pipesched.milpmodel import (
     FAM_FLUSH_ENFORCE,
     FAM_NOMINATION,
     FAM_OUTAGE,
+    FAM_PACKING,
     FAM_ROUTES,
     FAM_THROUGHPUT,
     FAMILIES,
+    LE,
     OCC_LOWER,
     OCC_UPPER,
     PLACEMENT,
     BuildOptions,
     ModelBuildError,
+    RowStore,
     bound_rows,
     build_model,
     extend_placement_assignment,
@@ -366,3 +369,14 @@ def test_row_iteration_lists_no_terms_ahead():
     (last,) = deque(rows, maxlen=1)
     assert last.terms == tuple(zip(rows.col[rows.start[-2] :], rows.coef[rows.start[-2] :]))
     assert (last.name, last.rhs) == (row_name(rows.family[-1], rows.rank[-1]), rows.rhs[-1])
+
+
+def test_row_store_rejects_indices_past_32_bits():
+    # column ids and row starts are 32-bit, coefficients and right-hand sides 64-bit: a column or
+    # a running term count past 2**31 - 1, or a volume past 2**63 - 1, fails the build
+    for cols, coefs, sizes in [([2**31], [1], [1]), ([], [], [2**31]), ([0], [2**63], [1])]:
+        with pytest.raises(OverflowError):
+            RowStore().add(FAM_PACKING, LE, cols, coefs, sizes, [1])
+    rows = RowStore()
+    rows.add(FAM_PACKING, LE, [2**31 - 1], [2**63 - 1], [1], [-(2**63)])
+    assert (rows.col[0], rows.coef[0], rows.rhs[0]) == (2**31 - 1, 2**63 - 1, -(2**63))

@@ -13,7 +13,7 @@ import pytest
 import pipesched.solver_shim as shim
 from pipesched.generator import PathExperimentParams, generate_oracle_instance, generate_path_instance
 from pipesched.lp_io import write_lp
-from pipesched.milpmodel import GE, LE, SENSES, BuildOptions, bound_rows, build_model
+from pipesched.milpmodel import GE, LE, SENSES, BuildOptions, bound_rows, build_model, column_letters
 from pipesched.solver_shim import main, parse_lp, solve_lp
 from tests.conftest import lp_text
 
@@ -92,9 +92,9 @@ def _restyled(model, write_row) -> str:
     text = lp_text(model)
     head, rest = text.split("Subject To\n", 1)
     tail = rest.split("Bounds\n", 1)[1]
-    names = model.lp_names
+    letters = column_letters(model)
     rows = [
-        write_row(c.name, [(coef, names[vid]) for vid, coef in c.terms], c.sense, c.rhs)
+        write_row(c.name, [(coef, f"{letters[vid]}{vid}") for vid, coef in c.terms], c.sense, c.rhs)
         for c in model.constraints
         if c.terms
     ]
@@ -345,8 +345,9 @@ def _store_arrays(model, activated) -> dict:
     cost = dict(model.objective)
     senses = [SENSES[rows.sense[r]] for r in written]
     core = shim._highs_core()
+    letters = column_letters(model)
     return {
-        "col_names": [model.lp_names[vid] for vid in cols],
+        "col_names": [f"{letters[vid]}{vid}" for vid in cols],
         "col_cost": [float(cost.get(vid, 0)) for vid in cols],
         "sense": core.ObjSense.kMaximize,
         "offset": 0.0,
