@@ -5,6 +5,9 @@ produce byte-identical files, so file hashes can anchor regression tests.
 It formats the objective, the rows (straight from the model's row store) and
 the Binary section a chunk at a time and writes each chunk to the file as it
 is made, so it never holds the whole text and caches nothing on the model.
+A row's sense comes from its family, and its name from its family and its
+rank, which the writer counts per family as it walks the rows.  The lazy
+rows it ships are picked by their one column.
 Variable names are kind-prefixed dense ids (v=placement, w=endpoint,
 u=blocked stock, l=on-stock, d=deviation), formed as they are written from
 `column_letters`; no list of names is kept.  The header comment writes the
@@ -32,7 +35,7 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
-from .milpmodel import GE, LE, PLACEMENT, SENSES, MILPModel, RowStore, column_letters, row_name
+from .milpmodel import FAMILIES, FAMILY_SENSE, GE, LE, PLACEMENT, MILPModel, RowStore, column_letters, row_name
 from .schedule import Schedule
 
 INTEGRALITY_TOL = 1e-5
@@ -68,6 +71,8 @@ def _row_chunks(rows: RowStore, letters: str, activated_lazy: Optional[set[int]]
     every row without terms, shipped or not, is checked to hold vacuously and left out."""
     start = rows.start
     signed = {c: f"+{c} " if c >= 0 else f"-{-c} " for c in set(rows.coef)}
+    senses = [FAMILY_SENSE[f] for f in FAMILIES]
+    ranks = [0] * len(FAMILIES)  # rows of each family written or skipped so far
     r0, n = 0, len(rows.rhs)
     while r0 < n:
         r1 = max(r0 + 1, bisect_right(start, start[r0] + _CHUNK_TERMS, r0) - 1)
@@ -75,15 +80,13 @@ def _row_chunks(rows: RowStore, letters: str, activated_lazy: Optional[set[int]]
         coefs, cols = rows.coef[s0:s1], rows.col[s0:s1]
         terms = [f"{signed[c]}{letters[vid]}{vid}" for c, vid in zip(coefs, cols)]  # no Python call per term
         lines = []
-        for r, s, e, family, rank, sense, rhs, lazy in zip(
-            range(r0, r1), start[r0:r1], start[r0 + 1 : r1 + 1], rows.family[r0:r1],
-            rows.rank[r0:r1], rows.sense[r0:r1], rows.rhs[r0:r1], rows.lazy[r0:r1],
-        ):
-            name, sense = row_name(family, rank), SENSES[sense]
+        for s, e, family, rhs in zip(start[r0:r1], start[r0 + 1 : r1 + 1], rows.family[r0:r1], rows.rhs[r0:r1]):
+            name, sense = row_name(family, ranks[family]), senses[family]
+            ranks[family] += 1
             if s == e:
                 if not (0 <= rhs if sense == LE else 0 >= rhs if sense == GE else rhs == 0):
                     raise LPWriteError(f"constraint {name} has no terms and cannot hold (0 {sense} {rhs})")
-            elif not lazy or activated_lazy is None or r in activated_lazy:
+            elif activated_lazy is None or not rows.lazy[family] or rows.col[s] in activated_lazy:
                 lhs = terms[s - s0 : e - s0]
                 lhs = " ".join(lhs) if len(lhs) <= _TERMS_PER_LINE else _wrap(lhs, "   ")
                 lines.append(f" {name}: {lhs} {sense} {rhs}")
@@ -124,8 +127,10 @@ def _bound_affixes(lb: int | None, ub: int | None) -> tuple[str, str] | None:
 def write_lp(model: MILPModel, path: Union[str, Path], activated_lazy: Optional[set[int]] = None) -> str:
     """Write the model to the LP file `path` and return `path` as a string.
 
-    With `activated_lazy=None` every row is written (monolithic model); with
-    a set only non-lazy rows plus the activated lazy row indices appear.
+    With `activated_lazy=None` every row is written (monolithic model).  With
+    a set of column ids, the non-lazy rows appear, and a lazy row (an
+    occupancy bound, whose one term is the column it bounds) appears when
+    its column is in the set.
     A row without terms is left out after checking that it holds vacuously.
     The file is written a piece at a time to `<path>.part` and renamed to
     `path` once complete; a write that fails removes the part file and

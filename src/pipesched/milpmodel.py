@@ -33,21 +33,24 @@ contiguous in t for each (edge, batch): v(e, b, t) is the block's first
 column plus t.  Endpoint markers of a staining (edge, batch) are contiguous
 in the completion instant, occupancy columns of a (site, product) in t.
 Rows live in one integer row store (`RowStore`), in stdlib `array`s: CSR
-row starts, column ids and coefficients, plus per row its sense, right-hand
-side, family, rank within the family (which names it) and lazy flag.  The
-emitters append whole runs of rows to it and build no per-term or per-row
-objects, and every reader (the LP writer, `violated_rows`, `bound_rows`, the
-tests) reads rows from these arrays and columns from the blocks.  Names are
-formed when they are written, not stored: a row is named by `row_name`, and
-column `vid` by its kind letter, `column_letters(model)[vid]`, then `vid` in
-decimal.  The model keeps no index from a bound row's (site, product, slot)
-to the row: `bound_rows` derives it from the arrays for the lazy loop, once
-per solve.  Iterating `MILPModel.variables` (a `Columns`) or
+row starts, column ids and coefficients, plus per row its right-hand side
+and family.  What the family fixes is stated once per family: its sense in
+`FAMILY_SENSE`, its lazy flag in the store.  The emitters append whole runs
+of rows to it and build no per-term or per-row objects, and every reader
+(the LP writer, `violated_rows`, the tests) reads rows from these arrays and
+columns from the blocks.  Names are formed when they are written, not
+stored: a row is named by `row_name` from its family and its rank, which a
+reader counts as it walks the rows, and column `vid` by its kind letter,
+`column_letters(model)[vid]`, then `vid` in decimal.  An occupancy bound
+row holds one term, the occupancy column it bounds, so the lazy loop finds
+a violated bound through `Columns.vid` and activates that column; the
+model keeps no index from a bound's (site, product, slot) to its row.
+Iterating `MILPModel.variables` (a `Columns`) or
 `MILPModel.constraints` (the `RowStore`) builds one `Variable` or
 `LinearConstraint` at a time; these two views and their `len()` remain only
 for the benchmark's model counts (`perfbench/op.py::model_counts`) until its
 next revision reads the arrays.
-Column ids, row starts and ranks are signed 32-bit integers, so a model with
+Column ids and row starts are signed 32-bit integers, so a model with
 more than 2**31 - 1 columns or terms raises OverflowError while it is built;
 coefficients and right-hand sides are signed 64-bit integers, and a larger
 volume raises OverflowError too.
@@ -56,7 +59,6 @@ volume raises OverflowError too.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -109,30 +111,30 @@ FAM_NOMINATION = "nomination"
 FAM_FIXED = "fixed"
 FAM_DISTRIBUTION = "distribution"
 
-FAMILIES = (
-    FAM_PACKING,
-    FAM_ROUTES,
-    FAM_FLUSH_LINK,
-    FAM_FLUSH_EXCL,
-    FAM_FLUSH_ENFORCE,
-    FAM_EXCLUSION,
-    FAM_CAP_DEF_UPPER,
-    FAM_CAP_DEF_LOWER,
-    FAM_CAP_UPPER,
-    FAM_CAP_LOWER,
-    FAM_OUTAGE,
-    FAM_THROUGHPUT,
-    FAM_NOMINATION,
-    FAM_FIXED,
-    FAM_DISTRIBUTION,
-)
-_FAMILY_ID = {f: i for i, f in enumerate(FAMILIES)}
-
 LE = "<="
 GE = ">="
 EQ = "="
-SENSES = (LE, GE, EQ)
-_SENSE_ID = {s: i for i, s in enumerate(SENSES)}
+
+# every row of a family has the family's sense; FAMILIES lists the families in this order
+FAMILY_SENSE = {
+    FAM_PACKING: LE,
+    FAM_ROUTES: EQ,
+    FAM_FLUSH_LINK: EQ,
+    FAM_FLUSH_EXCL: LE,
+    FAM_FLUSH_ENFORCE: LE,
+    FAM_EXCLUSION: LE,
+    FAM_CAP_DEF_UPPER: EQ,
+    FAM_CAP_DEF_LOWER: EQ,
+    FAM_CAP_UPPER: LE,
+    FAM_CAP_LOWER: GE,
+    FAM_OUTAGE: EQ,
+    FAM_THROUGHPUT: LE,
+    FAM_NOMINATION: LE,
+    FAM_FIXED: EQ,
+    FAM_DISTRIBUTION: GE,
+}
+FAMILIES = tuple(FAMILY_SENSE)
+_FAMILY_ID = {f: i for i, f in enumerate(FAMILIES)}
 
 
 class ModelBuildError(ValueError):
@@ -218,43 +220,41 @@ class RowStore:
     """Every row of the model in CSR form; iterating builds `LinearConstraint`s.
 
     Row r holds columns `col[start[r]:start[r+1]]` with coefficients `coef`
-    at the same positions; `sense[r]` indexes SENSES and `family[r]`
-    FAMILIES; `rank[r]` counts the family's earlier rows and names the row.
+    at the same positions and right-hand side `rhs[r]`; `family[r]` indexes
+    FAMILIES, and the family gives the row's sense (`FAMILY_SENSE`).  A
+    row's rank, the count of its family's earlier rows, names it; readers
+    count it as they walk the rows.  `lazy[f]` says whether family f's rows
+    are lazy; only the single-term occupancy bound rows ever are.
     """
 
     def __init__(self) -> None:
         self.start = array("i", [0])
         self.col = array("i")
         self.coef = array("q")
-        self.sense = array("b")
         self.rhs = array("q")
         self.family = array("b")
-        self.rank = array("i")
-        self.lazy = array("b")
-        self.family_sizes = [0] * len(FAMILIES)
+        self.lazy = [False] * len(FAMILIES)
 
     def add(
         self,
         family: str,
-        sense: str,
         cols: Iterable[int],
         coefs: Iterable[int],
         sizes: Iterable[int],
         rhs: Sequence[int],
         lazy: bool = False,
     ) -> None:
-        """Append `len(rhs)` rows of one family and sense; row i takes the next `sizes[i]` terms."""
+        """Append `len(rhs)` rows of one family; row i takes the next `sizes[i]` terms."""
         n = len(rhs)
         fid = _FAMILY_ID[family]
+        if lazy != self.lazy[fid] and fid in self.family:
+            raise ModelBuildError(f"{family} rows cannot be both lazy and not lazy")
+        self.lazy[fid] = lazy
         self.col.extend(cols)
         self.coef.extend(coefs)
         self.start.extend(islice(accumulate(sizes, initial=self.start[-1]), 1, None))
         self.rhs.extend(rhs)
-        self.sense.extend(array("b", [_SENSE_ID[sense]]) * n)
         self.family.extend(array("b", [fid]) * n)
-        self.lazy.extend(array("b", [lazy]) * n)
-        self.rank.extend(range(self.family_sizes[fid], self.family_sizes[fid] + n))
-        self.family_sizes[fid] += n
         if self.start[-1] != len(self.col) or len(self.coef) != len(self.col) or len(self.start) != len(self.rhs) + 1:
             raise ModelBuildError(f"{family} rows do not match their term counts")
 
@@ -262,12 +262,13 @@ class RowStore:
         return len(self.rhs)
 
     def __iter__(self):
+        ranks = [0] * len(FAMILIES)
         ends = islice(self.start, 1, None)
-        for s, e, family, rank, sense, rhs, lazy in zip(
-            self.start, ends, self.family, self.rank, self.sense, self.rhs, self.lazy
-        ):
+        for s, e, family, rhs in zip(self.start, ends, self.family, self.rhs):
             terms = tuple(zip(self.col[s:e], self.coef[s:e]))
-            yield LinearConstraint(row_name(family, rank), FAMILIES[family], terms, SENSES[sense], rhs, bool(lazy))
+            name, lazy = FAMILIES[family], self.lazy[family]
+            yield LinearConstraint(row_name(family, ranks[family]), name, terms, FAMILY_SENSE[name], rhs, lazy)
+            ranks[family] += 1
 
 
 @dataclass
@@ -281,7 +282,7 @@ class MILPModel:
     metadata: dict = field(default_factory=dict)
 
     def family_counts(self) -> dict[str, int]:
-        return dict(zip(FAMILIES, self.constraints.family_sizes))
+        return {f: self.constraints.family.count(i) for i, f in enumerate(FAMILIES)}
 
 
 def column_letters(model: MILPModel) -> str:
@@ -298,7 +299,7 @@ def _mirror_rows(rows: RowStore, family: str, a: ColumnBlock, b: ColumnBlock) ->
     cols = [0] * (2 * n)
     cols[0::2] = range(a.start, a.start + n)
     cols[1::2] = range(b.start, b.start + n)
-    rows.add(family, EQ, cols, [1, -1] * n, [2] * n, [0] * n)
+    rows.add(family, cols, [1, -1] * n, [2] * n, [0] * n)
 
 
 def build_variables(inst: Instance, catalog: BatchCatalog) -> Columns:
@@ -347,7 +348,7 @@ def emit_packing(inst, catalog, columns, rows) -> None:
                 if lo < hi:
                     cols.extend(range(block.start + lo, block.start + hi))
             sizes.append(len(cols) - before)
-        rows.add(FAM_PACKING, LE, cols, [1] * len(cols), sizes, [1] * H)
+        rows.add(FAM_PACKING, cols, [1] * len(cols), sizes, [1] * H)
 
 
 def emit_routes(inst, catalog, columns, rows) -> None:
@@ -402,7 +403,7 @@ def emit_flushing(inst, catalog, columns, rows) -> list[str]:
             terms.append(w0 + te)
             cols.extend(terms)
             sizes.append(len(terms))
-        rows.add(FAM_FLUSH_EXCL, LE, cols, [1] * len(cols), sizes, [1] * len(sizes))
+        rows.add(FAM_FLUSH_EXCL, cols, [1] * len(cols), sizes, [1] * len(sizes))
 
     for eid, spec in stains:
         candidates = catalog.flush_candidates[spec.id]
@@ -421,7 +422,7 @@ def emit_flushing(inst, catalog, columns, rows) -> list[str]:
             coefs.append(1)
             coefs.extend([-1] * len(follow))
             sizes.append(1 + len(follow))
-        rows.add(FAM_FLUSH_ENFORCE, LE, cols, coefs, sizes, [0] * len(sizes))
+        rows.add(FAM_FLUSH_ENFORCE, cols, coefs, sizes, [0] * len(sizes))
 
     return warnings
 
@@ -443,7 +444,7 @@ def emit_regime_exclusions(inst, catalog, columns, rows) -> None:
                 if t < hi:
                     cols.extend(range(block.start + t, block.start + hi))
             sizes.append(len(cols) - before)
-        rows.add(FAM_EXCLUSION, LE, cols, [1] * len(cols), sizes, [1] * H)
+        rows.add(FAM_EXCLUSION, cols, [1] * len(cols), sizes, [1] * H)
 
 
 def emit_outages(inst, catalog, columns, rows, fixings: dict[int, int]) -> None:
@@ -463,7 +464,7 @@ def emit_outages(inst, catalog, columns, rows, fixings: dict[int, int]) -> None:
                     raise ModelBuildError(f"contradictory fixings for placement ({eid!r}, {bid!r}, {t})")
                 fixings[vid] = 0
                 fixed[vid] = None
-    rows.add(FAM_OUTAGE, EQ, fixed, [1] * len(fixed), [1] * len(fixed), [0] * len(fixed))
+    rows.add(FAM_OUTAGE, fixed, [1] * len(fixed), [1] * len(fixed), [0] * len(fixed))
 
 
 def capacity_event_lists(inst: Instance, catalog: BatchCatalog):
@@ -492,7 +493,7 @@ def emit_capacity(inst, catalog, columns, rows, options: BuildOptions) -> None:
     instance's outage-reduced tank capacity, on-stock by the minimum stock.
     A move's placement column appears at most once per row, because edges
     never loop on a site.  A bound row's single term is the occupancy column
-    it bounds, which is how `bound_rows` finds it again.
+    it bounds, which is how the lazy loop and the LP writer find it again.
     """
     H = inst.grid.horizon_len
     place = columns.of_kind(PLACEMENT)
@@ -532,40 +533,21 @@ def emit_capacity(inst, catalog, columns, rows, options: BuildOptions) -> None:
                             cols.append(first + s)
                             coefs.append(coef)
                     sizes.append(len(cols) - before)
-                rows.add(family, EQ, cols, coefs, sizes, rhs)
+                rows.add(family, cols, coefs, sizes, rhs)
 
     for site in inst.storage_sites():
         for product in inst.products:
             key = (site.id, product.id)
             limits = (
-                (OCC_UPPER, FAM_CAP_UPPER, LE, inst.capacity_max_profile(site.id, product.id)),
-                (OCC_LOWER, FAM_CAP_LOWER, GE, site.profile(product.id).min_profile(H)),
+                (OCC_UPPER, FAM_CAP_UPPER, inst.capacity_max_profile(site.id, product.id)),
+                (OCC_LOWER, FAM_CAP_LOWER, site.profile(product.id).min_profile(H)),
             )
-            for kind, family, sense, limit in limits:
+            for kind, family, limit in limits:
                 occ = occupancy[kind][key].start
                 slots = [t for t in range(H) if limit[t] is not None]
                 ones = [1] * len(slots)
                 rhs = [limit[t] for t in slots]
-                rows.add(family, sense, [occ + t for t in slots], ones, ones, rhs, options.capacity_lazy)
-
-
-def bound_rows(model: MILPModel) -> dict[tuple[str, str, str, int], int]:
-    """(family, site, product, t) -> row, for every occupancy bound row of the model.
-
-    Each bound row holds one term, the occupancy column of its (site,
-    product) at slot t, so the column's block gives the row's coordinate.
-    """
-    rows = model.constraints
-    occupancy = [b for b in model.variables.blocks if b.kind in (OCC_UPPER, OCC_LOWER)]
-    starts = [b.start for b in occupancy]
-    families = {_FAMILY_ID[FAM_CAP_UPPER], _FAMILY_ID[FAM_CAP_LOWER]}
-    out = {}
-    for r, family in enumerate(rows.family):
-        if family in families:
-            col = rows.col[rows.start[r]]
-            block = occupancy[bisect_right(starts, col) - 1]
-            out[(FAMILIES[family], *block.prefix, block.first + col - block.start)] = r
-    return out
+                rows.add(family, [occ + t for t in slots], ones, ones, rhs, options.capacity_lazy)
 
 
 def emit_throughput_limits(inst, catalog, columns, rows) -> None:
@@ -583,7 +565,7 @@ def emit_throughput_limits(inst, catalog, columns, rows) -> None:
                     if vid is not None:
                         cols.append(vid)
                         coefs.append(spec.volume)
-        rows.add(FAM_THROUGHPUT, LE, cols, coefs, [len(cols)], [lim.limit])
+        rows.add(FAM_THROUGHPUT, cols, coefs, [len(cols)], [lim.limit])
 
 
 def _initial_blocks(inst, catalog, columns, origin: str, product: str):
@@ -603,7 +585,7 @@ def emit_nominations(inst, catalog, columns, rows) -> None:
             for spec, block in _initial_blocks(inst, catalog, columns, nom.refinery, pid):
                 cols.extend(range(block.start, block.start + block.count))
                 coefs.extend([spec.volume] * block.count)
-            rows.add(FAM_NOMINATION, LE, cols, coefs, [len(cols)], [volume_cap])
+            rows.add(FAM_NOMINATION, cols, coefs, [len(cols)], [volume_cap])
 
 
 def emit_fixed_transport(inst, catalog, columns, rows, fixings: dict[int, int]) -> None:
@@ -628,7 +610,7 @@ def emit_fixed_transport(inst, catalog, columns, rows, fixings: dict[int, int]) 
             raise ModelBuildError(f"contradictory fixings for placement {key}")
         fixings[vid] = 1
         emitted[vid] = None
-    rows.add(FAM_FIXED, EQ, emitted, [1] * len(emitted), [1] * len(emitted), [1] * len(emitted))
+    rows.add(FAM_FIXED, emitted, [1] * len(emitted), [1] * len(emitted), [1] * len(emitted))
 
 
 def emit_objective(inst, catalog, columns, rows) -> tuple[dict[int, Fraction], Fraction]:
@@ -677,7 +659,7 @@ def emit_objective(inst, catalog, columns, rows) -> tuple[dict[int, Fraction], F
             d_vid = columns.vid(DEVIATION, (tgt.site, tgt.product, ti))
             # d >= |final on-stock - target| via two one-sided rows
             cols = (d_vid, l_vid, d_vid, l_vid)
-            rows.add(FAM_DISTRIBUTION, GE, cols, (1, -1, 1, 1), (2, 2), (-tgt.target, tgt.target))
+            rows.add(FAM_DISTRIBUTION, cols, (1, -1, 1, 1), (2, 2), (-tgt.target, tgt.target))
             add(obj, d_vid, -w.beta * tgt.weight)
 
     if w.gamma != 0:
@@ -777,16 +759,15 @@ def extend_placement_assignment(model: MILPModel, placements: Iterable[tuple[str
     return values
 
 
-def violated_rows(model: MILPModel, values: Mapping[int, int], include_lazy: bool = True) -> list[int]:
+def violated_rows(model: MILPModel, values: Mapping[int, int]) -> list[int]:
     """Indices of the rows that `values` (vid -> value, every column present) violates."""
     rows = model.constraints
+    senses = [FAMILY_SENSE[f] for f in FAMILIES]
     ends = islice(rows.start, 1, None)
     out = []
-    for r, (s, e, sense, rhs, lazy) in enumerate(zip(rows.start, ends, rows.sense, rows.rhs, rows.lazy)):
-        if lazy and not include_lazy:
-            continue
+    for r, (s, e, family, rhs) in enumerate(zip(rows.start, ends, rows.family, rows.rhs)):
         lhs = sum(coef * values[vid] for vid, coef in zip(rows.col[s:e], rows.coef[s:e]))
-        sense = SENSES[sense]
+        sense = senses[family]
         if not (lhs <= rhs if sense == LE else lhs >= rhs if sense == GE else lhs == rhs):
             out.append(r)
     return out

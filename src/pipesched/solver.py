@@ -21,6 +21,7 @@ own rules.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import shlex
@@ -31,11 +32,11 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .lp_io import STATUS_ERROR, STATUS_GAP, STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME_LIMIT, STATUS_UNBOUNDED
 from .lp_io import SolutionFormatError, parse_solution, write_lp
-from .milpmodel import MILPModel, bound_rows
+from .milpmodel import FAM_CAP_LOWER, FAM_CAP_UPPER, OCC_LOWER, OCC_UPPER, MILPModel
 from .schedule import Schedule
 from .validator import (
     Violation,
@@ -48,6 +49,8 @@ from .validator import (
 COMMAND_ENV_VAR = "PIPESCHED_SOLVER_CMD"
 # subprocess.run waits with poll(), whose timeout is an int of milliseconds; a longer wait overflows it
 _MAX_WATCHDOG_S = (2**31 - 1) / 1000
+# a capacity bound row's family -> the kind of the occupancy column that is its one term
+_BOUND_KIND = {FAM_CAP_UPPER: OCC_UPPER, FAM_CAP_LOWER: OCC_LOWER}
 
 
 def _template_literal(text: str) -> str:
@@ -71,8 +74,8 @@ class SolverConfig:
     time_limit: float = 1800.0  # seconds, per subprocess call
     gap: float = 1e-3  # relative MIP gap target
     threads: int = 1
-    work_dir: Optional[Union[str, Path]] = None  # default: fresh temp dir
-    keep_files: bool = False  # keep LP/solution files when using a temp dir
+    work_dir: Optional[Union[str, Path]] = None  # keeps the LP and solution files; default: a temp dir, removed
+    keep_files: bool = False  # accepted and ignored: set `work_dir` to keep the files
 
     def resolved_command(self) -> str:
         return self.command or os.environ.get(COMMAND_ENV_VAR) or default_solver_command()
@@ -191,28 +194,23 @@ def _finalize(model: MILPModel, found: SolveResult, iterations: list[LazyIterati
     )
 
 
-class _WorkDir:
-    def __init__(self, config: SolverConfig):
-        self.config = config
-        self.temp: Optional[tempfile.TemporaryDirectory] = None
-
-    def __enter__(self) -> Path:
-        if self.config.work_dir is not None:
-            path = Path(self.config.work_dir)
-            path.mkdir(parents=True, exist_ok=True)
-            return path
-        self.temp = tempfile.TemporaryDirectory(prefix="pipesched_")
-        return Path(self.temp.name)
-
-    def __exit__(self, *exc) -> None:
-        if self.temp is not None and not self.config.keep_files:
-            self.temp.cleanup()
+@contextlib.contextmanager
+def _work_dir(config: SolverConfig) -> Iterator[Path]:
+    """The directory of the solver's files: `config.work_dir`, created if missing and kept,
+    or else a fresh temp directory, removed when the context exits."""
+    if config.work_dir is not None:
+        path = Path(config.work_dir)
+        path.mkdir(parents=True, exist_ok=True)
+        yield path
+        return
+    with tempfile.TemporaryDirectory(prefix="pipesched_") as temp:
+        yield Path(temp)
 
 
 def solve(model: MILPModel, config: SolverConfig = SolverConfig()) -> SolveResult:
     """Single monolithic solve with every row (lazy rows included)."""
     t0 = time.monotonic()
-    with _WorkDir(config) as workdir:
+    with _work_dir(config) as workdir:
         found = _run_once(model, config, None, workdir, "model")
         return _finalize(model, found, [], time.monotonic() - t0)
 
@@ -224,15 +222,16 @@ def solve_lazy_capacity(model: MILPModel, config: SolverConfig = SolverConfig())
     start deactivated; definitional occupancy rows always ship.  A model
     without lazy rows degenerates to a single solve.
 
-    The loop ends after at most one round more than the model has bound
-    rows: a round that does not return activates at least one row not yet
-    active, and every activated row is one of the finitely many bound rows.
+    A violated bound is found through its one term, the occupancy column of
+    its (site, product, slot), and activated by that column's id.  The loop
+    ends after at most one round more than the model has bound rows: a round
+    that does not return activates at least one row not yet active, and
+    every activated row is one of the finitely many bound rows.
     """
     t0 = time.monotonic()
-    bounds = bound_rows(model)
-    activated: set[int] = set()
+    activated: set[int] = set()  # occupancy columns whose bound rows ship
     iterations: list[LazyIteration] = []
-    with _WorkDir(config) as workdir:
+    with _work_dir(config) as workdir:
         for round_idx in itertools.count():
             found = _run_once(model, config, activated, workdir, f"iter{round_idx}")
             if found.status in (STATUS_INFEASIBLE, STATUS_ERROR) or found.schedule is None:
@@ -240,13 +239,12 @@ def solve_lazy_capacity(model: MILPModel, config: SolverConfig = SolverConfig())
                 return _finalize(model, found, iterations, time.monotonic() - t0)
             occupancy = simulate_occupancy(model.instance, model.catalog, found.schedule)
             violated = capacity_bound_violations(model.instance, occupancy)
-            new_rows: set[int] = set()
+            new_cols: set[int] = set()
             for v in violated:
-                key = (v.family, *v.coordinate)
-                row = bounds.get(key)
-                if row is not None and row not in activated:
-                    new_rows.add(row)
-            iterations.append(LazyIteration(round_idx, len(new_rows), found.objective_float, found.status))
-            if not new_rows:
+                vid = model.variables.vid(_BOUND_KIND[v.family], v.coordinate)
+                if vid is not None and vid not in activated:  # None: a coordinate with no column
+                    new_cols.add(vid)
+            iterations.append(LazyIteration(round_idx, len(new_cols), found.objective_float, found.status))
+            if not new_cols:
                 return _finalize(model, found, iterations, time.monotonic() - t0)
-            activated |= new_rows
+            activated |= new_cols

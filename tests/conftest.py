@@ -43,6 +43,27 @@ def lp_text(model, activated_lazy=None) -> str:
         return Path(write_lp(model, Path(tmp) / "m.lp", activated_lazy)).read_text(encoding="utf-8")
 
 
+def bound_columns(model) -> list[int]:
+    """The column of every lazy row (an occupancy bound, whose one term is the column it bounds), in row order."""
+    rows = model.constraints
+    return [rows.col[rows.start[r]] for r, family in enumerate(rows.family) if rows.lazy[family]]
+
+
+TINY_LP = """\
+Maximize
+ obj: x + 2 y
+Subject To
+ c1: x + y <= 1
+Bounds
+ 0 <= x <= 1
+ 0 <= y <= 1
+Binary
+ x
+ y
+End
+"""
+
+
 @pytest.fixture(scope="session")
 def ref1():
     """Horizon 24 base variant; 19 flush + 22 stain placements fit."""

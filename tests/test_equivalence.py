@@ -15,9 +15,13 @@ from pipesched.instance import ThroughputLimit
 from pipesched.milpmodel import (
     FAM_CAP_DEF_LOWER,
     FAM_CAP_DEF_UPPER,
+    FAM_CAP_LOWER,
+    FAM_CAP_UPPER,
     FAMILIES,
+    OCC_LOWER,
+    OCC_UPPER,
     PLACEMENT,
-    bound_rows,
+    BuildOptions,
     build_model,
     extend_placement_assignment,
     objective_value,
@@ -26,7 +30,7 @@ from pipesched.milpmodel import (
 )
 from pipesched.schedule import Schedule
 from pipesched.validator import capacity_bound_violations, check_schedule, evaluate_objective, simulate_occupancy
-from tests.conftest import single_edge_instance
+from tests.conftest import lp_text, single_edge_instance
 
 INST = single_edge_instance(horizon=12, batches=2)
 TIGHT = single_edge_instance(horizon=12, batches=2, cmax=230)
@@ -52,9 +56,10 @@ def agree(inst, subset):
     assignment = extend_placement_assignment(model, subset)
     rows_broken = violated_rows(model, assignment)
     report = check_schedule(inst, catalog, Schedule.from_raw(subset))
+    family = model.constraints.family
     assert bool(rows_broken) == bool(report), (
         subset,
-        [row_name(model.constraints.family[r], model.constraints.rank[r]) for r in rows_broken[:4]],
+        [row_name(family[r], family[:r].count(family[r])) for r in rows_broken[:4]],
         [v.message for v in report[:4]],
     )
     if not report:
@@ -105,22 +110,28 @@ LADDER = {
 
 @pytest.mark.parametrize("name", LADDER)
 def test_capacity_rows_agree_with_validator_on_ladder(name):
-    """Random dispatch sets, nothing solved: the occupancy recurrences hold and
-    exactly the bound rows the validator flags are violated."""
+    """Random dispatch sets, nothing solved: the occupancy recurrences hold, and
+    the validator's findings, mapped to occupancy columns as the lazy loop maps
+    them, make the LP file ship exactly the violated bound rows."""
     inst = generate_path_instance(LADDER[name])
-    model = build_model(inst)
-    catalog = model.catalog
-    bound_key = {row: key for key, row in bound_rows(model).items()}
+    model = build_model(inst, BuildOptions(capacity_lazy=True))
+    catalog, rows = model.catalog, model.constraints
+    kind = {FAM_CAP_UPPER: OCC_UPPER, FAM_CAP_LOWER: OCC_LOWER}
+    bound_lines = tuple(f" {family}_" for family in kind)
     H = inst.grid.horizon_len
     initial = [(eid, spec.id, t) for eid, spec in catalog.dispatches() for t in range(H - spec.length + 1)]
     flagged = []
     for seed, size in enumerate((20, 60, 150)):
         schedule = Schedule.from_initial(catalog, random.Random(seed).sample(initial, size))
         broken = violated_rows(model, extend_placement_assignment(model, schedule.placements))
-        families = {FAMILIES[model.constraints.family[r]] for r in broken}
-        assert not families & {FAM_CAP_DEF_UPPER, FAM_CAP_DEF_LOWER}
-        rows = {bound_key[r] for r in broken if r in bound_key}
+        families = [rows.family[r] for r in broken]
+        assert not {FAMILIES[f] for f in families} & {FAM_CAP_DEF_UPPER, FAM_CAP_DEF_LOWER}
+        violated = {row_name(f, rows.family[:r].count(f)) for r, f in zip(broken, families) if rows.lazy[f]}
         report = capacity_bound_violations(inst, simulate_occupancy(inst, catalog, schedule))
-        assert rows == {(v.family, *v.coordinate) for v in report}, (seed, size)
-        flagged.append(len(rows))
+        activated = {model.variables.vid(kind[v.family], v.coordinate) for v in report}
+        assert None not in activated and len(activated) == len(report)
+        lines = lp_text(model, activated).splitlines()
+        shipped = {line.split(":")[0].strip() for line in lines if line.startswith(bound_lines)}
+        assert shipped == violated, (seed, size)
+        flagged.append(len(shipped))
     assert any(flagged), flagged

@@ -17,8 +17,8 @@ from pipesched.lp_io import (
     parse_solution,
     write_lp,
 )
-from pipesched.milpmodel import BuildOptions, bound_rows, build_model, column_letters, row_name
-from tests.conftest import lp_text
+from pipesched.milpmodel import BuildOptions, build_model, column_letters, row_name
+from tests.conftest import bound_columns, lp_text
 
 
 @pytest.fixture(scope="module")
@@ -47,10 +47,11 @@ def test_lp_write_is_byte_deterministic(ref1):
 def test_lp_bytes_are_pinned(tmp_path, vertices, setting, cost_mode, ship, size, digest):
     # the exact file the solver reads; a change to the model or the writer that is
     # meant to alter it updates these pins and says why.  `ship` picks the lazy bound
-    # rows activated, in row order (2304 of them for every 5th); None is the monolithic model
+    # rows activated, in row order, by their columns (2304 of them for every 5th); None
+    # is the monolithic model
     inst = generate_path_instance(PathExperimentParams(vertices=vertices, setting=setting, cost_mode=cost_mode))
     model = build_model(inst, BuildOptions(capacity_lazy=ship is not None))
-    activated = None if ship is None else set(sorted(bound_rows(model).values())[ship])
+    activated = None if ship is None else set(bound_columns(model)[ship])
     data = Path(write_lp(model, tmp_path / "m.lp", activated)).read_bytes()
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
@@ -156,10 +157,16 @@ def test_lazy_rows_omitted_until_activated(ref1):
     model = build_model(ref1, BuildOptions(capacity_lazy=True))
     without = lp_text(model, activated_lazy=set())
     assert "capacity_upper" not in without and "capacity_lower" not in without
-    some = next(iter(bound_rows(model).values()))
-    partial = lp_text(model, activated_lazy={some})
-    name = row_name(model.constraints.family[some], model.constraints.rank[some])
-    assert name in partial
+    # the last bound row ships alone once its column is activated, named by its rank in its family
+    rows = model.constraints
+    last = max(r for r, family in enumerate(rows.family) if rows.lazy[family])
+    family, vid, rhs = rows.family[last], rows.col[rows.start[last]], rows.rhs[last]
+    name = row_name(family, rows.family[:last].count(family))
+    assert name == "capacity_lower_47"
+    partial = lp_text(model, activated_lazy={vid})
+    letter = column_letters(model)[vid]
+    added = set(partial.splitlines()) - set(without.splitlines())
+    assert added == {f" {name}: +1 {letter}{vid} >= {rhs}"}
     full = lp_text(model, activated_lazy=None)
     assert full.count("capacity_upper_") == 48
 
@@ -270,7 +277,7 @@ def test_empty_rows_never_serialized():
 
 def test_cached_row_text_never_leaks_between_activation_sets(ref1):
     model = build_model(ref1, BuildOptions(capacity_lazy=True))
-    bounds = sorted(bound_rows(model).values())
+    bounds = bound_columns(model)
     set_a, set_b = set(bounds[:5]), set(bounds[-7:])
     first_a = lp_text(model, set_a)
     text_b = lp_text(model, set_b)

@@ -30,14 +30,13 @@ from pipesched.milpmodel import (
     FAM_ROUTES,
     FAM_THROUGHPUT,
     FAMILIES,
-    LE,
+    FAMILY_SENSE,
     OCC_LOWER,
     OCC_UPPER,
     PLACEMENT,
     BuildOptions,
     ModelBuildError,
     RowStore,
-    bound_rows,
     build_model,
     extend_placement_assignment,
     objective_value,
@@ -162,7 +161,10 @@ def test_tank_outage_listing_a_slot_twice_lowers_it_once():
         name="twice",
     )
     model = build_model(inst)
-    rhs = {t: model.constraints.rhs[bound_rows(model)[(FAM_CAP_UPPER, "s1", "flush", t)]] for t in (4, 5)}
+    rows, fid = model.constraints, FAMILIES.index(FAM_CAP_UPPER)
+    # a bound row's one term is the occupancy column it bounds
+    bound = {rows.col[rows.start[r]]: rows.rhs[r] for r, family in enumerate(rows.family) if family == fid}
+    rhs = {t: bound[model.variables.vid(OCC_UPPER, ("s1", "flush", t))] for t in (4, 5)}
     assert rhs == {4: 600, 5: 550}
     occupancy = simulate_occupancy(inst, model.catalog, Schedule.from_raw([]))
     occupancy.upper[("s1", "flush")] = [551] * 12
@@ -304,25 +306,41 @@ def test_objective_counts_extraction(ref1):
     assert objective_value(model, assignment) == 144
 
 
-def test_lazy_flag_only_marks_bound_rows(ref1):
+def test_lazy_flag_marks_only_the_occupancy_bounds(ref1):
     lazy = build_model(ref1, BuildOptions(capacity_lazy=True))
     flagged = {c.family for c in lazy.constraints if c.lazy}
     assert flagged == {FAM_CAP_UPPER, FAM_CAP_LOWER}
-    assert sum(lazy.constraints.lazy) == 96
-    assert [bool(flag) for flag in lazy.constraints.lazy] == [
-        c.family in (FAM_CAP_UPPER, FAM_CAP_LOWER) for c in lazy.constraints
-    ]
+    assert [FAMILIES[f] for f, flag in enumerate(lazy.constraints.lazy) if flag] == [FAM_CAP_UPPER, FAM_CAP_LOWER]
+    assert sum(c.lazy for c in lazy.constraints) == 96
     eager = build_model(ref1)
-    assert sum(eager.constraints.lazy) == 0
-    # the coordinate index is derived the same either way and addresses exactly the bound rows
-    index = bound_rows(lazy)
-    assert index == bound_rows(eager)
-    assert sorted(index.values()) == [r for r, flag in enumerate(lazy.constraints.lazy) if flag]
+    assert not any(eager.constraints.lazy)
+    # the flag is all that differs between the two builds
+    for name in ("start", "col", "coef", "rhs", "family"):
+        assert getattr(lazy.constraints, name) == getattr(eager.constraints, name), name
+    # each bound row holds one term, a distinct occupancy column of its family's kind at its (site, product, t),
+    # so the lazy loop and the writer can address it by that column
     rows, columns = lazy.constraints, lazy.variables
-    for (family, site, product, t), r in index.items():
-        kind = OCC_UPPER if family == FAM_CAP_UPPER else OCC_LOWER
-        assert FAMILIES[rows.family[r]] == family
-        assert rows.col[rows.start[r] : rows.start[r + 1]].tolist() == [columns.vid(kind, (site, product, t))]
+    kind = {FAM_CAP_UPPER: OCC_UPPER, FAM_CAP_LOWER: OCC_LOWER}
+    seen = set()
+    for r, f in enumerate(rows.family):
+        if rows.lazy[f]:
+            (vid,) = rows.col[rows.start[r] : rows.start[r + 1]]
+            (block,) = [b for b in columns.blocks if b.start <= vid < b.start + b.count]
+            assert block.kind == kind[FAMILIES[f]]
+            assert columns.vid(block.kind, (*block.prefix, block.first + vid - block.start)) == vid
+            seen.add(vid)
+    assert len(seen) == 96
+
+
+def test_a_family_is_lazy_or_not_as_a_whole():
+    rows = RowStore()
+    rows.add(FAM_CAP_UPPER, [], [], [], [], lazy=True)  # no rows yet: the flag may still change
+    rows.add(FAM_CAP_UPPER, [0], [1], [1], [5])
+    with pytest.raises(ModelBuildError, match="lazy"):
+        rows.add(FAM_CAP_UPPER, [1], [1], [1], [5], lazy=True)
+    assert len(rows) == 1 and not any(rows.lazy)
+    rows.add(FAM_CAP_LOWER, [2], [1], [1], [0], lazy=True)
+    assert [FAMILIES[f] for f, flag in enumerate(rows.lazy) if flag] == [FAM_CAP_LOWER]
 
 
 @pytest.mark.parametrize("vertices,setting,cost_mode", [(4, "A", "SD"), (6, "B", "SDC")])
@@ -366,9 +384,12 @@ def test_row_iteration_lists_no_terms_ahead():
         tracemalloc.stop()
     assert nnz == len(rows.col) == 166_130
     assert peak < 4 * 2**20
-    (last,) = deque(rows, maxlen=1)
-    assert last.terms == tuple(zip(rows.col[rows.start[-2] :], rows.coef[rows.start[-2] :]))
-    assert (last.name, last.rhs) == (row_name(rows.family[-1], rows.rank[-1]), rows.rhs[-1])
+    ((name, family, terms, sense, rhs, _lazy),) = deque(rows, maxlen=1)
+    assert terms == tuple(zip(rows.col[rows.start[-2] :], rows.coef[rows.start[-2] :]))
+    fid = rows.family[-1]
+    # the rank is the count of the family's earlier rows, the sense the family's
+    assert (name, family, rhs) == (row_name(fid, rows.family.count(fid) - 1), FAMILIES[fid], rows.rhs[-1])
+    assert sense == FAMILY_SENSE[family]
 
 
 def test_row_store_rejects_indices_past_32_bits():
@@ -376,7 +397,7 @@ def test_row_store_rejects_indices_past_32_bits():
     # a running term count past 2**31 - 1, or a volume past 2**63 - 1, fails the build
     for cols, coefs, sizes in [([2**31], [1], [1]), ([], [], [2**31]), ([0], [2**63], [1])]:
         with pytest.raises(OverflowError):
-            RowStore().add(FAM_PACKING, LE, cols, coefs, sizes, [1])
+            RowStore().add(FAM_PACKING, cols, coefs, sizes, [1])
     rows = RowStore()
-    rows.add(FAM_PACKING, LE, [2**31 - 1], [2**63 - 1], [1], [-(2**63)])
+    rows.add(FAM_PACKING, [2**31 - 1], [2**63 - 1], [1], [-(2**63)])
     assert (rows.col[0], rows.coef[0], rows.rhs[0]) == (2**31 - 1, 2**63 - 1, -(2**63))

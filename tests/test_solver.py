@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import pytest
 
@@ -29,7 +32,7 @@ from pipesched.solver import (
     solve,
     solve_lazy_capacity,
 )
-from tests.conftest import single_edge_instance, with_capacity
+from tests.conftest import TINY_LP, single_edge_instance, with_capacity
 
 
 @pytest.fixture(scope="module")
@@ -193,12 +196,23 @@ def test_work_dir_keeps_artifacts(ref1_small, tmp_path, quick_cfg):
     assert any(p.suffix == ".sol" for p in tmp_path.iterdir())
 
 
+def test_solve_without_work_dir_removes_its_files(ref1_small, tmp_path, quick_cfg, monkeypatch):
+    # keep_files is accepted and ignored: without a work dir the files go with their temp dir, which
+    # the solve removes itself rather than leaving it to a finalizer's ResourceWarning
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = solve(build_model(ref1_small), dataclasses.replace(quick_cfg, keep_files=True))
+        gc.collect()
+    assert res.status == STATUS_OPTIMAL
+    assert list(tmp_path.iterdir()) == []
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 def test_default_command_runs_without_the_package_on_the_path(tmp_path):
     import os
     import shlex
     import subprocess
-
-    from tests.test_solver_shim import TINY_LP
 
     model_path = tmp_path / "m.lp"
     sol_path = tmp_path / "m.sol"

@@ -13,26 +13,11 @@ import pytest
 import pipesched.solver_shim as shim
 from pipesched.generator import PathExperimentParams, generate_oracle_instance, generate_path_instance
 from pipesched.lp_io import write_lp
-from pipesched.milpmodel import GE, LE, SENSES, BuildOptions, bound_rows, build_model, column_letters
+from pipesched.milpmodel import FAMILIES, FAMILY_SENSE, GE, LE, BuildOptions, build_model, column_letters
 from pipesched.solver_shim import main, parse_lp, solve_lp
-from tests.conftest import lp_text
+from tests.conftest import TINY_LP, bound_columns, lp_text
 
 INF = float("inf")
-
-TINY_LP = """\
-Maximize
- obj: x + 2 y
-Subject To
- c1: x + y <= 1
-Bounds
- 0 <= x <= 1
- 0 <= y <= 1
-Binary
- x
- y
-End
-"""
-
 
 def _model_arrays(highs) -> dict:
     lp = highs.getLp()
@@ -94,7 +79,7 @@ def _restyled(model, write_row) -> str:
     tail = rest.split("Bounds\n", 1)[1]
     letters = column_letters(model)
     rows = [
-        write_row(c.name, [(coef, f"{letters[vid]}{vid}") for vid, coef in c.terms], c.sense, c.rhs)
+        write_row(c.name, [(coef, f"{letters[vid]}{vid}") for vid, coef in c.terms], FAMILY_SENSE[c.family], c.rhs)
         for c in model.constraints
         if c.terms
     ]
@@ -310,7 +295,7 @@ def _equivalence_cases():
     l6b_params = PathExperimentParams(vertices=6, setting="B", cost_mode="SDC")
     yield "l6B-SDC mono", build_model(generate_path_instance(l6b_params)), None
     lazy = build_model(generate_path_instance(l6b_params), BuildOptions(capacity_lazy=True))
-    yield "l6B-SDC lazy", lazy, set(sorted(bound_rows(lazy).values())[::7])
+    yield "l6B-SDC lazy", lazy, set(bound_columns(lazy)[::7])
     for seed in range(6):
         yield f"oracle {seed}", build_model(generate_oracle_instance(seed)), None
 
@@ -328,7 +313,8 @@ def _store_arrays(model, activated) -> dict:
     written = [
         r
         for r in range(len(rows))
-        if rows.start[r] < rows.start[r + 1] and (activated is None or not rows.lazy[r] or r in activated)
+        if rows.start[r] < rows.start[r + 1]
+        and (activated is None or not rows.lazy[rows.family[r]] or rows.col[rows.start[r]] in activated)
     ]
     order = dict.fromkeys(vid for vid, _coef in model.objective)
     for r in written:
@@ -343,7 +329,7 @@ def _store_arrays(model, activated) -> dict:
     for j, _i, _coef in entries:
         per_col[j] += 1
     cost = dict(model.objective)
-    senses = [SENSES[rows.sense[r]] for r in written]
+    senses = [FAMILY_SENSE[FAMILIES[rows.family[r]]] for r in written]
     core = shim._highs_core()
     letters = column_letters(model)
     return {
