@@ -22,13 +22,20 @@ and `instance_hash` see one canonical form.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import MISSING, dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Optional, Union
+
+try:  # CPython's own SHA-256: `hashlib` would map OpenSSL's libcrypto for one digest
+    from _sha256 import sha256  # Python 3.10 and 3.11
+except ImportError:
+    try:
+        from _sha2 import sha256  # Python 3.12 and later
+    except ImportError:
+        from hashlib import sha256
 
 PRODUCT_KINDS = ("flushing", "staining")
 SITE_KINDS = ("storage", "refinery")
@@ -801,4 +808,4 @@ def save_instance(inst: Instance, path: Union[str, Path]) -> None:
 def instance_hash(inst: Instance) -> str:
     """Stable content hash used to tie models and run manifests to inputs."""
     canonical = json.dumps(instance_to_dict(inst), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()

@@ -27,7 +27,9 @@ The solution file holds `name value` rows for nonzero variables after
 comment metadata (`# Status`, `# Objective value`, `# Best bound`, then
 `# Wall time`, `# MIP nodes`, `# Read time` and `# Solve time`) in the
 style most solver exports follow.  It is written to a temporary file and
-renamed into place, so a killed solver leaves no partial solution.
+renamed into place, so a killed solver leaves no partial solution.  A
+solution path in a directory that does not exist exits 1 with one
+`solver shim error:` line before the model is read.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import re
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _CORE = "scipy.optimize._highspy._core"
 
@@ -98,8 +100,7 @@ def _configured_highs(time_limit: float, gap: float, threads: int = 1):
     return highs
 
 
-@dataclass
-class HighsResult:
+class HighsResult(NamedTuple):
     status: str  # optimal, gap_reached, time_limit, infeasible, unbounded or error
     objective: float | None  # in the model's own sense; None without a feasible solution
     bound: float | None  # MIP dual bound, reported with a feasible MIP solution
@@ -234,6 +235,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--gap", type=float, default=0.0)
     parser.add_argument("--threads", type=int, default=1, help="HiGHS threads; 0 lets HiGHS choose")
     args = parser.parse_args(argv)
+    folder = os.path.dirname(args.solution) or "."
+    if not os.path.isdir(folder):  # fail before the read and the solve, not at the write after them
+        print(f"solver shim error: no directory {folder} for the solution file {args.solution}", file=sys.stderr)
+        return 1
 
     t0 = time.monotonic()
     try:

@@ -75,8 +75,15 @@ def test_checker_flags_unused_and_exempts_exports():
     assert unused_imports(source) == ["c (line 4)", "sys (line 2)"]
 
 
-def test_importing_the_package_loads_neither_numpy_nor_scipy():
-    code = "import sys, pipesched; print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
+def test_importing_the_package_and_hashing_an_instance_load_no_numpy_scipy_or_openssl():
+    # `_hashlib` is OpenSSL's binding: `instance_hash` must use CPython's own SHA-256
+    code = (
+        "import sys, pipesched\n"
+        "from pipesched.generator import PathExperimentParams, generate_path_instance\n"
+        "from pipesched.instance import instance_hash\n"
+        "instance_hash(generate_path_instance(PathExperimentParams(vertices=2, horizon=12, nomination_batches=1)))\n"
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy', '_hashlib'}))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=SRC.parent, capture_output=True, text=True, timeout=120, check=True
     )

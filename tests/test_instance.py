@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 from fractions import Fraction
 
@@ -209,11 +210,16 @@ def test_time_window_object_form_accepted():
             "014dabcf2a3d77c7190302452a961b2b75b1718718dfd407309eefd54c8b9905",
         ),
         (lambda: generate_oracle_instance(3), "bd614092f41e5d65d0739e9d97521e95c00f82a6a242cf1140bb0e35975cb2fd"),
+        (lambda: generate_oracle_instance(0), "ea56f68b6ed84704766f22331a8f3fc822cf6960f018fa628c4d9f13048453d7"),
     ],
-    ids=["l4A-SD", "l6B-SDC", "oracle seed 3"],
+    ids=["l4A-SD", "l6B-SDC", "oracle seed 3", "oracle seed 0 (a transport and a tank outage)"],
 )
 def test_instance_hash_is_pinned(make, digest):
-    assert instance_hash(make()) == digest
+    # `instance_hash` uses CPython's built-in SHA-256 module, not `hashlib`; the LP
+    # header shows only 12 hex digits, so the full digest is checked against `hashlib` too
+    inst = make()
+    canonical = json.dumps(instance_to_dict(inst), sort_keys=True, separators=(",", ":"))
+    assert instance_hash(inst) == hashlib.sha256(canonical.encode("utf-8")).hexdigest() == digest
 
 
 def _with_target(d, target):

@@ -188,6 +188,15 @@ def test_main_reports_errors_through_the_file(tmp_path):
     assert "# Status = error" in sol_path.read_text()
 
 
+def test_main_refuses_a_missing_solution_directory_before_reading_the_model(tmp_path, monkeypatch, capsys):
+    (tmp_path / "m.lp").write_text(TINY_LP)
+    monkeypatch.setattr(shim, "_read_model", lambda *args: pytest.fail("the model was read"))
+    assert main([str(tmp_path / "m.lp"), str(tmp_path / "missing" / "dir" / "m.sol")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver shim error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.lp"]
+
+
 def test_module_is_invocable_as_subprocess(tmp_path):
     model_path = tmp_path / "m.lp"
     sol_path = tmp_path / "m.sol"
@@ -377,7 +386,8 @@ def _fresh_interpreter(code: str, tmp_path) -> str:
     return proc.stdout.strip()
 
 
-def test_shim_by_path_never_imports_scipy_optimize(tmp_path):
+def test_shim_by_path_imports_neither_scipy_optimize_nor_dataclasses(tmp_path):
+    # `dataclasses` would bring `inspect`, `ast`, `dis` and `tokenize` into every solver child
     (tmp_path / "m.lp").write_text(TINY_LP)
     code = (
         "import runpy, sys\n"
@@ -385,9 +395,9 @@ def test_shim_by_path_never_imports_scipy_optimize(tmp_path):
         "try:\n"
         f"    runpy.run_path({str(SHIM_PATH)!r}, run_name='__main__')\n"
         "except SystemExit as stop:\n"
-        "    print(stop.code, 'scipy.optimize' in sys.modules)\n"
+        "    print(stop.code, 'scipy.optimize' in sys.modules, 'dataclasses' in sys.modules)\n"
     )
-    assert _fresh_interpreter(code, tmp_path) == "0 False"
+    assert _fresh_interpreter(code, tmp_path) == "0 False False"
     assert "# Status = optimal" in (tmp_path / "m.sol").read_text()
 
 
