@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import pipesched.lp_io as lp_io
-from pipesched.generator import PathExperimentParams, generate_path_instance
+from pipesched.generator import PathExperimentParams, generate_oracle_instance, generate_path_instance
+from pipesched.instance import ExclusionGroup, Product
 from pipesched.lp_io import (
     INTEGRALITY_TOL,
     LPWriteError,
@@ -17,7 +20,7 @@ from pipesched.lp_io import (
     parse_solution,
     write_lp,
 )
-from pipesched.milpmodel import BuildOptions, build_model, column_letters, row_name
+from pipesched.milpmodel import FAMILIES, BuildOptions, build_model, column_letters, row_name
 from tests.conftest import bound_columns, lp_text
 
 
@@ -51,6 +54,72 @@ def test_lp_bytes_are_pinned(tmp_path, vertices, setting, cost_mode, ship, size,
     # is the monolithic model
     inst = generate_path_instance(PathExperimentParams(vertices=vertices, setting=setting, cost_mode=cost_mode))
     model = build_model(inst, BuildOptions(capacity_lazy=ship is not None))
+    activated = None if ship is None else set(bound_columns(model)[ship])
+    data = Path(write_lp(model, tmp_path / "m.lp", activated)).read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+
+def test_lp_bytes_are_pinned_over_the_oracle_seeds(tmp_path):
+    # the path pins above hold no exclusion, outage, fixed, throughput or distribution rows;
+    # the 40 oracle seeds hold every family but flushing_exclusion.  One digest runs over each
+    # seed's monolithic file, then its lazy round-0 file
+    digest = hashlib.sha256()
+    families = set()
+    for seed in range(40):
+        inst = generate_oracle_instance(seed)
+        for lazy in (False, True):
+            model = build_model(inst, BuildOptions(capacity_lazy=lazy))
+            families |= {f for f, n in model.family_counts().items() if n}
+            digest.update(Path(write_lp(model, tmp_path / "m.lp", set() if lazy else None)).read_bytes())
+    assert families == set(FAMILIES) - {"flushing_exclusion"}
+    assert digest.hexdigest() == "10c46cbdc8597d670e7e2423a9ffd0dc04263261464c09f1ff1ae6b0990ec5af"
+
+
+def second_stain_path():
+    """The 4A-SDC path with a second staining product, `dye`, shipped like `stain`, and an
+    exclusion group of its first and last regimes: every stain on e1 now excludes another."""
+    inst = generate_path_instance(PathExperimentParams(vertices=4, setting="A", cost_mode="SDC"))
+    sites = tuple(
+        dataclasses.replace(
+            s,
+            standard_batch={**s.standard_batch, "dye": 44},
+            capacity={**s.capacity, "dye": s.capacity["stain"]} if s.capacity else s.capacity,
+        )
+        for s in inst.sites
+    )
+    regimes = tuple(
+        dataclasses.replace(
+            r,
+            flow_rate={**r.flow_rate, "dye": r.flow_rate["stain"]},
+            cost_per_batch={**r.cost_per_batch, f"{r.id}:dye:standard": r.cost_per_batch[f"{r.id}:stain:standard"]},
+        )
+        for r in inst.regimes
+    )
+    return dataclasses.replace(
+        inst,
+        name="path-l4-A-SDC-dye",
+        products=(*inst.products, Product("dye", "staining", unit_volume=Fraction("70.5"))),
+        sites=sites,
+        regimes=regimes,
+        nominations=tuple(dataclasses.replace(n, limits={**n.limits, "dye": 220}) for n in inst.nominations),
+        exclusion_groups=(ExclusionGroup(members=("r1", "r3")),),
+    )
+
+
+@pytest.mark.parametrize(
+    "ship, size, digest",
+    [
+        (None, 2_255_536, "fc91298b672a559105249f463b2be0a939021d6340a2c3c2cf2b46d1bd6a7a95"),
+        (slice(0), 1_929_436, "5b4816dcef32b705ebe11866f6710509bf116152dfa6fc0d93052983a5411aa2"),
+        (slice(None, None, 7), 1_976_047,
+         "11d03195043ba97313ef649447ceeff6d7cc978e5616972567fc6692b3a35958"),
+    ],
+    ids=["mono", "lazy round 0", "lazy every 7th bound"],
+)
+def test_lp_bytes_are_pinned_with_two_stains_and_an_exclusion_group(tmp_path, ship, size, digest):
+    model = build_model(second_stain_path(), BuildOptions(capacity_lazy=ship is not None))
+    counts = model.family_counts()
+    assert (counts["flushing_exclusion"], counts["exclusion"]) == (2_862, 480)
     activated = None if ship is None else set(bound_columns(model)[ship])
     data = Path(write_lp(model, tmp_path / "m.lp", activated)).read_bytes()
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
