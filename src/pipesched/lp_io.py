@@ -26,6 +26,7 @@ recomputed from the model and cross-checked against the reported value.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from bisect import bisect_right
@@ -235,8 +236,19 @@ def _name_vid(name: str, letters: str) -> Optional[int]:
     return vid if vid < len(letters) and letters[vid] == name[0] and str(vid) == digits else None
 
 
+def _reported(text: str, lineno: int) -> float:
+    """A reported objective or bound, which must be a finite decimal number."""
+    if not (_NUM_RE.match(text) and math.isfinite(value := float(text))):
+        raise SolutionFormatError(f"solution line {lineno} reports {text!r}, not a finite number")
+    return value
+
+
 def parse_solution(text: Union[str, Iterable[str]], model: MILPModel) -> ParsedSolution:
-    """Read a solution file's content, given as one string or as lines (an open text file)."""
+    """Read a solution file's content, given as one string or as lines (an open text file).
+
+    A malformed file raises SolutionFormatError: an unreadable line, a reported objective or
+    bound that is no finite number, an open file that is not UTF-8, or values the model rejects.
+    """
     letters = column_letters(model)
     # only binaries and objective columns are read again below: every other value is checked, then dropped
     binary_letters = {letters[b.start] for b in model.variables.blocks if b.bounds[0] and b.count}
@@ -248,52 +260,52 @@ def parse_solution(text: Union[str, Iterable[str]], model: MILPModel) -> ParsedS
     saw_values_section = False
 
     lines = text.splitlines() if isinstance(text, str) else text
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#") or line.startswith("//"):
-            m = _META_RE.match(line.replace("//", "#", 1))
-            if m:
-                key = m.group(1).lower()
-                val = m.group(2).strip()
-                if key == "objective value":
-                    reported = float(val)
-                elif key == "best bound":
-                    bound = float(val)
-                elif key == "status":
-                    status_hint = _normalize_status(val) or status_hint
-            continue
-        m = _HEADER_RE.match(line)
-        if m:
-            if m.group(1).lower() == "solution status":
-                status_hint = _normalize_status(m.group(2)) or status_hint
-            else:
-                try:
-                    reported = float(m.group(2).split()[0])
-                except (ValueError, IndexError):
-                    pass
-            continue
-        if not saw_values_section:
-            m = _CBC_RE.match(line)  # no column name (a letter, then digits) starts with a status word
-            if m:
-                status_hint = _normalize_status(m.group(1)) or status_hint
-                if m.group(2) is not None:
-                    reported = float(m.group(2))
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line:
                 continue
+            if line.startswith("#") or line.startswith("//"):
+                m = _META_RE.match(line.replace("//", "#", 1))
+                if m:
+                    key = m.group(1).lower()
+                    val = m.group(2).strip()
+                    if key == "objective value":
+                        reported = _reported(val, lineno)
+                    elif key == "best bound":
+                        bound = _reported(val, lineno)
+                    elif key == "status":
+                        status_hint = _normalize_status(val) or status_hint
+                continue
+            m = _HEADER_RE.match(line)
+            if m:
+                if m.group(1).lower() == "solution status":
+                    status_hint = _normalize_status(m.group(2)) or status_hint
+                else:
+                    reported = _reported((m.group(2).split() or [""])[0], lineno)
+                continue
+            if not saw_values_section:
+                m = _CBC_RE.match(line)  # no column name (a letter, then digits) starts with a status word
+                if m:
+                    status_hint = _normalize_status(m.group(1)) or status_hint
+                    if m.group(2) is not None:
+                        reported = _reported(m.group(2), lineno)
+                    continue
 
-        tokens = line.split()
-        vid = value_token = None
-        if len(tokens) >= 2 and (vid := _name_vid(tokens[0], letters)) is not None:
-            value_token = tokens[1]
-        elif len(tokens) >= 3 and _NUM_RE.match(tokens[0]) and (vid := _name_vid(tokens[1], letters)) is not None:
-            value_token = tokens[2]  # "<row#> name value [rcost]"
-        if vid is None or not _NUM_RE.match(value_token):
-            excerpt = line if len(line) <= 120 else line[:117] + "..."
-            raise SolutionFormatError(f"unparseable solution line {lineno}: {excerpt!r}")
-        saw_values_section = True
-        if letters[vid] in binary_letters or vid in kept:
-            values[vid] = float(value_token)
+            tokens = line.split()
+            vid = value_token = None
+            if len(tokens) >= 2 and (vid := _name_vid(tokens[0], letters)) is not None:
+                value_token = tokens[1]
+            elif len(tokens) >= 3 and _NUM_RE.match(tokens[0]) and (vid := _name_vid(tokens[1], letters)) is not None:
+                value_token = tokens[2]  # "<row#> name value [rcost]"
+            if vid is None or not _NUM_RE.match(value_token):
+                excerpt = line if len(line) <= 120 else line[:117] + "..."
+                raise SolutionFormatError(f"unparseable solution line {lineno}: {excerpt!r}")
+            saw_values_section = True
+            if letters[vid] in binary_letters or vid in kept:
+                values[vid] = float(value_token)
+    except UnicodeDecodeError as exc:  # raised by an open file as it is read
+        raise SolutionFormatError(f"solution file is not UTF-8 text: {exc.reason}") from None
 
     no_values = (STATUS_UNBOUNDED, STATUS_ERROR, STATUS_TIME_LIMIT)  # words that may come without a schedule
     if status_hint == STATUS_INFEASIBLE or (not saw_values_section and status_hint in no_values):

@@ -27,6 +27,18 @@ plan-change and pumping-cost penalties; its coefficients are exact rationals.
 Every row coefficient, right-hand side and variable bound is a volume or a
 count, so rows and bounds hold plain integers.
 
+Window form.  Every slot-indexed row is a signed sum, at slot t, of the
+columns whose slot key lies in a window around t: the window form of
+time-indexed scheduling models (Sousa & Wolsey 1992).  `_window_rows`
+builds a family's rows from runs (block, lo, hi, coef): the row at t adds
+`coef` times each column of the block whose key k has t+lo <= k < t+hi.
+Packing sums each batch on the edge over [t-L+1, t] and exclusion each
+member dispatch over [t, t+L].  The flushing rows take the starts at a
+stain's completion instant te, and the capacity recurrences take x_t, then
+-x_{t-1}, then each move at its start or at its completion: windows one
+key wide.  `routes` and `flushing_link` pair two blocks column by column
+(`_mirror_rows`).
+
 Storage.  Columns come in blocks (`ColumnBlock`) of one kind whose keys
 differ only in their last, consecutive component.  Placement columns are
 contiguous in t for each (edge, batch): v(e, b, t) is the block's first
@@ -293,6 +305,41 @@ def column_letters(model: MILPModel) -> str:
     return "".join(_NAME_PREFIX[b.kind] * b.count for b in model.variables.blocks)
 
 
+def _window_rows(
+    rows: RowStore,
+    family: str,
+    slots: Iterable[int],
+    runs: Iterable[tuple[ColumnBlock, int, int, int]],
+    rhs: Sequence[int],
+) -> None:
+    """One row per slot t: for each run (block, lo, hi, coef) in order, `coef` times every column
+    of `block` whose key k has t + lo <= k < t + hi, keys ascending."""
+    # per run: whether its window is wider than one key, the column of key 0, the block's keys
+    # [first, end), the window, its coefficient and the coefficients of a whole window
+    spans = [
+        (hi - lo > 1, b.start - b.first, b.first, b.first + b.count, lo, hi, coef, [coef] * (hi - lo))
+        for b, lo, hi, coef in runs
+    ]
+    cols: list[int] = []
+    coefs: list[int] = []
+    sizes: list[int] = []
+    for t in slots:
+        before = len(cols)
+        for wide, base, first, end, lo, hi, coef, whole in spans:
+            if not wide:
+                if first <= t + lo < end:
+                    cols.append(base + t + lo)
+                    coefs.append(coef)
+                continue
+            k0 = t + lo if t + lo > first else first  # not max() and min(): a call each, per row and run
+            k1 = t + hi if t + hi < end else end
+            if k0 < k1:
+                cols.extend(range(base + k0, base + k1))
+                coefs.extend(whole if k1 - k0 == hi - lo else whole[: k1 - k0])
+        sizes.append(len(cols) - before)
+    rows.add(family, cols, coefs, sizes, rhs)
+
+
 def _mirror_rows(rows: RowStore, family: str, a: ColumnBlock, b: ColumnBlock) -> None:
     """Rows x[a.start + i] - x[b.start + i] = 0, one per column of `a`."""
     n = a.count
@@ -337,18 +384,9 @@ def emit_packing(inst, catalog, columns, rows) -> None:
     H = inst.grid.horizon_len
     place = columns.of_kind(PLACEMENT)
     for edge in inst.edges:
-        blocks = [(place[(edge.id, bid)], catalog.spec_by_id[bid].length) for bid in catalog.batches_by_edge[edge.id]]
-        cols: list[int] = []
-        sizes: list[int] = []
-        for t in range(H):
-            before = len(cols)
-            for block, L in blocks:
-                lo = max(0, t - L + 1)
-                hi = min(t + 1, block.count)
-                if lo < hi:
-                    cols.extend(range(block.start + lo, block.start + hi))
-            sizes.append(len(cols) - before)
-        rows.add(FAM_PACKING, cols, [1] * len(cols), sizes, [1] * H)
+        bids = catalog.batches_by_edge[edge.id]
+        runs = [(place[(edge.id, bid)], 1 - catalog.spec_by_id[bid].length, 1, 1) for bid in bids]
+        _window_rows(rows, FAM_PACKING, range(H), runs, [1] * H)
 
 
 def emit_routes(inst, catalog, columns, rows) -> None:
@@ -376,34 +414,19 @@ def emit_flushing(inst, catalog, columns, rows) -> list[str]:
     endpoint = columns.of_kind(ENDPOINT)
     warnings: list[str] = []
 
-    def starts_at(eid: str, bids: Iterable[str], te: int) -> list[int]:
-        """Placement columns of `bids` on `eid` that start at te."""
-        out = []
-        for bid in bids:
-            block = place[(eid, bid)]
-            if te < block.count:
-                out.append(block.start + te)
-        return out
-
     # endpoint markers exist exactly for the staining batches on their initial edge
     stains = [(eid, catalog.spec_by_id[bid]) for eid, bid in endpoint]
 
     for eid, spec in stains:
         _mirror_rows(rows, FAM_FLUSH_LINK, place[(eid, spec.id)], endpoint[(eid, spec.id)])
 
+    # a row at te holds the other stains starting at te, then w(e, b, te)
     for eid, spec in stains:
         others = catalog.stain_exclusions.get((eid, spec.product), ())
-        if not others:
-            continue
-        w0 = endpoint[(eid, spec.id)].start - spec.length  # w(e, b, te) is column w0 + te
-        cols: list[int] = []
-        sizes: list[int] = []
-        for te in range(spec.length, H):
-            terms = starts_at(eid, others, te)
-            terms.append(w0 + te)
-            cols.extend(terms)
-            sizes.append(len(terms))
-        rows.add(FAM_FLUSH_EXCL, cols, [1] * len(cols), sizes, [1] * len(sizes))
+        if others:
+            runs = [(place[(eid, bid)], 0, 1, 1) for bid in others]
+            runs.append((endpoint[(eid, spec.id)], 0, 1, 1))
+            _window_rows(rows, FAM_FLUSH_EXCL, range(spec.length, H), runs, [1] * (H - spec.length))
 
     for eid, spec in stains:
         candidates = catalog.flush_candidates[spec.id]
@@ -411,18 +434,10 @@ def emit_flushing(inst, catalog, columns, rows) -> list[str]:
             warnings.append(
                 f"staining batch {spec.id} on edge {eid} has no flushing batch large enough to push it through"
             )
-        w0 = endpoint[(eid, spec.id)].start - spec.length
-        cols = []
-        coefs: list[int] = []
-        sizes = []
-        for te in range(spec.length, H + 1):
-            follow = starts_at(eid, (spec.id, *candidates), te)
-            cols.append(w0 + te)
-            cols.extend(follow)
-            coefs.append(1)
-            coefs.extend([-1] * len(follow))
-            sizes.append(1 + len(follow))
-        rows.add(FAM_FLUSH_ENFORCE, cols, coefs, sizes, [0] * len(sizes))
+        # w(e, b, te) minus the follow-ups starting at te: the stain itself, then the flushes
+        runs = [(endpoint[(eid, spec.id)], 0, 1, 1)]
+        runs += [(place[(eid, bid)], 0, 1, -1) for bid in (spec.id, *candidates)]
+        _window_rows(rows, FAM_FLUSH_ENFORCE, range(spec.length, H + 1), runs, [0] * (H + 1 - spec.length))
 
     return warnings
 
@@ -434,22 +449,26 @@ def emit_regime_exclusions(inst, catalog, columns, rows) -> None:
     place = columns.of_kind(PLACEMENT)
     for group in inst.exclusion_groups:
         members = set(group.members)
-        entries = [(place[(eid, spec.id)], spec.length) for eid, spec in catalog.dispatches() if spec.regime in members]
-        cols: list[int] = []
-        sizes: list[int] = []
-        for t in range(H):
-            before = len(cols)
-            for block, L in entries:
-                hi = min(t + L + 1, block.count)
-                if t < hi:
-                    cols.extend(range(block.start + t, block.start + hi))
-            sizes.append(len(cols) - before)
-        rows.add(FAM_EXCLUSION, cols, [1] * len(cols), sizes, [1] * H)
+        dispatched = [(eid, spec) for eid, spec in catalog.dispatches() if spec.regime in members]
+        runs = [(place[(eid, spec.id)], 0, spec.length + 1, 1) for eid, spec in dispatched]
+        _window_rows(rows, FAM_EXCLUSION, range(H), runs, [1] * H)
+
+
+def _fix_rows(rows: RowStore, family: str, fixings: dict[int, int], forced: list[tuple[int, tuple]], value: int):
+    """Rows v = `value`, one per placement column of `forced` (vid, key) pairs, in order of first
+    appearance; `fixings` records each and refuses one already fixed to the other value."""
+    fixed: dict[int, None] = {}
+    for vid, key in forced:
+        if fixings.get(vid, value) != value:
+            raise ModelBuildError(f"contradictory fixings for placement {key}")
+        fixings[vid] = value
+        fixed[vid] = None
+    rows.add(family, fixed, [1] * len(fixed), [1] * len(fixed), [value] * len(fixed))
 
 
 def emit_outages(inst, catalog, columns, rows, fixings: dict[int, int]) -> None:
     """Forbidden starts become v = 0 rows (tank outages act through the capacity profile)."""
-    fixed: dict[int, None] = {}  # vids in order of first appearance
+    forced: list[tuple[int, tuple]] = []  # (vid, placement)
     for outage in inst.outages:
         if isinstance(outage, TankOutage):
             continue
@@ -458,28 +477,9 @@ def emit_outages(inst, catalog, columns, rows, fixings: dict[int, int]) -> None:
                 raise ModelBuildError(f"transport outage references unknown batch coordinate ({eid!r}, {bid!r})")
             for t in outage.times:
                 vid = columns.vid(PLACEMENT, (eid, bid, t))
-                if vid is None:
-                    continue  # no start possible there anyway
-                if fixings.get(vid, 0) == 1:
-                    raise ModelBuildError(f"contradictory fixings for placement ({eid!r}, {bid!r}, {t})")
-                fixings[vid] = 0
-                fixed[vid] = None
-    rows.add(FAM_OUTAGE, fixed, [1] * len(fixed), [1] * len(fixed), [0] * len(fixed))
-
-
-def capacity_event_lists(inst: Instance, catalog: BatchCatalog):
-    """(site, product) -> inbound/outbound (edge, spec) pairs affecting stock."""
-    inbound: dict[tuple[str, str], list[tuple[str, BatchSpec]]] = {}
-    outbound: dict[tuple[str, str], list[tuple[str, BatchSpec]]] = {}
-    for eid, spec in catalog.deliveries():
-        site = inst.edge(eid).destination
-        if inst.site(site).is_storage:
-            inbound.setdefault((site, spec.product), []).append((eid, spec))
-    for eid, spec in catalog.dispatches():
-        site = inst.edge(eid).origin
-        if inst.site(site).is_storage:
-            outbound.setdefault((site, spec.product), []).append((eid, spec))
-    return inbound, outbound
+                if vid is not None:  # else no start is possible there anyway
+                    forced.append((vid, (eid, bid, t)))
+    _fix_rows(rows, FAM_OUTAGE, fixings, forced, 0)
 
 
 def emit_capacity(inst, catalog, columns, rows, options: BuildOptions) -> None:
@@ -498,7 +498,12 @@ def emit_capacity(inst, catalog, columns, rows, options: BuildOptions) -> None:
     H = inst.grid.horizon_len
     place = columns.of_kind(PLACEMENT)
     occupancy = {kind: columns.of_kind(kind) for kind in (OCC_UPPER, OCC_LOWER)}
-    inbound, outbound = capacity_event_lists(inst, catalog)
+    # (site, product) -> the moves that change its stock, (edge, spec, -1) inbound, then (edge, spec, +1) outbound
+    moves: dict[tuple[str, str], list[tuple[str, BatchSpec, int]]] = {}
+    for eid, spec in catalog.deliveries():
+        moves.setdefault((inst.edge(eid).destination, spec.product), []).append((eid, spec, -1))
+    for eid, spec in catalog.dispatches():
+        moves.setdefault((inst.edge(eid).origin, spec.product), []).append((eid, spec, 1))
 
     # (occupancy kind, row family, the side counted at completion: -1 inbound, +1 outbound)
     series = ((OCC_UPPER, FAM_CAP_DEF_UPPER, 1), (OCC_LOWER, FAM_CAP_DEF_LOWER, -1))
@@ -507,33 +512,14 @@ def emit_capacity(inst, catalog, columns, rows, options: BuildOptions) -> None:
             key = (site.id, product.id)
             base = site.profile(product.id).base_profile(H)
             rhs = [base[0]] + [b - a for a, b in zip(base, base[1:])]
-            moves = [(eid, spec, -1) for eid, spec in inbound.get(key, ())]
-            moves += [(eid, spec, 1) for eid, spec in outbound.get(key, ())]
             for kind, family, delayed in series:
-                occ = occupancy[kind][key].start
-                # (first column, count, slots between the start and the row, coefficient)
-                shifted = []
-                for eid, spec, sign in moves:
-                    block = place[(eid, spec.id)]
+                occ = occupancy[kind][key]
+                # x_t - x_{t-1}, then each move at its start, or shifted by its length when delayed
+                runs = [(occ, 0, 1, 1), (occ, -1, 0, -1)]
+                for eid, spec, sign in moves.get(key, ()):
                     shift = spec.length if sign == delayed else 0
-                    shifted.append((block.start, block.count, shift, sign * spec.volume))
-                cols: list[int] = []
-                coefs: list[int] = []
-                sizes: list[int] = []
-                for t in range(H):
-                    before = len(cols)
-                    cols.append(occ + t)
-                    coefs.append(1)
-                    if t:
-                        cols.append(occ + t - 1)
-                        coefs.append(-1)
-                    for first, count, shift, coef in shifted:
-                        s = t - shift
-                        if 0 <= s < count:
-                            cols.append(first + s)
-                            coefs.append(coef)
-                    sizes.append(len(cols) - before)
-                rows.add(family, cols, coefs, sizes, rhs)
+                    runs.append((place[(eid, spec.id)], -shift, 1 - shift, sign * spec.volume))
+                _window_rows(rows, family, range(H), runs, rhs)
 
     for site in inst.storage_sites():
         for product in inst.products:
@@ -604,13 +590,7 @@ def emit_fixed_transport(inst, catalog, columns, rows, fixings: dict[int, int]) 
         if vid is None:
             raise ModelBuildError(f"executed placement {key} has no variable")
         forced.append((vid, key))
-    emitted: dict[int, None] = {}  # vids in order of first appearance
-    for vid, key in forced:
-        if fixings.get(vid, 1) == 0:
-            raise ModelBuildError(f"contradictory fixings for placement {key}")
-        fixings[vid] = 1
-        emitted[vid] = None
-    rows.add(FAM_FIXED, emitted, [1] * len(emitted), [1] * len(emitted), [1] * len(emitted))
+    _fix_rows(rows, FAM_FIXED, fixings, forced, 1)
 
 
 def emit_objective(inst, catalog, columns, rows) -> tuple[dict[int, Fraction], Fraction]:

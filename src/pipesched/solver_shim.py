@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import importlib.machinery
 import importlib.util
+import math
 import os
 import re
 import sys
@@ -254,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
     lines = [f"# Status = {res.status}"]
     if res.objective is not None:
         lines.append(f"# Objective value = {res.objective!r}")
-    if res.bound is not None:
+    if res.bound is not None and math.isfinite(res.bound):  # no bound yet is left out, not written as inf
         lines.append(f"# Best bound = {res.bound!r}")
     lines.append(f"# Wall time = {time.monotonic() - t0:.3f}")
     lines.append(f"# MIP nodes = {res.mip_node_count}")

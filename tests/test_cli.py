@@ -184,6 +184,15 @@ def test_solve_reports_proven_infeasibility(infeasible_path, tmp_path, capsys):
     assert not (out_dir / "schedule.json").exists()
 
 
+def canned_solver(tmp_path, solution: bytes) -> str:
+    """A `--solver-cmd` template for a stand-in solver that writes `solution` as its solution file."""
+    canned = tmp_path / "canned.sol"
+    canned.write_bytes(solution)
+    script = tmp_path / "copy_solver.py"
+    script.write_text("import shutil, sys\nshutil.copyfile(sys.argv[1], sys.argv[2])\n")
+    return " ".join(_template_literal(str(word)) for word in (sys.executable, script, canned)) + " {solution}"
+
+
 def test_solve_does_not_write_a_rejected_schedule(tiny_path, tmp_path, capsys):
     # a stand-in solver "finds" flush at 0 and stain at 2, which overlap in the one pipe
     model = build_model(load_instance(tiny_path))
@@ -191,11 +200,7 @@ def test_solve_does_not_write_a_rejected_schedule(tiny_path, tmp_path, capsys):
     letters = column_letters(model)
     vids = [model.variables.vid(PLACEMENT, placement) for placement in overlap]
     names = [f"{letters[vid]}{vid}" for vid in vids]
-    canned = tmp_path / "overlap.sol"
-    canned.write_text("# Status = optimal\n" + "".join(f"{name} 1\n" for name in names))
-    script = tmp_path / "copy_solver.py"
-    script.write_text("import shutil, sys\nshutil.copyfile(sys.argv[1], sys.argv[2])\n")
-    command = " ".join(_template_literal(str(word)) for word in (sys.executable, script, canned)) + " {solution}"
+    command = canned_solver(tmp_path, ("# Status = optimal\n" + "".join(f"{name} 1\n" for name in names)).encode())
     out_dir = tmp_path / "run"
     rc = main(["solve", "--instance", str(tiny_path), "--out-dir", str(out_dir), "--solver-cmd", command])
     assert rc == EXIT_INVALID
@@ -203,6 +208,36 @@ def test_solve_does_not_write_a_rejected_schedule(tiny_path, tmp_path, capsys):
     assert "status: error" in stdout and "violating" in stdout
     assert "schedule:" not in stdout
     assert json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["status"] == "error"
+    assert not (out_dir / "schedule.json").exists()
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "solution, message",
+    [
+        (b"# Status = optimal\n# Objective value = none\n", "solution line 2 reports 'none', not a finite number"),
+        (b"# Status = optimal\n# Objective value = -\n", "solution line 2 reports '-', not a finite number"),
+        (b"Optimal - objective value e\n", "solution line 1 reports 'e', not a finite number"),
+        (b"# Status = optimal\n# Objective value = nan\n", "solution line 2 reports 'nan', not a finite number"),
+        (
+            b"# Status = optimal\n# Objective value = 0\n# Best bound = inf\n",
+            "solution line 3 reports 'inf', not a finite number",
+        ),
+        (b"# Status = optimal\n# Message = caf\xe9\n", "solution file is not UTF-8 text: invalid continuation byte"),
+    ],
+    ids=["none", "dash", "cbc e", "nan objective", "inf bound", "not UTF-8"],
+)
+def test_malformed_solution_file_is_a_solver_error_with_a_manifest(tiny_path, tmp_path, capsys, solution, message):
+    out_dir = tmp_path / "run"
+    command = canned_solver(tmp_path, solution)
+    rc = main(["solve", "--instance", str(tiny_path), "--out-dir", str(out_dir), "--solver-cmd", command])
+    assert rc == EXIT_INVALID
+    assert "Traceback" not in capsys.readouterr().err
+    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"), parse_constant=_no_constant)
+    assert (manifest["status"], manifest["message"], manifest["bound"]) == ("error", message, None)
     assert not (out_dir / "schedule.json").exists()
 
 

@@ -329,6 +329,35 @@ def test_reported_objective_cross_checked(ref_model):
         parse_solution("# Objective value = 500\nv0 1\n", ref_model)
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("# Objective value = none\nv0 1\n", "none"),
+        ("# Objective value = -\nv0 1\n", "-"),
+        ("Optimal - objective value e\n      0 v0      1          0\n", "e"),
+        ("objective value: 1,5\nv0 1\n", "1,5"),
+        ("# Objective value = nan\nv0 1\n", "nan"),
+        ("# Objective value = 1e999\nv0 1\n", "1e999"),
+        ("# Objective value = 100\n# Best bound = inf\nv0 1\n", "inf"),
+        ("# Objective value = 100\n# Best bound = -Infinity\nv0 1\n", "-Infinity"),
+        ("# Objective value = 100\n# Best bound = NaN\nv0 1\n", "NaN"),
+    ],
+    ids=["none", "dash", "cbc e", "header comma", "nan", "overflow", "inf bound", "-Infinity bound", "NaN bound"],
+)
+def test_reported_objective_and_bound_are_finite_numbers(ref_model, text, value):
+    # a nan objective would pass the cross-check, and an infinite bound would reach the manifest
+    with pytest.raises(SolutionFormatError, match=f"reports {value!r}, not a finite number"):
+        parse_solution(text, ref_model)
+
+
+def test_solution_file_that_is_not_utf8_is_rejected(ref_model, tmp_path):
+    path = tmp_path / "m.sol"
+    path.write_bytes(b"# Status = optimal\n# Message = caf\xe9\nv0 1\n")
+    with open(path, encoding="utf-8") as solution:
+        with pytest.raises(SolutionFormatError, match="solution file is not UTF-8 text: invalid continuation byte"):
+            parse_solution(solution, ref_model)
+
+
 def test_empty_rows_never_serialized():
     from pipesched.generator import generate_oracle_instance
 

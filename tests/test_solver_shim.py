@@ -447,3 +447,13 @@ def test_main_adds_timing_lines_and_leaves_no_partial_file(tmp_path):
     assert re.search(r"^# Read time = \d+\.\d{3}$", sol, re.M)
     assert re.search(r"^# Solve time = \d+\.\d{3}$", sol, re.M)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.lp", "m.sol"]
+
+
+def test_main_leaves_out_an_infinite_bound(tmp_path, monkeypatch):
+    # a run stopped before HiGHS has a bound reports it as infinite; the file protocol carries finite numbers only
+    real = shim._run
+    monkeypatch.setattr(shim, "_run", lambda highs: real(highs)._replace(status="time_limit", bound=INF))
+    rc, sol = _solve_file(tmp_path, TINY_LP)
+    assert rc == 0
+    assert "# Status = time_limit\n# Objective value = 2.0\n# Wall time = " in sol
+    assert "bound" not in sol.lower()
