@@ -154,7 +154,7 @@ def _run_once(model: MILPModel, config: SolverConfig, activated: Optional[set[in
         message = _quote_output(message, proc.stderr or proc.stdout)
         return SolveResult(STATUS_ERROR, wall_time=wall, message=message)
     try:
-        with open(sol_path, encoding="utf-8") as solution:
+        with open(sol_path, encoding="utf-8-sig") as solution:  # a leading byte-order mark is not content
             parsed = parse_solution(solution, model)
     except SolutionFormatError as exc:
         return SolveResult(STATUS_ERROR, wall_time=wall, message=str(exc))

@@ -8,9 +8,11 @@ therefore meaningful evidence that the model encodes the intended rules.
 
 The stock rule has its home here: `stock_events` says when and by how much
 one placement moves a tank, and `simulate_occupancy` turns the events of a
-schedule into per-slot stock by a prefix sum.  The oracle and the model's
-assignment helper read stock through these two functions; tank capacity
-comes from `Instance.capacity_max_profile`, the profile the builder reads.
+schedule into per-slot stock by a prefix sum.  The model's assignment
+helper reads stock through `simulate_occupancy`; the oracle prunes with
+`check_schedule`'s verdicts and reads from `stock_events` only which tanks
+some placement can drain or fill.  Tank capacity comes from
+`Instance.capacity_max_profile`, the profile the builder reads.
 
 Violation families: packing, routes, flushing, exclusion, capacity_upper,
 capacity_lower, outage, throughput, nomination, fixed.  The rules have no
@@ -27,7 +29,7 @@ from itertools import accumulate
 from operator import add
 from typing import NamedTuple
 
-from .batches import BatchCatalog, batch_cost, batch_id, csv_text, STANDARD
+from .batches import BatchCatalog, BatchSpec, batch_cost, batch_id, csv_text, STANDARD
 from .instance import Instance, TransportOutage
 from .schedule import Schedule
 
@@ -157,6 +159,22 @@ def capacity_bound_violations(inst: Instance, occupancy: OccupancySeries) -> lis
     return out
 
 
+def _dispatches(catalog: BatchCatalog, placements: frozenset) -> list[tuple[str, BatchSpec, int]]:
+    """(edge, spec, start) of every placement on the first edge of its batch's path, where the
+    batch is dispatched and counts once; in (edge, batch, start) order."""
+    return [(e, catalog.spec_by_id[b], t) for e, b, t in sorted(placements) if catalog.chains[b][0] == e]
+
+
+def _extracted(inst: Instance, dispatches: list[tuple[str, BatchSpec, int]]) -> dict[tuple[str, str], int]:
+    """Volume dispatched per nominated (refinery, product)."""
+    out = {(nom.refinery, pid): 0 for nom in inst.nominations for pid in nom.limits}
+    for e, spec, _t in dispatches:
+        key = (inst.edge(e).origin, spec.product)
+        if key in out:
+            out[key] += spec.volume
+    return out
+
+
 def check_schedule(
     inst: Instance,
     catalog: BatchCatalog,
@@ -167,6 +185,7 @@ def check_schedule(
     _check_placements(inst, catalog, schedule)
     H = inst.grid.horizon_len
     placements = schedule.placements
+    dispatches = _dispatches(catalog, placements)
     out: list[Violation] = []
 
     # packing: one batch per edge and slot
@@ -201,11 +220,10 @@ def check_schedule(
             )
 
     # flushing: stain completions must be followed up and exclude other stains
-    for e, b, t in sorted(placements):
-        spec = catalog.spec_by_id[b]
-        if inst.product(spec.product).is_flushing or catalog.chains[b][0] != e:
+    for e, spec, t in dispatches:
+        if inst.product(spec.product).is_flushing:
             continue
-        te = t + spec.length
+        b, te = spec.id, t + spec.length
         allowed = (b, *catalog.flush_candidates[b])
         followed = any((e, c, te) in placements for c in allowed)
         if not followed:
@@ -233,11 +251,7 @@ def check_schedule(
     # exclusion groups: no two member starts within each other's windows
     for gi, group in enumerate(inst.exclusion_groups):
         members = set(group.members)
-        starts = [
-            (t, catalog.spec_by_id[b].length)
-            for e, b, t in placements
-            if catalog.spec_by_id[b].regime in members and catalog.chains[b][0] == e
-        ]
+        starts = [(t, spec.length) for _e, spec, t in dispatches if spec.regime in members]
         for anchor in range(H):
             count = sum(1 for t, L in starts if anchor <= t <= anchor + L)
             if count > 1:
@@ -267,37 +281,27 @@ def check_schedule(
     # throughput: volume started inside the window
     for li, lim in enumerate(inst.throughput_limits):
         window = set(lim.times)
-        total = 0
-        for e, b, t in placements:
-            if e not in lim.edges or t not in window:
-                continue
-            spec = catalog.spec_by_id[b]
-            if spec.product != lim.product or catalog.chains[b][0] != e:
-                continue
-            total += spec.volume
+        total = sum(
+            spec.volume for e, spec, t in dispatches if e in lim.edges and t in window and spec.product == lim.product
+        )
         if total > lim.limit:
             out.append(
                 Violation("throughput", (li,), total, lim.limit, f"throughput window {li} moves {total} > {lim.limit}")
             )
 
     # nominations: extracted volume per refinery and product
+    extracted = _extracted(inst, dispatches)
     for nom in inst.nominations:
-        extracted: dict[str, int] = {pid: 0 for pid in nom.limits}
-        for e, b, t in placements:
-            if inst.edge(e).origin != nom.refinery or catalog.chains[b][0] != e:
-                continue
-            spec = catalog.spec_by_id[b]
-            if spec.product in extracted:
-                extracted[spec.product] += spec.volume
         for pid, cap in nom.limits.items():
-            if extracted[pid] > cap:
+            volume = extracted[(nom.refinery, pid)]
+            if volume > cap:
                 out.append(
                     Violation(
                         "nomination",
                         (nom.refinery, pid),
-                        extracted[pid],
+                        volume,
                         cap,
-                        f"extraction of {pid} from {nom.refinery} is {extracted[pid]} > {cap}",
+                        f"extraction of {pid} from {nom.refinery} is {volume} > {cap}",
                     )
                 )
 
@@ -333,16 +337,11 @@ def evaluate_objective(inst: Instance, catalog: BatchCatalog, schedule: Schedule
     """
     w = inst.weights
     placements = schedule.placements
+    dispatches = _dispatches(catalog, placements)
 
-    extraction = Fraction(0)
-    for nom in inst.nominations:
-        for pid in nom.limits:
-            for e, b, t in placements:
-                if inst.edge(e).origin != nom.refinery or catalog.chains[b][0] != e:
-                    continue
-                spec = catalog.spec_by_id[b]
-                if spec.product == pid:
-                    extraction += w.eta_for(pid) * spec.volume
+    extraction = sum(
+        (w.eta_for(pid) * volume for (_refinery, pid), volume in _extracted(inst, dispatches).items()), Fraction(0)
+    )
 
     distribution = Fraction(0)
     if w.distribution_targets:
@@ -357,11 +356,7 @@ def evaluate_objective(inst: Instance, catalog: BatchCatalog, schedule: Schedule
 
     plan_change = Fraction(-sum(1 for coord in w.previous_plan if coord not in placements))
 
-    pumping_cost = Fraction(0)
-    for e, b, t in placements:
-        if catalog.chains[b][0] != e:
-            continue
-        pumping_cost -= batch_cost(inst, catalog.spec_by_id[b])
+    pumping_cost = -sum((batch_cost(inst, spec) for _e, spec, _t in dispatches), Fraction(0))
 
     total = w.alpha * extraction + w.beta * distribution + w.gamma * plan_change + w.theta * pumping_cost
     return {

@@ -56,6 +56,14 @@ def test_no_numpy_import(path):
     assert "numpy" not in imported_packages(path.read_text(encoding="utf-8"))
 
 
+def test_oracle_imports_nothing_from_the_model_side():
+    # the oracle is the model's reference: it reads the instance, the catalog and the validator, never the
+    # builder, the LP writer or the solver
+    tree = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert relative == {"batches", "instance", "schedule", "validator"}
+
+
 def test_import_scan_sees_function_level_and_skips_relative_imports():
     source = "from . import numpy\nfrom .numpy import x\ndef f():\n    import numpy.linalg as la\n    from scipy import sparse\n"
     assert imported_packages(source) == {"numpy", "scipy"}

@@ -350,6 +350,17 @@ def test_solution_file_status_maps_to_result_and_exit_code(
     assert _solve_exit_code(res) == cli_code
 
 
+def test_solution_file_with_byte_order_mark_parses(ref1_small, tmp_path):
+    script, source = tmp_path / "copy_solver.py", tmp_path / "canned.sol"
+    script.write_text(COPY_SOLVER)
+    source.write_text("\ufeff# Status = optimal\n# Best bound = 100\n" + FLUSH_ONLY, encoding="utf-8")
+    words = " ".join(_template_literal(str(word)) for word in (sys.executable, script, source, 0))
+    res = solve(build_model(ref1_small), SolverConfig(command=words + " {solution}", time_limit=10))
+    assert res.status == STATUS_OPTIMAL, res.message
+    assert res.objective == 100
+    assert res.schedule.placements == {("e1", "r1:flush:standard", 0)}
+
+
 def test_shim_status_words_normalize_to_themselves():
     import ast
     import inspect
