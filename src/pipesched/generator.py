@@ -21,6 +21,8 @@ from typing import Optional
 
 from .batches import enumerate_batches
 from .instance import (
+    FLUSH_FILL,
+    STANDARD,
     CapacityProfile,
     CostWeights,
     DistributionTarget,
@@ -36,6 +38,7 @@ from .instance import (
     ExclusionGroup,
     TimeGrid,
     TransportOutage,
+    batch_id,
     validate_instance,
 )
 
@@ -127,8 +130,8 @@ def generate_path_instance(params: PathExperimentParams) -> Instance:
         # exponent keeps near and far deliveries clearly separated in price
         haul = k**HAUL_EXPONENT
         costs = {
-            f"r{k}:{FLUSH}:standard": flush_std_len * haul,
-            f"r{k}:{STAIN}:standard": stain_len * haul,
+            batch_id(f"r{k}", FLUSH, STANDARD): flush_std_len * haul,
+            batch_id(f"r{k}", STAIN, STANDARD): stain_len * haul,
         }
         regimes.append(
             PumpingRegime(
@@ -276,11 +279,11 @@ def _draw_oracle_instance(rng: random.Random, seed: int) -> Optional[Instance]:
             costs = {}
             for pid in standard:
                 std_len = math.ceil(Fraction(standard[pid]) / flow[pid])
-                costs[f"{r.id}:{pid}:standard"] = std_len * len(r.edges)
+                costs[batch_id(r.id, pid, STANDARD)] = std_len * len(r.edges)
             rv = sum(e.pipe_volume for e in edges if e.id in r.edges)
             if rv > flush_std:
                 fill_len = math.ceil(Fraction(rv) / flow[FLUSH])
-                costs[f"{r.id}:{FLUSH}:flush_fill"] = fill_len * len(r.edges)
+                costs[batch_id(r.id, FLUSH, FLUSH_FILL)] = fill_len * len(r.edges)
             priced.append(
                 PumpingRegime(r.id, r.edges, flow_rate=r.flow_rate, cost_per_batch=costs)
             )
@@ -297,7 +300,7 @@ def _draw_oracle_instance(rng: random.Random, seed: int) -> Optional[Instance]:
         pid = rng.choice(list(standard))
         t0 = rng.randint(0, horizon - 2)
         outages.append(
-            TransportOutage(batches=((eid, f"{rid}:{pid}:standard"),), times=tuple(range(t0, min(horizon, t0 + 3))))
+            TransportOutage(batches=((eid, batch_id(rid, pid, STANDARD)),), times=tuple(range(t0, min(horizon, t0 + 3))))
         )
     if rng.random() < 0.2:
         storage = [s for s in sites if s.kind == "storage"]
@@ -358,7 +361,7 @@ def _draw_oracle_instance(rng: random.Random, seed: int) -> Optional[Instance]:
             if horizon - length < 0:
                 continue
             t = rng.randint(0, horizon - length)
-            previous.append((r.edges[0], f"{r.id}:{pid}:standard", t))
+            previous.append((r.edges[0], batch_id(r.id, pid, STANDARD), t))
 
     fixed = []
     if rng.random() < 0.12:
@@ -367,7 +370,7 @@ def _draw_oracle_instance(rng: random.Random, seed: int) -> Optional[Instance]:
         length = math.ceil(Fraction(standard[pid]) / flow[pid])
         if horizon - length >= 0:
             t = rng.randint(0, horizon - length)
-            coords = {(e, f"{r.id}:{pid}:standard") for e in r.edges}
+            coords = {(e, batch_id(r.id, pid, STANDARD)) for e in r.edges}
             conflict = any(
                 isinstance(o, TransportOutage) and set(o.batches) & coords and t in o.times for o in outages
             )

@@ -337,8 +337,9 @@ def validate_instance(inst: Instance) -> list[InstanceIssue]:
     """Structural validation; returns an empty list iff the instance is sound.
 
     Checks identifiers, cross-references, path structure, sign conditions and
-    time ranges.  Feasibility of the scheduling problem itself is not checked
-    here.
+    time ranges, then that every placement an outage, a fixed transport or an
+    executed placement names is in the batch catalog and, when forced, fits.
+    Feasibility of the scheduling problem itself is not checked here.
     """
     issues: list[InstanceIssue] = []
 
@@ -545,6 +546,26 @@ def validate_instance(inst: Instance) -> list[InstanceIssue]:
         if not 0 <= fx.start < horizon:
             bad("time_out_of_range", f"fixed transport start {fx.start} outside horizon")
 
+    if issues:  # the catalog below assumes a sound instance
+        return issues
+
+    # a previous-plan placement may name any placement: one the catalog lacks counts as dropped
+    from .batches import enumerate_batches  # here: `batches` imports this module
+
+    catalog = enumerate_batches(inst)
+    for out in inst.outages:
+        if isinstance(out, TransportOutage):
+            for eid, bid in out.batches:
+                if eid not in catalog.chains.get(bid, ()):
+                    bad("unknown_batch", f"transport outage names unknown batch {bid!r} on edge {eid!r}")
+    bids = [batch_id(fx.regime, fx.product, STANDARD) for fx in inst.fixed_transports]  # all in the catalog
+    fixed = [(catalog.initial_edge(bid), bid, fx.start) for bid, fx in zip(bids, inst.fixed_transports)]
+    for what, placements in (("fixed transport", fixed), ("executed placement", w.executed)):
+        for eid, bid, t in placements:
+            if eid not in catalog.chains.get(bid, ()):
+                bad("unknown_batch", f"{what} {(eid, bid, t)} names unknown batch {bid!r} on edge {eid!r}")
+            elif t + catalog.spec_by_id[bid].length > horizon:
+                bad("placement_beyond_horizon", f"{what} {(eid, bid, t)} does not fit the horizon {horizon}")
     return issues
 
 

@@ -27,6 +27,10 @@ plan-change and pumping-cost penalties; its coefficients are exact rationals.
 Every row coefficient, right-hand side and variable bound is a volume or a
 count, so rows and bounds hold plain integers.
 
+`build_model` raises `ModelBuildError` only for an instance that
+`validate_instance` rejects.  A fixed start that an outage forbids gets both
+rows, v = 1 and v = 0, and the solver proves the model infeasible.
+
 Window form.  Every slot-indexed row is a signed sum, at slot t, of the
 columns whose slot key lies in a window around t: the window form of
 time-indexed scheduling models (Sousa & Wolsey 1992).  `_window_rows`
@@ -454,32 +458,24 @@ def emit_regime_exclusions(inst, catalog, columns, rows) -> None:
         _window_rows(rows, FAM_EXCLUSION, range(H), runs, [1] * H)
 
 
-def _fix_rows(rows: RowStore, family: str, fixings: dict[int, int], forced: list[tuple[int, tuple]], value: int):
-    """Rows v = `value`, one per placement column of `forced` (vid, key) pairs, in order of first
-    appearance; `fixings` records each and refuses one already fixed to the other value."""
-    fixed: dict[int, None] = {}
-    for vid, key in forced:
-        if fixings.get(vid, value) != value:
-            raise ModelBuildError(f"contradictory fixings for placement {key}")
-        fixings[vid] = value
-        fixed[vid] = None
+def _fix_rows(rows: RowStore, family: str, vids: Iterable[int], value: int) -> None:
+    """Rows v = `value`, one per placement column in `vids`, in order of first appearance."""
+    fixed = dict.fromkeys(vids)
     rows.add(family, fixed, [1] * len(fixed), [1] * len(fixed), [value] * len(fixed))
 
 
-def emit_outages(inst, catalog, columns, rows, fixings: dict[int, int]) -> None:
+def emit_outages(inst, catalog, columns, rows) -> None:
     """Forbidden starts become v = 0 rows (tank outages act through the capacity profile)."""
-    forced: list[tuple[int, tuple]] = []  # (vid, placement)
+    vids = []
     for outage in inst.outages:
         if isinstance(outage, TankOutage):
             continue
         for eid, bid in outage.batches:
-            if bid not in catalog.batches_by_edge.get(eid, ()):
-                raise ModelBuildError(f"transport outage references unknown batch coordinate ({eid!r}, {bid!r})")
             for t in outage.times:
                 vid = columns.vid(PLACEMENT, (eid, bid, t))
                 if vid is not None:  # else no start is possible there anyway
-                    forced.append((vid, (eid, bid, t)))
-    _fix_rows(rows, FAM_OUTAGE, fixings, forced, 0)
+                    vids.append(vid)
+    _fix_rows(rows, FAM_OUTAGE, vids, 0)
 
 
 def emit_capacity(inst, catalog, columns, rows, options: BuildOptions) -> None:
@@ -574,23 +570,12 @@ def emit_nominations(inst, catalog, columns, rows) -> None:
             rows.add(FAM_NOMINATION, cols, coefs, [len(cols)], [volume_cap])
 
 
-def emit_fixed_transport(inst, catalog, columns, rows, fixings: dict[int, int]) -> None:
-    forced: list[tuple[int, tuple]] = []  # (vid, placement)
+def emit_fixed_transport(inst, catalog, columns, rows) -> None:
+    keys = []
     for fx in inst.fixed_transports:
         bid = batch_id(fx.regime, fx.product, STANDARD)
-        if bid not in catalog.spec_by_id:
-            raise ModelBuildError(f"fixed transport references unknown batch {bid!r}")
-        key = (catalog.initial_edge(bid), bid, fx.start)
-        vid = columns.vid(PLACEMENT, key)
-        if vid is None:
-            raise ModelBuildError(f"fixed transport {bid!r} at {fx.start} does not fit the horizon")
-        forced.append((vid, key))
-    for key in inst.weights.executed:
-        vid = columns.vid(PLACEMENT, key)
-        if vid is None:
-            raise ModelBuildError(f"executed placement {key} has no variable")
-        forced.append((vid, key))
-    _fix_rows(rows, FAM_FIXED, fixings, forced, 1)
+        keys.append((catalog.initial_edge(bid), bid, fx.start))
+    _fix_rows(rows, FAM_FIXED, [columns.vid(PLACEMENT, key) for key in (*keys, *inst.weights.executed)], 1)
 
 
 def emit_objective(inst, catalog, columns, rows) -> tuple[dict[int, Fraction], Fraction]:
@@ -631,8 +616,6 @@ def emit_objective(inst, catalog, columns, rows) -> tuple[dict[int, Fraction], F
         t_final = inst.grid.t_max
         for ti, tgt in enumerate(w.distribution_targets):
             l_vid = columns.vid(OCC_LOWER, (tgt.site, tgt.product, t_final))
-            if l_vid is None:
-                raise ModelBuildError(f"distribution target on non-storage site {tgt.site!r}")
             if tgt.target is None:
                 add(obj, l_vid, w.beta * tgt.weight)
                 continue
@@ -665,7 +648,6 @@ def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPM
     catalog = enumerate_batches(inst)
     columns = build_variables(inst, catalog)
     rows = RowStore()
-    fixings: dict[int, int] = {}
 
     # emitted in the order the rows are written
     emit_packing(inst, catalog, columns, rows)
@@ -673,10 +655,10 @@ def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPM
     warnings = emit_flushing(inst, catalog, columns, rows)
     emit_regime_exclusions(inst, catalog, columns, rows)
     emit_capacity(inst, catalog, columns, rows, options)
-    emit_outages(inst, catalog, columns, rows, fixings)
+    emit_outages(inst, catalog, columns, rows)
     emit_throughput_limits(inst, catalog, columns, rows)
     emit_nominations(inst, catalog, columns, rows)
-    emit_fixed_transport(inst, catalog, columns, rows, fixings)
+    emit_fixed_transport(inst, catalog, columns, rows)
     obj, constant = emit_objective(inst, catalog, columns, rows)
 
     model = MILPModel(

@@ -1,14 +1,15 @@
 """Exhaustive reference optimizer for tiny instances.
 
-The candidates are every initial-edge placement (edge, batch, start) that
-fits the horizon, in canonical (edge, batch, start) order.  A depth-first
-search decides them one at a time, include before skip; a forced candidate
-(a fixed transport, or the dispatch of an executed placement) is never
-skipped.  Every node judges its placement set with the validator's
-`check_schedule`; a skip child has its parent's set and reuses its verdict.
-A leaf without violations is scored by `evaluate_objective`; the best total
-wins and, on ties, the lexicographically smallest placement set, so results
-are deterministic.
+`brute_force_optimum` takes an instance that `validate_instance` accepts and
+raises ValueError on any other.  The candidates are every initial-edge
+placement (edge, batch, start) that fits the horizon, in canonical (edge,
+batch, start) order.  A depth-first search decides them one at a time,
+include before skip; a forced candidate (a fixed transport, or the dispatch
+of an executed placement) is never skipped.  Every node judges its placement
+set with the validator's `check_schedule`; a skip child has its parent's set
+and reuses its verdict.  A leaf without violations is scored by
+`evaluate_objective`; the best total wins and, on ties, the
+lexicographically smallest placement set, so results are deterministic.
 
 The oracle states no rule of its own.  It cuts a node only when one of the
 validator's violations cannot be repaired by including later candidates.
@@ -20,8 +21,7 @@ These violations stay in every superset of the placement set:
   grow, and the offending placements stay;
 - `capacity_upper` on a (site, product) that no candidate drains, and
   `capacity_lower` on one that no candidate fills: blocked stock there can
-  only rise, on-stock only fall (the keys are read once from `stock_events`);
-- `fixed` on a coordinate that names no candidate: no placement set holds it.
+  only rise, on-stock only fall (the keys are read once from `stock_events`).
 
 One more depends on the search position: an unflushed stain (coordinate
 (edge, stain, completion)) whose follow-up candidates at the completion all
@@ -96,16 +96,10 @@ def brute_force_optimum(inst: Instance, limits: OracleLimits = OracleLimits()) -
     # the placements each candidate adds: its dispatch on every edge of the batch's path
     placed = [Schedule.from_initial(catalog, [coord]).placements for coord in cands]
 
-    # forced coordinates: each `fixed` violation coordinate -> the dispatch that repairs it
-    forced: dict[tuple, tuple] = {}
-    for fx in inst.fixed_transports:
-        bid = batch_id(fx.regime, fx.product, STANDARD)
-        if bid in catalog.chains:
-            forced[(fx.regime, fx.product, fx.start)] = (catalog.initial_edge(bid), bid, fx.start)
-    for e, b, t in inst.weights.executed:
-        if e in catalog.chains.get(b, ()):
-            forced[(e, b, t)] = (catalog.initial_edge(b), b, t)
-    forced_indices = {index[coord] for coord in forced.values() if coord in index}
+    # forced candidates: each fixed transport's dispatch and the dispatch of each executed placement
+    forced = [(batch_id(fx.regime, fx.product, STANDARD), fx.start) for fx in inst.fixed_transports]
+    forced += [(b, t) for _e, b, t in inst.weights.executed]
+    forced_indices = {index[(catalog.initial_edge(b), b, t)] for b, t in forced}
 
     events = [ev for adds in placed for e, b, t in adds for ev in stock_events(inst, catalog, e, b, t)]
     drained = {ev.key for ev in events if ev.volume < 0}
@@ -118,9 +112,7 @@ def brute_force_optimum(inst: Instance, limits: OracleLimits = OracleLimits()) -
             return True
         if family == "capacity_upper":
             return coord[:2] not in drained
-        if family == "capacity_lower":
-            return coord[:2] not in filled
-        return family == "fixed" and forced.get(coord) not in index
+        return family == "capacity_lower" and coord[:2] not in filled
 
     def hopeless(v: Violation, i: int) -> bool:
         """True for a violation that no candidate from index `i` on can repair."""

@@ -5,6 +5,7 @@ from the instance and the batch catalog, deliberately not sharing any logic
 with the MILP emitters, and imports nothing from the builder, the LP writer
 or the solver.  Agreement between a solver solution and this module is
 therefore meaningful evidence that the model encodes the intended rules.
+Its functions take an instance that `validate_instance` accepts.
 
 The stock rule has its home here: `stock_events` says when and by how much
 one placement moves a tank, and `simulate_occupancy` turns the events of a
@@ -308,15 +309,14 @@ def check_schedule(
     # fixed transports and already-executed placements must be present
     for fx in inst.fixed_transports:
         bid = batch_id(fx.regime, fx.product, STANDARD)
-        e0 = catalog.initial_edge(bid) if bid in catalog.spec_by_id else None
-        if e0 is None or (e0, bid, fx.start) not in placements:
+        if (catalog.initial_edge(bid), bid, fx.start) not in placements:
             out.append(
                 Violation(
                     "fixed",
                     (fx.regime, fx.product, fx.start),
                     "missing",
                     "present",
-                    f"fixed transport {bid or fx.regime} at {fx.start} is not scheduled",
+                    f"fixed transport {bid} at {fx.start} is not scheduled",
                 )
             )
     for coord in inst.weights.executed:

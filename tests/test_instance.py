@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -12,7 +13,9 @@ import pytest
 from pipesched.generator import PathExperimentParams, generate_oracle_instance, generate_path_instance
 from pipesched.instance import (
     DistributionTarget,
+    FixedTransport,
     InstanceFormatError,
+    TransportOutage,
     instance_from_dict,
     instance_hash,
     instance_to_dict,
@@ -21,6 +24,8 @@ from pipesched.instance import (
     to_fraction,
     validate_instance,
 )
+from pipesched.milpmodel import ModelBuildError, build_model
+from pipesched.oracle import ORACLE_STATUS_OPTIMAL, brute_force_optimum
 
 
 def minimal_dict() -> dict:
@@ -185,6 +190,54 @@ def test_executed_must_be_in_previous_plan():
     data["weights"]["previous_plan"] = [["e1", "r1:f:standard", 0]]
     data["weights"]["executed"] = [["e1", "r1:f:standard", 3]]
     assert "executed_not_in_plan" in codes(data)
+
+
+def _outage(inst, edge, batch):
+    return dataclasses.replace(inst, outages=(*inst.outages, TransportOutage(((edge, batch),), (0,))))
+
+
+def _fixed(inst, regime, start):
+    return dataclasses.replace(inst, fixed_transports=(FixedTransport(regime, "flush", start),))
+
+
+def _executed(inst, coord):
+    weights = dataclasses.replace(inst.weights, previous_plan=(coord,), executed=(coord,))
+    return dataclasses.replace(inst, weights=weights)
+
+
+# oracle seed 0: one edge, horizon 12, r1 on e1 (flush length 2); seed 3: horizon 10, r2 on e1-e2, r1 on e1
+@pytest.mark.parametrize(
+    "seed, change, code",
+    [
+        (0, lambda i: _outage(i, "e1", "r9:flush:standard"), "unknown_batch"),
+        (3, lambda i: _outage(i, "e2", "r1:flush:standard"), "unknown_batch"),
+        (0, lambda i: _fixed(i, "r1", 11), "placement_beyond_horizon"),
+        (0, lambda i: _executed(i, ("e1", "r9:flush:standard", 0)), "unknown_batch"),
+        (0, lambda i: _executed(i, ("e1", "r1:flush:standard", 11)), "placement_beyond_horizon"),
+        (3, lambda i: _executed(i, ("e2", "r2:flush:standard", 0)), None),
+    ],
+    ids=[
+        "outage unknown batch",
+        "outage off the path",
+        "fixed beyond",
+        "executed unknown",
+        "executed beyond",
+        "executed transit",
+    ],
+)
+def test_named_placements_are_judged_by_validation_alone(seed, change, code):
+    # the builder and the oracle refuse exactly what `validate_instance` reports, with its code
+    inst = change(generate_oracle_instance(seed))
+    if code is None:
+        assert validate_instance(inst) == []
+        build_model(inst)
+        assert brute_force_optimum(inst).status == ORACLE_STATUS_OPTIMAL
+        return
+    assert [issue.code for issue in validate_instance(inst)] == [code]
+    with pytest.raises(ModelBuildError, match=code):
+        build_model(inst)
+    with pytest.raises(ValueError, match=code):
+        brute_force_optimum(inst)
 
 
 def test_time_window_object_form_accepted():

@@ -43,7 +43,9 @@ from pipesched.milpmodel import (
     row_name,
     violated_rows,
 )
+from pipesched.oracle import ORACLE_STATUS_INFEASIBLE, brute_force_optimum
 from pipesched.schedule import Schedule
+from pipesched.solver import STATUS_INFEASIBLE, SolverConfig, solve
 from pipesched.validator import capacity_bound_violations, simulate_occupancy
 from tests.conftest import single_edge_instance
 
@@ -287,15 +289,20 @@ def test_fixed_transport_beyond_fit_rejected(ref1):
         build_model(inst)
 
 
-def test_contradictory_outage_and_fixed_rejected(ref1):
+@pytest.mark.parametrize("edge", ["e1", "e2"])
+def test_fixed_start_inside_an_outage_builds_and_is_infeasible(edge):
+    # an outage on the fixed start, on the batch's initial edge or on its transit edge: a sound
+    # instance without a feasible schedule, which the solver and the oracle both prove
+    inst = generate_path_instance(PathExperimentParams(vertices=3, setting="A", horizon=12, nomination_batches=1))
     inst = dataclasses.replace(
-        ref1,
-        outages=(TransportOutage(batches=(("e1", "r1:flush:standard"),), times=(2,)),),
-        fixed_transports=(FixedTransport(regime="r1", product="flush", start=2),),
+        inst,
+        outages=(TransportOutage(batches=((edge, "r2:flush:standard"),), times=(2,)),),
+        fixed_transports=(FixedTransport(regime="r2", product="flush", start=2),),
         name="clash",
     )
-    with pytest.raises(ModelBuildError, match="contradictory"):
-        build_model(inst)
+    res = solve(build_model(inst), SolverConfig(time_limit=120, gap=0.0))
+    assert res.status == STATUS_INFEASIBLE
+    assert brute_force_optimum(inst).status == ORACLE_STATUS_INFEASIBLE
 
 
 def test_objective_counts_extraction(ref1):
