@@ -6,11 +6,13 @@ It formats the objective, the rows (straight from the model's row store) and
 the Binary section a chunk at a time and writes each chunk to the file as it
 is made, so it never holds the whole text and caches nothing on the model.
 A row's sense comes from its family, and its name from its family and its
-rank, which the writer counts per family as it walks the rows.  The lazy
-rows it ships are picked by their one column.
-Variable names are kind-prefixed dense ids (v=placement, w=endpoint,
-u=blocked stock, l=on-stock, d=deviation), formed as they are written from
-`column_letters`; no list of names is kept.  The header comment writes the
+rank, which the writer counts per family as it walks the rows.  The tank
+limits are written in the Bounds section, `-inf <= u <= capacity` and
+`l >= minimum`; for a lazy model only the activated occupancy columns are
+bounded and the rest are `free`.
+Variable names are kind-prefixed dense ids (v=dispatch, u=blocked stock,
+l=on-stock, d=deviation), formed as they are written from `column_letters`;
+no list of names is kept.  The header comment writes the
 instance name with backslash escapes, so it stays on one line and the file
 is ASCII.  The objective constant is never written into the file; callers
 add it back to reported values.
@@ -20,7 +22,8 @@ pairs, `#`-comment metadata (objective/bound/status), `objective value:` /
 `solution status:` headers, report lines `<idx> name value reduced-cost`,
 and trailing `(obj: ...)` annotations.  A name is read back from its digits
 and accepted only if the writer spells that column the same way.  Binary
-values are checked to be integral and 0 or 1, and the objective is
+values are checked to be integral and 0 or 1, the dispatches set to 1 are
+expanded along their paths (`Schedule.from_initial`), and the objective is
 recomputed from the model and cross-checked against the reported value.
 """
 
@@ -36,7 +39,7 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
-from .milpmodel import FAMILIES, FAMILY_SENSE, GE, LE, PLACEMENT, MILPModel, RowStore, column_letters, row_name
+from .milpmodel import FAMILIES, FAMILY_SENSE, GE, LE, MILPModel, RowStore, column_letters, row_name
 from .schedule import Schedule
 
 INTEGRALITY_TOL = 1e-5
@@ -67,9 +70,9 @@ def _wrap(words: list[str], indent: str) -> str:
     return f"\n{indent}".join(" ".join(words[i : i + _TERMS_PER_LINE]) for i in range(0, len(words), _TERMS_PER_LINE))
 
 
-def _row_chunks(rows: RowStore, letters: str, activated_lazy: Optional[set[int]]) -> Iterator[str]:
-    """The shipped rows' LP lines, one string per run of rows holding about `_CHUNK_TERMS` terms;
-    every row without terms, shipped or not, is checked to hold vacuously and left out."""
+def _row_chunks(rows: RowStore, letters: str) -> Iterator[str]:
+    """The rows' LP lines, one string per run of rows holding about `_CHUNK_TERMS` terms;
+    every row without terms is checked to hold vacuously and left out."""
     start = rows.start
     signed = {c: f"+{c} " if c >= 0 else f"-{-c} " for c in set(rows.coef)}
     senses = [FAMILY_SENSE[f] for f in FAMILIES]
@@ -87,7 +90,7 @@ def _row_chunks(rows: RowStore, letters: str, activated_lazy: Optional[set[int]]
             if s == e:
                 if not (0 <= rhs if sense == LE else 0 >= rhs if sense == GE else rhs == 0):
                     raise LPWriteError(f"constraint {name} has no terms and cannot hold (0 {sense} {rhs})")
-            elif activated_lazy is None or not rows.lazy[family] or rows.col[s] in activated_lazy:
+            else:
                 lhs = terms[s - s0 : e - s0]
                 lhs = " ".join(lhs) if len(lhs) <= _TERMS_PER_LINE else _wrap(lhs, "   ")
                 lines.append(f" {name}: {lhs} {sense} {rhs}")
@@ -114,24 +117,20 @@ def _objective_terms(objective: tuple[tuple[int, Fraction], ...], letters: str) 
 
 def _bound_affixes(lb: int | None, ub: int | None) -> tuple[str, str] | None:
     """Text before and after a column's name in its Bounds line; None for the LP default [0, inf)."""
-    if lb is None and ub is None:
-        return "", " free"
     if lb == 0 and ub is None:
         return None
-    if lb == 0:
-        return "", f" <= {_num(ub)}"
     if ub is None:
-        return "", f" >= {_num(lb)}"
-    return f"{_num(lb)} <= ", f" <= {_num(ub)}"
+        return ("", " free") if lb is None else ("", f" >= {_num(lb)}")
+    return ("-inf" if lb is None else _num(lb)) + " <= ", f" <= {_num(ub)}"
 
 
-def write_lp(model: MILPModel, path: Union[str, Path], activated_lazy: Optional[set[int]] = None) -> str:
+def write_lp(model: MILPModel, path: Union[str, Path], activated: Optional[set[int]] = None) -> str:
     """Write the model to the LP file `path` and return `path` as a string.
 
-    With `activated_lazy=None` every row is written (monolithic model).  With
-    a set of column ids, the non-lazy rows appear, and a lazy row (an
-    occupancy bound, whose one term is the column it bounds) appears when
-    its column is in the set.
+    Every row is written, and every tank limit is written as its occupancy
+    column's bound, except for a lazy model (`MILPModel.capacity_lazy`)
+    given a set of column ids: then only the occupancy columns in the set
+    are bounded and the others are written `free`.
     A row without terms is left out after checking that it holds vacuously.
     The file is written a piece at a time to `<path>.part` and renamed to
     `path` once complete; a write that fails removes the part file and
@@ -141,7 +140,7 @@ def write_lp(model: MILPModel, path: Union[str, Path], activated_lazy: Optional[
     part = f"{path}.part"
     try:
         with open(part, "w", encoding="utf-8") as f:
-            for piece in _lp_pieces(model, activated_lazy):
+            for piece in _lp_pieces(model, activated):
                 f.write(piece)
                 f.write("\n")
         os.replace(part, path)
@@ -151,7 +150,7 @@ def write_lp(model: MILPModel, path: Union[str, Path], activated_lazy: Optional[
     return path
 
 
-def _lp_pieces(model: MILPModel, activated_lazy: Optional[set[int]]) -> Iterator[str]:
+def _lp_pieces(model: MILPModel, activated: Optional[set[int]]) -> Iterator[str]:
     """The LP file's text in order, a line or a run of lines at a time, each without its final line break."""
     letters = column_letters(model)
     instance = model.instance.name.encode("unicode_escape").decode("ascii")  # on one line, in ASCII
@@ -159,19 +158,24 @@ def _lp_pieces(model: MILPModel, activated_lazy: Optional[set[int]]) -> Iterator
     yield "Maximize"
     yield from _wrapped(_objective_terms(model.objective, letters), " obj: ", "   ")
     yield "Subject To"
-    yield from _row_chunks(model.constraints, letters, activated_lazy)
+    yield from _row_chunks(model.constraints, letters)
     yield "Bounds"
     binaries = []
+    shown = activated if model.capacity_lazy else None  # the columns whose tank limits are written
     for block in model.variables.blocks:
-        binary, lb, ub = block.bounds
         if not block.count:
             continue
         vids = range(block.start, block.start + block.count)
-        if binary:
+        if block.bounds[0]:
             binaries.append(vids)
-        elif (affixes := _bound_affixes(lb, ub)) is not None:
-            pre, post = f" {affixes[0]}{letters[block.start]}", affixes[1]
-            yield "\n".join(f"{pre}{vid}{post}" for vid in vids)
+            continue
+        lines = []
+        for i, vid in enumerate(vids):
+            _binary, lb, ub = block.column_bounds(i) if shown is None or vid in shown else block.bounds
+            if (affixes := _bound_affixes(lb, ub)) is not None:
+                lines.append(f" {affixes[0]}{letters[vid]}{vid}{affixes[1]}")
+        if lines:
+            yield "\n".join(lines)
     if binaries:
         yield "Binary"
         yield from _wrapped((f"{letters[vid]}{vid}" for vid in chain.from_iterable(binaries)), " ", " ")
@@ -326,7 +330,7 @@ def parse_solution(text: Union[str, Iterable[str]], model: MILPModel) -> ParsedS
             if round(val) not in (0, 1):
                 raise SolutionFormatError(f"binary variable {letters[vid]}{vid} has value {val!r} outside [0, 1]")
             values[vid] = float(round(val))
-            if round(val) == 1 and block.kind == PLACEMENT:
+            if round(val) == 1:  # a dispatch: dispatch columns are the only binaries
                 placements.append((*block.prefix, block.first + vid - block.start))
 
     # recompute over the rounded binaries: that is the solution actually used
@@ -337,4 +341,4 @@ def parse_solution(text: Union[str, Iterable[str]], model: MILPModel) -> ParsedS
             raise SolutionFormatError(
                 f"solver-reported objective {reported!r} disagrees with recomputed {linear!r}"
             )
-    return ParsedSolution(Schedule.from_raw(placements), linear, bound, status_hint)
+    return ParsedSolution(Schedule.from_initial(model.catalog, placements), linear, bound, status_hint)

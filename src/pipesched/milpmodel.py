@@ -1,31 +1,34 @@
 """Space-indexed MILP assembly for pipeline transport scheduling.
 
-Scheduling is treated as interval packing on every edge: a binary placement
-variable v(e, b, t) says batch b blocks edge e during slots [t, t+L(b)).
+Scheduling is treated as interval packing on every edge.  A batch moves
+along its whole path at once, so one binary per batch start suffices (the
+time-indexed form of Sousa & Wolsey 1992): v(b, t), keyed (e0, b, t) by the
+batch's dispatch edge e0, says b blocks every edge of its path during
+[t, t+L(b)).  `lp_io.parse_solution` expands the dispatches along their
+paths (`Schedule.from_initial`), so schedules keep the per-pipe reading.
 Constraint families:
 
   packing             at most one batch per edge and slot
-  routes              a batch moves on all edges of its regime simultaneously
-  flushing_link       endpoint marker w(e, b, t+L) mirrors v(e, b, t)
   flushing_exclusion  while a stain sits in the pipe no other staining
                       product may enter (checked at completion instants)
   flushing_enforce    a completed stain is followed immediately by itself
                       (re-dispatch) or by a sufficiently large flushing batch
   exclusion           regime groups that may not pump in overlapping windows
   capacity_def_*      blocked / on-stock occupancy recurrences (equalities)
-  capacity_upper      blocked stock <= tank capacity (outage-reduced)
-  capacity_lower      on-stock level >= minimum stock
   outage              forbidden starts fixed to zero
   throughput          volume started inside a time window is bounded
   nomination          extracted volume per refinery and product is bounded
   fixed               operator-imposed transports forced to one
   distribution        deviation linearization rows for final-stock targets
 
-Occupancy bounds can be marked lazy; the definitional equalities never are.
-The objective maximizes weighted extraction minus distribution deviation,
-plan-change and pumping-cost penalties; its coefficients are exact rationals.
-Every row coefficient, right-hand side and variable bound is a volume or a
-count, so rows and bounds hold plain integers.
+Tank limits are column bounds, not rows: blocked stock u is bounded above
+by the outage-reduced capacity and on-stock l below by the minimum stock
+(`ColumnBlock.limits`); with `BuildOptions(capacity_lazy=True)` the LP
+writer bounds only the occupancy columns it is given.  The objective
+maximizes weighted extraction minus distribution deviation, plan-change and
+pumping-cost penalties; its coefficients are exact rationals.  Every row
+coefficient, right-hand side and variable bound is a volume or a count, so
+rows and bounds hold plain integers.
 
 `build_model` raises `ModelBuildError` only for an instance that
 `validate_instance` rejects.  A fixed start that an outage forbids gets both
@@ -33,34 +36,28 @@ rows, v = 1 and v = 0, and the solver proves the model infeasible.
 
 Window form.  Every slot-indexed row is a signed sum, at slot t, of the
 columns whose slot key lies in a window around t: the window form of
-time-indexed scheduling models (Sousa & Wolsey 1992).  `_window_rows`
-builds a family's rows from runs (block, lo, hi, coef): the row at t adds
-`coef` times each column of the block whose key k has t+lo <= k < t+hi.
-Packing sums each batch on the edge over [t-L+1, t] and exclusion each
-member dispatch over [t, t+L].  The flushing rows take the starts at a
-stain's completion instant te, and the capacity recurrences take x_t, then
--x_{t-1}, then each move at its start or at its completion: windows one
-key wide.  `routes` and `flushing_link` pair two blocks column by column
-(`_mirror_rows`).
+time-indexed scheduling models.  `_window_rows` builds a family's rows from
+runs (block, lo, hi, coef): the row at t adds `coef` times each column of
+the block whose key k has t+lo <= k < t+hi.  Packing sums each batch on the
+edge over [t-L+1, t] and exclusion each member dispatch over [t, t+L].  The
+flushing rows take, at a stain's completion instant te, the stain's start
+te-L and the starts at te, and the capacity recurrences take x_t, then
+-x_{t-1}, then each move at its start or at its completion: windows one key
+wide.
 
 Storage.  Columns come in blocks (`ColumnBlock`) of one kind whose keys
-differ only in their last, consecutive component.  Placement columns are
-contiguous in t for each (edge, batch): v(e, b, t) is the block's first
-column plus t.  Endpoint markers of a staining (edge, batch) are contiguous
-in the completion instant, occupancy columns of a (site, product) in t.
-Rows live in one integer row store (`RowStore`), in stdlib `array`s: CSR
-row starts, column ids and coefficients, plus per row its right-hand side
-and family.  What the family fixes is stated once per family: its sense in
-`FAMILY_SENSE`, its lazy flag in the store.  The emitters append whole runs
-of rows to it and build no per-term or per-row objects, and every reader
-(the LP writer, `violated_rows`, the tests) reads rows from these arrays and
-columns from the blocks.  Names are formed when they are written, not
-stored: a row is named by `row_name` from its family and its rank, which a
-reader counts as it walks the rows, and column `vid` by its kind letter,
-`column_letters(model)[vid]`, then `vid` in decimal.  An occupancy bound
-row holds one term, the occupancy column it bounds, so the lazy loop finds
-a violated bound through `Columns.vid` and activates that column; the
-model keeps no index from a bound's (site, product, slot) to its row.
+differ only in their last, consecutive component.  Dispatch columns are
+contiguous in t for each batch: v(b, t) is the block's first column plus t.
+Occupancy columns of a (site, product) are contiguous in t.  Rows live in
+one integer row store (`RowStore`), in stdlib `array`s: CSR row starts,
+column ids and coefficients, plus per row its right-hand side and family.
+A family's sense is stated once, in `FAMILY_SENSE`.  The emitters append
+whole runs of rows to it and build no per-term or per-row objects, and
+every reader (the LP writer, `violated_rows`, the tests) reads rows from
+these arrays and columns from the blocks.  Names are formed when they are
+written, not stored: a row is named by `row_name` from its family and its
+rank, which a reader counts as it walks the rows, and column `vid` by its
+kind letter, `column_letters(model)[vid]`, then `vid` in decimal.
 Iterating `MILPModel.variables` (a `Columns`) or
 `MILPModel.constraints` (the `RowStore`) builds one `Variable` or
 `LinearConstraint` at a time; these two views and their `len()` remain only
@@ -95,16 +92,15 @@ from .validator import simulate_occupancy
 
 # variable kinds
 PLACEMENT = "placement"
-ENDPOINT = "endpoint"
 OCC_UPPER = "occ_upper"
 OCC_LOWER = "occ_lower"
 DEVIATION = "deviation"
 
-_NAME_PREFIX = {PLACEMENT: "v", ENDPOINT: "w", OCC_UPPER: "u", OCC_LOWER: "l", DEVIATION: "d"}
-# kind -> (binary, lower bound, upper bound); placements are the only binaries
+_NAME_PREFIX = {PLACEMENT: "v", OCC_UPPER: "u", OCC_LOWER: "l", DEVIATION: "d"}
+# kind -> (binary, lower bound, upper bound); placements are the only binaries, and a
+# tank limit in an occupancy block's `limits` replaces its kind's upper (u) or lower (l) bound
 _KIND_BOUNDS = {
     PLACEMENT: (True, 0, 1),
-    ENDPOINT: (False, 0, 1),
     OCC_UPPER: (False, None, None),
     OCC_LOWER: (False, None, None),
     DEVIATION: (False, 0, None),
@@ -132,6 +128,8 @@ GE = ">="
 EQ = "="
 
 # every row of a family has the family's sense; FAMILIES lists the families in this order
+# routes, flushing_link, capacity_upper and capacity_lower keep 0 rows: BENCHMARK.json lists
+# `milpmodel.rows.<family>`, and `perfbench/run.py --trace 1` fails when a metric is missing
 FAMILY_SENSE = {
     FAM_PACKING: LE,
     FAM_ROUTES: EQ,
@@ -173,7 +171,7 @@ class LinearConstraint(NamedTuple):
     terms: tuple[tuple[int, int], ...]  # (vid, coefficient)
     sense: str
     rhs: int
-    lazy: bool = False
+    lazy: bool = False  # always False: what the lazy loop activates are column bounds
 
 
 def row_name(family: int, rank: int) -> str:
@@ -182,18 +180,28 @@ def row_name(family: int, rank: int) -> str:
 
 
 class ColumnBlock(NamedTuple):
-    """Consecutive columns of one kind; column `start + i` has key `(*prefix, first + i)`."""
+    """Consecutive columns of one kind; column `start + i` has key `(*prefix, first + i)`
+    and, in an occupancy block, tank limit `limits[i]` (None where there is none)."""
 
     kind: str
     prefix: tuple
     first: int
     start: int
     count: int
+    limits: Optional[tuple[Optional[int], ...]] = None
 
     @property
     def bounds(self) -> tuple[bool, Optional[int], Optional[int]]:
-        """(binary, lower bound, upper bound) of every column in the block."""
+        """(binary, lower bound, upper bound) of the block's kind, before any tank limit."""
         return _KIND_BOUNDS[self.kind]
+
+    def column_bounds(self, i: int) -> tuple[bool, Optional[int], Optional[int]]:
+        """(binary, lower bound, upper bound) of column `start + i`, its tank limit included."""
+        binary, lb, ub = _KIND_BOUNDS[self.kind]
+        limit = None if self.limits is None else self.limits[i]
+        if limit is None:
+            return binary, lb, ub
+        return (binary, lb, limit) if self.kind == OCC_UPPER else (binary, limit, ub)
 
 
 class Columns:
@@ -204,8 +212,8 @@ class Columns:
         self._by_prefix: dict[tuple, list[ColumnBlock]] = {}
         self._size = 0
 
-    def add(self, kind: str, prefix: tuple, first: int, count: int) -> ColumnBlock:
-        block = ColumnBlock(kind, prefix, first, self._size, max(0, count))
+    def add(self, kind: str, prefix: tuple, first: int, count: int, limits: Optional[Sequence] = None) -> ColumnBlock:
+        block = ColumnBlock(kind, prefix, first, self._size, max(0, count), None if limits is None else tuple(limits))
         self.blocks.append(block)
         self._by_prefix.setdefault((kind, prefix), []).append(block)
         self._size += block.count
@@ -226,10 +234,10 @@ class Columns:
         return self._size
 
     def __iter__(self):
-        for kind, prefix, first, start, count in self.blocks:
-            bounds = _KIND_BOUNDS[kind]
+        for block in self.blocks:
+            kind, prefix, first, start, count, _limits = block
             for i in range(count):
-                yield Variable(start + i, kind, (*prefix, first + i), *bounds)
+                yield Variable(start + i, kind, (*prefix, first + i), *block.column_bounds(i))
 
 
 class RowStore:
@@ -239,8 +247,7 @@ class RowStore:
     at the same positions and right-hand side `rhs[r]`; `family[r]` indexes
     FAMILIES, and the family gives the row's sense (`FAMILY_SENSE`).  A
     row's rank, the count of its family's earlier rows, names it; readers
-    count it as they walk the rows.  `lazy[f]` says whether family f's rows
-    are lazy; only the single-term occupancy bound rows ever are.
+    count it as they walk the rows.
     """
 
     def __init__(self) -> None:
@@ -249,7 +256,6 @@ class RowStore:
         self.coef = array("q")
         self.rhs = array("q")
         self.family = array("b")
-        self.lazy = [False] * len(FAMILIES)
 
     def add(
         self,
@@ -258,14 +264,10 @@ class RowStore:
         coefs: Iterable[int],
         sizes: Iterable[int],
         rhs: Sequence[int],
-        lazy: bool = False,
     ) -> None:
         """Append `len(rhs)` rows of one family; row i takes the next `sizes[i]` terms."""
         n = len(rhs)
         fid = _FAMILY_ID[family]
-        if lazy != self.lazy[fid] and fid in self.family:
-            raise ModelBuildError(f"{family} rows cannot be both lazy and not lazy")
-        self.lazy[fid] = lazy
         self.col.extend(cols)
         self.coef.extend(coefs)
         self.start.extend(islice(accumulate(sizes, initial=self.start[-1]), 1, None))
@@ -282,8 +284,8 @@ class RowStore:
         ends = islice(self.start, 1, None)
         for s, e, family, rhs in zip(self.start, ends, self.family, self.rhs):
             terms = tuple(zip(self.col[s:e], self.coef[s:e]))
-            name, lazy = FAMILIES[family], self.lazy[family]
-            yield LinearConstraint(row_name(family, ranks[family]), name, terms, FAMILY_SENSE[name], rhs, lazy)
+            name = FAMILIES[family]
+            yield LinearConstraint(row_name(family, ranks[family]), name, terms, FAMILY_SENSE[name], rhs)
             ranks[family] += 1
 
 
@@ -296,6 +298,7 @@ class MILPModel:
     instance: Instance
     catalog: BatchCatalog
     metadata: dict = field(default_factory=dict)
+    capacity_lazy: bool = False  # the LP writer bounds only the occupancy columns it is given
 
     def family_counts(self) -> dict[str, int]:
         return {f: self.constraints.family.count(i) for i, f in enumerate(FAMILIES)}
@@ -344,37 +347,26 @@ def _window_rows(
     rows.add(family, cols, coefs, sizes, rhs)
 
 
-def _mirror_rows(rows: RowStore, family: str, a: ColumnBlock, b: ColumnBlock) -> None:
-    """Rows x[a.start + i] - x[b.start + i] = 0, one per column of `a`."""
-    n = a.count
-    cols = [0] * (2 * n)
-    cols[0::2] = range(a.start, a.start + n)
-    cols[1::2] = range(b.start, b.start + n)
-    rows.add(family, cols, [1, -1] * n, [2] * n, [0] * n)
-
-
 def build_variables(inst: Instance, catalog: BatchCatalog) -> Columns:
     """Create all decision variables in canonical order.
 
-    Placements exist for starts t with t + L(b) <= horizon.  Endpoint markers
-    exist for staining batches on their initial edge, indexed by the
-    completion instant t + L on the fence grid [L, horizon]; they are
-    continuous in [0, 1] because the linkage equality makes them integral.
+    Dispatch variables exist for every batch on the first edge of its path,
+    for starts t with t + L(b) <= horizon.  Occupancy columns carry their
+    tank limits: capacity for blocked stock, the minimum for on-stock.
     """
     H = inst.grid.horizon_len
     columns = Columns()
-    for edge in inst.edges:
-        for bid in catalog.batches_by_edge[edge.id]:
-            columns.add(PLACEMENT, (edge.id, bid), 0, H - catalog.spec_by_id[bid].length + 1)
-
     for eid, spec in catalog.dispatches():
-        if not inst.product(spec.product).is_flushing:
-            columns.add(ENDPOINT, (eid, spec.id), spec.length, H - spec.length + 1)
+        columns.add(PLACEMENT, (eid, spec.id), 0, H - spec.length + 1)
 
     for kind in (OCC_UPPER, OCC_LOWER):
         for site in inst.storage_sites():
             for product in inst.products:
-                columns.add(kind, (site.id, product.id), 0, H)
+                if kind == OCC_UPPER:
+                    limits = inst.capacity_max_profile(site.id, product.id)
+                else:
+                    limits = site.profile(product.id).min_profile(H)
+                columns.add(kind, (site.id, product.id), 0, H, limits)
 
     for ti, tgt in enumerate(inst.weights.distribution_targets):
         if tgt.target is not None:
@@ -383,53 +375,51 @@ def build_variables(inst: Instance, catalog: BatchCatalog) -> Columns:
     return columns
 
 
+def _dispatch_blocks(columns: Columns) -> dict[str, ColumnBlock]:
+    """Batch id -> its dispatch block, the columns v(b, t) a row about the batch on any edge takes."""
+    return {bid: block for (_eid, bid), block in columns.of_kind(PLACEMENT).items()}
+
+
+def _dispatch_vid(catalog: BatchCatalog, columns: Columns, placement: tuple[str, str, int]) -> Optional[int]:
+    """The dispatch column that places batch b on edge e at start t, for `placement` (e, b, t);
+    None where no schedule holds that placement."""
+    eid, bid, t = placement
+    chain = catalog.chains.get(bid, ())
+    return columns.vid(PLACEMENT, (chain[0], bid, t)) if eid in chain else None
+
+
 def emit_packing(inst, catalog, columns, rows) -> None:
     # at most one batch occupies an edge in any slot; a start at t0 blocks [t0, t0+L)
     H = inst.grid.horizon_len
-    place = columns.of_kind(PLACEMENT)
+    dispatch = _dispatch_blocks(columns)
     for edge in inst.edges:
         bids = catalog.batches_by_edge[edge.id]
-        runs = [(place[(edge.id, bid)], 1 - catalog.spec_by_id[bid].length, 1, 1) for bid in bids]
+        runs = [(dispatch[bid], 1 - catalog.spec_by_id[bid].length, 1, 1) for bid in bids]
         _window_rows(rows, FAM_PACKING, range(H), runs, [1] * H)
 
 
-def emit_routes(inst, catalog, columns, rows) -> None:
-    # a batch advances along its whole path at once: placements on consecutive
-    # edges of the regime are pairwise equal at every start
-    place = columns.of_kind(PLACEMENT)
-    for spec in catalog.specs:
-        chain = catalog.chains[spec.id]
-        for e_a, e_b in zip(chain, chain[1:]):
-            _mirror_rows(rows, FAM_ROUTES, place[(e_a, spec.id)], place[(e_b, spec.id)])
-
-
 def emit_flushing(inst, catalog, columns, rows) -> list[str]:
-    """Stain containment: linkage, cross-stain exclusion and flush enforcement.
+    """Stain containment: cross-stain exclusion and flush enforcement.
 
     All rows anchor at stain completion instants te = t + L on the initial
-    edge.  Exclusion rows only exist where another staining product could
-    actually enter (te <= horizon - 1); enforcement rows cover te up to the
-    horizon fence.  Where no follow-up fits inside the horizon a row reads
-    w <= 0, so a stain that cannot be flushed in time is banned.
+    edge, where the stain's own start is v(b, te - L).  Exclusion rows only
+    exist where another staining product could actually enter
+    (te <= horizon - 1); enforcement rows cover te up to the horizon fence.
+    Where no follow-up fits inside the horizon a row reads v(b, te - L) <= 0,
+    so a stain that cannot be flushed in time is banned.
     Returns the build warnings.
     """
     H = inst.grid.horizon_len
-    place = columns.of_kind(PLACEMENT)
-    endpoint = columns.of_kind(ENDPOINT)
+    dispatch = _dispatch_blocks(columns)
     warnings: list[str] = []
+    stains = [(eid, spec) for eid, spec in catalog.dispatches() if not inst.product(spec.product).is_flushing]
 
-    # endpoint markers exist exactly for the staining batches on their initial edge
-    stains = [(eid, catalog.spec_by_id[bid]) for eid, bid in endpoint]
-
-    for eid, spec in stains:
-        _mirror_rows(rows, FAM_FLUSH_LINK, place[(eid, spec.id)], endpoint[(eid, spec.id)])
-
-    # a row at te holds the other stains starting at te, then w(e, b, te)
+    # a row at te holds the other stains on the edge starting at te, then the stain's start te - L
     for eid, spec in stains:
         others = catalog.stain_exclusions.get((eid, spec.product), ())
         if others:
-            runs = [(place[(eid, bid)], 0, 1, 1) for bid in others]
-            runs.append((endpoint[(eid, spec.id)], 0, 1, 1))
+            runs = [(dispatch[bid], 0, 1, 1) for bid in others]
+            runs.append((dispatch[spec.id], -spec.length, 1 - spec.length, 1))
             _window_rows(rows, FAM_FLUSH_EXCL, range(spec.length, H), runs, [1] * (H - spec.length))
 
     for eid, spec in stains:
@@ -438,9 +428,9 @@ def emit_flushing(inst, catalog, columns, rows) -> list[str]:
             warnings.append(
                 f"staining batch {spec.id} on edge {eid} has no flushing batch large enough to push it through"
             )
-        # w(e, b, te) minus the follow-ups starting at te: the stain itself, then the flushes
-        runs = [(endpoint[(eid, spec.id)], 0, 1, 1)]
-        runs += [(place[(eid, bid)], 0, 1, -1) for bid in (spec.id, *candidates)]
+        # the stain's start te - L minus the follow-ups starting at te: the stain itself, then the flushes
+        runs = [(dispatch[spec.id], -spec.length, 1 - spec.length, 1)]
+        runs += [(dispatch[bid], 0, 1, -1) for bid in (spec.id, *candidates)]
         _window_rows(rows, FAM_FLUSH_ENFORCE, range(spec.length, H + 1), runs, [0] * (H + 1 - spec.length))
 
     return warnings
@@ -459,7 +449,7 @@ def emit_regime_exclusions(inst, catalog, columns, rows) -> None:
 
 
 def _fix_rows(rows: RowStore, family: str, vids: Iterable[int], value: int) -> None:
-    """Rows v = `value`, one per placement column in `vids`, in order of first appearance."""
+    """Rows v = `value`, one per dispatch column in `vids`, in order of first appearance."""
     fixed = dict.fromkeys(vids)
     rows.add(family, fixed, [1] * len(fixed), [1] * len(fixed), [value] * len(fixed))
 
@@ -472,34 +462,32 @@ def emit_outages(inst, catalog, columns, rows) -> None:
             continue
         for eid, bid in outage.batches:
             for t in outage.times:
-                vid = columns.vid(PLACEMENT, (eid, bid, t))
+                vid = _dispatch_vid(catalog, columns, (eid, bid, t))
                 if vid is not None:  # else no start is possible there anyway
                     vids.append(vid)
     _fix_rows(rows, FAM_OUTAGE, vids, 0)
 
 
-def emit_capacity(inst, catalog, columns, rows, options: BuildOptions) -> None:
-    """Occupancy recurrences plus bound rows.
+def emit_capacity(inst, catalog, columns, rows) -> None:
+    """Occupancy recurrences; the tank limits are the occupancy columns' bounds.
 
     Blocked stock counts an inbound batch from its start and releases an
     outbound batch at its completion; on-stock counts inbound at completion
     and outbound from the start.  Both are emitted as slot-to-slot
     recurrences anchored at t = 0, which keeps the row sparsity linear while
-    defining exactly the cumulative sums.  Blocked stock is bounded by the
-    instance's outage-reduced tank capacity, on-stock by the minimum stock.
-    A move's placement column appears at most once per row, because edges
-    never loop on a site.  A bound row's single term is the occupancy column
-    it bounds, which is how the lazy loop and the LP writer find it again.
+    defining exactly the cumulative sums.  A dispatch column appears at most
+    once per row: a batch whose path returns to its origin counts its two
+    moves there L >= 1 slots apart.
     """
     H = inst.grid.horizon_len
-    place = columns.of_kind(PLACEMENT)
+    dispatch = _dispatch_blocks(columns)
     occupancy = {kind: columns.of_kind(kind) for kind in (OCC_UPPER, OCC_LOWER)}
-    # (site, product) -> the moves that change its stock, (edge, spec, -1) inbound, then (edge, spec, +1) outbound
-    moves: dict[tuple[str, str], list[tuple[str, BatchSpec, int]]] = {}
+    # (site, product) -> the moves that change its stock, (spec, -1) inbound, then (spec, +1) outbound
+    moves: dict[tuple[str, str], list[tuple[BatchSpec, int]]] = {}
     for eid, spec in catalog.deliveries():
-        moves.setdefault((inst.edge(eid).destination, spec.product), []).append((eid, spec, -1))
+        moves.setdefault((inst.edge(eid).destination, spec.product), []).append((spec, -1))
     for eid, spec in catalog.dispatches():
-        moves.setdefault((inst.edge(eid).origin, spec.product), []).append((eid, spec, 1))
+        moves.setdefault((inst.edge(eid).origin, spec.product), []).append((spec, 1))
 
     # (occupancy kind, row family, the side counted at completion: -1 inbound, +1 outbound)
     series = ((OCC_UPPER, FAM_CAP_DEF_UPPER, 1), (OCC_LOWER, FAM_CAP_DEF_LOWER, -1))
@@ -512,24 +500,10 @@ def emit_capacity(inst, catalog, columns, rows, options: BuildOptions) -> None:
                 occ = occupancy[kind][key]
                 # x_t - x_{t-1}, then each move at its start, or shifted by its length when delayed
                 runs = [(occ, 0, 1, 1), (occ, -1, 0, -1)]
-                for eid, spec, sign in moves.get(key, ()):
+                for spec, sign in moves.get(key, ()):
                     shift = spec.length if sign == delayed else 0
-                    runs.append((place[(eid, spec.id)], -shift, 1 - shift, sign * spec.volume))
+                    runs.append((dispatch[spec.id], -shift, 1 - shift, sign * spec.volume))
                 _window_rows(rows, family, range(H), runs, rhs)
-
-    for site in inst.storage_sites():
-        for product in inst.products:
-            key = (site.id, product.id)
-            limits = (
-                (OCC_UPPER, FAM_CAP_UPPER, inst.capacity_max_profile(site.id, product.id)),
-                (OCC_LOWER, FAM_CAP_LOWER, site.profile(product.id).min_profile(H)),
-            )
-            for kind, family, limit in limits:
-                occ = occupancy[kind][key].start
-                slots = [t for t in range(H) if limit[t] is not None]
-                ones = [1] * len(slots)
-                rhs = [limit[t] for t in slots]
-                rows.add(family, [occ + t for t in slots], ones, ones, rhs, options.capacity_lazy)
 
 
 def emit_throughput_limits(inst, catalog, columns, rows) -> None:
@@ -575,7 +549,7 @@ def emit_fixed_transport(inst, catalog, columns, rows) -> None:
     for fx in inst.fixed_transports:
         bid = batch_id(fx.regime, fx.product, STANDARD)
         keys.append((catalog.initial_edge(bid), bid, fx.start))
-    _fix_rows(rows, FAM_FIXED, [columns.vid(PLACEMENT, key) for key in (*keys, *inst.weights.executed)], 1)
+    _fix_rows(rows, FAM_FIXED, [_dispatch_vid(catalog, columns, key) for key in (*keys, *inst.weights.executed)], 1)
 
 
 def emit_objective(inst, catalog, columns, rows) -> tuple[dict[int, Fraction], Fraction]:
@@ -626,8 +600,8 @@ def emit_objective(inst, catalog, columns, rows) -> tuple[dict[int, Fraction], F
             add(obj, d_vid, -w.beta * tgt.weight)
 
     if w.gamma != 0:
-        for eid, bid, t in w.previous_plan:
-            vid = columns.vid(PLACEMENT, (eid, bid, t))
+        for placement in w.previous_plan:
+            vid = _dispatch_vid(catalog, columns, placement)
             constant -= w.gamma  # each previous placement is a missed one until kept
             if vid is not None:
                 add(obj, vid, w.gamma)
@@ -637,7 +611,7 @@ def emit_objective(inst, catalog, columns, rows) -> tuple[dict[int, Fraction], F
 
 @dataclass(frozen=True)
 class BuildOptions:
-    capacity_lazy: bool = False  # mark occupancy bound rows lazy
+    capacity_lazy: bool = False  # the LP writer bounds only the occupancy columns the lazy loop activates
 
 
 def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPModel:
@@ -651,10 +625,9 @@ def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPM
 
     # emitted in the order the rows are written
     emit_packing(inst, catalog, columns, rows)
-    emit_routes(inst, catalog, columns, rows)
     warnings = emit_flushing(inst, catalog, columns, rows)
     emit_regime_exclusions(inst, catalog, columns, rows)
-    emit_capacity(inst, catalog, columns, rows, options)
+    emit_capacity(inst, catalog, columns, rows)
     emit_outages(inst, catalog, columns, rows)
     emit_throughput_limits(inst, catalog, columns, rows)
     emit_nominations(inst, catalog, columns, rows)
@@ -668,6 +641,7 @@ def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPM
         objective_constant=constant,
         instance=inst,
         catalog=catalog,
+        capacity_lazy=options.capacity_lazy,
     )
 
     model.metadata = {
@@ -679,27 +653,25 @@ def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPM
 
 
 # ---------------------------------------------------------------------------
-# assignment helpers: a schedule as values of the model's variables, for tests that check rows
+# assignment helpers: a schedule as values of the model's variables, for tests that check rows and bounds
 
 
 def extend_placement_assignment(model: MILPModel, placements: Iterable[tuple[str, str, int]]) -> dict[int, int]:
-    """Complete a raw placement set to values for every model variable.
+    """Complete a placement set to values for every model variable.
 
-    Endpoints follow the linkage, occupancy is the validator's simulated
-    stock and deviations take their minimal feasible value, so the extension
-    satisfies every non-placement-family row that can be satisfied at all.
+    The set must be route-synchronized, as `Schedule.from_initial` expands
+    dispatches: a set whose pipes disagree is no point of the model, which
+    reads only the dispatches.  Occupancy is the validator's simulated stock
+    and deviations take their minimal feasible value, so the extension
+    satisfies every row and bound outside the dispatch families that can be
+    satisfied at all.
     """
     inst, columns = model.instance, model.variables
     schedule = Schedule.from_raw(placements)
     values: dict[int, int] = {}
-    place = columns.of_kind(PLACEMENT)
-    for block in place.values():
+    for block in columns.of_kind(PLACEMENT).values():
         for i in range(block.count):
             values[block.start + i] = 1 if (*block.prefix, i) in schedule.placements else 0
-    for prefix, block in columns.of_kind(ENDPOINT).items():
-        first = place[prefix].start  # w(e, b, t + L) mirrors v(e, b, t)
-        for i in range(block.count):
-            values[block.start + i] = values[first + i]
 
     occupancy = simulate_occupancy(inst, model.catalog, schedule)
     for kind, series in ((OCC_UPPER, occupancy.upper), (OCC_LOWER, occupancy.lower)):
@@ -733,6 +705,15 @@ def violated_rows(model: MILPModel, values: Mapping[int, int]) -> list[int]:
         if not (lhs <= rhs if sense == LE else lhs >= rhs if sense == GE else lhs == rhs):
             out.append(r)
     return out
+
+
+def violated_bounds(model: MILPModel, values: Mapping[int, int]) -> list[int]:
+    """Ids of the columns whose value in `values` lies outside their bounds, tank limits included."""
+    return [
+        v.vid
+        for v in model.variables
+        if (v.lb is not None and values[v.vid] < v.lb) or (v.ub is not None and values[v.vid] > v.ub)
+    ]
 
 
 def objective_value(model: MILPModel, values: Mapping[int, int]) -> Fraction:

@@ -8,11 +8,12 @@ environment variable, or falls back to the bundled scipy/HiGHS shim.  A time
 limit of inf means no limit: the child then runs without a watchdog.
 
 `solve` ships the full model.  `solve_lazy_capacity` starts from the model
-without its occupancy bound rows, simulates stock levels of each incumbent
-and re-solves with exactly the violated bounds activated until the incumbent
-is capacity-clean; since only relaxations are solved, a clean optimum is
-optimal for the full model, and relaxation infeasibility proves the full
-model infeasible.  The command line uses `solve` only.
+without its tank limits (the occupancy columns' bounds), simulates stock
+levels of each incumbent and re-solves with exactly the violated limits
+activated until the incumbent is capacity-clean; since only relaxations are
+solved, a clean optimum is optimal for the full model, and relaxation
+infeasibility proves the full model infeasible.  The command line uses
+`solve` only.
 
 Every returned schedule is re-checked by the independent validator and
 re-scored exactly; the driver refuses to report a schedule that fails its
@@ -49,7 +50,7 @@ from .validator import (
 COMMAND_ENV_VAR = "PIPESCHED_SOLVER_CMD"
 # subprocess.run waits with poll(), whose timeout is an int of milliseconds; a longer wait overflows it
 _MAX_WATCHDOG_S = (2**31 - 1) / 1000
-# a capacity bound row's family -> the kind of the occupancy column that is its one term
+# a tank-limit violation's family -> the kind of the occupancy column whose bound it breaks
 _BOUND_KIND = {FAM_CAP_UPPER: OCC_UPPER, FAM_CAP_LOWER: OCC_LOWER}
 
 
@@ -98,7 +99,7 @@ class SolverConfig:
 @dataclass
 class LazyIteration:
     index: int
-    added_rows: int
+    added_rows: int  # occupancy columns whose tank limits the round activated
     objective: Optional[float]
     status: str
 
@@ -208,7 +209,7 @@ def _work_dir(config: SolverConfig) -> Iterator[Path]:
 
 
 def solve(model: MILPModel, config: SolverConfig = SolverConfig()) -> SolveResult:
-    """Single monolithic solve with every row (lazy rows included)."""
+    """Single monolithic solve with every row and every tank limit."""
     t0 = time.monotonic()
     with _work_dir(config) as workdir:
         found = _run_once(model, config, None, workdir, "model")
@@ -216,20 +217,19 @@ def solve(model: MILPModel, config: SolverConfig = SolverConfig()) -> SolveResul
 
 
 def solve_lazy_capacity(model: MILPModel, config: SolverConfig = SolverConfig()) -> SolveResult:
-    """Row-generation loop over the occupancy bound rows.
+    """Bound-generation loop over the tank limits.
 
-    Build the model with BuildOptions(capacity_lazy=True) for the bounds to
+    Build the model with BuildOptions(capacity_lazy=True) for the limits to
     start deactivated; definitional occupancy rows always ship.  A model
-    without lazy rows degenerates to a single solve.
+    built without it ships every limit and degenerates to a single solve.
 
-    A violated bound is found through its one term, the occupancy column of
-    its (site, product, slot), and activated by that column's id.  The loop
-    ends after at most one round more than the model has bound rows: a round
-    that does not return activates at least one row not yet active, and
-    every activated row is one of the finitely many bound rows.
+    A violated limit is found as the occupancy column of its (site, product,
+    slot) and activated by that column's id.  The loop ends after at most
+    one round more than the model has occupancy columns: a round that does
+    not return bounds at least one column not yet bounded.
     """
     t0 = time.monotonic()
-    activated: set[int] = set()  # occupancy columns whose bound rows ship
+    activated: set[int] = set()  # occupancy columns whose tank limits ship
     iterations: list[LazyIteration] = []
     with _work_dir(config) as workdir:
         for round_idx in itertools.count():

@@ -25,11 +25,13 @@ its input, and `solve_lp` sets the time limit and gap and runs HiGHS.
 
 The solution file holds `name value` rows for nonzero variables after
 comment metadata (`# Status`, `# Objective value`, `# Best bound`, then
-`# Wall time`, `# MIP nodes`, `# Read time` and `# Solve time`) in the
-style most solver exports follow.  It is written to a temporary file and
-renamed into place, so a killed solver leaves no partial solution.  A
-solution path in a directory that does not exist exits 1 with one
-`solver shim error:` line before the model is read.
+`# Wall time`, `# MIP nodes`, `# Simplex iterations`, `# Read time` and
+`# Solve time`) in the style most solver exports follow; at a fixed seed
+the simplex iteration count repeats exactly, so it fingerprints HiGHS's
+path.  It is written to a temporary file and renamed into place, so a
+killed solver leaves no partial solution.  A solution path in a directory
+that does not exist exits 1 with one `solver shim error:` line before the
+model is read.
 """
 
 from __future__ import annotations
@@ -107,6 +109,7 @@ class HighsResult(NamedTuple):
     bound: float | None  # MIP dual bound, reported with a feasible MIP solution
     x: list[float] | None  # column values in column order, with a feasible solution
     mip_node_count: int
+    simplex_iterations: int
 
 
 def _status_of(highs) -> tuple[str, float | None, float | None]:
@@ -140,7 +143,8 @@ def _run(highs) -> HighsResult:
     highs.run()  # a failed run leaves a model status that `_status_of` reports as an error
     status, objective, bound = _status_of(highs)
     x = list(highs.getSolution().col_value) if objective is not None else None
-    return HighsResult(status, objective, bound, x, max(highs.getInfo().mip_node_count, 0))
+    info = highs.getInfo()
+    return HighsResult(status, objective, bound, x, max(info.mip_node_count, 0), max(info.simplex_iteration_count, 0))
 
 
 def _class_table() -> bytes:
@@ -259,6 +263,7 @@ def main(argv: list[str] | None = None) -> int:
         lines.append(f"# Best bound = {res.bound!r}")
     lines.append(f"# Wall time = {time.monotonic() - t0:.3f}")
     lines.append(f"# MIP nodes = {res.mip_node_count}")
+    lines.append(f"# Simplex iterations = {res.simplex_iterations}")
     lines.append(f"# Read time = {t_read - t0:.3f}")
     lines.append(f"# Solve time = {t_solve - t_read:.3f}")
     if res.x is not None:

@@ -16,7 +16,7 @@ Nine checks gate a release, each with a pinned tolerance and runtime budget:
  7. the eight-vertex setting-B defaults are flagged by the generator
     pre-check and proven infeasible by the solver;
  8. model building is deterministic, byte for byte, with per-family row
-    counts matching closed-form predictions;
+    counts and the binary count matching closed-form predictions;
  9. the six-vertex setting-A path solves to the gap target well inside the
     wall-clock budget, with gap and time recorded in the run manifest.
 
@@ -379,24 +379,24 @@ def _expected_family_counts(vertices: int, horizon: int) -> dict[str, int]:
     """Row counts for a generated path instance, derived by hand.
 
     With k pipes, every slot gets one packing row per pipe; each of the two
-    products gets stock-balance and bound rows at each of the k storage
-    sites per slot; every stain start slot gets one endpoint marker link and
-    one flush-enforcement row per pumping regime; a regime spanning j pipes
-    adds j-1 synchronization rows per placeable batch; and each product has
-    one nomination cap.
+    products gets two stock-balance rows at each of the k storage sites per
+    slot; every stain completion instant gets one flush-enforcement row per
+    pumping regime; and each product has one nomination cap.  A batch has
+    one binary per start on all the pipes of its regime, and the tank limits
+    are column bounds, so the route, endpoint-link and bound families have
+    no rows.
     """
     k = vertices - 1
-    flush_starts = horizon - 5
     stain_starts = horizon - 2
     return {
         "packing": k * horizon,
         "capacity_def_upper": 2 * k * horizon,
         "capacity_def_lower": 2 * k * horizon,
-        "capacity_upper": 2 * k * horizon,
-        "capacity_lower": 2 * k * horizon,
-        "flushing_link": k * stain_starts,
+        "capacity_upper": 0,
+        "capacity_lower": 0,
+        "flushing_link": 0,
         "flushing_enforce": k * stain_starts,
-        "routes": (k * (k - 1) // 2) * (flush_starts + stain_starts),
+        "routes": 0,
         "nomination": 2,
         "distribution": 0,
         "exclusion": 0,
@@ -405,6 +405,13 @@ def _expected_family_counts(vertices: int, horizon: int) -> dict[str, int]:
         "outage": 0,
         "throughput": 0,
     }
+
+
+def _expected_binaries(vertices: int, horizon: int) -> int:
+    """The sum over dispatched batches of their starts, H - L + 1: each of the k regimes of a
+    generated path dispatches one flushing batch (6 slots) and one staining batch (3 slots)."""
+    k = vertices - 1
+    return k * ((horizon - 6 + 1) + (horizon - 3 + 1))
 
 
 def test_08_model_build_is_deterministic_with_predicted_row_counts():
@@ -425,12 +432,16 @@ def test_08_model_build_is_deterministic_with_predicted_row_counts():
                 count_errors.append(
                     f"l={vertices} H={horizon} {family}: {counts.get(family, 0)} != {expected}"
                 )
+        if model.metadata["binaries"] != _expected_binaries(vertices, horizon):
+            count_errors.append(
+                f"l={vertices} H={horizon} binaries: {model.metadata['binaries']} != {_expected_binaries(vertices, horizon)}"
+            )
 
     ok = identical and not count_errors and small_elapsed < 1.0
     line = _report(
         8, "deterministic build with predicted row counts",
         ok, f"byte-identical {identical} in {small_elapsed:.2f}s"
-        + (f"; {count_errors}" if count_errors else ", all family counts match"),
+        + (f"; {count_errors}" if count_errors else ", all family and binary counts match"),
     )
     assert ok, line
 

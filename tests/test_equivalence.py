@@ -1,4 +1,9 @@
-"""Model rows and the independent validator must agree on every subset."""
+"""Model rows and bounds and the independent validator must agree on every dispatch set.
+
+A set of dispatches is expanded along the batches' paths (`Schedule.from_initial`)
+before both judge it: the model has one column per batch start, so a raw set whose
+pipes disagree is no point of the model, and only the validator judges it.
+"""
 
 from __future__ import annotations
 
@@ -23,14 +28,16 @@ from pipesched.milpmodel import (
     PLACEMENT,
     BuildOptions,
     build_model,
+    column_letters,
     extend_placement_assignment,
     objective_value,
     row_name,
+    violated_bounds,
     violated_rows,
 )
 from pipesched.schedule import Schedule
 from pipesched.validator import capacity_bound_violations, check_schedule, evaluate_objective, simulate_occupancy
-from tests.conftest import lp_text, single_edge_instance
+from tests.conftest import bound_columns, lp_text, single_edge_instance
 
 INST = single_edge_instance(horizon=12, batches=2)
 TIGHT = single_edge_instance(horizon=12, batches=2, cmax=230)
@@ -45,26 +52,31 @@ CATALOGS = {id(inst): enumerate_batches(inst) for inst in (INST, TIGHT, TWO_EDGE
 
 
 def placement_coords(inst):
+    """The (dispatch edge, batch, start) of every dispatch column."""
     blocks = MODELS[id(inst)].variables.of_kind(PLACEMENT)
     return [(*prefix, t) for prefix, block in blocks.items() for t in range(block.first, block.first + block.count)]
 
 
 def agree(inst, subset):
-    """Assert row violations and validator findings coincide for a subset."""
+    """Assert that the rows and bounds the expanded dispatch set breaks and the validator's findings
+    coincide, and that a clean set scores alike."""
     model = MODELS[id(inst)]
     catalog = CATALOGS[id(inst)]
-    assignment = extend_placement_assignment(model, subset)
+    schedule = Schedule.from_initial(catalog, subset)
+    assignment = extend_placement_assignment(model, schedule.placements)
     rows_broken = violated_rows(model, assignment)
-    report = check_schedule(inst, catalog, Schedule.from_raw(subset))
-    family = model.constraints.family
-    assert bool(rows_broken) == bool(report), (
+    bounds_broken = violated_bounds(model, assignment)
+    report = check_schedule(inst, catalog, schedule)
+    family, letters = model.constraints.family, column_letters(model)
+    assert bool(rows_broken or bounds_broken) == bool(report), (
         subset,
         [row_name(family[r], family[:r].count(family[r])) for r in rows_broken[:4]],
+        [f"{letters[vid]}{vid}" for vid in bounds_broken[:4]],
         [v.message for v in report[:4]],
     )
     if not report:
         model_obj = objective_value(model, assignment)
-        exact = evaluate_objective(inst, catalog, Schedule.from_raw(subset))["total"]
+        exact = evaluate_objective(inst, catalog, schedule)["total"]
         assert model_obj == exact, subset
 
 
@@ -77,10 +89,31 @@ def test_exhaustive_subsets_up_to_two_placements():
             agree(inst, list(pair))
 
 
+def test_sets_whose_pipes_disagree_are_flagged_routes():
+    # the validator alone judges raw per-pipe sets: on the two-edge path it flags `routes` for
+    # every set of up to two placements exactly when some batch start misses an edge of its path
+    catalog = CATALOGS[id(TWO_EDGE)]
+    H = TWO_EDGE.grid.horizon_len
+    coords = [
+        (eid, bid, t)
+        for bid, chain in catalog.chains.items()
+        for eid in chain
+        for t in range(H - catalog.spec_by_id[bid].length + 1)
+    ]
+    flagged = 0
+    for subset in itertools.chain(itertools.combinations(coords, 1), itertools.combinations(coords, 2)):
+        dispatches = [(catalog.initial_edge(bid), bid, t) for _eid, bid, t in subset]
+        synchronized = Schedule.from_initial(catalog, dispatches).placements == set(subset)
+        report = check_schedule(TWO_EDGE, catalog, Schedule.from_raw(subset))
+        assert ("routes" in {v.family for v in report}) != synchronized, subset
+        flagged += not synchronized
+    assert flagged
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_random_subsets_agree(data):
-    inst = data.draw(st.sampled_from([INST, TIGHT]))
+    inst = data.draw(st.sampled_from([INST, TIGHT, TWO_EDGE]))
     coords = placement_coords(inst)
     subset = data.draw(st.lists(st.sampled_from(coords), unique=True, max_size=6))
     agree(inst, subset)
@@ -110,28 +143,31 @@ LADDER = {
 
 @pytest.mark.parametrize("name", LADDER)
 def test_capacity_rows_agree_with_validator_on_ladder(name):
-    """Random dispatch sets, nothing solved: the occupancy recurrences hold, and
-    the validator's findings, mapped to occupancy columns as the lazy loop maps
-    them, make the LP file ship exactly the violated bound rows."""
+    """Random dispatch sets, nothing solved: the occupancy recurrences hold, the
+    occupancy columns out of their bounds are the validator's findings mapped to
+    columns as the lazy loop maps them, and the LP file bounds exactly those columns."""
     inst = generate_path_instance(LADDER[name])
     model = build_model(inst, BuildOptions(capacity_lazy=True))
     catalog, rows = model.catalog, model.constraints
     kind = {FAM_CAP_UPPER: OCC_UPPER, FAM_CAP_LOWER: OCC_LOWER}
-    bound_lines = tuple(f" {family}_" for family in kind)
+    letters = column_letters(model)
     H = inst.grid.horizon_len
     initial = [(eid, spec.id, t) for eid, spec in catalog.dispatches() for t in range(H - spec.length + 1)]
     flagged = []
     for seed, size in enumerate((20, 60, 150)):
         schedule = Schedule.from_initial(catalog, random.Random(seed).sample(initial, size))
-        broken = violated_rows(model, extend_placement_assignment(model, schedule.placements))
-        families = [rows.family[r] for r in broken]
-        assert not {FAMILIES[f] for f in families} & {FAM_CAP_DEF_UPPER, FAM_CAP_DEF_LOWER}
-        violated = {row_name(f, rows.family[:r].count(f)) for r, f in zip(broken, families) if rows.lazy[f]}
+        values = extend_placement_assignment(model, schedule.placements)
+        families = {FAMILIES[rows.family[r]] for r in violated_rows(model, values)}
+        assert not families & {FAM_CAP_DEF_UPPER, FAM_CAP_DEF_LOWER}
         report = capacity_bound_violations(inst, simulate_occupancy(inst, catalog, schedule))
         activated = {model.variables.vid(kind[v.family], v.coordinate) for v in report}
         assert None not in activated and len(activated) == len(report)
-        lines = lp_text(model, activated).splitlines()
-        shipped = {line.split(":")[0].strip() for line in lines if line.startswith(bound_lines)}
-        assert shipped == violated, (seed, size)
-        flagged.append(len(shipped))
+        assert set(violated_bounds(model, values)) == activated, (seed, size)
+        # a limited column the file does not write `free` is bounded: by its line, or, for a
+        # minimum stock of 0, by the LP default lower bound 0
+        bounds = lp_text(model, activated).split("\nBounds\n", 1)[1].split("\nBinary\n", 1)[0].splitlines()
+        free = {line.split()[0] for line in bounds if line.endswith(" free")}
+        bounded = {vid for vid in bound_columns(model) if f"{letters[vid]}{vid}" not in free}
+        assert bounded == activated, (seed, size)
+        flagged.append(len(bounded))
     assert any(flagged), flagged

@@ -20,7 +20,7 @@ from pipesched.lp_io import (
     parse_solution,
     write_lp,
 )
-from pipesched.milpmodel import FAMILIES, BuildOptions, build_model, column_letters, row_name
+from pipesched.milpmodel import FAMILIES, BuildOptions, build_model, column_letters
 from tests.conftest import bound_columns, lp_text
 
 
@@ -38,20 +38,20 @@ def test_lp_write_is_byte_deterministic(ref1):
 @pytest.mark.parametrize(
     "vertices, setting, cost_mode, ship, size, digest",
     [
-        (4, "A", "SD", None, 1_237_370, "f864c775cbd08559ec69e05a7dc4005c284f892c94dab8c2ee92aadd4b8ffbfd"),
-        (4, "A", "SD", slice(0), 1_023_558, "3b4f4017490fc992793ce9156ad8a884a740322b25826900a07b9321e33ba6fd"),
-        (6, "B", "SDC", None, 3_093_524, "1eb4ce281f393fec98f06928aa116bf93f99eda9932063104ffa581eb1730784"),
-        (6, "B", "SDC", slice(0), 2_657_984, "bd92329d047c4ecaf6d37da82dcb97f4cafd216c76329fd51c62dcac7f7fb081"),
-        (6, "B", "SDC", slice(None, None, 5), 2_745_091,
-         "5564b69b6f0e142c3dcec021d4f4352cb49f85bdb0fcd3e06a1871f76a1e4dde"),
+        (4, "A", "SD", None, 811_655, "940f95b22d7f9cd8bd9d9a9862b246c7a67867272d620710f0c41ccac34b064c"),
+        (4, "A", "SD", slice(0), 817_415, "c7b0de6650f10660ff72df5bcbec691da8a588929ef4c0911779b4b4ccf5c6e1"),
+        (6, "B", "SDC", None, 1_923_108, "e514bcf2378653fd995a4a8f101f842b693c44f4900988c2f0ce5df81dc7f565"),
+        (6, "B", "SDC", slice(0), 1_940_388, "179fd5e6213d1f78eb5833303d9ab2d988b4272d2e911608df7d44e72c143d6e"),
+        (6, "B", "SDC", slice(None, None, 5), 1_936_932,
+         "d48490ce92092e2283d5d710f541977fda96d770fb36cf39be77675e9f5c793e"),
     ],
     ids=["l4A-SD mono", "l4A-SD lazy round 0", "l6B-SDC mono", "l6B-SDC lazy round 0", "l6B-SDC lazy every 5th bound"],
 )
 def test_lp_bytes_are_pinned(tmp_path, vertices, setting, cost_mode, ship, size, digest):
     # the exact file the solver reads; a change to the model or the writer that is
-    # meant to alter it updates these pins and says why.  `ship` picks the lazy bound
-    # rows activated, in row order, by their columns (2304 of them for every 5th); None
-    # is the monolithic model
+    # meant to alter it updates these pins and says why.  `ship` picks the occupancy
+    # columns whose tank limits are activated, in column order (2304 of them for every
+    # 5th); None is the monolithic model
     inst = generate_path_instance(PathExperimentParams(vertices=vertices, setting=setting, cost_mode=cost_mode))
     model = build_model(inst, BuildOptions(capacity_lazy=ship is not None))
     activated = None if ship is None else set(bound_columns(model)[ship])
@@ -61,8 +61,8 @@ def test_lp_bytes_are_pinned(tmp_path, vertices, setting, cost_mode, ship, size,
 
 def test_lp_bytes_are_pinned_over_the_oracle_seeds(tmp_path):
     # the path pins above hold no exclusion, outage, fixed, throughput or distribution rows;
-    # the 40 oracle seeds hold every family but flushing_exclusion.  One digest runs over each
-    # seed's monolithic file, then its lazy round-0 file
+    # the 40 oracle seeds hold every family that has rows but flushing_exclusion.  One digest
+    # runs over each seed's monolithic file, then its lazy round-0 file
     digest = hashlib.sha256()
     families = set()
     for seed in range(40):
@@ -71,8 +71,9 @@ def test_lp_bytes_are_pinned_over_the_oracle_seeds(tmp_path):
             model = build_model(inst, BuildOptions(capacity_lazy=lazy))
             families |= {f for f, n in model.family_counts().items() if n}
             digest.update(Path(write_lp(model, tmp_path / "m.lp", set() if lazy else None)).read_bytes())
-    assert families == set(FAMILIES) - {"flushing_exclusion"}
-    assert digest.hexdigest() == "10c46cbdc8597d670e7e2423a9ffd0dc04263261464c09f1ff1ae6b0990ec5af"
+    empty = {"routes", "flushing_link", "capacity_upper", "capacity_lower"}  # no model has rows of these
+    assert families == set(FAMILIES) - empty - {"flushing_exclusion"}
+    assert digest.hexdigest() == "7c98793cd63c856c3cb37fbba72f2cb1f38c8d5c5cc4ef6a8cc63a330ea2b706"
 
 
 def second_stain_path():
@@ -109,10 +110,10 @@ def second_stain_path():
 @pytest.mark.parametrize(
     "ship, size, digest",
     [
-        (None, 2_255_536, "fc91298b672a559105249f463b2be0a939021d6340a2c3c2cf2b46d1bd6a7a95"),
-        (slice(0), 1_929_436, "5b4816dcef32b705ebe11866f6710509bf116152dfa6fc0d93052983a5411aa2"),
-        (slice(None, None, 7), 1_976_047,
-         "11d03195043ba97313ef649447ceeff6d7cc978e5616972567fc6692b3a35958"),
+        (None, 1_558_054, "da1057744abe73f920f230ad36af8bb7b32236cd02879b5e670fdd1f214f32ea"),
+        (slice(0), 1_569_627, "6aa395602ffc3e65f28484159c34f2cb66067087df31e3c16f3db8b374447766"),
+        (slice(None, None, 7), 1_567_984,
+         "8041a2af3d6fd6473f41ea20caa933fbffba03c00dfba75a9ecc1a9d3135da6a"),
     ],
     ids=["mono", "lazy round 0", "lazy every 7th bound"],
 )
@@ -127,7 +128,7 @@ def test_lp_bytes_are_pinned_with_two_stains_and_an_exclusion_group(tmp_path, sh
 
 def test_write_lp_holds_little_besides_its_text(tmp_path):
     # rows and names are formatted a chunk at a time and each chunk goes to the file as it is
-    # made: the peak, column names included, stays far below the 3.09 MB file, and nothing is
+    # made: the peak, column names included, stays far below the 1.92 MB file, and nothing is
     # cached on the model
     model = build_model(generate_path_instance(PathExperimentParams(vertices=6, setting="B", cost_mode="SDC")))
     path = tmp_path / "m.lp"
@@ -141,8 +142,8 @@ def test_write_lp_holds_little_besides_its_text(tmp_path):
     assert peak < 2_500_000
     assert held < 50_000
     data = path.read_bytes()
-    digest = "1eb4ce281f393fec98f06928aa116bf93f99eda9932063104ffa581eb1730784"  # the l6B-SDC mono pin
-    assert (len(data), hashlib.sha256(data).hexdigest()) == (3_093_524, digest)
+    digest = "e514bcf2378653fd995a4a8f101f842b693c44f4900988c2f0ce5df81dc7f565"  # the l6B-SDC mono pin
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (1_923_108, digest)
 
 
 def test_built_model_holds_little_after_a_write(tmp_path):
@@ -156,7 +157,7 @@ def test_built_model_holds_little_after_a_write(tmp_path):
         held, _peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(model.constraints.col) == 166_130
+    assert len(model.constraints.col) == 125_970
     assert held < 4_000_000
 
 
@@ -202,7 +203,8 @@ def test_lp_sections_and_binary_count(ref_model):
 
 def test_lp_variable_names_match_kinds(ref_model):
     text = lp_text(ref_model)
-    assert " v0" in text and " w" in text and " u" in text and " l" in text
+    assert " v0" in text and " u" in text and " l" in text
+    assert set(column_letters(ref_model)) == {"v", "u", "l"}
 
 
 def test_objective_constant_stays_out_of_the_file(ref1):
@@ -223,21 +225,26 @@ def test_objective_constant_stays_out_of_the_file(ref1):
 
 
 def test_lazy_rows_omitted_until_activated(ref1):
+    # a tank limit is its occupancy column's bound; a lazy model given a set of columns bounds
+    # only those and writes the others `free`
     model = build_model(ref1, BuildOptions(capacity_lazy=True))
-    without = lp_text(model, activated_lazy=set())
+    letters = column_letters(model)
+    without = lp_text(model, activated=set())
     assert "capacity_upper" not in without and "capacity_lower" not in without
-    # the last bound row ships alone once its column is activated, named by its rank in its family
-    rows = model.constraints
-    last = max(r for r, family in enumerate(rows.family) if rows.lazy[family])
-    family, vid, rhs = rows.family[last], rows.col[rows.start[last]], rows.rhs[last]
-    name = row_name(family, rows.family[:last].count(family))
-    assert name == "capacity_lower_47"
-    partial = lp_text(model, activated_lazy={vid})
-    letter = column_letters(model)[vid]
-    added = set(partial.splitlines()) - set(without.splitlines())
-    assert added == {f" {name}: +1 {letter}{vid} >= {rhs}"}
-    full = lp_text(model, activated_lazy=None)
-    assert full.count("capacity_upper_") == 48
+    bounded = bound_columns(model)
+    assert all(f" {letters[vid]}{vid} free" in without.splitlines() for vid in bounded)
+    # the first blocked-stock column, once activated, is bounded by the capacity and nothing else changes
+    vid = bounded[0]
+    partial = lp_text(model, activated={vid})
+    changed = set(partial.splitlines()) ^ set(without.splitlines())
+    assert changed == {f" {letters[vid]}{vid} free", f" -inf <= {letters[vid]}{vid} <= 600"}
+    # the last on-stock column, once activated, takes the LP default bound [0, inf): it is no longer written
+    last = bounded[-1]
+    assert set(without.splitlines()) - set(lp_text(model, activated={last}).splitlines()) == {f" l{last} free"}
+    # the monolithic model bounds every occupancy column, and an activated set does not narrow an eager model
+    full = lp_text(model, activated=None)
+    assert full.count(" <= 600\n") == 48 and " free\n" not in full
+    assert lp_text(build_model(ref1), activated=set()) == full
 
 
 def test_gurobi_style_solution_parses(ref_model):
@@ -370,7 +377,7 @@ def test_empty_rows_never_serialized():
             stripped = line.strip()
             if any(stripped.startswith(f"{fam}_") for fam in ("throughput", "exclusion")):
                 lhs = stripped.split(":", 1)[1]
-                assert any(ch in lhs for ch in ("v", "w", "u", "l")), f"empty row written: {line}"
+                assert any(ch in lhs for ch in ("v", "u", "l")), f"empty row written: {line}"
 
 
 def test_cached_row_text_never_leaks_between_activation_sets(ref1):
@@ -386,7 +393,8 @@ def test_cached_row_text_never_leaks_between_activation_sets(ref1):
 
 def test_shim_timing_lines_are_ignored(ref_model):
     text = "# Status = optimal\n# Objective value = 144\n# Wall time = 0.5\nv0 1\nv28 1.0\n"
-    timed = text.replace("# Wall time = 0.5\n", "# Wall time = 0.5\n# MIP nodes = 12\n# Read time = 0.25\n# Solve time = 0.125\n")
+    counts = "# MIP nodes = 12\n# Simplex iterations = 889\n# Read time = 0.25\n# Solve time = 0.125\n"
+    timed = text.replace("# Wall time = 0.5\n", "# Wall time = 0.5\n" + counts)
     assert parse_solution(timed, ref_model) == parse_solution(text, ref_model)
 
 

@@ -19,11 +19,11 @@ from pipesched.instance import (
     TransportOutage,
 )
 from pipesched.milpmodel import (
-    ENDPOINT,
     FAM_CAP_LOWER,
     FAM_CAP_UPPER,
     FAM_EXCLUSION,
     FAM_FLUSH_ENFORCE,
+    FAM_FLUSH_LINK,
     FAM_NOMINATION,
     FAM_OUTAGE,
     FAM_PACKING,
@@ -41,17 +41,25 @@ from pipesched.milpmodel import (
     extend_placement_assignment,
     objective_value,
     row_name,
+    violated_bounds,
     violated_rows,
 )
 from pipesched.oracle import ORACLE_STATUS_INFEASIBLE, brute_force_optimum
 from pipesched.schedule import Schedule
 from pipesched.solver import STATUS_INFEASIBLE, SolverConfig, solve
-from pipesched.validator import capacity_bound_violations, simulate_occupancy
-from tests.conftest import single_edge_instance
+from pipesched.validator import capacity_bound_violations, check_schedule, simulate_occupancy
+from tests.conftest import bound_columns, single_edge_instance
+
+# an occupancy column's kind -> the family of the tank limit that bounds it
+_LIMIT_FAMILY = {OCC_UPPER: FAM_CAP_UPPER, OCC_LOWER: FAM_CAP_LOWER}
 
 
 def families(model, assignment):
-    return {FAMILIES[model.constraints.family[r]] for r in violated_rows(model, assignment)}
+    """The families of the rows `assignment` violates, and the tank-limit family of each occupancy
+    column it puts outside its bounds."""
+    kind = {v.vid: v.kind for v in model.variables}
+    rows = {FAMILIES[model.constraints.family[r]] for r in violated_rows(model, assignment)}
+    return rows | {_LIMIT_FAMILY[kind[vid]] for vid in violated_bounds(model, assignment)}
 
 
 def test_reference_variable_counts(ref1):
@@ -61,20 +69,23 @@ def test_reference_variable_counts(ref1):
         kinds[v.kind] = kinds.get(v.kind, 0) + 1
     # flush length 6 -> starts 0..18, stain length 3 -> starts 0..21
     assert kinds[PLACEMENT] == 19 + 22 == 41
-    assert kinds[ENDPOINT] == 22
     assert kinds[OCC_UPPER] == kinds[OCC_LOWER] == 48  # 2 products x 24 slots
+    assert set(kinds) == {PLACEMENT, OCC_UPPER, OCC_LOWER}
     assert model.metadata["binaries"] == 41
     assert all(v.binary == (v.kind == PLACEMENT) for v in model.variables)
+    # the tank limits are the occupancy columns' bounds: capacity 600 above blocked stock, 0 below on-stock
+    assert {(v.lb, v.ub) for v in model.variables if v.kind == OCC_UPPER} == {(None, 600)}
+    assert {(v.lb, v.ub) for v in model.variables if v.kind == OCC_LOWER} == {(0, None)}
 
 
 def test_reference_family_counts(ref1):
     counts = build_model(ref1).family_counts()
     assert counts["packing"] == 24
-    assert counts["routes"] == 0
     assert counts["capacity_def_upper"] + counts["capacity_def_lower"] == 96
-    assert counts["capacity_upper"] == counts["capacity_lower"] == 48
-    assert counts["flushing_link"] == 22
+    assert counts["flushing_enforce"] == 22
     assert counts["nomination"] == 2
+    # the dispatch columns and the column bounds leave these families empty
+    assert counts["routes"] == counts["flushing_link"] == counts["capacity_upper"] == counts["capacity_lower"] == 0
 
 
 def test_packing_blocks_overlap(ref1):
@@ -110,12 +121,17 @@ def test_stain_completion_requires_immediate_follow_up(ref1):
 
 
 def test_endpoint_marker_follows_placement(ref1):
+    # the stain's completion at te = t + L is its start column v(te - L), not a column of its own:
+    # the enforcement row at te = 7 opens with the stain's start at 4 and subtracts its re-dispatch at 7
     model = build_model(ref1)
+    rows, fid = model.constraints, FAMILIES.index(FAM_FLUSH_ENFORCE)
+    enforce = [r for r, family in enumerate(rows.family) if family == fid]
+    r = enforce[7 - 3]  # one row per te = 3 .. 24
+    terms = list(zip(rows.col[rows.start[r] : rows.start[r + 1]], rows.coef[rows.start[r] : rows.start[r + 1]]))
+    start, redispatch = (model.variables.vid(PLACEMENT, ("e1", "r1:stain:standard", t)) for t in (4, 7))
+    assert terms[:2] == [(start, 1), (redispatch, -1)]
     assignment = extend_placement_assignment(model, [("e1", "r1:stain:standard", 4)])
-    w = model.variables.vid(ENDPOINT, ("e1", "r1:stain:standard", 7))
-    assert assignment[w] == 1
-    other = model.variables.vid(ENDPOINT, ("e1", "r1:stain:standard", 5))
-    assert assignment[other] == 0
+    assert [r for r in violated_rows(model, assignment) if rows.family[r] == fid] == [r]
 
 
 def test_blocked_and_on_stock_jump_at_different_instants(ref1):
@@ -125,7 +141,7 @@ def test_blocked_and_on_stock_jump_at_different_instants(ref1):
     lower = {t: assignment[model.variables.vid(OCC_LOWER, ("s1", "flush", t))] for t in range(12)}
     assert upper[1] == 120 and upper[2] == 220  # counted from pour start
     assert lower[7] == 120 and lower[8] == 220  # counted from completion
-    assert violated_rows(model, assignment) == []
+    assert violated_rows(model, assignment) == violated_bounds(model, assignment) == []
 
 
 def test_capacity_upper_violation_detected(ref1_long):
@@ -163,11 +179,9 @@ def test_tank_outage_listing_a_slot_twice_lowers_it_once():
         name="twice",
     )
     model = build_model(inst)
-    rows, fid = model.constraints, FAMILIES.index(FAM_CAP_UPPER)
-    # a bound row's one term is the occupancy column it bounds
-    bound = {rows.col[rows.start[r]]: rows.rhs[r] for r, family in enumerate(rows.family) if family == fid}
-    rhs = {t: bound[model.variables.vid(OCC_UPPER, ("s1", "flush", t))] for t in (4, 5)}
-    assert rhs == {4: 600, 5: 550}
+    # the tank capacity is the upper bound of the blocked-stock column at each slot
+    limits = model.variables.of_kind(OCC_UPPER)[("s1", "flush")].limits
+    assert (limits[4], limits[5]) == (600, 550)
     occupancy = simulate_occupancy(inst, model.catalog, Schedule.from_raw([]))
     occupancy.upper[("s1", "flush")] = [551] * 12
     report = capacity_bound_violations(inst, occupancy)
@@ -201,15 +215,20 @@ def test_nomination_caps_dispatched_volume(ref1):
     assert FAM_NOMINATION not in families(model, ten)
 
 
-def test_route_rows_synchronize_chain_edges():
+def test_one_dispatch_column_moves_a_batch_on_every_edge():
+    # r2 runs e1 -> e2; the model has one column per start of the batch, keyed by its dispatch edge
+    # e1, and none for e2, so a set whose pipes disagree is no point of the model; the validator,
+    # which reads placements per pipe, flags such a set `routes`
     inst = generate_path_instance(PathExperimentParams(vertices=3, setting="A", horizon=24))
     model = build_model(inst)
-    desync = extend_placement_assignment(model, [("e1", "r2:flush:standard", 0)])
-    assert FAM_ROUTES in families(model, desync)
-    synced = extend_placement_assignment(
-        model, [("e1", "r2:flush:standard", 0), ("e2", "r2:flush:standard", 0)]
-    )
-    assert FAM_ROUTES not in families(model, synced)
+    assert model.variables.vid(PLACEMENT, ("e2", "r2:flush:standard", 0)) is None
+    assert model.family_counts()[FAM_ROUTES] == model.family_counts()[FAM_FLUSH_LINK] == 0
+    desync = Schedule.from_raw([("e1", "r2:flush:standard", 0)])
+    assert FAM_ROUTES in {v.family for v in check_schedule(inst, model.catalog, desync)}
+    synced = Schedule.from_initial(model.catalog, [("e1", "r2:flush:standard", 0)])
+    assert synced.placements == {("e1", "r2:flush:standard", 0), ("e2", "r2:flush:standard", 0)}
+    assert FAM_ROUTES not in {v.family for v in check_schedule(inst, model.catalog, synced)}
+    assert families(model, extend_placement_assignment(model, synced.placements)) == set()
 
 
 def test_outage_fixes_placements_to_zero(ref1):
@@ -244,9 +263,8 @@ def test_tank_outage_tightens_upper_bound(ref1):
         name="tank",
     )
     model = build_model(inst)
-    rows = {c.name: c for c in model.constraints if c.family == FAM_CAP_UPPER}
-    by_rhs = sorted({float(c.rhs) for c in rows.values()})
-    assert by_rhs == [50.0, 600.0]  # 600 - 550 at the outage slot
+    caps = sorted({v.ub for v in model.variables if v.kind == OCC_UPPER})
+    assert caps == [50, 600]  # 600 - 550 at the outage slot
 
 
 def test_exclusion_group_window_is_inclusive(ref1):
@@ -315,39 +333,19 @@ def test_objective_counts_extraction(ref1):
 
 def test_lazy_flag_marks_only_the_occupancy_bounds(ref1):
     lazy = build_model(ref1, BuildOptions(capacity_lazy=True))
-    flagged = {c.family for c in lazy.constraints if c.lazy}
-    assert flagged == {FAM_CAP_UPPER, FAM_CAP_LOWER}
-    assert [FAMILIES[f] for f, flag in enumerate(lazy.constraints.lazy) if flag] == [FAM_CAP_UPPER, FAM_CAP_LOWER]
-    assert sum(c.lazy for c in lazy.constraints) == 96
     eager = build_model(ref1)
-    assert not any(eager.constraints.lazy)
-    # the flag is all that differs between the two builds
+    assert lazy.capacity_lazy and not eager.capacity_lazy
+    # the flag is all that differs between the two builds: rows and column bounds are the same
     for name in ("start", "col", "coef", "rhs", "family"):
         assert getattr(lazy.constraints, name) == getattr(eager.constraints, name), name
-    # each bound row holds one term, a distinct occupancy column of its family's kind at its (site, product, t),
-    # so the lazy loop and the writer can address it by that column
-    rows, columns = lazy.constraints, lazy.variables
-    kind = {FAM_CAP_UPPER: OCC_UPPER, FAM_CAP_LOWER: OCC_LOWER}
-    seen = set()
-    for r, f in enumerate(rows.family):
-        if rows.lazy[f]:
-            (vid,) = rows.col[rows.start[r] : rows.start[r + 1]]
-            (block,) = [b for b in columns.blocks if b.start <= vid < b.start + b.count]
-            assert block.kind == kind[FAMILIES[f]]
-            assert columns.vid(block.kind, (*block.prefix, block.first + vid - block.start)) == vid
-            seen.add(vid)
-    assert len(seen) == 96
-
-
-def test_a_family_is_lazy_or_not_as_a_whole():
-    rows = RowStore()
-    rows.add(FAM_CAP_UPPER, [], [], [], [], lazy=True)  # no rows yet: the flag may still change
-    rows.add(FAM_CAP_UPPER, [0], [1], [1], [5])
-    with pytest.raises(ModelBuildError, match="lazy"):
-        rows.add(FAM_CAP_UPPER, [1], [1], [1], [5], lazy=True)
-    assert len(rows) == 1 and not any(rows.lazy)
-    rows.add(FAM_CAP_LOWER, [2], [1], [1], [0], lazy=True)
-    assert [FAMILIES[f] for f, flag in enumerate(rows.lazy) if flag] == [FAM_CAP_LOWER]
+    assert list(lazy.variables) == list(eager.variables)
+    assert not any(c.lazy for c in lazy.constraints)
+    # each tank limit bounds a distinct occupancy column at its (site, product, t), so the lazy loop
+    # and the writer address it by that column: blocked stock from above, on-stock from below
+    limited = {v.vid: v for v in lazy.variables if v.vid in set(bound_columns(lazy))}
+    assert len(limited) == 96
+    assert {(v.kind, v.lb, v.ub) for v in limited.values()} == {(OCC_UPPER, None, 600), (OCC_LOWER, 0, None)}
+    assert all(lazy.variables.vid(v.kind, v.key) == vid for vid, v in limited.items())
 
 
 @pytest.mark.parametrize("vertices,setting,cost_mode", [(4, "A", "SD"), (6, "B", "SDC")])
@@ -380,7 +378,7 @@ def test_model_objective_matches_validator_on_oracle_optima():
 
 def test_row_iteration_lists_no_terms_ahead():
     # the iteration view, kept for the benchmark's model counts, builds one row at a time: walking
-    # the 6B model's 166k terms peaks under 4 MB, where a list of every (column, coefficient) pair takes 15.7 MB
+    # the 6B model's 126k terms peaks under 4 MB, where a list of every (column, coefficient) pair takes 12.4 MB
     model = build_model(generate_path_instance(PathExperimentParams(vertices=6, setting="B", cost_mode="SDC")))
     rows = model.constraints
     tracemalloc.start()
@@ -389,7 +387,7 @@ def test_row_iteration_lists_no_terms_ahead():
         _held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert nnz == len(rows.col) == 166_130
+    assert nnz == len(rows.col) == 125_970
     assert peak < 4 * 2**20
     ((name, family, terms, sense, rhs, _lazy),) = deque(rows, maxlen=1)
     assert terms == tuple(zip(rows.col[rows.start[-2] :], rows.coef[rows.start[-2] :]))

@@ -167,6 +167,7 @@ def test_in_process_solve_matches_main(tmp_path):
     assert res.objective == float(head["Objective value"])
     assert res.bound == float(head["Best bound"])
     assert res.mip_node_count == int(head["MIP nodes"])
+    assert res.simplex_iterations == int(head["Simplex iterations"]) > 0
 
 
 def test_main_writes_solution_file(tmp_path):
@@ -312,23 +313,24 @@ def _equivalence_cases():
 def _store_arrays(model, activated) -> dict:
     """The arrays HiGHS's reader must build from the file `write_lp(model, path, activated)`
     writes, taken from the row store and the column blocks: columns in order of first appearance in the file
-    (objective, written rows, then the Bounds and Binary sections in column order) and
-    the written rows as a column-wise matrix with rows ascending in each column."""
+    (objective, written rows, then the Bounds and Binary sections in column order), each
+    with its bounds (a lazy model's tank limits only where activated), and the written rows
+    as a column-wise matrix with rows ascending in each column."""
     rows, blocks = model.constraints, model.variables.blocks
 
     def terms(r: int):
         return zip(rows.col[rows.start[r] : rows.start[r + 1]], rows.coef[rows.start[r] : rows.start[r + 1]])
 
-    written = [
-        r
-        for r in range(len(rows))
-        if rows.start[r] < rows.start[r + 1]
-        and (activated is None or not rows.lazy[rows.family[r]] or rows.col[rows.start[r]] in activated)
-    ]
+    written = [r for r in range(len(rows)) if rows.start[r] < rows.start[r + 1]]
     order = dict.fromkeys(vid for vid, _coef in model.objective)
     for r in written:
         order.update(dict.fromkeys(vid for vid, _coef in terms(r)))
-    bounds = {vid: b.bounds for b in blocks for vid in range(b.start, b.start + b.count)}
+    shown = activated if model.capacity_lazy else None
+    bounds = {
+        b.start + i: b.column_bounds(i) if shown is None or b.start + i in shown else b.bounds
+        for b in blocks
+        for i in range(b.count)
+    }
     order.update(dict.fromkeys(vid for vid, (binary, lb, ub) in bounds.items() if not binary and (lb, ub) != (0, None)))
     order.update(dict.fromkeys(vid for vid, (binary, _lb, _ub) in bounds.items() if binary))
     cols = list(order)
@@ -443,7 +445,7 @@ def test_main_solves_again_with_another_thread_count(tmp_path):
 def test_main_adds_timing_lines_and_leaves_no_partial_file(tmp_path):
     rc, sol = _solve_file(tmp_path, TINY_LP)
     assert rc == 0
-    assert re.search(r"^# MIP nodes = \d+$", sol, re.M)
+    assert re.search(r"^# MIP nodes = \d+\n# Simplex iterations = \d+$", sol, re.M)
     assert re.search(r"^# Read time = \d+\.\d{3}$", sol, re.M)
     assert re.search(r"^# Solve time = \d+\.\d{3}$", sol, re.M)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.lp", "m.sol"]
