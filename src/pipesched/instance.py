@@ -39,6 +39,8 @@ except ImportError:
 
 PRODUCT_KINDS = ("flushing", "staining")
 SITE_KINDS = ("storage", "refinery")
+# the model's row store keeps coefficients and right-hand sides as signed 64-bit integers
+VOLUME_LIMIT = 2**63 - 1
 
 # batch size variants: the origin's standard batch, or a flush fill of the regime's flush volume
 STANDARD = "standard"
@@ -339,12 +341,19 @@ def validate_instance(inst: Instance) -> list[InstanceIssue]:
     Checks identifiers, cross-references, path structure, sign conditions and
     time ranges, then that every placement an outage, a fixed transport or an
     executed placement names is in the batch catalog and, when forced, fits.
+    Every batch volume, stock level and change, and limit that the model
+    writes into a row must lie within +-VOLUME_LIMIT.
     Feasibility of the scheduling problem itself is not checked here.
     """
     issues: list[InstanceIssue] = []
 
     def bad(code: str, message: str) -> None:
         issues.append(InstanceIssue(code, message))
+
+    def out_of_range(what: str, *values: int) -> None:
+        big = next((v for v in values if not -VOLUME_LIMIT <= v <= VOLUME_LIMIT), None)
+        if big is not None:
+            bad("volume_out_of_range", f"{what} {big} is beyond +-(2**63 - 1), the model's integer range")
 
     horizon = inst.grid.horizon_len
     if horizon < 1:
@@ -400,9 +409,13 @@ def validate_instance(inst: Instance) -> list[InstanceIssue]:
                         f"site {s.id!r} product {pid!r} slot {t}: min {minp[t]} > max {maxp[t]}",
                     )
                     break
-            for t, _change in prof.deltas:
+            changes: dict[int, int] = {}  # with base[0], the stock rows' right-hand sides
+            for t, change in prof.deltas:
                 if not 0 <= t < horizon:
                     bad("time_out_of_range", f"site {s.id!r} product {pid!r} stock change at slot {t}")
+                elif t:
+                    changes[t] = changes.get(t, 0) + change
+            out_of_range(f"site {s.id!r} product {pid!r} stock", base[0], *changes.values())
 
     for e in inst.edges:
         if e.origin == e.destination:
@@ -467,6 +480,7 @@ def validate_instance(inst: Instance) -> list[InstanceIssue]:
                 bad("unknown_product", f"nomination for unknown product {pid!r}")
             if vol < 0:
                 bad("nomination_negative_limit", f"nomination {nom.refinery!r}/{pid!r} limit {vol}")
+            out_of_range(f"nomination {nom.refinery!r}/{pid!r} limit", vol)
 
     for out in inst.outages:
         if isinstance(out, TankOutage):
@@ -497,6 +511,7 @@ def validate_instance(inst: Instance) -> list[InstanceIssue]:
                 bad("time_out_of_range", f"throughput limit slot {t} outside horizon")
         if lim.limit < 0:
             bad("negative_limit", f"throughput limit {lim.limit}")
+        out_of_range("throughput limit", lim.limit)
 
     for group in inst.exclusion_groups:
         if len(group.members) < 2:
@@ -524,6 +539,7 @@ def validate_instance(inst: Instance) -> list[InstanceIssue]:
         if tgt.target is not None:
             if tgt.target < 0:
                 bad("negative_target", f"distribution target {tgt.target}")
+            out_of_range("distribution target", tgt.target)
             if tgt.weight <= 0:
                 bad("nonpositive_target_weight", f"distribution weight {tgt.weight} must be > 0")
     prev = set(w.previous_plan)
@@ -553,6 +569,8 @@ def validate_instance(inst: Instance) -> list[InstanceIssue]:
     from .batches import enumerate_batches  # here: `batches` imports this module
 
     catalog = enumerate_batches(inst)
+    for spec in catalog.specs:
+        out_of_range(f"batch {spec.id!r} volume", spec.volume)
     for out in inst.outages:
         if isinstance(out, TransportOutage):
             for eid, bid in out.batches:

@@ -8,8 +8,7 @@ is made, so it never holds the whole text and caches nothing on the model.
 A row's sense comes from its family, and its name from its family and its
 rank, which the writer counts per family as it walks the rows.  The tank
 limits are written in the Bounds section, `-inf <= u <= capacity` and
-`l >= minimum`; for a lazy model only the activated occupancy columns are
-bounded and the rest are `free`.
+`l >= minimum`, and an occupancy column without a limit is written `free`.
 Variable names are kind-prefixed dense ids (v=dispatch, u=blocked stock,
 l=on-stock, d=deviation), formed as they are written from `column_letters`;
 no list of names is kept.  The header comment writes the
@@ -124,13 +123,10 @@ def _bound_affixes(lb: int | None, ub: int | None) -> tuple[str, str] | None:
     return ("-inf" if lb is None else _num(lb)) + " <= ", f" <= {_num(ub)}"
 
 
-def write_lp(model: MILPModel, path: Union[str, Path], activated: Optional[set[int]] = None) -> str:
+def write_lp(model: MILPModel, path: Union[str, Path]) -> str:
     """Write the model to the LP file `path` and return `path` as a string.
 
-    Every row is written, and every tank limit is written as its occupancy
-    column's bound, except for a lazy model (`MILPModel.capacity_lazy`)
-    given a set of column ids: then only the occupancy columns in the set
-    are bounded and the others are written `free`.
+    Every row is written, and every tank limit as its occupancy column's bound.
     A row without terms is left out after checking that it holds vacuously.
     The file is written a piece at a time to `<path>.part` and renamed to
     `path` once complete; a write that fails removes the part file and
@@ -140,7 +136,7 @@ def write_lp(model: MILPModel, path: Union[str, Path], activated: Optional[set[i
     part = f"{path}.part"
     try:
         with open(part, "w", encoding="utf-8") as f:
-            for piece in _lp_pieces(model, activated):
+            for piece in _lp_pieces(model):
                 f.write(piece)
                 f.write("\n")
         os.replace(part, path)
@@ -150,7 +146,7 @@ def write_lp(model: MILPModel, path: Union[str, Path], activated: Optional[set[i
     return path
 
 
-def _lp_pieces(model: MILPModel, activated: Optional[set[int]]) -> Iterator[str]:
+def _lp_pieces(model: MILPModel) -> Iterator[str]:
     """The LP file's text in order, a line or a run of lines at a time, each without its final line break."""
     letters = column_letters(model)
     instance = model.instance.name.encode("unicode_escape").decode("ascii")  # on one line, in ASCII
@@ -161,7 +157,6 @@ def _lp_pieces(model: MILPModel, activated: Optional[set[int]]) -> Iterator[str]
     yield from _row_chunks(model.constraints, letters)
     yield "Bounds"
     binaries = []
-    shown = activated if model.capacity_lazy else None  # the columns whose tank limits are written
     for block in model.variables.blocks:
         if not block.count:
             continue
@@ -171,7 +166,7 @@ def _lp_pieces(model: MILPModel, activated: Optional[set[int]]) -> Iterator[str]
             continue
         lines = []
         for i, vid in enumerate(vids):
-            _binary, lb, ub = block.column_bounds(i) if shown is None or vid in shown else block.bounds
+            _binary, lb, ub = block.column_bounds(i)
             if (affixes := _bound_affixes(lb, ub)) is not None:
                 lines.append(f" {affixes[0]}{letters[vid]}{vid}{affixes[1]}")
         if lines:
@@ -241,7 +236,7 @@ def _name_vid(name: str, letters: str) -> Optional[int]:
 
 
 def _reported(text: str, lineno: int) -> float:
-    """A reported objective or bound, which must be a finite decimal number."""
+    """A reported objective, bound or kept column value, which must be a finite decimal number."""
     if not (_NUM_RE.match(text) and math.isfinite(value := float(text))):
         raise SolutionFormatError(f"solution line {lineno} reports {text!r}, not a finite number")
     return value
@@ -251,7 +246,8 @@ def parse_solution(text: Union[str, Iterable[str]], model: MILPModel) -> ParsedS
     """Read a solution file's content, given as one string or as lines (an open text file).
 
     A malformed file raises SolutionFormatError: an unreadable line, a reported objective or
-    bound that is no finite number, an open file that is not UTF-8, or values the model rejects.
+    bound, or a value of a binary or objective column, that is no finite number, an open file
+    that is not UTF-8, or values the model rejects.
     """
     letters = column_letters(model)
     # only binaries and objective columns are read again below: every other value is checked, then dropped
@@ -307,7 +303,7 @@ def parse_solution(text: Union[str, Iterable[str]], model: MILPModel) -> ParsedS
                 raise SolutionFormatError(f"unparseable solution line {lineno}: {excerpt!r}")
             saw_values_section = True
             if letters[vid] in binary_letters or vid in kept:
-                values[vid] = float(value_token)
+                values[vid] = _reported(value_token, lineno)  # 1e400 reads as inf, which no column takes
     except UnicodeDecodeError as exc:  # raised by an open file as it is read
         raise SolutionFormatError(f"solution file is not UTF-8 text: {exc.reason}") from None
 
@@ -335,6 +331,8 @@ def parse_solution(text: Union[str, Iterable[str]], model: MILPModel) -> ParsedS
 
     # recompute over the rounded binaries: that is the solution actually used
     linear = sum(float(coef) * values.get(vid, 0.0) for vid, coef in model.objective)
+    if not math.isfinite(linear):  # finite values whose products overflow
+        raise SolutionFormatError(f"the solution's values give the objective {linear!r}, not a finite number")
     if reported is not None:
         tol = OBJECTIVE_CHECK_TOL + 1e-9 * abs(linear)
         if abs(linear - reported) > tol:

@@ -23,16 +23,17 @@ Constraint families:
 
 Tank limits are column bounds, not rows: blocked stock u is bounded above
 by the outage-reduced capacity and on-stock l below by the minimum stock
-(`ColumnBlock.limits`); with `BuildOptions(capacity_lazy=True)` the LP
-writer bounds only the occupancy columns it is given.  The objective
+(`ColumnBlock.limits`), and every model writes them all.  The objective
 maximizes weighted extraction minus distribution deviation, plan-change and
 pumping-cost penalties; its coefficients are exact rationals.  Every row
 coefficient, right-hand side and variable bound is a volume or a count, so
 rows and bounds hold plain integers.
 
 `build_model` raises `ModelBuildError` only for an instance that
-`validate_instance` rejects.  A fixed start that an outage forbids gets both
-rows, v = 1 and v = 0, and the solver proves the model infeasible.
+`validate_instance` rejects; its `options` (`BuildOptions`) are accepted and
+ignored, kept for the benchmark's callers.  A fixed start that an outage
+forbids gets both rows, v = 1 and v = 0, and the solver proves the model
+infeasible.
 
 Window form.  Every slot-indexed row is a signed sum, at slot t, of the
 columns whose slot key lies in a window around t: the window form of
@@ -64,9 +65,10 @@ Iterating `MILPModel.variables` (a `Columns`) or
 for the benchmark's model counts (`perfbench/op.py::model_counts`) until its
 next revision reads the arrays.
 Column ids and row starts are signed 32-bit integers, so a model with
-more than 2**31 - 1 columns or terms raises OverflowError while it is built;
-coefficients and right-hand sides are signed 64-bit integers, and a larger
-volume raises OverflowError too.
+more than 2**31 - 1 columns or terms raises OverflowError while it is built.
+Coefficients and right-hand sides are signed 64-bit integers;
+`validate_instance` refuses an instance whose batch volumes, stock changes
+or limits do not fit them (`volume_out_of_range`).
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ class LinearConstraint(NamedTuple):
     terms: tuple[tuple[int, int], ...]  # (vid, coefficient)
     sense: str
     rhs: int
-    lazy: bool = False  # always False: what the lazy loop activates are column bounds
+    lazy: bool = False  # always False: no row is held back from the LP file
 
 
 def row_name(family: int, rank: int) -> str:
@@ -298,7 +300,6 @@ class MILPModel:
     instance: Instance
     catalog: BatchCatalog
     metadata: dict = field(default_factory=dict)
-    capacity_lazy: bool = False  # the LP writer bounds only the occupancy columns it is given
 
     def family_counts(self) -> dict[str, int]:
         return {f: self.constraints.family.count(i) for i, f in enumerate(FAMILIES)}
@@ -611,7 +612,7 @@ def emit_objective(inst, catalog, columns, rows) -> tuple[dict[int, Fraction], F
 
 @dataclass(frozen=True)
 class BuildOptions:
-    capacity_lazy: bool = False  # the LP writer bounds only the occupancy columns the lazy loop activates
+    capacity_lazy: bool = False  # accepted and ignored: every model ships every tank limit
 
 
 def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPModel:
@@ -641,7 +642,6 @@ def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPM
         objective_constant=constant,
         instance=inst,
         catalog=catalog,
-        capacity_lazy=options.capacity_lazy,
     )
 
     model.metadata = {

@@ -1,4 +1,4 @@
-"""Subprocess solver driver and the lazy capacity-constraint loop.
+"""Subprocess solver driver.
 
 The driver knows nothing about any particular solver: it writes an LP file,
 runs a command built from a template with {model}, {solution}, {time_limit},
@@ -7,13 +7,11 @@ template comes from SolverConfig.command, the PIPESCHED_SOLVER_CMD
 environment variable, or falls back to the bundled scipy/HiGHS shim.  A time
 limit of inf means no limit: the child then runs without a watchdog.
 
-`solve` ships the full model.  `solve_lazy_capacity` starts from the model
-without its tank limits (the occupancy columns' bounds), simulates stock
-levels of each incumbent and re-solves with exactly the violated limits
-activated until the incumbent is capacity-clean; since only relaxations are
-solved, a clean optimum is optimal for the full model, and relaxation
-infeasibility proves the full model infeasible.  The command line uses
-`solve` only.
+`solve` ships the full model, tank limits included, in one solver call.
+`solve_lazy_capacity`, `LazyIteration` and `SolveResult.iterations` are
+stand-ins kept for the benchmark (`perfbench/op.py`), which calls them: the
+bound-generation loop they named is gone, and `solve_lazy_capacity` is
+`solve` writing its files under the names of a first round.
 
 Every returned schedule is re-checked by the independent validator and
 re-scored exactly; the driver refuses to report a schedule that fails its
@@ -23,7 +21,6 @@ own rules.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import os
 import shlex
 import subprocess
@@ -37,21 +34,18 @@ from typing import Iterator, Optional, Union
 
 from .lp_io import STATUS_ERROR, STATUS_GAP, STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME_LIMIT, STATUS_UNBOUNDED
 from .lp_io import SolutionFormatError, parse_solution, write_lp
-from .milpmodel import FAM_CAP_LOWER, FAM_CAP_UPPER, OCC_LOWER, OCC_UPPER, MILPModel
+from .milpmodel import MILPModel
 from .schedule import Schedule
-from .validator import (
-    Violation,
-    capacity_bound_violations,
-    check_schedule,
-    evaluate_objective,
-    simulate_occupancy,
-)
+from .validator import Violation, capacity_bound_violations, check_schedule, evaluate_objective, simulate_occupancy
+
+# the last two are not called here: `perfbench/op.py::instrument` wraps `solver.<name>` through
+# getattr, so every traced benchmark run and `perfbench/selftest.py` fail without them
+__all__ = ["COMMAND_ENV_VAR", "LazyIteration", "SolveResult", "SolverConfig", "default_solver_command", "solve",
+           "solve_lazy_capacity", "capacity_bound_violations", "simulate_occupancy"]
 
 COMMAND_ENV_VAR = "PIPESCHED_SOLVER_CMD"
 # subprocess.run waits with poll(), whose timeout is an int of milliseconds; a longer wait overflows it
 _MAX_WATCHDOG_S = (2**31 - 1) / 1000
-# a tank-limit violation's family -> the kind of the occupancy column whose bound it breaks
-_BOUND_KIND = {FAM_CAP_UPPER: OCC_UPPER, FAM_CAP_LOWER: OCC_LOWER}
 
 
 def _template_literal(text: str) -> str:
@@ -98,8 +92,10 @@ class SolverConfig:
 
 @dataclass
 class LazyIteration:
+    """One solver call as the benchmark reads it; `solve_lazy_capacity` reports one, adding nothing."""
+
     index: int
-    added_rows: int  # occupancy columns whose tank limits the round activated
+    added_rows: int
     objective: Optional[float]
     status: str
 
@@ -114,7 +110,7 @@ class SolveResult:
     gap: Optional[float] = None
     components: Optional[dict] = None
     wall_time: float = 0.0
-    iterations: list[LazyIteration] = field(default_factory=list)
+    iterations: list[LazyIteration] = field(default_factory=list)  # filled by `solve_lazy_capacity` only
     violations: list[Violation] = field(default_factory=list)
     message: str = ""
 
@@ -129,7 +125,7 @@ def _quote_output(message: str, output: Optional[str]) -> str:
     return f"{message}: {tail}" if tail else message
 
 
-def _run_once(model: MILPModel, config: SolverConfig, activated: Optional[set[int]], workdir: Path, tag: str) -> SolveResult:
+def _run_once(model: MILPModel, config: SolverConfig, workdir: Path, tag: str) -> SolveResult:
     """One solver call, reported as the solution file says; `_finalize` checks it."""
     lp_path = workdir / f"{tag}.lp"
     sol_path = workdir / f"{tag}.sol"
@@ -137,7 +133,7 @@ def _run_once(model: MILPModel, config: SolverConfig, activated: Optional[set[in
         argv = config.argv(lp_path, sol_path)
     except ValueError as exc:
         return SolveResult(STATUS_ERROR, message=str(exc))
-    write_lp(model, lp_path, activated)
+    write_lp(model, lp_path)
     sol_path.unlink(missing_ok=True)  # a kept work dir may hold an earlier run's solution
 
     watchdog = max(60.0, config.time_limit * 2 + 120)
@@ -174,9 +170,9 @@ def _run_once(model: MILPModel, config: SolverConfig, activated: Optional[set[in
     return SolveResult(status, parsed.schedule, None, objective, bound, gap, wall_time=wall, message=message)
 
 
-def _finalize(model: MILPModel, found: SolveResult, iterations: list[LazyIteration], wall_time: float) -> SolveResult:
+def _finalize(model: MILPModel, found: SolveResult, wall_time: float) -> SolveResult:
     """`found` with its schedule checked by the validator and rescored exactly."""
-    found = replace(found, iterations=iterations, wall_time=wall_time)
+    found = replace(found, wall_time=wall_time)
     if found.schedule is None or found.status in (STATUS_INFEASIBLE, STATUS_ERROR):
         return replace(found, schedule=None)
     violations = check_schedule(model.instance, model.catalog, found.schedule)
@@ -208,43 +204,21 @@ def _work_dir(config: SolverConfig) -> Iterator[Path]:
         yield Path(temp)
 
 
-def solve(model: MILPModel, config: SolverConfig = SolverConfig()) -> SolveResult:
-    """Single monolithic solve with every row and every tank limit."""
+def _solve(model: MILPModel, config: SolverConfig, tag: str) -> SolveResult:
+    """One solver call on the full model, its files named `<tag>.lp` and `<tag>.sol`."""
     t0 = time.monotonic()
     with _work_dir(config) as workdir:
-        found = _run_once(model, config, None, workdir, "model")
-        return _finalize(model, found, [], time.monotonic() - t0)
+        found = _run_once(model, config, workdir, tag)
+        return _finalize(model, found, time.monotonic() - t0)
+
+
+def solve(model: MILPModel, config: SolverConfig = SolverConfig()) -> SolveResult:
+    """Single monolithic solve with every row and every tank limit."""
+    return _solve(model, config, "model")
 
 
 def solve_lazy_capacity(model: MILPModel, config: SolverConfig = SolverConfig()) -> SolveResult:
-    """Bound-generation loop over the tank limits.
-
-    Build the model with BuildOptions(capacity_lazy=True) for the limits to
-    start deactivated; definitional occupancy rows always ship.  A model
-    built without it ships every limit and degenerates to a single solve.
-
-    A violated limit is found as the occupancy column of its (site, product,
-    slot) and activated by that column's id.  The loop ends after at most
-    one round more than the model has occupancy columns: a round that does
-    not return bounds at least one column not yet bounded.
-    """
-    t0 = time.monotonic()
-    activated: set[int] = set()  # occupancy columns whose tank limits ship
-    iterations: list[LazyIteration] = []
-    with _work_dir(config) as workdir:
-        for round_idx in itertools.count():
-            found = _run_once(model, config, activated, workdir, f"iter{round_idx}")
-            if found.status in (STATUS_INFEASIBLE, STATUS_ERROR) or found.schedule is None:
-                iterations.append(LazyIteration(round_idx, 0, found.objective_float, found.status))
-                return _finalize(model, found, iterations, time.monotonic() - t0)
-            occupancy = simulate_occupancy(model.instance, model.catalog, found.schedule)
-            violated = capacity_bound_violations(model.instance, occupancy)
-            new_cols: set[int] = set()
-            for v in violated:
-                vid = model.variables.vid(_BOUND_KIND[v.family], v.coordinate)
-                if vid is not None and vid not in activated:  # None: a coordinate with no column
-                    new_cols.add(vid)
-            iterations.append(LazyIteration(round_idx, len(new_cols), found.objective_float, found.status))
-            if not new_cols:
-                return _finalize(model, found, iterations, time.monotonic() - t0)
-            activated |= new_cols
+    """`solve`, kept under this name for the benchmark: files `iter0.lp` and `iter0.sol`, which its
+    trace replay reads, and `iterations` holding that one call."""
+    result = _solve(model, config, "iter0")
+    return replace(result, iterations=[LazyIteration(0, 0, result.objective_float, result.status)])

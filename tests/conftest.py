@@ -37,17 +37,10 @@ def with_capacity(inst, maximum):
     return dataclasses.replace(inst, sites=tuple(sites), name=f"{inst.name}-cmax{maximum}")
 
 
-def lp_text(model, activated=None) -> str:
+def lp_text(model) -> str:
     """The LP file `write_lp` writes for `model`, read back as text."""
     with tempfile.TemporaryDirectory(prefix="pipesched_test_") as tmp:
-        return Path(write_lp(model, Path(tmp) / "m.lp", activated)).read_text(encoding="utf-8")
-
-
-def bound_columns(model) -> list[int]:
-    """Every occupancy column with a tank limit, in column order: blocked stock, then on-stock."""
-    return [
-        block.start + i for block in model.variables.blocks for i, limit in enumerate(block.limits or ()) if limit is not None
-    ]
+        return Path(write_lp(model, Path(tmp) / "m.lp")).read_text(encoding="utf-8")
 
 
 TINY_LP = """\

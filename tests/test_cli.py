@@ -227,8 +227,9 @@ def _no_constant(name: str):
             "solution line 3 reports 'inf', not a finite number",
         ),
         (b"# Status = optimal\n# Message = caf\xe9\n", "solution file is not UTF-8 text: invalid continuation byte"),
+        (b"# Status = optimal\nv0 1e400\n", "solution line 2 reports '1e400', not a finite number"),
     ],
-    ids=["none", "dash", "cbc e", "nan objective", "inf bound", "not UTF-8"],
+    ids=["none", "dash", "cbc e", "nan objective", "inf bound", "not UTF-8", "inf binary"],
 )
 def test_malformed_solution_file_is_a_solver_error_with_a_manifest(tiny_path, tmp_path, capsys, solution, message):
     out_dir = tmp_path / "run"
@@ -558,6 +559,20 @@ def test_incomplete_instance_file_is_config_error(tmp_path, capsys):
     rc = main(["catalog", "--instance", str(bad)])
     assert rc == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build", "solve"])
+def test_volume_beyond_the_model_rows_is_config_error(tiny_path, tmp_path, capsys, command):
+    # a stock of 2**70 does not fit the model's 64-bit rows: refused before anything is written
+    data = json.loads(tiny_path.read_text(encoding="utf-8"))
+    next(s for s in data["sites"] if s["id"] == "s1")["capacity"]["flush"].update(initial=2**70, max=2**71)
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(data), encoding="utf-8")
+    out = ["--out", str(tmp_path / "m.lp")] if command == "build" else ["--out-dir", str(tmp_path / "run")]
+    assert main([command, "--instance", str(huge), *out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "volume_out_of_range" in err
+    assert list(tmp_path.iterdir()) == [huge]
 
 
 @pytest.mark.parametrize("kind", ["instance", "schedule"])

@@ -26,7 +26,6 @@ from pipesched.milpmodel import (
     OCC_LOWER,
     OCC_UPPER,
     PLACEMENT,
-    BuildOptions,
     build_model,
     column_letters,
     extend_placement_assignment,
@@ -37,7 +36,7 @@ from pipesched.milpmodel import (
 )
 from pipesched.schedule import Schedule
 from pipesched.validator import capacity_bound_violations, check_schedule, evaluate_objective, simulate_occupancy
-from tests.conftest import bound_columns, lp_text, single_edge_instance
+from tests.conftest import single_edge_instance
 
 INST = single_edge_instance(horizon=12, batches=2)
 TIGHT = single_edge_instance(horizon=12, batches=2, cmax=230)
@@ -143,14 +142,13 @@ LADDER = {
 
 @pytest.mark.parametrize("name", LADDER)
 def test_capacity_rows_agree_with_validator_on_ladder(name):
-    """Random dispatch sets, nothing solved: the occupancy recurrences hold, the
-    occupancy columns out of their bounds are the validator's findings mapped to
-    columns as the lazy loop maps them, and the LP file bounds exactly those columns."""
+    """Random dispatch sets, nothing solved: the occupancy recurrences hold, and the
+    occupancy columns out of their bounds are the validator's findings, each mapped
+    to the column of its (site, product, slot)."""
     inst = generate_path_instance(LADDER[name])
-    model = build_model(inst, BuildOptions(capacity_lazy=True))
+    model = build_model(inst)
     catalog, rows = model.catalog, model.constraints
     kind = {FAM_CAP_UPPER: OCC_UPPER, FAM_CAP_LOWER: OCC_LOWER}
-    letters = column_letters(model)
     H = inst.grid.horizon_len
     initial = [(eid, spec.id, t) for eid, spec in catalog.dispatches() for t in range(H - spec.length + 1)]
     flagged = []
@@ -160,14 +158,8 @@ def test_capacity_rows_agree_with_validator_on_ladder(name):
         families = {FAMILIES[rows.family[r]] for r in violated_rows(model, values)}
         assert not families & {FAM_CAP_DEF_UPPER, FAM_CAP_DEF_LOWER}
         report = capacity_bound_violations(inst, simulate_occupancy(inst, catalog, schedule))
-        activated = {model.variables.vid(kind[v.family], v.coordinate) for v in report}
-        assert None not in activated and len(activated) == len(report)
-        assert set(violated_bounds(model, values)) == activated, (seed, size)
-        # a limited column the file does not write `free` is bounded: by its line, or, for a
-        # minimum stock of 0, by the LP default lower bound 0
-        bounds = lp_text(model, activated).split("\nBounds\n", 1)[1].split("\nBinary\n", 1)[0].splitlines()
-        free = {line.split()[0] for line in bounds if line.endswith(" free")}
-        bounded = {vid for vid in bound_columns(model) if f"{letters[vid]}{vid}" not in free}
-        assert bounded == activated, (seed, size)
-        flagged.append(len(bounded))
+        mapped = {model.variables.vid(kind[v.family], v.coordinate) for v in report}
+        assert None not in mapped and len(mapped) == len(report)
+        assert set(violated_bounds(model, values)) == mapped, (seed, size)
+        flagged.append(len(mapped))
     assert any(flagged), flagged

@@ -15,6 +15,7 @@ from pipesched.instance import (
     DistributionTarget,
     FixedTransport,
     InstanceFormatError,
+    VOLUME_LIMIT,
     TransportOutage,
     instance_from_dict,
     instance_hash,
@@ -238,6 +239,48 @@ def test_named_placements_are_judged_by_validation_alone(seed, change, code):
         build_model(inst)
     with pytest.raises(ValueError, match=code):
         brute_force_optimum(inst)
+
+
+BIG = 2**63  # one past VOLUME_LIMIT, the largest volume a model row can hold
+
+
+def _flow(data: dict, rate) -> dict:
+    data["regimes"][0]["flow_rate"]["f"] = rate  # fast enough that a huge batch still fits the horizon
+    return data
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["sites"][1]["capacity"]["f"].update(initial=2**70, max=2**71),
+        lambda d: d["sites"][1]["capacity"]["f"].update(deltas=[[3, 2**62], [3, 2**62]]),
+        lambda d: [site["standard_batch"].update(f=BIG) for site in _flow(d, 2**62)["sites"]],
+        lambda d: _flow(d, 2**62)["regimes"][0].update(flush_volume=BIG),
+        lambda d: d["nominations"][0]["limits"].update(f=BIG),
+        lambda d: d.update(throughput_limits=[{"edges": ["e1"], "product": "f", "times": [0], "limit": BIG}]),
+        lambda d: d["weights"].update(distribution_targets=[{"site": "S", "product": "f", "target": BIG, "weight": 1}]),
+    ],
+    ids=["initial stock", "two changes in one slot", "standard batch", "flush fill", "nomination", "throughput", "target"],
+)
+def test_volumes_beyond_the_model_rows_are_refused(mutate):
+    # each value would reach a row's coefficient or right-hand side, which the model keeps as a signed
+    # 64-bit integer; the oracle, which has no such limit, must refuse the instance alike
+    data = minimal_dict()
+    mutate(data)
+    inst = instance_from_dict(data)
+    assert [issue.code for issue in validate_instance(inst)] == ["volume_out_of_range"]
+    with pytest.raises(ModelBuildError, match="volume_out_of_range"):
+        build_model(inst)
+    with pytest.raises(ValueError, match="volume_out_of_range"):
+        brute_force_optimum(inst)
+
+
+def test_volume_limit_itself_builds():
+    data = minimal_dict()
+    data["nominations"][0]["limits"]["f"] = VOLUME_LIMIT
+    data["sites"][1]["capacity"]["f"].update(initial=VOLUME_LIMIT, max=VOLUME_LIMIT)
+    model = build_model(instance_from_dict(data))
+    assert VOLUME_LIMIT in model.constraints.rhs
 
 
 def test_time_window_object_form_accepted():

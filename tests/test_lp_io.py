@@ -21,7 +21,7 @@ from pipesched.lp_io import (
     write_lp,
 )
 from pipesched.milpmodel import FAMILIES, BuildOptions, build_model, column_letters
-from tests.conftest import bound_columns, lp_text
+from tests.conftest import lp_text
 
 
 @pytest.fixture(scope="module")
@@ -36,44 +36,40 @@ def test_lp_write_is_byte_deterministic(ref1):
 
 
 @pytest.mark.parametrize(
-    "vertices, setting, cost_mode, ship, size, digest",
+    "vertices, setting, cost_mode, size, digest",
     [
-        (4, "A", "SD", None, 811_655, "940f95b22d7f9cd8bd9d9a9862b246c7a67867272d620710f0c41ccac34b064c"),
-        (4, "A", "SD", slice(0), 817_415, "c7b0de6650f10660ff72df5bcbec691da8a588929ef4c0911779b4b4ccf5c6e1"),
-        (6, "B", "SDC", None, 1_923_108, "e514bcf2378653fd995a4a8f101f842b693c44f4900988c2f0ce5df81dc7f565"),
-        (6, "B", "SDC", slice(0), 1_940_388, "179fd5e6213d1f78eb5833303d9ab2d988b4272d2e911608df7d44e72c143d6e"),
-        (6, "B", "SDC", slice(None, None, 5), 1_936_932,
-         "d48490ce92092e2283d5d710f541977fda96d770fb36cf39be77675e9f5c793e"),
+        (4, "A", "SD", 811_655, "940f95b22d7f9cd8bd9d9a9862b246c7a67867272d620710f0c41ccac34b064c"),
+        (6, "B", "SDC", 1_923_108, "e514bcf2378653fd995a4a8f101f842b693c44f4900988c2f0ce5df81dc7f565"),
     ],
-    ids=["l4A-SD mono", "l4A-SD lazy round 0", "l6B-SDC mono", "l6B-SDC lazy round 0", "l6B-SDC lazy every 5th bound"],
+    ids=["l4A-SD mono", "l6B-SDC mono"],
 )
-def test_lp_bytes_are_pinned(tmp_path, vertices, setting, cost_mode, ship, size, digest):
+def test_lp_bytes_are_pinned(tmp_path, vertices, setting, cost_mode, size, digest):
     # the exact file the solver reads; a change to the model or the writer that is
-    # meant to alter it updates these pins and says why.  `ship` picks the occupancy
-    # columns whose tank limits are activated, in column order (2304 of them for every
-    # 5th); None is the monolithic model
+    # meant to alter it updates these pins and says why
     inst = generate_path_instance(PathExperimentParams(vertices=vertices, setting=setting, cost_mode=cost_mode))
-    model = build_model(inst, BuildOptions(capacity_lazy=ship is not None))
-    activated = None if ship is None else set(bound_columns(model)[ship])
-    data = Path(write_lp(model, tmp_path / "m.lp", activated)).read_bytes()
+    data = Path(write_lp(build_model(inst), tmp_path / "m.lp")).read_bytes()
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
 def test_lp_bytes_are_pinned_over_the_oracle_seeds(tmp_path):
     # the path pins above hold no exclusion, outage, fixed, throughput or distribution rows;
     # the 40 oracle seeds hold every family that has rows but flushing_exclusion.  One digest
-    # runs over each seed's monolithic file, then its lazy round-0 file
+    # runs over the seeds' files in turn
     digest = hashlib.sha256()
     families = set()
     for seed in range(40):
-        inst = generate_oracle_instance(seed)
-        for lazy in (False, True):
-            model = build_model(inst, BuildOptions(capacity_lazy=lazy))
-            families |= {f for f, n in model.family_counts().items() if n}
-            digest.update(Path(write_lp(model, tmp_path / "m.lp", set() if lazy else None)).read_bytes())
+        model = build_model(generate_oracle_instance(seed))
+        families |= {f for f, n in model.family_counts().items() if n}
+        digest.update(Path(write_lp(model, tmp_path / "m.lp")).read_bytes())
     empty = {"routes", "flushing_link", "capacity_upper", "capacity_lower"}  # no model has rows of these
     assert families == set(FAMILIES) - empty - {"flushing_exclusion"}
-    assert digest.hexdigest() == "7c98793cd63c856c3cb37fbba72f2cb1f38c8d5c5cc4ef6a8cc63a330ea2b706"
+    assert digest.hexdigest() == "579af51788806654d3af80344a32e49aa870e85a3e6ada892c78ae6b79005fcc"
+
+
+def test_capacity_lazy_option_leaves_the_file_unchanged(ref1):
+    # the benchmark builds its lazy workload with BuildOptions(capacity_lazy=True); the option is ignored
+    for inst in (ref1, generate_oracle_instance(5)):
+        assert lp_text(build_model(inst, BuildOptions(capacity_lazy=True))) == lp_text(build_model(inst))
 
 
 def second_stain_path():
@@ -108,21 +104,15 @@ def second_stain_path():
 
 
 @pytest.mark.parametrize(
-    "ship, size, digest",
-    [
-        (None, 1_558_054, "da1057744abe73f920f230ad36af8bb7b32236cd02879b5e670fdd1f214f32ea"),
-        (slice(0), 1_569_627, "6aa395602ffc3e65f28484159c34f2cb66067087df31e3c16f3db8b374447766"),
-        (slice(None, None, 7), 1_567_984,
-         "8041a2af3d6fd6473f41ea20caa933fbffba03c00dfba75a9ecc1a9d3135da6a"),
-    ],
-    ids=["mono", "lazy round 0", "lazy every 7th bound"],
+    "size, digest",
+    [(1_558_054, "da1057744abe73f920f230ad36af8bb7b32236cd02879b5e670fdd1f214f32ea")],
+    ids=["mono"],
 )
-def test_lp_bytes_are_pinned_with_two_stains_and_an_exclusion_group(tmp_path, ship, size, digest):
-    model = build_model(second_stain_path(), BuildOptions(capacity_lazy=ship is not None))
+def test_lp_bytes_are_pinned_with_two_stains_and_an_exclusion_group(tmp_path, size, digest):
+    model = build_model(second_stain_path())
     counts = model.family_counts()
     assert (counts["flushing_exclusion"], counts["exclusion"]) == (2_862, 480)
-    activated = None if ship is None else set(bound_columns(model)[ship])
-    data = Path(write_lp(model, tmp_path / "m.lp", activated)).read_bytes()
+    data = Path(write_lp(model, tmp_path / "m.lp")).read_bytes()
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 
 
@@ -166,10 +156,10 @@ def test_write_text_file_writes_the_text_in_slices(ref_model, tmp_path, monkeypa
     # and not all ASCII reaches the file whole, and no pieces leave an empty file
     lines = [f"line {i} \u00e9" for i in range(200_000)]
     path = tmp_path / "m.lp"
-    monkeypatch.setattr(lp_io, "_lp_pieces", lambda model, activated: iter(lines))
+    monkeypatch.setattr(lp_io, "_lp_pieces", lambda model: iter(lines))
     write_lp(ref_model, path)
     assert path.read_bytes() == "".join(f"{line}\n" for line in lines).encode("utf-8")
-    monkeypatch.setattr(lp_io, "_lp_pieces", lambda model, activated: iter(()))
+    monkeypatch.setattr(lp_io, "_lp_pieces", lambda model: iter(()))
     write_lp(ref_model, path)
     assert path.read_bytes() == b""
     assert [p.name for p in tmp_path.iterdir()] == ["m.lp"]
@@ -222,29 +212,6 @@ def test_objective_constant_stays_out_of_the_file(ref1):
         assert not token.lstrip("+-").replace(".", "").isdigit() or token.lstrip("+-") != str(
             model.objective_constant
         ), "constant must be re-added by the driver, not serialized"
-
-
-def test_lazy_rows_omitted_until_activated(ref1):
-    # a tank limit is its occupancy column's bound; a lazy model given a set of columns bounds
-    # only those and writes the others `free`
-    model = build_model(ref1, BuildOptions(capacity_lazy=True))
-    letters = column_letters(model)
-    without = lp_text(model, activated=set())
-    assert "capacity_upper" not in without and "capacity_lower" not in without
-    bounded = bound_columns(model)
-    assert all(f" {letters[vid]}{vid} free" in without.splitlines() for vid in bounded)
-    # the first blocked-stock column, once activated, is bounded by the capacity and nothing else changes
-    vid = bounded[0]
-    partial = lp_text(model, activated={vid})
-    changed = set(partial.splitlines()) ^ set(without.splitlines())
-    assert changed == {f" {letters[vid]}{vid} free", f" -inf <= {letters[vid]}{vid} <= 600"}
-    # the last on-stock column, once activated, takes the LP default bound [0, inf): it is no longer written
-    last = bounded[-1]
-    assert set(without.splitlines()) - set(lp_text(model, activated={last}).splitlines()) == {f" l{last} free"}
-    # the monolithic model bounds every occupancy column, and an activated set does not narrow an eager model
-    full = lp_text(model, activated=None)
-    assert full.count(" <= 600\n") == 48 and " free\n" not in full
-    assert lp_text(build_model(ref1), activated=set()) == full
 
 
 def test_gurobi_style_solution_parses(ref_model):
@@ -357,6 +324,18 @@ def test_reported_objective_and_bound_are_finite_numbers(ref_model, text, value)
         parse_solution(text, ref_model)
 
 
+@pytest.mark.parametrize("value", ["1e400", "-1e400"])
+@pytest.mark.parametrize("letter", ["v", "d"], ids=["binary", "objective"])
+def test_column_values_are_finite_numbers(letter, value):
+    # 1e400 reads as an infinite float, which no rounding of a binary and no recomputed objective
+    # survives; oracle seed 9's objective holds dispatches v and a continuous deviation d
+    model = build_model(generate_oracle_instance(9))
+    letters = column_letters(model)
+    vid = next(vid for vid, _coef in model.objective if letters[vid] == letter)
+    with pytest.raises(SolutionFormatError, match=f"solution line 2 reports {value!r}, not a finite number"):
+        parse_solution(f"# Status = optimal\n{letters[vid]}{vid} {value}\n", model)
+
+
 def test_solution_file_that_is_not_utf8_is_rejected(ref_model, tmp_path):
     path = tmp_path / "m.sol"
     path.write_bytes(b"# Status = optimal\n# Message = caf\xe9\nv0 1\n")
@@ -378,17 +357,6 @@ def test_empty_rows_never_serialized():
             if any(stripped.startswith(f"{fam}_") for fam in ("throughput", "exclusion")):
                 lhs = stripped.split(":", 1)[1]
                 assert any(ch in lhs for ch in ("v", "u", "l")), f"empty row written: {line}"
-
-
-def test_cached_row_text_never_leaks_between_activation_sets(ref1):
-    model = build_model(ref1, BuildOptions(capacity_lazy=True))
-    bounds = bound_columns(model)
-    set_a, set_b = set(bounds[:5]), set(bounds[-7:])
-    first_a = lp_text(model, set_a)
-    text_b = lp_text(model, set_b)
-    assert lp_text(model, set_a) == first_a
-    assert text_b == lp_text(build_model(ref1, BuildOptions(capacity_lazy=True)), set_b)
-    assert first_a != text_b
 
 
 def test_shim_timing_lines_are_ignored(ref_model):

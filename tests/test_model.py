@@ -34,7 +34,6 @@ from pipesched.milpmodel import (
     OCC_LOWER,
     OCC_UPPER,
     PLACEMENT,
-    BuildOptions,
     ModelBuildError,
     RowStore,
     build_model,
@@ -48,7 +47,7 @@ from pipesched.oracle import ORACLE_STATUS_INFEASIBLE, brute_force_optimum
 from pipesched.schedule import Schedule
 from pipesched.solver import STATUS_INFEASIBLE, SolverConfig, solve
 from pipesched.validator import capacity_bound_violations, check_schedule, simulate_occupancy
-from tests.conftest import bound_columns, single_edge_instance
+from tests.conftest import single_edge_instance
 
 # an occupancy column's kind -> the family of the tank limit that bounds it
 _LIMIT_FAMILY = {OCC_UPPER: FAM_CAP_UPPER, OCC_LOWER: FAM_CAP_LOWER}
@@ -329,23 +328,6 @@ def test_objective_counts_extraction(ref1):
         model, [("e1", "r1:flush:standard", 0), ("e1", "r1:stain:standard", 6)]
     )
     assert objective_value(model, assignment) == 144
-
-
-def test_lazy_flag_marks_only_the_occupancy_bounds(ref1):
-    lazy = build_model(ref1, BuildOptions(capacity_lazy=True))
-    eager = build_model(ref1)
-    assert lazy.capacity_lazy and not eager.capacity_lazy
-    # the flag is all that differs between the two builds: rows and column bounds are the same
-    for name in ("start", "col", "coef", "rhs", "family"):
-        assert getattr(lazy.constraints, name) == getattr(eager.constraints, name), name
-    assert list(lazy.variables) == list(eager.variables)
-    assert not any(c.lazy for c in lazy.constraints)
-    # each tank limit bounds a distinct occupancy column at its (site, product, t), so the lazy loop
-    # and the writer address it by that column: blocked stock from above, on-stock from below
-    limited = {v.vid: v for v in lazy.variables if v.vid in set(bound_columns(lazy))}
-    assert len(limited) == 96
-    assert {(v.kind, v.lb, v.ub) for v in limited.values()} == {(OCC_UPPER, None, 600), (OCC_LOWER, 0, None)}
-    assert all(lazy.variables.vid(v.kind, v.key) == vid for vid, v in limited.items())
 
 
 @pytest.mark.parametrize("vertices,setting,cost_mode", [(4, "A", "SD"), (6, "B", "SDC")])

@@ -13,9 +13,9 @@ import pytest
 import pipesched.solver_shim as shim
 from pipesched.generator import PathExperimentParams, generate_oracle_instance, generate_path_instance
 from pipesched.lp_io import write_lp
-from pipesched.milpmodel import FAMILIES, FAMILY_SENSE, GE, LE, BuildOptions, build_model, column_letters
+from pipesched.milpmodel import FAMILIES, FAMILY_SENSE, GE, LE, build_model, column_letters
 from pipesched.solver_shim import main, parse_lp, solve_lp
-from tests.conftest import TINY_LP, bound_columns, lp_text
+from tests.conftest import TINY_LP, lp_text
 
 INF = float("inf")
 
@@ -301,20 +301,18 @@ def test_hand_formatted_rows_through_main(ref1, tmp_path, write_row):
 
 def _equivalence_cases():
     l4a = build_model(generate_path_instance(PathExperimentParams(vertices=4, setting="A", cost_mode="SD")))
-    yield "l4A-SD mono", l4a, None
+    yield "l4A-SD mono", l4a
     l6b_params = PathExperimentParams(vertices=6, setting="B", cost_mode="SDC")
-    yield "l6B-SDC mono", build_model(generate_path_instance(l6b_params)), None
-    lazy = build_model(generate_path_instance(l6b_params), BuildOptions(capacity_lazy=True))
-    yield "l6B-SDC lazy", lazy, set(bound_columns(lazy)[::7])
+    yield "l6B-SDC mono", build_model(generate_path_instance(l6b_params))
     for seed in range(6):
-        yield f"oracle {seed}", build_model(generate_oracle_instance(seed)), None
+        yield f"oracle {seed}", build_model(generate_oracle_instance(seed))
 
 
-def _store_arrays(model, activated) -> dict:
-    """The arrays HiGHS's reader must build from the file `write_lp(model, path, activated)`
+def _store_arrays(model) -> dict:
+    """The arrays HiGHS's reader must build from the file `write_lp(model, path)`
     writes, taken from the row store and the column blocks: columns in order of first appearance in the file
     (objective, written rows, then the Bounds and Binary sections in column order), each
-    with its bounds (a lazy model's tank limits only where activated), and the written rows
+    with its bounds, tank limits included, and the written rows
     as a column-wise matrix with rows ascending in each column."""
     rows, blocks = model.constraints, model.variables.blocks
 
@@ -325,12 +323,7 @@ def _store_arrays(model, activated) -> dict:
     order = dict.fromkeys(vid for vid, _coef in model.objective)
     for r in written:
         order.update(dict.fromkeys(vid for vid, _coef in terms(r)))
-    shown = activated if model.capacity_lazy else None
-    bounds = {
-        b.start + i: b.column_bounds(i) if shown is None or b.start + i in shown else b.bounds
-        for b in blocks
-        for i in range(b.count)
-    }
+    bounds = {b.start + i: b.column_bounds(i) for b in blocks for i in range(b.count)}
     order.update(dict.fromkeys(vid for vid, (binary, lb, ub) in bounds.items() if not binary and (lb, ub) != (0, None)))
     order.update(dict.fromkeys(vid for vid, (binary, _lb, _ub) in bounds.items() if binary))
     cols = list(order)
@@ -362,11 +355,11 @@ def _store_arrays(model, activated) -> dict:
 
 def test_highs_reader_builds_the_row_store(tmp_path):
     """HiGHS's reader on the written file gives back the builder's own arrays."""
-    for label, model, activated in _equivalence_cases():
+    for label, model in _equivalence_cases():
         path = tmp_path / "m.lp"
-        write_lp(model, path, activated)
+        write_lp(model, path)
         read = _model_arrays(shim._read_model(str(path), 60, 0.0))
-        expected = _store_arrays(model, activated)
+        expected = _store_arrays(model)
         assert len(read["col_names"]) == len(model.variables), label
         for key in read:
             assert read[key] == expected[key], f"{label}: {key}"
