@@ -8,7 +8,7 @@ batch's dispatch edge e0, says b blocks every edge of its path during
 paths (`Schedule.from_initial`), so schedules keep the per-pipe reading.
 Constraint families:
 
-  packing             at most one batch per edge and slot
+  packing             at most one batch per trunk edge and slot
   flushing_exclusion  while a stain sits in the pipe no other staining
                       product may enter (checked at completion instants)
   flushing_enforce    a completed stain is followed immediately by itself
@@ -21,13 +21,29 @@ Constraint families:
   fixed               operator-imposed transports forced to one
   distribution        deviation linearization rows for final-stock targets
 
+Packing rows go only to the trunk edges, those whose batch set no other
+edge's strictly contains (`trunk_edges`): a dispatch column blocks every edge
+of its path over the same window, so another edge's row is, term for term,
+part of a trunk's row at the same slot.  On a path every regime leaves
+through the first edge, so only it has packing rows.
+
 Tank limits are column bounds, not rows: blocked stock u is bounded above
 by the outage-reduced capacity and on-stock l below by the minimum stock
-(`ColumnBlock.limits`), and every model writes them all.  The objective
-maximizes weighted extraction minus distribution deviation, plan-change and
-pumping-cost penalties; its coefficients are exact rationals.  Every row
-coefficient, right-hand side and variable bound is a volume or a count, so
-rows and bounds hold plain integers.
+(`ColumnBlock.limits`), and every model writes them all.  Each limit lies on
+its series' volume lattice (`lattice_limits`): only dispatch binaries times
+batch volumes enter a recurrence, so x_t - base_t is a multiple of the gcd
+g_t of the volumes counted by slot t, and a limit rounded to the nearest such
+point on its feasible side cuts off fractional points only (integer rounding
+for fixed batch sizes, Pochet & Wolsey 2006).  A (site, product) whose
+rounded minimum exceeds its rounded capacity is infeasible before any solve
+and gets a build warning.  The validator, the judge, keeps the per-edge
+packing rule and the unrounded limits; at integer points both agree with
+these rows and bounds.
+
+The objective maximizes weighted extraction minus distribution deviation,
+plan-change and pumping-cost penalties; its coefficients are exact
+rationals.  Every row coefficient, right-hand side and variable bound is a
+volume or a count, so rows and bounds hold plain integers.
 
 `build_model` raises `ModelBuildError` only for an instance that
 `validate_instance` rejects; its `options` (`BuildOptions`) are accepted and
@@ -40,11 +56,11 @@ columns whose slot key lies in a window around t: the window form of
 time-indexed scheduling models.  `_window_rows` builds a family's rows from
 runs (block, lo, hi, coef): the row at t adds `coef` times each column of
 the block whose key k has t+lo <= k < t+hi.  Packing sums each batch on the
-edge over [t-L+1, t] and exclusion each member dispatch over [t, t+L].  The
-flushing rows take, at a stain's completion instant te, the stain's start
-te-L and the starts at te, and the capacity recurrences take x_t, then
--x_{t-1}, then each move at its start or at its completion: windows one key
-wide.
+trunk edge over [t-L+1, t] and exclusion each member dispatch over
+[t, t+L].  The flushing rows take, at a stain's completion instant te, the
+stain's start te-L and the starts at te, and the capacity recurrences take
+x_t, then -x_{t-1}, then each move at its start or at its completion:
+windows one key wide.
 
 Storage.  Columns come in blocks (`ColumnBlock`) of one kind whose keys
 differ only in their last, consecutive component.  Dispatch columns are
@@ -78,6 +94,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice
+from math import gcd
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .batches import (
@@ -348,32 +365,101 @@ def _window_rows(
     rows.add(family, cols, coefs, sizes, rhs)
 
 
-def build_variables(inst: Instance, catalog: BatchCatalog) -> Columns:
+def stock_moves(inst: Instance, catalog: BatchCatalog) -> dict[tuple[str, str], list[tuple[BatchSpec, int]]]:
+    """(site, product) -> the moves that change its stock: (spec, -1) inbound, then (spec, +1) outbound."""
+    moves: dict[tuple[str, str], list[tuple[BatchSpec, int]]] = {}
+    for eid, spec in catalog.deliveries():
+        moves.setdefault((inst.edge(eid).destination, spec.product), []).append((spec, -1))
+    for eid, spec in catalog.dispatches():
+        moves.setdefault((inst.edge(eid).origin, spec.product), []).append((spec, 1))
+    return moves
+
+
+# (occupancy kind, recurrence family, the side a move counts on at its completion: -1 inbound, +1 outbound);
+# blocked stock takes a move at completion when it leaves, on-stock when it arrives
+_SERIES = ((OCC_UPPER, FAM_CAP_DEF_UPPER, 1), (OCC_LOWER, FAM_CAP_DEF_LOWER, -1))
+
+
+def lattice_limits(
+    limits: Sequence[Optional[int]],
+    base: Sequence[int],
+    moves: Iterable[tuple[BatchSpec, int]],
+    delayed: int,
+    round_up: bool,
+) -> list[Optional[int]]:
+    """`limits` rounded onto the lattice the series' occupancy lives on.
+
+    A move counts from slot 0 when its series takes it at its start and from
+    slot L when at its completion (`delayed`), once a start fits the horizon.
+    At every integer schedule x_t - base_t is a multiple of g_t, the gcd of
+    the volumes of the moves counted by t, so a capacity becomes
+    base_t + g_t * floor((cap_t - base_t) / g_t) and a minimum (`round_up`)
+    base_t + g_t * ceil((min_t - base_t) / g_t).  Where no move counts yet,
+    or there is no limit, the limit stays as it is.
+    """
+    H = len(limits)
+    counted: dict[int, list[int]] = {}  # slot -> volumes of the moves that start to count there
+    for spec, sign in moves:
+        since = spec.length if sign == delayed else 0
+        if spec.length <= H and since < H:  # else no start fits, or it counts after the horizon
+            counted.setdefault(since, []).append(spec.volume)
+    out = list(limits)
+    g = 0
+    slots = sorted(counted)
+    for lo, hi in zip(slots, [*slots[1:], H]):
+        g = gcd(g, *counted[lo])
+        for t in range(lo, hi):
+            if out[t] is not None:
+                room = out[t] - base[t]
+                out[t] = base[t] + g * (-(-room // g) if round_up else room // g)
+    return out
+
+
+def build_variables(inst: Instance, catalog: BatchCatalog, moves: Mapping[tuple[str, str], list]) -> Columns:
     """Create all decision variables in canonical order.
 
     Dispatch variables exist for every batch on the first edge of its path,
     for starts t with t + L(b) <= horizon.  Occupancy columns carry their
-    tank limits: capacity for blocked stock, the minimum for on-stock.
+    tank limits, capacity for blocked stock and the minimum for on-stock,
+    each rounded onto its series' volume lattice (`lattice_limits`).
     """
     H = inst.grid.horizon_len
     columns = Columns()
     for eid, spec in catalog.dispatches():
         columns.add(PLACEMENT, (eid, spec.id), 0, H - spec.length + 1)
 
-    for kind in (OCC_UPPER, OCC_LOWER):
+    for kind, _family, delayed in _SERIES:
         for site in inst.storage_sites():
             for product in inst.products:
+                key = (site.id, product.id)
+                profile = site.profile(product.id)
                 if kind == OCC_UPPER:
-                    limits = inst.capacity_max_profile(site.id, product.id)
+                    limits = inst.capacity_max_profile(*key)
                 else:
-                    limits = site.profile(product.id).min_profile(H)
-                columns.add(kind, (site.id, product.id), 0, H, limits)
+                    limits = profile.min_profile(H)
+                limits = lattice_limits(limits, profile.base_profile(H), moves.get(key, ()), delayed, kind == OCC_LOWER)
+                columns.add(kind, key, 0, H, limits)
 
     for ti, tgt in enumerate(inst.weights.distribution_targets):
         if tgt.target is not None:
             columns.add(DEVIATION, (tgt.site, tgt.product), ti, 1)
 
     return columns
+
+
+def empty_band_warnings(columns: Columns) -> list[str]:
+    """A warning for each (site, product) whose rounded minimum exceeds its rounded capacity at some
+    slot.  Blocked stock never falls below on-stock, so no schedule meets both limits there."""
+    upper = columns.of_kind(OCC_UPPER)
+    warnings = []
+    for key, lower in columns.of_kind(OCC_LOWER).items():
+        empty = [t for t, (lo, hi) in enumerate(zip(lower.limits, upper[key].limits)) if hi is not None and lo > hi]
+        if empty:
+            warnings.append(
+                f"site {key[0]} product {key[1]}: the minimum stock exceeds the capacity at {len(empty)} slots "
+                f"from slot {empty[0]} on, once both are rounded to the batch volumes; no schedule is feasible"
+            )
+    return warnings
 
 
 def _dispatch_blocks(columns: Columns) -> dict[str, ColumnBlock]:
@@ -389,13 +475,28 @@ def _dispatch_vid(catalog: BatchCatalog, columns: Columns, placement: tuple[str,
     return columns.vid(PLACEMENT, (chain[0], bid, t)) if eid in chain else None
 
 
+def trunk_edges(inst: Instance, catalog: BatchCatalog) -> list[str]:
+    """The edges whose batch set no other edge's strictly contains, the first of equal sets only."""
+    sets = {edge.id: frozenset(catalog.batches_by_edge[edge.id]) for edge in inst.edges}
+    trunks: list[str] = []
+    for eid, bids in sets.items():
+        if not any(bids < other for other in sets.values()) and all(bids != sets[t] for t in trunks):
+            trunks.append(eid)
+    return trunks
+
+
 def emit_packing(inst, catalog, columns, rows) -> None:
-    # at most one batch occupies an edge in any slot; a start at t0 blocks [t0, t0+L)
+    """At most one batch occupies an edge in any slot; a start at t0 blocks [t0, t0+L).
+
+    Rows go only to the trunk edges (`trunk_edges`).  A dispatch column blocks
+    every edge of its path over the same window, so the row of an edge whose
+    batch set a trunk's holds is, term for term, part of the trunk's row at
+    the same slot, and implied by it.
+    """
     H = inst.grid.horizon_len
     dispatch = _dispatch_blocks(columns)
-    for edge in inst.edges:
-        bids = catalog.batches_by_edge[edge.id]
-        runs = [(dispatch[bid], 1 - catalog.spec_by_id[bid].length, 1, 1) for bid in bids]
+    for eid in trunk_edges(inst, catalog):
+        runs = [(dispatch[bid], 1 - catalog.spec_by_id[bid].length, 1, 1) for bid in catalog.batches_by_edge[eid]]
         _window_rows(rows, FAM_PACKING, range(H), runs, [1] * H)
 
 
@@ -469,7 +570,7 @@ def emit_outages(inst, catalog, columns, rows) -> None:
     _fix_rows(rows, FAM_OUTAGE, vids, 0)
 
 
-def emit_capacity(inst, catalog, columns, rows) -> None:
+def emit_capacity(inst, catalog, columns, rows, moves) -> None:
     """Occupancy recurrences; the tank limits are the occupancy columns' bounds.
 
     Blocked stock counts an inbound batch from its start and releases an
@@ -478,26 +579,19 @@ def emit_capacity(inst, catalog, columns, rows) -> None:
     recurrences anchored at t = 0, which keeps the row sparsity linear while
     defining exactly the cumulative sums.  A dispatch column appears at most
     once per row: a batch whose path returns to its origin counts its two
-    moves there L >= 1 slots apart.
+    moves there L >= 1 slots apart.  Only dispatch binaries and the series'
+    own occupancy columns enter a recurrence, which is what lets
+    `lattice_limits` round the limits.
     """
     H = inst.grid.horizon_len
     dispatch = _dispatch_blocks(columns)
     occupancy = {kind: columns.of_kind(kind) for kind in (OCC_UPPER, OCC_LOWER)}
-    # (site, product) -> the moves that change its stock, (spec, -1) inbound, then (spec, +1) outbound
-    moves: dict[tuple[str, str], list[tuple[BatchSpec, int]]] = {}
-    for eid, spec in catalog.deliveries():
-        moves.setdefault((inst.edge(eid).destination, spec.product), []).append((spec, -1))
-    for eid, spec in catalog.dispatches():
-        moves.setdefault((inst.edge(eid).origin, spec.product), []).append((spec, 1))
-
-    # (occupancy kind, row family, the side counted at completion: -1 inbound, +1 outbound)
-    series = ((OCC_UPPER, FAM_CAP_DEF_UPPER, 1), (OCC_LOWER, FAM_CAP_DEF_LOWER, -1))
     for site in inst.storage_sites():
         for product in inst.products:
             key = (site.id, product.id)
             base = site.profile(product.id).base_profile(H)
             rhs = [base[0]] + [b - a for a, b in zip(base, base[1:])]
-            for kind, family, delayed in series:
+            for kind, family, delayed in _SERIES:
                 occ = occupancy[kind][key]
                 # x_t - x_{t-1}, then each move at its start, or shifted by its length when delayed
                 runs = [(occ, 0, 1, 1), (occ, -1, 0, -1)]
@@ -621,14 +715,15 @@ def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPM
         raise ModelBuildError("invalid instance: " + "; ".join(str(i) for i in issues))
 
     catalog = enumerate_batches(inst)
-    columns = build_variables(inst, catalog)
+    moves = stock_moves(inst, catalog)
+    columns = build_variables(inst, catalog, moves)
     rows = RowStore()
 
     # emitted in the order the rows are written
     emit_packing(inst, catalog, columns, rows)
-    warnings = emit_flushing(inst, catalog, columns, rows)
+    warnings = emit_flushing(inst, catalog, columns, rows) + empty_band_warnings(columns)
     emit_regime_exclusions(inst, catalog, columns, rows)
-    emit_capacity(inst, catalog, columns, rows)
+    emit_capacity(inst, catalog, columns, rows, moves)
     emit_outages(inst, catalog, columns, rows)
     emit_throughput_limits(inst, catalog, columns, rows)
     emit_nominations(inst, catalog, columns, rows)

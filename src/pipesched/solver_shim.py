@@ -19,6 +19,28 @@ and ranged rows, and a constant in the objective is kept as an offset.  It
 misreads a constant on a row's left-hand side, so `main` refuses such rows
 before HiGHS sees the file.
 
+HiGHS runs with presolve's probing off (`_PROBING_OFF`).  On the six-vertex
+setting-B model as built before, presolve took about 2 s of a 2.4 s run,
+most of it in the probing pass that took 6,209 rows to 3,570.  The builder
+now writes two reductions of its own, packing rows on trunk edges only and
+tank limits on the volume lattice; with them and without probing, presolve
+ends at 3,485 rows.  Run time in process, HiGHS seeds 0/1/2, one thread,
+gap 1e-3, on a 2-core VM, before both reductions and probing off -> with
+all three:
+
+    six-vertex setting B       1.64 /  3.12 /   8.93 s  ->  1.02 / 0.82 / 1.48 s
+    eight-vertex setting C    16.33 /  4.80 /  13.18 s  ->  1.54 / 2.93 / 5.27 s
+    the month, six vertices   18.21 / 32.28 / 107.41 s  ->  4.00 / 2.78 / 1.98 s
+    the month, eight vertices 16.21 / 22.95 /  25.07 s  ->  6.72 / 15.45 / 5.78 s
+
+Probing alone, on today's model, on -> off (run time at seed 0, else the
+median over seeds 0-2): four-vertex setting A 1.40 -> 0.41 s, six-vertex
+setting A 2.22 -> 0.43 s, six-vertex setting B 1.84 -> 1.56 s, the month
+5.98 -> 4.28 s at six vertices and 14.06 -> 10.26 s at eight; only the
+eight-vertex setting-C path moved the other way, 2.81 -> 3.71 s, inside its
+seed spread.  On the model before the two reductions, probing off slowed the
+six-vertex setting-A path, so it is off only together with them.
+
 `parse_lp` and `solve_lp` are the same two steps for an in-process caller:
 `parse_lp` reads LP text through a temporary file exactly as `main` reads
 its input, and `solve_lp` sets the time limit and gap and runs HiGHS.
@@ -48,6 +70,9 @@ import time
 from typing import NamedTuple
 
 _CORE = "scipy.optimize._highspy._core"
+# the `presolve_rule_off` bit of HiGHS's probing reduction; why it is off, with the measurements, is
+# in the module docstring
+_PROBING_OFF = 1 << 15
 
 
 def _highs_core():
@@ -91,7 +116,7 @@ def _set_options(highs, **options) -> None:
 
 
 def _configured_highs(time_limit: float, gap: float, threads: int = 1):
-    """A HiGHS instance with the options every solve uses.
+    """A HiGHS instance with the options every solve uses, probing off (`_PROBING_OFF`).
 
     HiGHS keeps one thread pool per process, sized at the first run; it is
     reset first, so a run may ask for another `threads` than the last one.
@@ -99,7 +124,14 @@ def _configured_highs(time_limit: float, gap: float, threads: int = 1):
     core = _highs_core()
     core._Highs.resetGlobalScheduler(True)
     highs = core._Highs()
-    _set_options(highs, output_flag=False, time_limit=float(time_limit), mip_rel_gap=float(gap), threads=int(threads))
+    _set_options(
+        highs,
+        output_flag=False,
+        time_limit=float(time_limit),
+        mip_rel_gap=float(gap),
+        threads=int(threads),
+        presolve_rule_off=_PROBING_OFF,
+    )
     return highs
 
 

@@ -347,10 +347,12 @@ def test_07_overloaded_eight_vertex_defaults_proven_infeasible(l8b_outcome):
 def _expected_family_counts(vertices: int, horizon: int) -> dict[str, int]:
     """Row counts for a generated path instance, derived by hand.
 
-    With k pipes, every slot gets one packing row per pipe; each of the two
-    products gets two stock-balance rows at each of the k storage sites per
-    slot; every stain completion instant gets one flush-enforcement row per
-    pumping regime; and each product has one nomination cap.  A batch has
+    With k pipes, every slot gets one packing row, on the first pipe: every
+    regime leaves through it, so its batch set holds every other pipe's and
+    its rows imply theirs (`trunk_edges`).  Each of the two products gets two
+    stock-balance rows at each of the k storage sites per slot; every stain
+    completion instant gets one flush-enforcement row per pumping regime; and
+    each product has one nomination cap.  A batch has
     one binary per start on all the pipes of its regime, and the tank limits
     are column bounds, so the route, endpoint-link and bound families have
     no rows.
@@ -358,7 +360,7 @@ def _expected_family_counts(vertices: int, horizon: int) -> dict[str, int]:
     k = vertices - 1
     stain_starts = horizon - 2
     return {
-        "packing": k * horizon,
+        "packing": horizon,
         "capacity_def_upper": 2 * k * horizon,
         "capacity_def_lower": 2 * k * horizon,
         "capacity_upper": 0,

@@ -15,13 +15,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pipesched.batches import enumerate_batches
-from pipesched.generator import PathExperimentParams, generate_path_instance
+from pipesched.generator import PathExperimentParams, generate_oracle_instance, generate_path_instance
 from pipesched.instance import ThroughputLimit
 from pipesched.milpmodel import (
     FAM_CAP_DEF_LOWER,
     FAM_CAP_DEF_UPPER,
     FAM_CAP_LOWER,
     FAM_CAP_UPPER,
+    FAM_PACKING,
     FAMILIES,
     OCC_LOWER,
     OCC_UPPER,
@@ -31,6 +32,7 @@ from pipesched.milpmodel import (
     extend_placement_assignment,
     objective_value,
     row_name,
+    trunk_edges,
     violated_bounds,
     violated_rows,
 )
@@ -50,10 +52,14 @@ MODELS = {id(inst): build_model(inst) for inst in (INST, TIGHT, TWO_EDGE)}
 CATALOGS = {id(inst): enumerate_batches(inst) for inst in (INST, TIGHT, TWO_EDGE)}
 
 
-def placement_coords(inst):
+def dispatch_coords(model):
     """The (dispatch edge, batch, start) of every dispatch column."""
-    blocks = MODELS[id(inst)].variables.of_kind(PLACEMENT)
+    blocks = model.variables.of_kind(PLACEMENT)
     return [(*prefix, t) for prefix, block in blocks.items() for t in range(block.first, block.first + block.count)]
+
+
+def placement_coords(inst):
+    return dispatch_coords(MODELS[id(inst)])
 
 
 def agree(inst, subset):
@@ -163,3 +169,52 @@ def test_capacity_rows_agree_with_validator_on_ladder(name):
         assert set(violated_bounds(model, values)) == mapped, (seed, size)
         flagged.append(len(mapped))
     assert any(flagged), flagged
+
+
+# r2 and r3 of a four-vertex path carry their batches over e2, r3 over e3 as well
+THREE_EDGE = generate_path_instance(PathExperimentParams(vertices=4, horizon=12))
+
+
+@pytest.mark.parametrize("inst", [TWO_EDGE, THREE_EDGE], ids=["two-edge", "three-edge"])
+def test_packing_clash_below_the_trunk_is_caught_by_the_trunk_row(inst):
+    # only e1 has packing rows: every batch crosses it.  Each pair of dispatches that the validator
+    # finds overlapping on a later edge also breaks e1's row at the same slot
+    model = build_model(inst)
+    catalog = model.catalog
+    assert trunk_edges(inst, catalog) == ["e1"]
+    assert model.family_counts()[FAM_PACKING] == inst.grid.horizon_len
+    family = model.constraints.family
+    packing = FAMILIES.index(FAM_PACKING)
+    first = family.index(packing)  # e1's rows, one per slot
+    below = set()
+    for pair in itertools.combinations(dispatch_coords(model), 2):
+        schedule = Schedule.from_initial(catalog, pair)
+        clashes = {v.coordinate for v in check_schedule(inst, catalog, schedule) if v.family == "packing"}
+        broken = violated_rows(model, extend_placement_assignment(model, schedule.placements))
+        assert {r - first for r in broken if family[r] == packing} == {t for eid, t in clashes if eid == "e1"}, pair
+        below |= {eid for eid, _t in clashes if eid != "e1"}
+    assert below == {e.id for e in inst.edges} - {"e1"}
+
+
+ORACLE_INSTANCES = [generate_oracle_instance(seed) for seed in range(25)]
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_rounded_tank_limits_flag_exactly_the_validators_capacity_violations(seed):
+    # at integer points the limits on the volume lattice cut off nothing the raw limits allow: over
+    # random dispatch sets the occupancy columns out of their bounds are the validator's capacity findings
+    inst = ORACLE_INSTANCES[seed]
+    model = build_model(inst)
+    catalog = model.catalog
+    kind = {FAM_CAP_UPPER: OCC_UPPER, FAM_CAP_LOWER: OCC_LOWER}
+    coords = dispatch_coords(model)
+    rng = random.Random(seed)
+    flagged = 0
+    for size in [1, 2, 3, 4, 6, 8] * 5:
+        schedule = Schedule.from_initial(catalog, rng.sample(coords, min(size, len(coords))))
+        values = extend_placement_assignment(model, schedule.placements)
+        report = [v for v in check_schedule(inst, catalog, schedule) if v.family in kind]
+        mapped = {model.variables.vid(kind[v.family], v.coordinate) for v in report}
+        assert set(violated_bounds(model, values)) == mapped, (seed, sorted(schedule.placements))
+        flagged += bool(mapped)
+    assert 0 < flagged < 30  # both verdicts occur on every seed

@@ -6,19 +6,24 @@ import dataclasses
 import tracemalloc
 from collections import deque
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from pipesched.batches import enumerate_batches
-from pipesched.generator import PathExperimentParams, generate_path_instance
+from pipesched.cli import main as cli_main
+from pipesched.generator import PathExperimentParams, generate_oracle_instance, generate_path_instance
 from pipesched.instance import (
     ExclusionGroup,
     FixedTransport,
     TankOutage,
     ThroughputLimit,
     TransportOutage,
+    save_instance,
 )
 from pipesched.milpmodel import (
+    FAM_CAP_DEF_LOWER,
+    FAM_CAP_DEF_UPPER,
     FAM_CAP_LOWER,
     FAM_CAP_UPPER,
     FAM_EXCLUSION,
@@ -72,9 +77,17 @@ def test_reference_variable_counts(ref1):
     assert set(kinds) == {PLACEMENT, OCC_UPPER, OCC_LOWER}
     assert model.metadata["binaries"] == 41
     assert all(v.binary == (v.kind == PLACEMENT) for v in model.variables)
-    # the tank limits are the occupancy columns' bounds: capacity 600 above blocked stock, 0 below on-stock
-    assert {(v.lb, v.ub) for v in model.variables if v.kind == OCC_UPPER} == {(None, 600)}
-    assert {(v.lb, v.ub) for v in model.variables if v.kind == OCC_LOWER} == {(0, None)}
+    # the tank limits are the occupancy columns' bounds: capacity 600 above blocked stock, 0 below
+    # on-stock, each rounded onto the stock 120 plus multiples of the one batch volume that moves it
+    # (flush 100, stain 44); on-stock counts a delivery at its completion, so its minimum stays 0
+    # until the first can complete (slot 6 for flush, 3 for stain)
+    assert {(v.lb, v.ub) for v in model.variables if v.kind == OCC_UPPER} == {(None, 520), (None, 560)}
+    assert {(v.lb, v.ub) for v in model.variables if v.kind == OCC_LOWER} == {(0, None), (20, None), (32, None)}
+    upper, lower = model.variables.of_kind(OCC_UPPER), model.variables.of_kind(OCC_LOWER)
+    assert upper[("s1", "flush")].limits == (120 + 4 * 100,) * 24
+    assert upper[("s1", "stain")].limits == (120 + 10 * 44,) * 24
+    assert lower[("s1", "flush")].limits == (0,) * 6 + (120 - 100,) * 18
+    assert lower[("s1", "stain")].limits == (0,) * 3 + (120 - 2 * 44,) * 21
 
 
 def test_reference_family_counts(ref1):
@@ -178,9 +191,11 @@ def test_tank_outage_listing_a_slot_twice_lowers_it_once():
         name="twice",
     )
     model = build_model(inst)
-    # the tank capacity is the upper bound of the blocked-stock column at each slot
+    assert inst.capacity_max_profile("s1", "flush")[4:6] == [600, 550]
+    # the tank capacity, rounded onto the stock 120 plus multiples of the flush volume 100, is the
+    # upper bound of the blocked-stock column at each slot; lowered twice, slot 5 would read 420
     limits = model.variables.of_kind(OCC_UPPER)[("s1", "flush")].limits
-    assert (limits[4], limits[5]) == (600, 550)
+    assert (limits[4], limits[5]) == (520, 520)
     occupancy = simulate_occupancy(inst, model.catalog, Schedule.from_raw([]))
     occupancy.upper[("s1", "flush")] = [551] * 12
     report = capacity_bound_violations(inst, occupancy)
@@ -263,7 +278,9 @@ def test_tank_outage_tightens_upper_bound(ref1):
     )
     model = build_model(inst)
     caps = sorted({v.ub for v in model.variables if v.kind == OCC_UPPER})
-    assert caps == [50, 600]  # 600 - 550 at the outage slot
+    # 600 - 550 at the outage slot; both rounded onto the stock 120 plus multiples of 100 (flush)
+    # or 44 (stain)
+    assert caps == [20, 520, 560]
 
 
 def test_exclusion_group_window_is_inclusive(ref1):
@@ -360,7 +377,7 @@ def test_model_objective_matches_validator_on_oracle_optima():
 
 def test_row_iteration_lists_no_terms_ahead():
     # the iteration view, kept for the benchmark's model counts, builds one row at a time: walking
-    # the 6B model's 126k terms peaks under 4 MB, where a list of every (column, coefficient) pair takes 12.4 MB
+    # the 6B model's 74k terms peaks under 4 MB, where a list of every (column, coefficient) pair takes about 7 MB
     model = build_model(generate_path_instance(PathExperimentParams(vertices=6, setting="B", cost_mode="SDC")))
     rows = model.constraints
     tracemalloc.start()
@@ -369,7 +386,7 @@ def test_row_iteration_lists_no_terms_ahead():
         _held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert nnz == len(rows.col) == 125_970
+    assert nnz == len(rows.col) == 74_490
     assert peak < 4 * 2**20
     ((name, family, terms, sense, rhs, _lazy),) = deque(rows, maxlen=1)
     assert terms == tuple(zip(rows.col[rows.start[-2] :], rows.coef[rows.start[-2] :]))
@@ -388,3 +405,108 @@ def test_row_store_rejects_indices_past_32_bits():
     rows = RowStore()
     rows.add(FAM_PACKING, [2**31 - 1], [2**63 - 1], [1], [-(2**63)])
     assert (rows.col[0], rows.coef[0], rows.rhs[0]) == (2**31 - 1, 2**63 - 1, -(2**63))
+
+
+# ---------------------------------------------------------------------------
+# tank limits on the volume lattice, derived here from the recurrence rows alone
+
+
+def _recurrence_series(model):
+    """Per occupancy block of a recurrence: its rows' other terms, the slot of each row and the
+    row's right-hand side, from the row store; the row at slot t holds the block's column t with
+    coefficient 1."""
+    rows = model.constraints
+    blocks = [b for b in model.variables.blocks if b.kind in (OCC_UPPER, OCC_LOWER)]
+    owner = {b.start + i: (b, i) for b in blocks for i in range(b.count)}
+    wanted = {FAMILIES.index(FAM_CAP_DEF_UPPER), FAMILIES.index(FAM_CAP_DEF_LOWER)}
+    series = {}
+    for r, family in enumerate(rows.family):
+        if family not in wanted:
+            continue
+        terms = list(zip(rows.col[rows.start[r] : rows.start[r + 1]], rows.coef[rows.start[r] : rows.start[r + 1]]))
+        block, t = next(owner[vid] for vid, coef in terms if coef == 1 and vid in owner)
+        others = [(vid, coef) for vid, coef in terms if owner.get(vid, (None,))[0] is not block]
+        series.setdefault(block, []).append((t, others, rows.rhs[r]))
+    return series
+
+
+def _ladder_and_oracle_models():
+    for params in (
+        PathExperimentParams(vertices=4, setting="A", cost_mode="SD"),
+        PathExperimentParams(vertices=6, setting="B", cost_mode="SDC"),
+    ):
+        yield build_model(generate_path_instance(params))
+    for seed in range(25):
+        yield build_model(generate_oracle_instance(seed))
+
+
+def test_only_dispatch_binaries_enter_a_recurrence():
+    # the validity condition of the lattice rounding: besides the series' own occupancy columns, every
+    # term of a recurrence is a binary times an integer volume, so x_t - base_t is a multiple of their gcd
+    for model in _ladder_and_oracle_models():
+        binary = {b.start + i for b in model.variables.blocks if b.bounds[0] for i in range(b.count)}
+        for block, rows in _recurrence_series(model).items():
+            assert len(rows) == block.count
+            for _t, others, _rhs in rows:
+                assert {vid for vid, _coef in others} <= binary, block.prefix
+                assert all(type(coef) is int and coef != 0 for _vid, coef in others)
+
+
+def test_tank_limits_lie_on_the_volume_lattice_and_are_never_looser():
+    # g_t is the gcd of the volumes of every dispatch term in the series' rows up to t, and base_t the
+    # sum of their right-hand sides; a rounded limit is the lattice point nearest the raw one on the
+    # feasible side, and where no dispatch has entered yet it is the raw limit
+    rounded = 0
+    for model in _ladder_and_oracle_models():
+        inst = model.instance
+        H = inst.grid.horizon_len
+        for block, rows in _recurrence_series(model).items():
+            site, product = block.prefix
+            if block.kind == OCC_UPPER:
+                raw = inst.capacity_max_profile(site, product)
+            else:
+                raw = inst.site(site).profile(product).min_profile(H)
+            g = base = 0
+            for t, others, rhs in sorted(rows, key=lambda row: row[0]):
+                g = gcd(g, *(coef for _vid, coef in others))
+                base += rhs
+                limit = block.limits[t]
+                if raw[t] is None or g == 0:
+                    assert limit == raw[t], (block.prefix, t)
+                    continue
+                assert (limit - base) % g == 0, (block.prefix, t)
+                if block.kind == OCC_UPPER:
+                    assert raw[t] - g < limit <= raw[t], (block.prefix, t)
+                else:
+                    assert raw[t] <= limit < raw[t] + g, (block.prefix, t)
+                rounded += limit != raw[t]
+    assert rounded > 10_000
+
+
+def _empty_band_instance():
+    """One pipe into s1, flush batches of 100 on top of a stock of 120: a tank of 190 admits no
+    delivery (blocked stock 120 or 220), and a minimum of 150 from slot 12 on needs one (on-stock
+    120 + 100k, counted from slot 6, when a first delivery can complete).  Every raw minimum lies
+    below its capacity."""
+    inst = single_edge_instance(horizon=24, batches=2)
+    sites = []
+    for s in inst.sites:
+        if s.id == "s1":
+            flush = dataclasses.replace(s.capacity["flush"], maximum=190, minimum=(0,) * 12 + (150,) * 12)
+            s = dataclasses.replace(s, capacity={**s.capacity, "flush": flush})
+        sites.append(s)
+    return dataclasses.replace(inst, sites=tuple(sites), name="empty-band")
+
+
+def test_empty_rounded_band_is_a_build_warning(tmp_path, capsys):
+    inst = _empty_band_instance()
+    model = build_model(inst)
+    upper, lower = (model.variables.of_kind(kind)[("s1", "flush")].limits for kind in (OCC_UPPER, OCC_LOWER))
+    assert set(upper) == {120} and lower == (0,) * 6 + (20,) * 6 + (220,) * 12
+    (warning,) = [w for w in model.metadata["warnings"] if "s1" in w]
+    assert "flush" in warning and "12 slots from slot 12" in warning
+    assert not any("minimum stock" in w for w in build_model(single_edge_instance()).metadata["warnings"])
+    save_instance(inst, tmp_path / "inst.json")
+    assert cli_main(["build", "--instance", str(tmp_path / "inst.json"), "--out", str(tmp_path / "m.lp")]) == 0
+    assert f"warning: {warning}\n" in capsys.readouterr().err
+    assert solve(model, SolverConfig(time_limit=120, gap=0.0)).status == STATUS_INFEASIBLE

@@ -170,6 +170,25 @@ def test_in_process_solve_matches_main(tmp_path):
     assert res.simplex_iterations == int(head["Simplex iterations"]) > 0
 
 
+def test_every_solve_runs_with_probing_off(tmp_path, monkeypatch):
+    # `main` and `parse_lp`/`solve_lp` both take their HiGHS from `_configured_highs`, which turns off
+    # presolve's probing (bit 15 of `presolve_rule_off`) and nothing else
+    seen = []
+    configured = shim._configured_highs
+
+    def spy(*args):
+        highs = configured(*args)
+        seen.append(highs.getOptionValue("presolve_rule_off")[1])
+        return highs
+
+    monkeypatch.setattr(shim, "_configured_highs", spy)
+    (tmp_path / "m.lp").write_text(TINY_LP)
+    assert main([str(tmp_path / "m.lp"), str(tmp_path / "m.sol")]) == 0
+    res, _names = solve_lp(parse_lp(TINY_LP), 60, 0.0)
+    assert res.status == "optimal"
+    assert seen == [shim._PROBING_OFF] * 2 == [1 << 15] * 2
+
+
 def test_main_writes_solution_file(tmp_path):
     model_path = tmp_path / "m.lp"
     sol_path = tmp_path / "m.sol"
