@@ -36,6 +36,7 @@ from .generator import (
     generate_path_instance,
     precheck_path_feasibility,
 )
+from .heuristic import Start
 from .instance import load_instance, save_instance, validate_instance
 from .lp_io import LPWriteError, write_lp
 from .milpmodel import MILPModel, ModelBuildError, build_model
@@ -135,6 +136,17 @@ def _build(inst) -> MILPModel:
     return model
 
 
+def _start_block(start: Optional[Start]) -> Optional[dict]:
+    """The manifest's account of the MIP start: its exact objective and placement count, why the
+    validator dropped it, or None without a plan (or without {start} in the solver template)."""
+    if start is None:
+        return None
+    if start.schedule is None:
+        families = ", ".join(sorted({v.family for v in start.violations}))
+        return {"dropped": f"{len(start.violations)} violations ({families})"}
+    return {"objective": float(start.objective), "placements": len(start.schedule)}
+
+
 def _run_manifest(model: MILPModel, config: SolverConfig, result: SolveResult) -> dict:
     return {
         "tool": f"pipesched {__version__}",
@@ -153,6 +165,7 @@ def _run_manifest(model: MILPModel, config: SolverConfig, result: SolveResult) -
         "gap": result.gap,
         "components": _component_floats(result.components),
         "placements": None if result.schedule is None else len(result.schedule),
+        "start": _start_block(result.start),
         "wall_time": result.wall_time,
         "message": result.message,
     }
@@ -484,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compile, solve and validate")
     p.add_argument("--instance", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--keep-files", action="store_true", help="keep LP and solution files in the output dir")
+    p.add_argument("--keep-files", action="store_true", help="keep the LP, start and solution files in the output dir")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_solve)
 

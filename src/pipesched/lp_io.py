@@ -24,6 +24,12 @@ and accepted only if the writer spells that column the same way.  Binary
 values are checked to be integral and 0 or 1, the dispatches set to 1 are
 expanded along their paths (`Schedule.from_initial`), and the objective is
 recomputed from the model and cross-checked against the reported value.
+
+`write_start` writes a schedule as a start file in the shape
+`parse_solution` reads back: one `v<vid> 1` line per dispatch column the
+schedule sets, in column order, and nothing else.  Every other binary is 0
+by omission; the blocked-stock, on-stock and deviation columns are left for
+the solver to complete.
 """
 
 from __future__ import annotations
@@ -175,6 +181,22 @@ def _lp_pieces(model: MILPModel) -> Iterator[str]:
         yield "Binary"
         yield from _wrapped((f"{letters[vid]}{vid}" for vid in chain.from_iterable(binaries)), " ", " ")
     yield "End"
+
+
+def write_start(model: MILPModel, schedule: Optional[Schedule], path: Union[str, Path]) -> str:
+    """Write the dispatch columns `schedule` sets to the start file `path`, an empty file for no
+    schedule, and return `path` as a string.  A placement off its batch's dispatch edge names no column."""
+    letters = column_letters(model)
+    vids = []
+    if schedule is not None:
+        dispatch = {block.prefix: block for block in model.variables.blocks if block.bounds[0]}
+        for e, b, t in schedule.placements:
+            block = dispatch.get((e, b))
+            if block is not None and 0 <= t - block.first < block.count:
+                vids.append(block.start + t - block.first)
+    path = str(path)
+    Path(path).write_text("".join(f"{letters[vid]}{vid} 1\n" for vid in sorted(vids)), encoding="utf-8")
+    return path
 
 
 @dataclass

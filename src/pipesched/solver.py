@@ -1,11 +1,17 @@
 """Subprocess solver driver.
 
 The driver knows nothing about any particular solver: it writes an LP file,
-runs a command built from a template with {model}, {solution}, {time_limit},
-{gap} and {threads} placeholders, and parses the solution file back.  The
-template comes from SolverConfig.command, the PIPESCHED_SOLVER_CMD
+runs a command built from a template with {model}, {solution}, {start},
+{time_limit}, {gap} and {threads} placeholders, and parses the solution file
+back.  The template comes from SolverConfig.command, the PIPESCHED_SOLVER_CMD
 environment variable, or falls back to the bundled scipy/HiGHS shim.  A time
 limit of inf means no limit: the child then runs without a watchdog.
+
+A template that names {start} gets a MIP start: the list scheduler
+(`heuristic.plan_start`) plans, the validator judges the plan, and a clean
+plan is written to `<tag>.start` next to the LP file (`lp_io.write_start`);
+a dropped plan, or none, leaves the file empty.  A template without {start}
+gets neither the planning nor the file.
 
 `solve` ships the full model, tank limits included, in one solver call.
 `solve_lazy_capacity`, `LazyIteration` and `SolveResult.iterations` are
@@ -24,6 +30,7 @@ import contextlib
 import os
 import shlex
 import subprocess
+import string
 import sys
 import tempfile
 import time
@@ -33,7 +40,8 @@ from pathlib import Path
 from typing import Iterator, Optional, Union
 
 from .lp_io import STATUS_ERROR, STATUS_GAP, STATUS_INFEASIBLE, STATUS_OPTIMAL, STATUS_TIME_LIMIT, STATUS_UNBOUNDED
-from .lp_io import SolutionFormatError, parse_solution, write_lp
+from .heuristic import Start, plan_start
+from .lp_io import SolutionFormatError, parse_solution, write_lp, write_start
 from .milpmodel import MILPModel
 from .schedule import Schedule
 from .validator import Violation, capacity_bound_violations, check_schedule, evaluate_objective, simulate_occupancy
@@ -59,7 +67,7 @@ def default_solver_command() -> str:
     shim = Path(__file__).resolve().with_name("solver_shim.py")
     return (
         f"{_template_literal(sys.executable)} {_template_literal(str(shim))} "
-        "{model} {solution} --time-limit {time_limit} --gap {gap} --threads {threads}"
+        "{model} {solution} --start {start} --time-limit {time_limit} --gap {gap} --threads {threads}"
     )
 
 
@@ -75,12 +83,17 @@ class SolverConfig:
     def resolved_command(self) -> str:
         return self.command or os.environ.get(COMMAND_ENV_VAR) or default_solver_command()
 
-    def argv(self, model: Union[str, Path], solution: Union[str, Path]) -> list[str]:
+    def argv(self, model: Union[str, Path], solution: Union[str, Path], start: Union[str, Path] = "") -> list[str]:
         """The resolved template split into shell words with their placeholders filled in;
         raises ValueError for a template that does not split or names an unknown placeholder."""
         template = self.resolved_command()
         fields = dict(
-            model=str(model), solution=str(solution), time_limit=self.time_limit, gap=self.gap, threads=self.threads
+            model=str(model),
+            solution=str(solution),
+            start=str(start),
+            time_limit=self.time_limit,
+            gap=self.gap,
+            threads=self.threads,
         )
         try:
             return [tok.format(**fields) for tok in shlex.split(template)]
@@ -88,6 +101,11 @@ class SolverConfig:
             raise ValueError(f"solver command {template!r} has an unknown placeholder ({exc})") from None
         except ValueError as exc:  # an unclosed quote or a lone brace
             raise ValueError(f"solver command {template!r}: {exc}") from None
+
+    def names_start(self) -> bool:
+        """True when the resolved template has a {start} placeholder; call it on a template `argv` accepts."""
+        parse = string.Formatter().parse
+        return any(name == "start" for word in shlex.split(self.resolved_command()) for _, name, _, _ in parse(word))
 
 
 @dataclass
@@ -113,6 +131,7 @@ class SolveResult:
     iterations: list[LazyIteration] = field(default_factory=list)  # filled by `solve_lazy_capacity` only
     violations: list[Violation] = field(default_factory=list)
     message: str = ""
+    start: Optional[Start] = None  # the judged plan handed to the solver; None without {start} or a plan
 
     @property
     def ok(self) -> bool:
@@ -126,16 +145,23 @@ def _quote_output(message: str, output: Optional[str]) -> str:
 
 
 def _run_once(model: MILPModel, config: SolverConfig, workdir: Path, tag: str) -> SolveResult:
-    """One solver call, reported as the solution file says; `_finalize` checks it."""
-    lp_path = workdir / f"{tag}.lp"
-    sol_path = workdir / f"{tag}.sol"
+    """One solver call, reported as the solution file says, with the start it was given; `_finalize` checks it."""
+    lp_path, sol_path, start_path = (workdir / f"{tag}.{suffix}" for suffix in ("lp", "sol", "start"))
     try:
-        argv = config.argv(lp_path, sol_path)
+        argv = config.argv(lp_path, sol_path, start_path)
     except ValueError as exc:
         return SolveResult(STATUS_ERROR, message=str(exc))
     write_lp(model, lp_path)
+    start = None
+    if config.names_start():
+        start = plan_start(model.instance, model.catalog)
+        write_start(model, None if start is None else start.schedule, start_path)
     sol_path.unlink(missing_ok=True)  # a kept work dir may hold an earlier run's solution
+    return replace(_call(model, config, argv, sol_path), start=start)
 
+
+def _call(model: MILPModel, config: SolverConfig, argv: list[str], sol_path: Path) -> SolveResult:
+    """Run the solver command `argv` and read the solution file it writes at `sol_path`."""
     watchdog = max(60.0, config.time_limit * 2 + 120)
     t0 = time.monotonic()
     try:
@@ -205,7 +231,7 @@ def _work_dir(config: SolverConfig) -> Iterator[Path]:
 
 
 def _solve(model: MILPModel, config: SolverConfig, tag: str) -> SolveResult:
-    """One solver call on the full model, its files named `<tag>.lp` and `<tag>.sol`."""
+    """One solver call on the full model, its files named `<tag>.lp`, `<tag>.sol` and `<tag>.start`."""
     t0 = time.monotonic()
     with _work_dir(config) as workdir:
         found = _run_once(model, config, workdir, tag)
@@ -219,6 +245,7 @@ def solve(model: MILPModel, config: SolverConfig = SolverConfig()) -> SolveResul
 
 def solve_lazy_capacity(model: MILPModel, config: SolverConfig = SolverConfig()) -> SolveResult:
     """`solve`, kept under this name for the benchmark: files `iter0.lp` and `iter0.sol`, which its
-    trace replay reads, and `iterations` holding that one call."""
+    trace replay reads (and `iter0.start` under a template with {start}), and `iterations` holding
+    that one call."""
     result = _solve(model, config, "iter0")
     return replace(result, iterations=[LazyIteration(0, 0, result.objective_float, result.status)])

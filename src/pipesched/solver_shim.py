@@ -5,7 +5,7 @@ boundary an honest file-based protocol (any CPLEX-LP-capable solver can be
 substituted via the command template) while needing nothing beyond scipy.
 It imports nothing from `pipesched`, so the driver starts it by file path:
 
-    python .../pipesched/solver_shim.py model.lp model.sol --time-limit 600 --gap 1e-3 --threads 1
+    python .../pipesched/solver_shim.py model.lp model.sol --start model.start --time-limit 600 --gap 1e-3 --threads 1
 
 `python -m pipesched.solver_shim` works too where the package is importable.
 
@@ -40,6 +40,22 @@ setting A 2.22 -> 0.43 s, six-vertex setting B 1.84 -> 1.56 s, the month
 eight-vertex setting-C path moved the other way, 2.81 -> 3.71 s, inside its
 seed spread.  On the model before the two reductions, probing off slowed the
 six-vertex setting-A path, so it is off only together with them.
+
+`--start FILE` hands HiGHS a MIP start before the run.  The file holds
+`name value` lines, one column each (the driver writes `v<vid> 1` for the
+dispatches its list scheduler planned); names map through the model's
+column names.  Every integer column the file does not list starts at 0, and
+every continuous column it does not list is left undefined (infinite), for
+HiGHS to complete.  The start goes in as one dense `HighsSolution`: the
+sparse `setSolution` overload makes pybind import numpy into the child,
+which on the six-vertex setting-B model took 0.12 s and 8.9 MB of peak
+memory against 0.04 s and 1.2 MB for the dense form (in process, 2-core
+VM).  An empty file gives a cold solve.  A file naming an unknown column,
+or holding a value that is not a finite number, or a binary other than 0
+or 1, exits 1 like any other error.  With the driver's start, HiGHS's
+median run over seeds 0-2 at gap 1e-3 fell from 1.42 to 0.60 s on that
+model and from 3.92 to 0.68 s on the month at six vertices, each run
+ending at the root node.
 
 `parse_lp` and `solve_lp` are the same two steps for an in-process caller:
 `parse_lp` reads LP text through a temporary file exactly as `main` reads
@@ -241,6 +257,39 @@ def _read_model(path: str, time_limit: float, gap: float, threads: int = 1):
     return highs
 
 
+def _set_start(highs, path: str) -> None:
+    """Hand HiGHS the start in the file at `path` (its format is in the module docstring)."""
+    with open(path, encoding="utf-8") as fh:
+        entries = [(lineno, line.split()) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    if not entries:
+        return
+    core = _highs_core()
+    lp = highs.getLp()
+    column = {name: i for i, name in enumerate(lp.col_names_)}
+    integer = [kind != core.HighsVarType.kContinuous for kind in lp.integrality_] or [False] * lp.num_col_
+    binary = [kind and (lo, hi) == (0, 1) for kind, lo, hi in zip(integer, lp.col_lower_, lp.col_upper_)]
+    values = [0.0 if is_integer else math.inf for is_integer in integer]
+    for lineno, words in entries:
+        if len(words) != 2:
+            raise ValueError(f"start file line {lineno} is not 'name value'")
+        name, text = words
+        i = column.get(name)
+        if i is None:
+            raise ValueError(f"start file line {lineno} names {name!r}, which is no column of the model")
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError(f"start file line {lineno} gives {name} the value {text!r}, not a finite number")
+        if binary[i] and value not in (0.0, 1.0):
+            raise ValueError(f"start file line {lineno} gives the binary {name} the value {text!r}, not 0 or 1")
+        values[i] = value
+    solution = core.HighsSolution()
+    solution.col_value = values
+    _check(highs.setSolution(solution), f"HiGHS rejected the start in {path}")
+
+
 def parse_lp(text: str):
     """A configured HiGHS holding the CPLEX-LP `text`, read the way `main` reads its file."""
     with tempfile.TemporaryDirectory(prefix="pipesched_shim_") as folder:
@@ -265,9 +314,10 @@ def _write_atomically(path: str, text: str) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="pipesched-shim", description=__doc__)
+    parser = argparse.ArgumentParser(prog="pipesched-shim", description=__doc__.splitlines()[0])
     parser.add_argument("model", help="input LP file")
     parser.add_argument("solution", help="output solution file")
+    parser.add_argument("--start", help="MIP start file of 'name value' lines; empty for a cold solve")
     parser.add_argument("--time-limit", type=float, default=1e30)
     parser.add_argument("--gap", type=float, default=0.0)
     parser.add_argument("--threads", type=int, default=1, help="HiGHS threads; 0 lets HiGHS choose")
@@ -280,6 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.monotonic()
     try:
         highs = _read_model(args.model, args.time_limit, args.gap, args.threads)
+        if args.start is not None:
+            _set_start(highs, args.start)
         t_read = time.monotonic()
         res = _run(highs)
         t_solve = time.monotonic()

@@ -76,8 +76,9 @@ def test_solve_lazy_capacity_is_solve_under_the_benchmark_file_names(quick_cfg, 
         build_model(inst, BuildOptions(capacity_lazy=True)), dataclasses.replace(quick_cfg, work_dir=tmp_path / "lazy")
     )
     mono = solve(build_model(inst), dataclasses.replace(quick_cfg, work_dir=tmp_path / "mono"))
-    assert sorted(p.name for p in (tmp_path / "lazy").iterdir()) == ["iter0.lp", "iter0.sol"]
-    assert (tmp_path / "lazy" / "iter0.lp").read_bytes() == (tmp_path / "mono" / "model.lp").read_bytes()
+    assert sorted(p.name for p in (tmp_path / "lazy").iterdir()) == ["iter0.lp", "iter0.sol", "iter0.start"]
+    for suffix in ("lp", "start"):
+        assert (tmp_path / "lazy" / f"iter0.{suffix}").read_bytes() == (tmp_path / "mono" / f"model.{suffix}").read_bytes()
     assert [(it.index, it.added_rows, it.objective, it.status) for it in lazy.iterations] == [
         (0, 0, lazy.objective_float, STATUS_OPTIMAL)
     ]
@@ -230,9 +231,11 @@ def test_default_command_runs_without_the_package_on_the_path(tmp_path):
 
     model_path = tmp_path / "m.lp"
     sol_path = tmp_path / "m.sol"
+    start_path = tmp_path / "m.start"
     model_path.write_text(TINY_LP)
+    start_path.write_text("y 1\n")
     argv = [
-        tok.format(model=model_path, solution=sol_path, time_limit=60, gap=0, threads=1)
+        tok.format(model=model_path, solution=sol_path, start=start_path, time_limit=60, gap=0, threads=1)
         for tok in shlex.split(default_solver_command())
     ]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}

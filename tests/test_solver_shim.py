@@ -471,3 +471,72 @@ def test_main_leaves_out_an_infinite_bound(tmp_path, monkeypatch):
     assert rc == 0
     assert "# Status = time_limit\n# Objective value = 2.0\n# Wall time = " in sol
     assert "bound" not in sol.lower()
+
+
+def _solve_with_start(tmp_path, start: str, *extra: str) -> tuple[int, str]:
+    """`main` on TINY_LP with the start file `start`: (exit code, solution text)."""
+    (tmp_path / "m.lp").write_text(TINY_LP)
+    (tmp_path / "m.start").write_text(start)
+    rc = main([str(tmp_path / "m.lp"), str(tmp_path / "m.sol"), "--start", str(tmp_path / "m.start"), *extra])
+    return rc, (tmp_path / "m.sol").read_text()
+
+
+def test_start_is_the_incumbent_of_a_run_stopped_at_once(tmp_path):
+    # with no time to search, HiGHS reports the start it was given: x = 1 scores 1 (the optimum, y = 1, scores 2)
+    rc, sol = _solve_with_start(tmp_path, "x 1\n", "--time-limit", "0")
+    assert rc == 0 and "# Status = time_limit\n# Objective value = 1.0\n" in sol and "\nx 1.0\n" in sol
+    rc, sol = _solve_file(tmp_path, TINY_LP)
+    assert rc == 0 and "# Objective value = 2.0" in sol
+
+
+def test_empty_start_file_is_a_cold_solve(tmp_path):
+    rc, sol = _solve_with_start(tmp_path, "\n", "--time-limit", "0")
+    assert rc == 0 and "Objective" not in sol
+    rc, sol = _solve_with_start(tmp_path, "", "--gap", "0")
+    assert rc == 0 and "# Status = optimal\n# Objective value = 2.0\n" in sol
+
+
+@pytest.mark.parametrize(
+    "start, problem",
+    [
+        ("z 1\n", "names 'z', which is no column"),
+        ("x one\n", "'one', not a finite number"),
+        ("x nan\n", "'nan', not a finite number"),
+        ("x 1e400\n", "'1e400', not a finite number"),
+        ("x inf\n", "'inf', not a finite number"),
+        ("x 0.5\n", "the binary x the value '0.5', not 0 or 1"),
+        ("y 2\n", "the binary y the value '2', not 0 or 1"),
+        ("x\n", "is not 'name value'"),
+    ],
+)
+def test_bad_start_file_exits_1_with_one_line_and_an_error_file(tmp_path, capsys, start, problem):
+    rc, sol = _solve_with_start(tmp_path, start)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("solver shim error: ") and err.count("\n") == 1 and problem in err
+    assert "Traceback" not in err
+    assert sol.startswith("# Status = error\n")
+
+
+def test_shim_by_path_with_a_start_imports_neither_numpy_nor_scipy_optimize(tmp_path):
+    # the sparse setSolution overload would make pybind import numpy into the child
+    (tmp_path / "m.lp").write_text(TINY_LP)
+    (tmp_path / "m.start").write_text("y 1\n")
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = [{str(SHIM_PATH)!r}, 'm.lp', 'm.sol', '--start', 'm.start']\n"
+        "try:\n"
+        f"    runpy.run_path({str(SHIM_PATH)!r}, run_name='__main__')\n"
+        "except SystemExit as stop:\n"
+        "    print(stop.code, 'numpy' in sys.modules, 'scipy.optimize' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(code, tmp_path) == "0 False False"
+    assert "# Status = optimal" in (tmp_path / "m.sol").read_text()
+
+
+def test_help_exits_0_and_stays_short():
+    proc = subprocess.run(
+        [sys.executable, str(SHIM_PATH), "--help"], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0 and "--start" in proc.stdout
+    assert len(proc.stdout.splitlines()) <= 20, proc.stdout
