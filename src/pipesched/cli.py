@@ -158,6 +158,8 @@ def _run_manifest(model: MILPModel, config: SolverConfig, result: SolveResult) -
             "time_limit": config.time_limit if math.isfinite(config.time_limit) else None,  # inf: no limit
             "gap_target": config.gap,
             "threads": config.threads,
+            "nodes": result.nodes,
+            "simplex_iterations": result.simplex_iterations,
         },
         "status": result.status,
         "objective": _fnum(result.objective),

@@ -17,7 +17,8 @@ is ASCII.  The objective constant is never written into the file; callers
 add it back to reported values.
 
 `parse_solution` accepts the common solution-file shapes: `name value`
-pairs, `#`-comment metadata (objective/bound/status), `objective value:` /
+pairs, `#`-comment metadata (objective/bound/status, and the node and
+simplex-iteration counts, kept for the record only), `objective value:` /
 `solution status:` headers, report lines `<idx> name value reduced-cost`,
 and trailing `(obj: ...)` annotations.  A name is read back from its digits
 and accepted only if the writer spells that column the same way.  Binary
@@ -207,10 +208,14 @@ class ParsedSolution:
     objective: Optional[float]  # linear part recomputed from the model
     bound: Optional[float]
     status_hint: Optional[str]  # one of the STATUS_* words, or None
+    # informational `# MIP nodes` and `# Simplex iterations` lines; None when absent or not a whole number
+    nodes: Optional[int]
+    simplex_iterations: Optional[int]
 
 
 _META_RE = re.compile(
-    r"^#\s*(objective value|best bound|status|message|wall time)\s*[=:]\s*(.*)$", re.IGNORECASE
+    r"^#\s*(objective value|best bound|status|message|wall time|mip nodes|simplex iterations)\s*[=:]\s*(.*)$",
+    re.IGNORECASE,
 )
 _HEADER_RE = re.compile(r"^(solution status|objective value)\s*:\s*(.*)$", re.IGNORECASE)
 _CBC_RE = re.compile(
@@ -264,6 +269,11 @@ def _reported(text: str, lineno: int) -> float:
     return value
 
 
+def _count(text: str) -> Optional[int]:
+    """An informational count: a whole decimal number of up to 18 digits, else None."""
+    return int(text) if text.isascii() and text.isdigit() and len(text) <= 18 else None
+
+
 def parse_solution(text: Union[str, Iterable[str]], model: MILPModel) -> ParsedSolution:
     """Read a solution file's content, given as one string or as lines (an open text file).
 
@@ -279,6 +289,8 @@ def parse_solution(text: Union[str, Iterable[str]], model: MILPModel) -> ParsedS
     reported: Optional[float] = None
     bound: Optional[float] = None
     status_hint: Optional[str] = None
+    nodes: Optional[int] = None
+    simplex_iterations: Optional[int] = None
     saw_values_section = False
 
     lines = text.splitlines() if isinstance(text, str) else text
@@ -298,6 +310,10 @@ def parse_solution(text: Union[str, Iterable[str]], model: MILPModel) -> ParsedS
                         bound = _reported(val, lineno)
                     elif key == "status":
                         status_hint = _normalize_status(val) or status_hint
+                    elif key == "mip nodes":
+                        nodes = _count(val)
+                    elif key == "simplex iterations":
+                        simplex_iterations = _count(val)
                 continue
             m = _HEADER_RE.match(line)
             if m:
@@ -331,7 +347,7 @@ def parse_solution(text: Union[str, Iterable[str]], model: MILPModel) -> ParsedS
 
     no_values = (STATUS_UNBOUNDED, STATUS_ERROR, STATUS_TIME_LIMIT)  # words that may come without a schedule
     if status_hint == STATUS_INFEASIBLE or (not saw_values_section and status_hint in no_values):
-        return ParsedSolution(None, None, bound, status_hint)
+        return ParsedSolution(None, None, bound, status_hint, nodes, simplex_iterations)
     if not saw_values_section and reported is None and status_hint is None:
         raise SolutionFormatError("solution file contains neither values nor a recognizable status")
 
@@ -361,4 +377,5 @@ def parse_solution(text: Union[str, Iterable[str]], model: MILPModel) -> ParsedS
             raise SolutionFormatError(
                 f"solver-reported objective {reported!r} disagrees with recomputed {linear!r}"
             )
-    return ParsedSolution(Schedule.from_initial(model.catalog, placements), linear, bound, status_hint)
+    schedule = Schedule.from_initial(model.catalog, placements)
+    return ParsedSolution(schedule, linear, bound, status_hint, nodes, simplex_iterations)

@@ -132,6 +132,9 @@ class SolveResult:
     violations: list[Violation] = field(default_factory=list)
     message: str = ""
     start: Optional[Start] = None  # the judged plan handed to the solver; None without {start} or a plan
+    # the solution file's `# MIP nodes` and `# Simplex iterations`, informational; None where it has none
+    nodes: Optional[int] = None
+    simplex_iterations: Optional[int] = None
 
     @property
     def ok(self) -> bool:
@@ -193,7 +196,10 @@ def _call(model: MILPModel, config: SolverConfig, argv: list[str], sol_path: Pat
         message = _quote_output(f"solver exit {proc.returncode}", proc.stderr)
     elif status not in (STATUS_INFEASIBLE, STATUS_TIME_LIMIT, STATUS_ERROR):
         status = STATUS_GAP if gap is not None and gap > 1e-9 else status or STATUS_OPTIMAL
-    return SolveResult(status, parsed.schedule, None, objective, bound, gap, wall_time=wall, message=message)
+    return SolveResult(
+        status, parsed.schedule, None, objective, bound, gap, wall_time=wall, message=message,
+        nodes=parsed.nodes, simplex_iterations=parsed.simplex_iterations,
+    )
 
 
 def _finalize(model: MILPModel, found: SolveResult, wall_time: float) -> SolveResult:

@@ -41,21 +41,62 @@ eight-vertex setting-C path moved the other way, 2.81 -> 3.71 s, inside its
 seed spread.  On the model before the two reductions, probing off slowed the
 six-vertex setting-A path, so it is off only together with them.
 
-`--start FILE` hands HiGHS a MIP start before the run.  The file holds
-`name value` lines, one column each (the driver writes `v<vid> 1` for the
-dispatches its list scheduler planned); names map through the model's
-column names.  Every integer column the file does not list starts at 0, and
-every continuous column it does not list is left undefined (infinite), for
-HiGHS to complete.  The start goes in as one dense `HighsSolution`: the
-sparse `setSolution` overload makes pybind import numpy into the child,
-which on the six-vertex setting-B model took 0.12 s and 8.9 MB of peak
-memory against 0.04 s and 1.2 MB for the dense form (in process, 2-core
-VM).  An empty file gives a cold solve.  A file naming an unknown column,
-or holding a value that is not a finite number, or a binary other than 0
-or 1, exits 1 like any other error.  With the driver's start, HiGHS's
-median run over seeds 0-2 at gap 1e-3 fell from 1.42 to 0.60 s on that
-model and from 3.92 to 0.68 s on the month at six vertices, each run
-ending at the root node.
+`--start FILE` gives the solve a MIP start.  The file holds `name value`
+lines, one column each (the driver writes `v<vid> 1` for the dispatches its
+list scheduler planned); names map through the model's column names.  Every
+integer column the file does not list starts at 0, and every continuous
+column it does not list is left undefined (infinite), to be completed.  An
+empty file gives a cold solve.  A file naming an unknown column, or holding
+a value that is not a finite number, or a binary other than 0 or 1, exits 1
+like any other error, before any LP runs.
+
+With a start, `main` first tries to prove it optimal with two LP runs, and
+runs the MIP only where that proof fails (`_solve_from_start`).  The first
+LP fixes every integer column at its start value; presolve empties it, and
+its solution completes the start's continuous columns, as HiGHS's own start
+completion does.  The second, with the bounds restored, is the LP
+relaxation (`solve_relaxation`).  The start is proven when the two
+objectives meet by HiGHS's own MIP stopping rule, the `mip_abs_gap` or the
+`mip_rel_gap` read back from HiGHS; without the absolute gap every solve at
+gap 0 fell back to the MIP on float noise.  The solution file then holds the
+fixed LP's values, `# MIP nodes = 0`, the simplex iterations of both runs,
+and the relaxation's bound kept on the incumbent's side, as HiGHS's MIP
+keeps it when it closes the gap; the status is `optimal` at a relative gap
+of at most 1e-9, else `gap_reached`.  In every other case (an integer
+column's start value that is fractional or out of bounds, either LP ending
+anything but optimal, or the gap still open) the bounds are restored and the
+MIP runs from the start, completed by the fixed LP where that LP was
+optimal.  It gets what is left of `--time-limit`: HiGHS applies
+`time_limit` to each run, while its run clock adds up over runs.  The fixed
+LP runs first so that a proof cut short by the limit still hands the MIP a
+complete start, which HiGHS reports as its incumbent at once.  Each LP runs
+from a cleared solver: on the six-vertex setting-B model, warm-started from
+the fixed LP's basis, the relaxation took 0.57-0.82 s against 0.14-0.21 s
+(three runs in process, 2-core VM).
+
+The start reaches HiGHS without pybind importing numpy into the child.  It
+goes to the MIP as one dense
+`HighsSolution`: the sparse `setSolution` overload took 0.12 s and 8.9 MB
+of peak memory on the six-vertex setting-B model against 0.04 s and 1.2 MB
+(in process, 2-core VM).  The fixed LP's bounds are set one column at a time
+with `changeColBounds`: `changeColsBounds` imports numpy too, and the
+child's solve time on that model rose from 0.21 to 0.33 s with it (median
+of five).
+
+The driver's start meets the LP bound on every rung of the ladder and on
+the month, so none of them runs the MIP any more.  The child's `# Wall
+time`, gap 1e-3, one thread, 2-core VM, MIP from the start -> the proof
+(median of five runs each, alternating):
+
+    four-vertex setting A       0.34 -> 0.24 s
+    six-vertex setting A        0.82 -> 0.53 s
+    six-vertex setting B        1.00 -> 0.61 s
+    eight-vertex setting C      1.11 -> 0.78 s
+    the month, six vertices     0.96 -> 0.82 s
+    the month, eight vertices   1.08 -> 0.77 s
+
+Every run ends `optimal` at the same optimum and with the same values as the
+MIP wrote, also at gap 0.
 
 `parse_lp` and `solve_lp` are the same two steps for an in-process caller:
 `parse_lp` reads LP text through a temporary file exactly as `main` reads
@@ -64,12 +105,12 @@ its input, and `solve_lp` sets the time limit and gap and runs HiGHS.
 The solution file holds `name value` rows for nonzero variables after
 comment metadata (`# Status`, `# Objective value`, `# Best bound`, then
 `# Wall time`, `# MIP nodes`, `# Simplex iterations`, `# Read time` and
-`# Solve time`) in the style most solver exports follow; at a fixed seed
-the simplex iteration count repeats exactly, so it fingerprints HiGHS's
-path.  It is written to a temporary file and renamed into place, so a
-killed solver leaves no partial solution.  A solution path in a directory
-that does not exist exits 1 with one `solver shim error:` line before the
-model is read.
+`# Solve time`) in the style most solver exports follow.  The simplex
+iteration count sums every run the child made; at a fixed seed it repeats
+exactly, so it fingerprints HiGHS's path.  It is written to a temporary
+file and renamed into place, so a killed solver leaves no partial solution.
+A solution path in a directory that does not exist exits 1 with one
+`solver shim error:` line before the model is read.
 """
 
 from __future__ import annotations
@@ -154,9 +195,9 @@ def _configured_highs(time_limit: float, gap: float, threads: int = 1):
 class HighsResult(NamedTuple):
     status: str  # optimal, gap_reached, time_limit, infeasible, unbounded or error
     objective: float | None  # in the model's own sense; None without a feasible solution
-    bound: float | None  # MIP dual bound, reported with a feasible MIP solution
+    bound: float | None  # MIP dual bound, or the relaxation's for a proven start; with a feasible solution
     x: list[float] | None  # column values in column order, with a feasible solution
-    mip_node_count: int
+    mip_node_count: int  # 0 for a proven start
     simplex_iterations: int
 
 
@@ -257,16 +298,15 @@ def _read_model(path: str, time_limit: float, gap: float, threads: int = 1):
     return highs
 
 
-def _set_start(highs, path: str) -> None:
-    """Hand HiGHS the start in the file at `path` (its format is in the module docstring)."""
+def _read_start(lp, path: str) -> list[float] | None:
+    """The start in the file at `path` as one value per column of `lp`, or None for an empty file
+    (its format is in the module docstring)."""
     with open(path, encoding="utf-8") as fh:
         entries = [(lineno, line.split()) for lineno, line in enumerate(fh, start=1) if line.strip()]
     if not entries:
-        return
-    core = _highs_core()
-    lp = highs.getLp()
+        return None
     column = {name: i for i, name in enumerate(lp.col_names_)}
-    integer = [kind != core.HighsVarType.kContinuous for kind in lp.integrality_] or [False] * lp.num_col_
+    integer = _integer_columns(lp)
     binary = [kind and (lo, hi) == (0, 1) for kind, lo, hi in zip(integer, lp.col_lower_, lp.col_upper_)]
     values = [0.0 if is_integer else math.inf for is_integer in integer]
     for lineno, words in entries:
@@ -285,9 +325,75 @@ def _set_start(highs, path: str) -> None:
         if binary[i] and value not in (0.0, 1.0):
             raise ValueError(f"start file line {lineno} gives the binary {name} the value {text!r}, not 0 or 1")
         values[i] = value
-    solution = core.HighsSolution()
+    return values
+
+
+def _integer_columns(lp) -> list[bool]:
+    """Whether each column of `lp` is an integer column."""
+    continuous = _highs_core().HighsVarType.kContinuous
+    return [kind != continuous for kind in lp.integrality_] or [False] * lp.num_col_
+
+
+def _set_start(highs, values: list[float]) -> None:
+    """Hand HiGHS the start `values` as one dense `HighsSolution` (the sparse overload imports numpy)."""
+    solution = _highs_core().HighsSolution()
     solution.col_value = values
-    _check(highs.setSolution(solution), f"HiGHS rejected the start in {path}")
+    _check(highs.setSolution(solution), "HiGHS rejected the start")
+
+
+def _lp_run(highs, time_limit: float) -> tuple[float | None, int]:
+    """Run the loaded model from scratch within what is left of `time_limit` (HiGHS's run clock adds up
+    over runs); its objective when it ends optimal, else None, and its simplex iterations."""
+    _set_options(highs, time_limit=max(0.0, time_limit - highs.getRunTime()))
+    highs.clearSolver()
+    highs.run()
+    info = highs.getInfo()
+    optimal = highs.getModelStatus() == _highs_core().HighsModelStatus.kOptimal
+    return (info.objective_function_value if optimal else None), max(info.simplex_iteration_count, 0)
+
+
+def _solve_from_start(highs, lp, start: list[float], time_limit: float) -> HighsResult:
+    """Solve the model `lp` loaded in `highs` from `start`: prove the start optimal with two LP runs,
+    or else run the MIP from it (the module docstring tells why and what it saves)."""
+    integer = [i for i, is_integer in enumerate(_integer_columns(lp)) if is_integer]
+    lower, upper = lp.col_lower_, lp.col_upper_
+    iterations = 0
+    # the fixed LP's solution is a MIP solution only if each integer column is fixed at an integer within its bounds
+    if all(start[i] == round(start[i]) and lower[i] <= start[i] <= upper[i] for i in integer):
+        _set_options(highs, solve_relaxation=True)
+        for i in integer:  # one column at a time: `changeColsBounds` makes pybind import numpy
+            _check(highs.changeColBounds(i, start[i], start[i]), f"HiGHS rejected fixing column {i}")
+        incumbent, iterations = _lp_run(highs, time_limit)
+        if incumbent is not None:
+            start = list(highs.getSolution().col_value)  # complete, so a MIP cut short still reports it
+        for i in integer:
+            _check(highs.changeColBounds(i, lower[i], upper[i]), f"HiGHS rejected restoring column {i}")
+        if incumbent is not None:
+            relaxation, spent = _lp_run(highs, time_limit)
+            iterations += spent
+            proven = None if relaxation is None else _proof(highs, lp, relaxation, incumbent)
+            if proven is not None:
+                return HighsResult(*proven, start, 0, iterations)
+        _set_options(highs, solve_relaxation=False)
+        highs.clearSolver()
+    _set_start(highs, start)
+    _set_options(highs, time_limit=max(0.0, time_limit - highs.getRunTime()))
+    res = _run(highs)
+    return res._replace(simplex_iterations=res.simplex_iterations + iterations)
+
+
+def _proof(highs, lp, relaxation: float, incumbent: float) -> tuple[str, float, float] | None:
+    """Status, objective and bound of an incumbent that meets the relaxation's bound by HiGHS's own MIP
+    stopping rule (its absolute or its relative gap, as set in `highs`), else None.  The bound is kept
+    on the incumbent's side, as HiGHS's MIP keeps it when it closes the gap."""
+    distance = abs(incumbent - relaxation)
+    abs_gap, rel_gap = (highs.getOptionValue(key)[1] for key in ("mip_abs_gap", "mip_rel_gap"))
+    if distance > abs_gap and distance / max(1.0, abs(incumbent)) > rel_gap:
+        return None
+    maximize = lp.sense_ == _highs_core().ObjSense.kMaximize
+    bound = max(relaxation, incumbent) if maximize else min(relaxation, incumbent)
+    rel = abs(incumbent - bound) / max(1.0, abs(incumbent))  # as `_status_of` reads a closed MIP
+    return ("optimal" if rel <= 1e-9 else "gap_reached"), incumbent, bound
 
 
 def parse_lp(text: str):
@@ -330,10 +436,10 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.monotonic()
     try:
         highs = _read_model(args.model, args.time_limit, args.gap, args.threads)
-        if args.start is not None:
-            _set_start(highs, args.start)
+        lp = highs.getLp()
+        start = None if args.start is None else _read_start(lp, args.start)
         t_read = time.monotonic()
-        res = _run(highs)
+        res = _run(highs) if start is None else _solve_from_start(highs, lp, start, args.time_limit)
         t_solve = time.monotonic()
     except Exception as exc:  # report through the file protocol, then fail
         _write_atomically(args.solution, f"# Status = error\n# Message = {type(exc).__name__}: {exc}\n")
@@ -351,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     lines.append(f"# Read time = {t_read - t0:.3f}")
     lines.append(f"# Solve time = {t_solve - t_read:.3f}")
     if res.x is not None:
-        for name, val in zip(highs.getLp().col_names_, res.x):
+        for name, val in zip(lp.col_names_, res.x):
             if abs(val) > 1e-11:
                 lines.append(f"{name} {val!r}")
     _write_atomically(args.solution, "\n".join(lines) + "\n")

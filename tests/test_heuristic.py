@@ -131,6 +131,25 @@ def test_manifest_start_holds_the_plans_exact_objective(l4a_path, tmp_path):
     assert rc == 0 and (cold["start"], cold["objective"]) == (None, 1440.0)
 
 
+@pytest.mark.parametrize("rung", sorted(RUNGS))
+def test_manifest_bound_is_on_the_objectives_side_at_node_zero(rung, tmp_path):
+    # every rung maximises; a proof whose LP bound lands a float's noise below the start is clamped to it
+    params, optimum, _full = RUNGS[rung]
+    save_instance(generate_path_instance(PathExperimentParams(**params)), tmp_path / "inst.json")
+    assert cli_main(["solve", "--instance", str(tmp_path / "inst.json"), "--out-dir", str(tmp_path / "run")]) == 0
+    manifest = _manifest(tmp_path / "run")
+    assert (manifest["status"], manifest["objective"]) == ("optimal", float(optimum))
+    assert manifest["bound"] >= manifest["objective"] and manifest["solver"]["nodes"] == 0
+
+
+def test_manifest_counts_nodes_of_a_cold_solve(ref1_small, tmp_path):
+    save_instance(ref1_small, tmp_path / "inst.json")
+    args = ["solve", "--instance", str(tmp_path / "inst.json"), "--out-dir", str(tmp_path / "run"), "--solver-cmd", COLD]
+    assert cli_main(args) == 0
+    solver = _manifest(tmp_path / "run")["solver"]
+    assert type(solver["nodes"]) is int and type(solver["simplex_iterations"]) is int
+
+
 def test_manifest_start_says_why_a_plan_was_dropped(ref1_small, tmp_path, monkeypatch):
     clash = Schedule.from_raw([("e1", "r1:flush:standard", 0), ("e1", "r1:flush:standard", 1)])
     monkeypatch.setattr(heuristic, "list_schedule", lambda inst, catalog: clash)

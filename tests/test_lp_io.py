@@ -361,10 +361,33 @@ def test_empty_rows_never_serialized():
 
 
 def test_shim_timing_lines_are_ignored(ref_model):
+    # the two counts are read into fields of their own (next test); nothing else changes with these lines
     text = "# Status = optimal\n# Objective value = 144\n# Wall time = 0.5\nv0 1\nv28 1.0\n"
     counts = "# MIP nodes = 12\n# Simplex iterations = 889\n# Read time = 0.25\n# Solve time = 0.125\n"
     timed = text.replace("# Wall time = 0.5\n", "# Wall time = 0.5\n" + counts)
-    assert parse_solution(timed, ref_model) == parse_solution(text, ref_model)
+    parsed = parse_solution(timed, ref_model)
+    assert dataclasses.replace(parsed, nodes=None, simplex_iterations=None) == parse_solution(text, ref_model)
+
+
+@pytest.mark.parametrize(
+    "lines, nodes, iterations",
+    [
+        ("# MIP nodes = 0\n# Simplex iterations = 743\n", 0, 743),
+        ("", None, None),
+        ("# MIP nodes = 1.5\n# Simplex iterations = -3\n", None, None),
+        ("# MIP nodes = many\n# Simplex iterations = 1e3\n", None, None),
+        ("# mip nodes: 7\n# Simplex iterations = " + "9" * 40 + "\n", 7, None),
+    ],
+    ids=["counts", "none", "negative or fractional", "no number", "colon, and too long"],
+)
+def test_shim_count_lines_are_read_and_decide_nothing(ref_model, lines, nodes, iterations):
+    # informational only: a count that is no whole number leaves its field None and raises nothing
+    text = "# Status = optimal\n# Objective value = 144\n" + lines + "v0 1\nv28 1.0\n"
+    parsed = parse_solution(text, ref_model)
+    assert (parsed.nodes, parsed.simplex_iterations) == (nodes, iterations)
+    assert (parsed.status_hint, parsed.objective, len(parsed.schedule.placements)) == ("optimal", 144, 2)
+    infeasible = parse_solution("# Status = infeasible\n" + lines, ref_model)
+    assert (infeasible.schedule, infeasible.nodes, infeasible.simplex_iterations) == (None, nodes, iterations)
 
 
 SOLUTION_TEXTS = {

@@ -10,11 +10,13 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 
 import pytest
 
 from pipesched.batches import enumerate_batches
 from pipesched.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_LIMIT, EXIT_OK
+from pipesched.generator import PathExperimentParams, generate_path_instance
 from pipesched.milpmodel import BuildOptions, build_model
 from pipesched.schedule import Schedule
 from pipesched.solver import (
@@ -58,6 +60,19 @@ def test_long_horizon_extracts_full_nomination(ref1_long, quick_cfg):
     assert res.objective == 1440
     assert len(res.schedule.placements) == 20  # 10 flush + 10 stain dispatches
     assert res.violations == []
+
+
+@pytest.mark.parametrize(
+    "params, optimum",
+    [(dict(vertices=4, setting="A"), Fraction(1440)), (dict(vertices=6, setting="B", cost_mode="SDC"), Fraction(269937, 25))],
+    ids=["l4A", "6B"],
+)
+def test_start_at_the_optimum_solves_at_node_zero_to_the_same_schedule(params, optimum):
+    # the shim proves the list scheduler's start at the LP bound, at gap 0 too (the default gap is in
+    # test_heuristic): the schedule is the start, as the MIP found it
+    res = solve(build_model(generate_path_instance(PathExperimentParams(**params))), SolverConfig(gap=0.0))
+    assert (res.status, res.objective, res.nodes, res.violations) == (STATUS_OPTIMAL, optimum, 0, [])
+    assert res.schedule == res.start.schedule and res.simplex_iterations > 0
 
 
 def test_lazy_loop_without_lazy_rows_is_single_round(ref1_small, quick_cfg):

@@ -12,7 +12,8 @@ import pytest
 
 import pipesched.solver_shim as shim
 from pipesched.generator import PathExperimentParams, generate_oracle_instance, generate_path_instance
-from pipesched.lp_io import write_lp
+from pipesched.heuristic import plan_start
+from pipesched.lp_io import write_lp, write_start
 from pipesched.milpmodel import FAMILIES, FAMILY_SENSE, GE, LE, build_model, column_letters
 from pipesched.solver_shim import main, parse_lp, solve_lp
 from tests.conftest import TINY_LP, lp_text
@@ -532,6 +533,116 @@ def test_shim_by_path_with_a_start_imports_neither_numpy_nor_scipy_optimize(tmp_
     )
     assert _fresh_interpreter(code, tmp_path) == "0 False False"
     assert "# Status = optimal" in (tmp_path / "m.sol").read_text()
+
+
+@pytest.fixture(scope="module")
+def driver_files(tmp_path_factory):
+    """The LP file and the driver's start file of l4A and 6B, by rung name."""
+    folder = tmp_path_factory.mktemp("rungs")
+    files = {}
+    for rung, params in {"l4A": dict(vertices=4, setting="A"), "6B": dict(vertices=6, setting="B", cost_mode="SDC")}.items():
+        model = build_model(generate_path_instance(PathExperimentParams(**params)))
+        lp, start = folder / f"{rung}.lp", folder / f"{rung}.start"
+        write_lp(model, lp)
+        write_start(model, plan_start(model.instance, model.catalog).schedule, start)
+        files[rung] = (lp, start)
+    return files
+
+
+def _spy_on_the_mip(monkeypatch) -> list[tuple[float, float]]:
+    """Make `shim._run`, the MIP run, record its time limit and the HiGHS run time it starts at."""
+    runs, real = [], shim._run
+
+    def spy(highs):
+        runs.append((highs.getOptionValue("time_limit")[1], highs.getRunTime()))
+        return real(highs)
+
+    monkeypatch.setattr(shim, "_run", spy)
+    return runs
+
+
+def _head(sol: str) -> dict:
+    return dict(line[2:].split(" = ", 1) for line in sol.splitlines() if line.startswith("# "))
+
+
+@pytest.mark.parametrize("gap", ["1e-3", "0"])
+@pytest.mark.parametrize("rung", ["l4A", "6B"])
+def test_start_at_the_lp_bound_is_proven_without_a_mip_run(driver_files, tmp_path, monkeypatch, rung, gap):
+    # the driver's start is the optimum on both rungs, and the LP relaxation's bound meets it
+    lp, start = driver_files[rung]
+    runs = _spy_on_the_mip(monkeypatch)
+    assert main([str(lp), str(tmp_path / "m.sol"), "--start", str(start), "--gap", gap]) == 0
+    sol = (tmp_path / "m.sol").read_text()
+    head = _head(sol)
+    assert runs == [] and head["Status"] == "optimal" and head["MIP nodes"] == "0"
+    assert float(head["Best bound"]) >= float(head["Objective value"])  # both rungs maximise
+    assert int(head["Simplex iterations"]) > 0
+    dispatches = {name: float(value) for name, value in (line.split() for line in sol.splitlines() if line[0] == "v")}
+    assert dispatches == {name: float(value) for name, value in (line.split() for line in start.read_text().splitlines())}
+
+
+def test_start_below_the_relaxation_falls_back_to_the_mip(tmp_path, monkeypatch):
+    # the relaxation's 2 against the start's 1 leaves the gap open at gap 0: the MIP runs from the start
+    runs = _spy_on_the_mip(monkeypatch)
+    rc, sol = _solve_with_start(tmp_path, "x 1\n", "--gap", "0")
+    assert rc == 0 and len(runs) == 1
+    assert "# Status = optimal\n# Objective value = 2.0\n" in sol and "\ny 1.0\n" in sol
+
+
+def test_start_that_breaks_a_row_falls_back_to_the_mip(tmp_path, monkeypatch):
+    # x = y = 1 breaks x + y <= 1, so the start's own LP is infeasible
+    runs = _spy_on_the_mip(monkeypatch)
+    rc, sol = _solve_with_start(tmp_path, "x 1\ny 1\n", "--gap", "0")
+    assert rc == 0 and len(runs) == 1
+    assert "# Status = optimal\n# Objective value = 2.0\n" in sol and "\ny 1.0\n" in sol
+
+
+@pytest.mark.parametrize(
+    "bounds, start, optimum",
+    [(" c1: x <= 3.5\nBounds\n 0 <= x <= 10", "x 3.5\n", 3.0), (" c1: x <= 20\nBounds\n 0 <= x <= 10", "x 12\n", 10.0)],
+    ids=["off the lattice", "out of bounds"],
+)
+def test_start_no_mip_solution_is_left_to_the_mip(tmp_path, monkeypatch, bounds, start, optimum):
+    # fixing a general integer at 3.5 would meet the relaxation's 3.5 exactly, and at 12 would pass a gap
+    # of 0.5 against the relaxation's 10, yet neither is a solution of the model
+    text = f"Maximize\n obj: x\nSubject To\n{bounds}\nGeneral\n x\nEnd\n"
+    (tmp_path / "g.lp").write_text(text)
+    (tmp_path / "g.start").write_text(start)
+    runs = _spy_on_the_mip(monkeypatch)
+    args = [str(tmp_path / "g.lp"), str(tmp_path / "g.sol"), "--start", str(tmp_path / "g.start"), "--gap", "0.5"]
+    assert main(args) == 0 and len(runs) == 1
+    assert float(_head((tmp_path / "g.sol").read_text())["Objective value"]) == optimum
+
+
+def test_proof_cut_by_the_time_limit_leaves_the_mip_the_rest_of_it(driver_files, tmp_path, monkeypatch):
+    # 6B's relaxation takes longer than 0.05 s, so the proof stops on time; the MIP gets what is left of the
+    # limit (HiGHS applies `time_limit` to each run but adds the run clock up over runs)
+    lp, start = driver_files["6B"]
+    runs = _spy_on_the_mip(monkeypatch)
+    limit = 0.05
+    assert main([str(lp), str(tmp_path / "m.sol"), "--start", str(start), "--time-limit", str(limit)]) == 0
+    head = _head((tmp_path / "m.sol").read_text())
+    [(left, ran)] = runs
+    assert left == pytest.approx(max(0.0, limit - ran))
+    assert head["Status"] == "time_limit" and float(head["Solve time"]) < limit + 1.0
+    # the start's own LP, when it ran in time, completed the start, which the MIP then reports
+    assert float(head.get("Objective value", 10797.48)) == pytest.approx(10797.48)
+
+
+def test_shim_by_path_proves_a_start_without_numpy_or_scipy_optimize(driver_files, tmp_path):
+    # `changeColBounds` one column at a time: `changeColsBounds` would make pybind import numpy
+    lp, start = driver_files["l4A"]
+    code = (
+        "import runpy, sys\n"
+        f"sys.argv = [{str(SHIM_PATH)!r}, {str(lp)!r}, 'm.sol', '--start', {str(start)!r}]\n"
+        "try:\n"
+        f"    runpy.run_path({str(SHIM_PATH)!r}, run_name='__main__')\n"
+        "except SystemExit as stop:\n"
+        "    print(stop.code, 'numpy' in sys.modules, 'scipy.optimize' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(code, tmp_path) == "0 False False"
+    head = _head((tmp_path / "m.sol").read_text())
+    assert (head["Status"], head["MIP nodes"]) == ("optimal", "0")
 
 
 def test_help_exits_0_and_stays_short():
