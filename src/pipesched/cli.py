@@ -158,6 +158,7 @@ def _run_manifest(model: MILPModel, config: SolverConfig, result: SolveResult) -
             "time_limit": config.time_limit if math.isfinite(config.time_limit) else None,  # inf: no limit
             "gap_target": config.gap,
             "threads": config.threads,
+            "seed": config.seed if config.names("seed") else None,  # None: the template passes no seed
             "nodes": result.nodes,
             "simplex_iterations": result.simplex_iterations,
         },

@@ -9,6 +9,9 @@ A row's sense comes from its family, and its name from its family and its
 rank, which the writer counts per family as it walks the rows.  The tank
 limits are written in the Bounds section, `-inf <= u <= capacity` and
 `l >= minimum`, and an occupancy column without a limit is written `free`.
+The model holds occupancy columns and recurrences only at the slots whose
+limit can bind (`milpmodel.kept_limits`); the writer and `parse_solution`
+walk whatever blocks and rows it holds.
 Variable names are kind-prefixed dense ids (v=dispatch, u=blocked stock,
 l=on-stock, d=deviation), formed as they are written from `column_letters`;
 no list of names is kept.  The header comment writes the
@@ -133,7 +136,7 @@ def _bound_affixes(lb: int | None, ub: int | None) -> tuple[str, str] | None:
 def write_lp(model: MILPModel, path: Union[str, Path]) -> str:
     """Write the model to the LP file `path` and return `path` as a string.
 
-    Every row is written, and every tank limit as its occupancy column's bound.
+    Every row is written, and every tank limit the model keeps as its occupancy column's bound.
     A row without terms is left out after checking that it holds vacuously.
     The file is written a piece at a time to `<path>.part` and renamed to
     `path` once complete; a write that fails removes the part file and

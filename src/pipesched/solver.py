@@ -2,7 +2,7 @@
 
 The driver knows nothing about any particular solver: it writes an LP file,
 runs a command built from a template with {model}, {solution}, {start},
-{time_limit}, {gap} and {threads} placeholders, and parses the solution file
+{time_limit}, {gap}, {threads} and {seed} placeholders, and parses the solution file
 back.  The template comes from SolverConfig.command, the PIPESCHED_SOLVER_CMD
 environment variable, or falls back to the bundled scipy/HiGHS shim.  A time
 limit of inf means no limit: the child then runs without a watchdog.
@@ -13,7 +13,7 @@ plan is written to `<tag>.start` next to the LP file (`lp_io.write_start`);
 a dropped plan, or none, leaves the file empty.  A template without {start}
 gets neither the planning nor the file.
 
-`solve` ships the full model, tank limits included, in one solver call.
+`solve` ships the full model, every tank limit that can bind included, in one solver call.
 `solve_lazy_capacity`, `LazyIteration` and `SolveResult.iterations` are
 stand-ins kept for the benchmark (`perfbench/op.py`), which calls them: the
 bound-generation loop they named is gone, and `solve_lazy_capacity` is
@@ -67,7 +67,7 @@ def default_solver_command() -> str:
     shim = Path(__file__).resolve().with_name("solver_shim.py")
     return (
         f"{_template_literal(sys.executable)} {_template_literal(str(shim))} "
-        "{model} {solution} --start {start} --time-limit {time_limit} --gap {gap} --threads {threads}"
+        "{model} {solution} --start {start} --time-limit {time_limit} --gap {gap} --threads {threads} --seed {seed}"
     )
 
 
@@ -77,6 +77,7 @@ class SolverConfig:
     time_limit: float = 1800.0  # seconds, per subprocess call
     gap: float = 1e-3  # relative MIP gap target
     threads: int = 1
+    seed: int = 0  # the solver's random seed, for a template with {seed}; the shim passes it to HiGHS
     work_dir: Optional[Union[str, Path]] = None  # keeps the LP and solution files; default: a temp dir, removed
     keep_files: bool = False  # accepted and ignored: set `work_dir` to keep the files
 
@@ -94,6 +95,7 @@ class SolverConfig:
             time_limit=self.time_limit,
             gap=self.gap,
             threads=self.threads,
+            seed=self.seed,
         )
         try:
             return [tok.format(**fields) for tok in shlex.split(template)]
@@ -102,10 +104,13 @@ class SolverConfig:
         except ValueError as exc:  # an unclosed quote or a lone brace
             raise ValueError(f"solver command {template!r}: {exc}") from None
 
-    def names_start(self) -> bool:
-        """True when the resolved template has a {start} placeholder; call it on a template `argv` accepts."""
+    def names(self, placeholder: str) -> bool:
+        """True when the resolved template has the placeholder; a template that does not split names none."""
         parse = string.Formatter().parse
-        return any(name == "start" for word in shlex.split(self.resolved_command()) for _, name, _, _ in parse(word))
+        try:
+            return any(name == placeholder for word in shlex.split(self.resolved_command()) for _, name, _, _ in parse(word))
+        except ValueError:  # an unclosed quote or a lone brace, which `argv` reports
+            return False
 
 
 @dataclass
@@ -156,7 +161,7 @@ def _run_once(model: MILPModel, config: SolverConfig, workdir: Path, tag: str) -
         return SolveResult(STATUS_ERROR, message=str(exc))
     write_lp(model, lp_path)
     start = None
-    if config.names_start():
+    if config.names("start"):
         start = plan_start(model.instance, model.catalog)
         write_start(model, None if start is None else start.schedule, start_path)
     sol_path.unlink(missing_ok=True)  # a kept work dir may hold an earlier run's solution
@@ -218,8 +223,15 @@ def _finalize(model: MILPModel, found: SolveResult, wall_time: float) -> SolveRe
     elif violations:
         status = STATUS_ERROR
         message = f"solver returned a schedule violating {len(violations)} rule(s)"
+    bound, gap = found.bound, found.gap
+    if status == STATUS_OPTIMAL and bound is not None:
+        # a closed gap: a float bound a rounding below the exact objective goes to its side, for any
+        # solver; `max` because every model maximizes (`MILPModel.objective`)
+        bound = max(bound, float(exact))
+        gap = abs(float(exact) - bound) / max(1.0, abs(float(exact)))
     return replace(
-        found, status=status, objective=exact, components=components, violations=violations, message=message
+        found, status=status, objective=exact, bound=bound, gap=gap, components=components,
+        violations=violations, message=message,
     )
 
 
@@ -245,7 +257,7 @@ def _solve(model: MILPModel, config: SolverConfig, tag: str) -> SolveResult:
 
 
 def solve(model: MILPModel, config: SolverConfig = SolverConfig()) -> SolveResult:
-    """Single monolithic solve with every row and every tank limit."""
+    """Single monolithic solve with every row and every tank limit that can bind."""
     return _solve(model, config, "model")
 
 

@@ -5,7 +5,7 @@ boundary an honest file-based protocol (any CPLEX-LP-capable solver can be
 substituted via the command template) while needing nothing beyond scipy.
 It imports nothing from `pipesched`, so the driver starts it by file path:
 
-    python .../pipesched/solver_shim.py model.lp model.sol --start model.start --time-limit 600 --gap 1e-3 --threads 1
+    python .../pipesched/solver_shim.py model.lp model.sol --start model.start --time-limit 600 --gap 1e-3 --threads 1 --seed 0
 
 `python -m pipesched.solver_shim` works too where the package is importable.
 
@@ -22,11 +22,12 @@ before HiGHS sees the file.
 HiGHS runs with presolve's probing off (`_PROBING_OFF`).  On the six-vertex
 setting-B model as built before, presolve took about 2 s of a 2.4 s run,
 most of it in the probing pass that took 6,209 rows to 3,570.  The builder
-now writes two reductions of its own, packing rows on trunk edges only and
-tank limits on the volume lattice; with them and without probing, presolve
-ends at 3,485 rows.  Run time in process, HiGHS seeds 0/1/2, one thread,
-gap 1e-3, on a 2-core VM, before both reductions and probing off -> with
-all three:
+now writes reductions of its own: packing rows on trunk edges only, tank
+limits on the volume lattice, and occupancy chains only at the limits that
+can bind.  The file then holds 3,515 rows (14,968 with every occupancy
+chain), and presolve without probing ends at 3,485 rows either way.  Run
+time in process, HiGHS seeds 0/1/2, one thread, gap 1e-3, on a 2-core VM,
+before the first two reductions and probing off -> with all three:
 
     six-vertex setting B       1.64 /  3.12 /   8.93 s  ->  1.02 / 0.82 / 1.48 s
     eight-vertex setting C    16.33 /  4.80 /  13.18 s  ->  1.54 / 2.93 / 5.27 s
@@ -38,8 +39,11 @@ median over seeds 0-2): four-vertex setting A 1.40 -> 0.41 s, six-vertex
 setting A 2.22 -> 0.43 s, six-vertex setting B 1.84 -> 1.56 s, the month
 5.98 -> 4.28 s at six vertices and 14.06 -> 10.26 s at eight; only the
 eight-vertex setting-C path moved the other way, 2.81 -> 3.71 s, inside its
-seed spread.  On the model before the two reductions, probing off slowed the
-six-vertex setting-A path, so it is off only together with them.
+seed spread.  On the model before the first two reductions, probing off
+slowed the six-vertex setting-A path, so it is off only together with them.
+
+`--seed N` sets HiGHS's `random_seed`.  Its default, 0, is HiGHS's own, so
+a run at seed 0 writes what a run without the flag writes.
 
 `--start FILE` gives the solve a MIP start.  The file holds `name value`
 lines, one column each (the driver writes `v<vid> 1` for the dispatches its
@@ -172,8 +176,9 @@ def _set_options(highs, **options) -> None:
         _check(highs.setOptionValue(key, value), f"HiGHS rejected option {key}={value!r}")
 
 
-def _configured_highs(time_limit: float, gap: float, threads: int = 1):
-    """A HiGHS instance with the options every solve uses, probing off (`_PROBING_OFF`).
+def _configured_highs(time_limit: float, gap: float, threads: int = 1, seed: int = 0):
+    """A HiGHS instance with the options every solve uses, probing off (`_PROBING_OFF`), and
+    `seed` as HiGHS's `random_seed` (its default is 0).
 
     HiGHS keeps one thread pool per process, sized at the first run; it is
     reset first, so a run may ask for another `threads` than the last one.
@@ -188,6 +193,7 @@ def _configured_highs(time_limit: float, gap: float, threads: int = 1):
         mip_rel_gap=float(gap),
         threads=int(threads),
         presolve_rule_off=_PROBING_OFF,
+        random_seed=int(seed),
     )
     return highs
 
@@ -222,9 +228,14 @@ def _status_of(highs) -> tuple[str, float | None, float | None]:
     if model_status != done:
         return "time_limit", objective, bound
     if objective is not None and bound is not None:
-        rel = abs(objective - bound) / max(1.0, abs(objective))
-        return ("optimal" if rel <= 1e-9 else "gap_reached"), objective, bound
+        return _closed(objective, bound), objective, bound
     return "optimal", objective, bound
+
+
+def _closed(objective: float, bound: float) -> str:
+    """The status of a finished MIP: `optimal` where its objective meets its bound within a relative
+    gap of 1e-9, else `gap_reached`."""
+    return "optimal" if abs(objective - bound) / max(1.0, abs(objective)) <= 1e-9 else "gap_reached"
 
 
 def _run(highs) -> HighsResult:
@@ -287,9 +298,9 @@ def _lhs_constant_row(text: bytes) -> str | None:
     return None
 
 
-def _read_model(path: str, time_limit: float, gap: float, threads: int = 1):
+def _read_model(path: str, time_limit: float, gap: float, threads: int = 1, seed: int = 0):
     """A configured HiGHS holding the LP file at `path`, read by HiGHS's own reader."""
-    highs = _configured_highs(time_limit, gap, threads)
+    highs = _configured_highs(time_limit, gap, threads, seed)
     with open(path, "rb") as fh:
         row = _lhs_constant_row(fh.read())
     if row is not None:
@@ -392,8 +403,7 @@ def _proof(highs, lp, relaxation: float, incumbent: float) -> tuple[str, float, 
         return None
     maximize = lp.sense_ == _highs_core().ObjSense.kMaximize
     bound = max(relaxation, incumbent) if maximize else min(relaxation, incumbent)
-    rel = abs(incumbent - bound) / max(1.0, abs(incumbent))  # as `_status_of` reads a closed MIP
-    return ("optimal" if rel <= 1e-9 else "gap_reached"), incumbent, bound
+    return _closed(incumbent, bound), incumbent, bound
 
 
 def parse_lp(text: str):
@@ -427,6 +437,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--time-limit", type=float, default=1e30)
     parser.add_argument("--gap", type=float, default=0.0)
     parser.add_argument("--threads", type=int, default=1, help="HiGHS threads; 0 lets HiGHS choose")
+    parser.add_argument("--seed", type=int, default=0, help="HiGHS's random_seed (default 0, HiGHS's own)")
     args = parser.parse_args(argv)
     folder = os.path.dirname(args.solution) or "."
     if not os.path.isdir(folder):  # fail before the read and the solve, not at the write after them
@@ -435,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
 
     t0 = time.monotonic()
     try:
-        highs = _read_model(args.model, args.time_limit, args.gap, args.threads)
+        highs = _read_model(args.model, args.time_limit, args.gap, args.threads, args.seed)
         lp = highs.getLp()
         start = None if args.start is None else _read_start(lp, args.start)
         t_read = time.monotonic()

@@ -344,25 +344,66 @@ def test_07_overloaded_eight_vertex_defaults_proven_infeasible(l8b_outcome):
     assert ok, line
 
 
+def _kept_capacities(stock: int, volume: int, length: int, horizon: int) -> int:
+    """Capacity limits a generated path keeps for one (site, product), derived by hand.
+
+    Blocked stock x starts at `stock`, falls by 10 at each day's end and
+    rises by `volume` with each delivery, counted from its start t0 <=
+    H - L.  Its rounded capacity is U_t = base_t + volume * q_t with
+    q_t = floor((600 - base_t) / volume).  The stock never rises on its
+    own, so x_t <= x_n - (base_n - base_t) implies U_t by the next limit
+    U_n wherever q_n = q_t: of each run of equal q only the last slot
+    stays.  q grows by at most one a day (10 < volume), so there are
+    q_last - q_first + 1 runs.  A run's last limit also goes where no more
+    deliveries can start within the run than q grows by over it (from 0,
+    x_{-1}, for the first run), since so many cannot pass the capacity.
+    Only the last run can be that short: the first when it is the whole
+    horizon, or a last day that leaves fewer than two starts.
+    """
+    q = [(600 - stock + 10 * day) // volume for day in range((horizon - 1) // 24 + 1)]
+    begin = q.index(q[-1])  # the day the last run begins
+    starts = horizon - length + 1 - 24 * begin
+    grows = q[-1] - (q[begin - 1] if begin else 0)
+    return q[-1] - q[0] + 1 - (starts <= grows)
+
+
+def _kept_minimums(stock: int, volume: int, horizon: int) -> int:
+    """Minimum limits a generated path keeps for one (site, product), derived by hand.
+
+    On-stock's minimum 0 rounds to M_t = base_t mod volume once a delivery
+    can complete.  While base_t >= 0 the stock alone meets it (x_{-1} = 0
+    and deliveries only add), so every such limit goes.  From the first day
+    with base < 0 on, M falls by 10 with the base from day to day, implied
+    by the day before, except where it wraps to M + volume - 10: one limit
+    stays per value floor(base / volume) takes below zero, and the first of
+    them is -1.
+    """
+    return max(0, -((stock - 10 * ((horizon - 1) // 24)) // volume))
+
+
 def _expected_family_counts(vertices: int, horizon: int) -> dict[str, int]:
     """Row counts for a generated path instance, derived by hand.
 
     With k pipes, every slot gets one packing row, on the first pipe: every
     regime leaves through it, so its batch set holds every other pipe's and
-    its rows imply theirs (`trunk_edges`).  Each of the two products gets two
-    stock-balance rows at each of the k storage sites per slot; every stain
-    completion instant gets one flush-enforcement row per pumping regime; and
-    each product has one nomination cap.  A batch has
-    one binary per start on all the pipes of its regime, and the tank limits
-    are column bounds, so the route, endpoint-link and bound families have
-    no rows.
+    its rows imply theirs (`trunk_edges`).  Each storage site s_i holds
+    120 + 10 (i - 1) of each product, fed by its own regime's deliveries:
+    flush batches of 100 over 6 slots, stain batches of 44 over 3.  Each
+    tank limit that can bind gets one occupancy column and one stock-balance
+    row (`_kept_capacities`, `_kept_minimums`).  Every stain completion
+    instant gets one flush-enforcement row per pumping regime, and each
+    product has one nomination cap.  A batch has one binary per start on
+    all the pipes of its regime, and the tank limits are column bounds, so
+    the route, endpoint-link and bound families have no rows.
     """
     k = vertices - 1
     stain_starts = horizon - 2
+    stocks = [120 + 10 * i for i in range(k)]
+    products = ((100, 6), (44, 3))
     return {
         "packing": horizon,
-        "capacity_def_upper": 2 * k * horizon,
-        "capacity_def_lower": 2 * k * horizon,
+        "capacity_def_upper": sum(_kept_capacities(s, v, n, horizon) for s in stocks for v, n in products),
+        "capacity_def_lower": sum(_kept_minimums(s, v, horizon) for s in stocks for v, _n in products),
         "capacity_upper": 0,
         "capacity_lower": 0,
         "flushing_link": 0,
@@ -393,7 +434,7 @@ def test_08_model_build_is_deterministic_with_predicted_row_counts():
     small_elapsed = time.monotonic() - started
 
     count_errors = []
-    for vertices, horizon in ((2, 12), (2, 36), (4, 480)):
+    for vertices, horizon in ((2, 12), (2, 25), (2, 36), (4, 480)):
         params = PathExperimentParams(vertices=vertices, setting="A",
                                       horizon=None if horizon == 480 else horizon)
         model = build_model(generate_path_instance(params))

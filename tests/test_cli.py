@@ -172,6 +172,16 @@ def test_solve_without_a_time_limit(tiny_path, tmp_path):
     assert manifest["status"] == "optimal" and manifest["solver"]["time_limit"] is None
 
 
+def test_solve_records_the_seed_only_a_template_passes(tiny_path, tmp_path):
+    # the default template passes {seed}; a template without it records none
+    for name, argv, seed in (("default", [], 0), ("no seed", ["--solver-cmd", "true {model}"], None)):
+        out_dir = tmp_path / name
+        main(["solve", "--instance", str(tiny_path), "--out-dir", str(out_dir), *argv])
+        manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["solver"]["seed"] == seed
+    assert manifest["status"] == "error"
+
+
 def test_solve_reports_proven_infeasibility(infeasible_path, tmp_path, capsys):
     out_dir = tmp_path / "run"
     rc = main(

@@ -10,13 +10,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pipesched.batches import enumerate_batches
 from pipesched.generator import PathExperimentParams, generate_oracle_instance, generate_path_instance
-from pipesched.instance import ThroughputLimit
+from pipesched.instance import Edge, PumpingRegime, ThroughputLimit
 from pipesched.milpmodel import (
     FAM_CAP_DEF_LOWER,
     FAM_CAP_DEF_UPPER,
@@ -38,7 +39,7 @@ from pipesched.milpmodel import (
 )
 from pipesched.schedule import Schedule
 from pipesched.validator import capacity_bound_violations, check_schedule, evaluate_objective, simulate_occupancy
-from tests.conftest import single_edge_instance
+from tests.conftest import single_edge_instance, with_capacity
 
 INST = single_edge_instance(horizon=12, batches=2)
 TIGHT = single_edge_instance(horizon=12, batches=2, cmax=230)
@@ -48,8 +49,21 @@ TWO_EDGE = replace(
     generate_path_instance(PathExperimentParams(vertices=3, horizon=12)),
     throughput_limits=(ThroughputLimit(("e1", "e2", "e1"), "flush", (0, 0, 1, 2, 3), 100),),
 )
-MODELS = {id(inst): build_model(inst) for inst in (INST, TIGHT, TWO_EDGE)}
-CATALOGS = {id(inst): enumerate_batches(inst) for inst in (INST, TIGHT, TWO_EDGE)}
+# r3 pumps flush from s1 over e2 and back over e3: its dispatch leaves s1's stock and its delivery
+# returns to it, and a tank of 3000 keeps the first limits of s1 from binding, so the first
+# blocked-stock row spans both moves of its earliest starts
+_PATH3 = generate_path_instance(PathExperimentParams(vertices=3, horizon=24))
+LOOP = with_capacity(
+    replace(
+        _PATH3,
+        edges=(*_PATH3.edges, Edge("e3", "s2", "s1", pipe_volume=100)),
+        regimes=(*_PATH3.regimes, PumpingRegime("r3", ("e2", "e3"), {"flush": Fraction(100, 6)}, flush_volume=100)),
+        name="loop",
+    ),
+    3000,
+)
+MODELS = {id(inst): build_model(inst) for inst in (INST, TIGHT, TWO_EDGE, LOOP)}
+CATALOGS = {id(inst): enumerate_batches(inst) for inst in (INST, TIGHT, TWO_EDGE, LOOP)}
 
 
 def dispatch_coords(model):
@@ -149,8 +163,9 @@ LADDER = {
 @pytest.mark.parametrize("name", LADDER)
 def test_capacity_rows_agree_with_validator_on_ladder(name):
     """Random dispatch sets, nothing solved: the occupancy recurrences hold, and the
-    occupancy columns out of their bounds are the validator's findings, each mapped
-    to the column of its (site, product, slot)."""
+    occupancy columns out of their bounds are the validator's findings at the slots
+    the model keeps a column for.  The validator's other findings are at limits the
+    kept ones imply, so the model flags a set exactly when the validator does."""
     inst = generate_path_instance(LADDER[name])
     model = build_model(inst)
     catalog, rows = model.catalog, model.constraints
@@ -164,11 +179,24 @@ def test_capacity_rows_agree_with_validator_on_ladder(name):
         families = {FAMILIES[rows.family[r]] for r in violated_rows(model, values)}
         assert not families & {FAM_CAP_DEF_UPPER, FAM_CAP_DEF_LOWER}
         report = capacity_bound_violations(inst, simulate_occupancy(inst, catalog, schedule))
-        mapped = {model.variables.vid(kind[v.family], v.coordinate) for v in report}
-        assert None not in mapped and len(mapped) == len(report)
+        mapped = {model.variables.vid(kind[v.family], v.coordinate) for v in report} - {None}
         assert set(violated_bounds(model, values)) == mapped, (seed, size)
+        assert bool(mapped) == bool(report), (seed, size)
         flagged.append(len(mapped))
     assert any(flagged), flagged
+
+
+def test_a_batch_returning_to_its_origin_appears_once_per_row():
+    # where one recurrence row counts a looped batch's dispatch and its return, the two terms cancel
+    model = MODELS[id(LOOP)]
+    rows = model.constraints
+    assert all(len(set(rows.col[s:e])) == e - s for s, e in zip(rows.start, rows.start[1:]))
+    first = model.variables.of_kind(OCC_UPPER)[("s1", "flush")]
+    assert first.slots[0] >= 6  # the first row counts both moves of every start up to slots[0] - 6
+    coords = placement_coords(LOOP)
+    rng = random.Random(3)
+    for size in [1, 2, 3, 4, 6] * 20:
+        agree(LOOP, rng.sample(coords, size))
 
 
 # r2 and r3 of a four-vertex path carry their batches over e2, r3 over e3 as well
@@ -201,8 +229,9 @@ ORACLE_INSTANCES = [generate_oracle_instance(seed) for seed in range(25)]
 
 @pytest.mark.parametrize("seed", range(25))
 def test_rounded_tank_limits_flag_exactly_the_validators_capacity_violations(seed):
-    # at integer points the limits on the volume lattice cut off nothing the raw limits allow: over
-    # random dispatch sets the occupancy columns out of their bounds are the validator's capacity findings
+    # at integer points the limits on the volume lattice cut off nothing the raw limits allow, and the
+    # kept limits imply the others: over random dispatch sets the occupancy columns out of their bounds
+    # are the validator's capacity findings at the kept slots, and there are some whenever it finds any
     inst = ORACLE_INSTANCES[seed]
     model = build_model(inst)
     catalog = model.catalog
@@ -214,7 +243,8 @@ def test_rounded_tank_limits_flag_exactly_the_validators_capacity_violations(see
         schedule = Schedule.from_initial(catalog, rng.sample(coords, min(size, len(coords))))
         values = extend_placement_assignment(model, schedule.placements)
         report = [v for v in check_schedule(inst, catalog, schedule) if v.family in kind]
-        mapped = {model.variables.vid(kind[v.family], v.coordinate) for v in report}
+        mapped = {model.variables.vid(kind[v.family], v.coordinate) for v in report} - {None}
         assert set(violated_bounds(model, values)) == mapped, (seed, sorted(schedule.placements))
+        assert bool(mapped) == bool(report), (seed, sorted(schedule.placements))
         flagged += bool(mapped)
     assert 0 < flagged < 30  # both verdicts occur on every seed

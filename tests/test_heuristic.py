@@ -99,9 +99,9 @@ def test_clashing_plan_is_dropped_unwritten_and_the_solve_stays_optimal(ref1_sma
 def test_template_without_start_plans_nothing_and_writes_no_file(ref1_small, tmp_path, monkeypatch):
     monkeypatch.setattr(heuristic, "list_schedule", lambda inst, catalog: pytest.fail("planned without {start}"))
     config = SolverConfig(command=COLD, gap=0.0, work_dir=tmp_path)
-    assert not config.names_start() and SolverConfig().names_start()
+    assert not config.names("start") and SolverConfig().names("start")
     assert config.argv("m.lp", "m.sol", "m.start")[2:] == [
-        "m.lp", "m.sol", "--time-limit", "1800.0", "--gap", "0.0", "--threads", "1"
+        "m.lp", "m.sol", "--time-limit", "1800.0", "--gap", "0.0", "--threads", "1", "--seed", "0"
     ]
     res = solve(build_model(ref1_small), config)
     assert (res.status, res.objective, res.start) == (STATUS_OPTIMAL, 144, None)

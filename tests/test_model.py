@@ -6,14 +6,18 @@ import dataclasses
 import tracemalloc
 from collections import deque
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
+from operator import add
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pipesched.batches import enumerate_batches
 from pipesched.cli import main as cli_main
 from pipesched.generator import PathExperimentParams, generate_oracle_instance, generate_path_instance
 from pipesched.instance import (
+    DistributionTarget,
     ExclusionGroup,
     FixedTransport,
     TankOutage,
@@ -43,8 +47,12 @@ from pipesched.milpmodel import (
     RowStore,
     build_model,
     extend_placement_assignment,
+    kept_limits,
     objective_value,
+    occupancy_series,
+    occupancy_steps,
     row_name,
+    stock_moves,
     violated_bounds,
     violated_rows,
 )
@@ -73,27 +81,32 @@ def test_reference_variable_counts(ref1):
         kinds[v.kind] = kinds.get(v.kind, 0) + 1
     # flush length 6 -> starts 0..18, stain length 3 -> starts 0..21
     assert kinds[PLACEMENT] == 19 + 22 == 41
-    assert kinds[OCC_UPPER] == kinds[OCC_LOWER] == 48  # 2 products x 24 slots
-    assert set(kinds) == {PLACEMENT, OCC_UPPER, OCC_LOWER}
     assert model.metadata["binaries"] == 41
     assert all(v.binary == (v.kind == PLACEMENT) for v in model.variables)
-    # the tank limits are the occupancy columns' bounds: capacity 600 above blocked stock, 0 below
-    # on-stock, each rounded onto the stock 120 plus multiples of the one batch volume that moves it
-    # (flush 100, stain 44); on-stock counts a delivery at its completion, so its minimum stays 0
-    # until the first can complete (slot 6 for flush, 3 for stain)
-    assert {(v.lb, v.ub) for v in model.variables if v.kind == OCC_UPPER} == {(None, 520), (None, 560)}
-    assert {(v.lb, v.ub) for v in model.variables if v.kind == OCC_LOWER} == {(0, None), (20, None), (32, None)}
-    upper, lower = model.variables.of_kind(OCC_UPPER), model.variables.of_kind(OCC_LOWER)
-    assert upper[("s1", "flush")].limits == (120 + 4 * 100,) * 24
-    assert upper[("s1", "stain")].limits == (120 + 10 * 44,) * 24
-    assert lower[("s1", "flush")].limits == (0,) * 6 + (120 - 100,) * 18
-    assert lower[("s1", "stain")].limits == (0,) * 3 + (120 - 2 * 44,) * 21
+    # the tank limits: capacity 600 above blocked stock, 0 below on-stock, each rounded onto the stock
+    # 120 plus multiples of the one batch volume that moves it (flush 100, stain 44); on-stock counts a
+    # delivery at its completion, so its minimum stays 0 until the first can complete (slot 6 for
+    # flush, 3 for stain)
+    limits = {k: ser.limits for k, ser in occupancy_series(ref1, stock_moves(ref1, model.catalog)).items()}
+    assert limits[OCC_UPPER, ("s1", "flush")] == [120 + 4 * 100] * 24
+    assert limits[OCC_UPPER, ("s1", "stain")] == [120 + 10 * 44] * 24
+    assert limits[OCC_LOWER, ("s1", "flush")] == [0] * 6 + [120 - 100] * 18
+    assert limits[OCC_LOWER, ("s1", "stain")] == [0] * 3 + [120 - 2 * 44] * 21
+    # no stock leaves s1 inside the horizon, so each capacity is implied by the next and each minimum
+    # by the stock of 120; only the last capacities stay, as the bounds of the only occupancy columns
+    assert kinds[OCC_UPPER] == 2 and OCC_LOWER not in kinds
+    upper = model.variables.of_kind(OCC_UPPER)
+    assert [(b.slots, b.limits) for b in upper.values()] == [((23,), (520,)), ((23,), (560,))]
+    assert {(v.key, v.lb, v.ub) for v in model.variables if v.kind == OCC_UPPER} == {
+        (("s1", "flush", 23), None, 520),
+        (("s1", "stain", 23), None, 560),
+    }
 
 
 def test_reference_family_counts(ref1):
     counts = build_model(ref1).family_counts()
     assert counts["packing"] == 24
-    assert counts["capacity_def_upper"] + counts["capacity_def_lower"] == 96
+    assert (counts["capacity_def_upper"], counts["capacity_def_lower"]) == (2, 0)  # one per occupancy column
     assert counts["flushing_enforce"] == 22
     assert counts["nomination"] == 2
     # the dispatch columns and the column bounds leave these families empty
@@ -147,12 +160,20 @@ def test_endpoint_marker_follows_placement(ref1):
 
 
 def test_blocked_and_on_stock_jump_at_different_instants(ref1):
+    # a flush delivery into s1 can raise blocked stock from its start on (slots 0..18) and on-stock
+    # from its completion on (slots 6..23); the stock itself never moves, so the least change is 0
     model = build_model(ref1)
+    series = occupancy_series(ref1, stock_moves(ref1, model.catalog))
+    for kind, counted in ((OCC_UPPER, range(0, 19)), (OCC_LOWER, range(6, 24))):
+        ser = series[kind, ("s1", "flush")]
+        steps = occupancy_steps(ser.base, ser.runs)
+        assert steps[0] == (120, 120 + 100 * (0 in counted))
+        assert all(step == (0, 100 * (t in counted)) for t, step in enumerate(steps) if t), kind
     assignment = extend_placement_assignment(model, [("e1", "r1:flush:standard", 2)])
-    upper = {t: assignment[model.variables.vid(OCC_UPPER, ("s1", "flush", t))] for t in range(12)}
-    lower = {t: assignment[model.variables.vid(OCC_LOWER, ("s1", "flush", t))] for t in range(12)}
-    assert upper[1] == 120 and upper[2] == 220  # counted from pour start
-    assert lower[7] == 120 and lower[8] == 220  # counted from completion
+    occupancy = simulate_occupancy(ref1, model.catalog, Schedule.from_raw([("e1", "r1:flush:standard", 2)]))
+    assert occupancy.upper[("s1", "flush")][1:3] == [120, 220]  # counted from pour start
+    assert occupancy.lower[("s1", "flush")][7:9] == [120, 220]  # counted from completion
+    assert assignment[model.variables.vid(OCC_UPPER, ("s1", "flush", 23))] == 220
     assert violated_rows(model, assignment) == violated_bounds(model, assignment) == []
 
 
@@ -194,7 +215,7 @@ def test_tank_outage_listing_a_slot_twice_lowers_it_once():
     assert inst.capacity_max_profile("s1", "flush")[4:6] == [600, 550]
     # the tank capacity, rounded onto the stock 120 plus multiples of the flush volume 100, is the
     # upper bound of the blocked-stock column at each slot; lowered twice, slot 5 would read 420
-    limits = model.variables.of_kind(OCC_UPPER)[("s1", "flush")].limits
+    limits = occupancy_series(inst, stock_moves(inst, model.catalog))[OCC_UPPER, ("s1", "flush")].limits
     assert (limits[4], limits[5]) == (520, 520)
     occupancy = simulate_occupancy(inst, model.catalog, Schedule.from_raw([]))
     occupancy.upper[("s1", "flush")] = [551] * 12
@@ -377,7 +398,7 @@ def test_model_objective_matches_validator_on_oracle_optima():
 
 def test_row_iteration_lists_no_terms_ahead():
     # the iteration view, kept for the benchmark's model counts, builds one row at a time: walking
-    # the 6B model's 74k terms peaks under 4 MB, where a list of every (column, coefficient) pair takes about 7 MB
+    # the 6B model's 50k terms peaks under 4 MB, where a list of every (column, coefficient) pair takes about 5 MB
     model = build_model(generate_path_instance(PathExperimentParams(vertices=6, setting="B", cost_mode="SDC")))
     rows = model.constraints
     tracemalloc.start()
@@ -386,7 +407,7 @@ def test_row_iteration_lists_no_terms_ahead():
         _held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert nnz == len(rows.col) == 74_490
+    assert nnz == len(rows.col) == 50_442
     assert peak < 4 * 2**20
     ((name, family, terms, sense, rhs, _lazy),) = deque(rows, maxlen=1)
     assert terms == tuple(zip(rows.col[rows.start[-2] :], rows.coef[rows.start[-2] :]))
@@ -412,9 +433,9 @@ def test_row_store_rejects_indices_past_32_bits():
 
 
 def _recurrence_series(model):
-    """Per occupancy block of a recurrence: its rows' other terms, the slot of each row and the
-    row's right-hand side, from the row store; the row at slot t holds the block's column t with
-    coefficient 1."""
+    """Per occupancy block of a recurrence: its rows' other terms, the index in the block of each
+    row's column and the row's right-hand side, from the row store; the row of the block's column i
+    holds it with coefficient 1."""
     rows = model.constraints
     blocks = [b for b in model.variables.blocks if b.kind in (OCC_UPPER, OCC_LOWER)]
     owner = {b.start + i: (b, i) for b in blocks for i in range(b.count)}
@@ -424,9 +445,9 @@ def _recurrence_series(model):
         if family not in wanted:
             continue
         terms = list(zip(rows.col[rows.start[r] : rows.start[r + 1]], rows.coef[rows.start[r] : rows.start[r + 1]]))
-        block, t = next(owner[vid] for vid, coef in terms if coef == 1 and vid in owner)
+        block, i = next(owner[vid] for vid, coef in terms if coef == 1 and vid in owner)
         others = [(vid, coef) for vid, coef in terms if owner.get(vid, (None,))[0] is not block]
-        series.setdefault(block, []).append((t, others, rows.rhs[r]))
+        series.setdefault(block, []).append((i, others, rows.rhs[r]))
     return series
 
 
@@ -453,9 +474,9 @@ def test_only_dispatch_binaries_enter_a_recurrence():
 
 
 def test_tank_limits_lie_on_the_volume_lattice_and_are_never_looser():
-    # g_t is the gcd of the volumes of every dispatch term in the series' rows up to t, and base_t the
-    # sum of their right-hand sides; a rounded limit is the lattice point nearest the raw one on the
-    # feasible side, and where no dispatch has entered yet it is the raw limit
+    # g is the gcd of the volumes of every dispatch term in the series' rows up to a column's slot, and
+    # base the sum of their right-hand sides; a rounded limit is the lattice point nearest the raw one
+    # on the feasible side, and where no dispatch has entered yet it is the raw limit
     rounded = 0
     for model in _ladder_and_oracle_models():
         inst = model.instance
@@ -467,10 +488,12 @@ def test_tank_limits_lie_on_the_volume_lattice_and_are_never_looser():
             else:
                 raw = inst.site(site).profile(product).min_profile(H)
             g = base = 0
-            for t, others, rhs in sorted(rows, key=lambda row: row[0]):
+            for i, others, rhs in sorted(rows, key=lambda row: row[0]):
                 g = gcd(g, *(coef for _vid, coef in others))
                 base += rhs
-                limit = block.limits[t]
+                t, limit = block.slots[i], block.limits[i]
+                if limit is None:  # a final slot kept for a distribution target, its limit implied
+                    continue
                 if raw[t] is None or g == 0:
                     assert limit == raw[t], (block.prefix, t)
                     continue
@@ -480,7 +503,7 @@ def test_tank_limits_lie_on_the_volume_lattice_and_are_never_looser():
                 else:
                     assert raw[t] <= limit < raw[t] + g, (block.prefix, t)
                 rounded += limit != raw[t]
-    assert rounded > 10_000
+    assert rounded > 100  # of the 159 limits these models keep
 
 
 def _empty_band_instance():
@@ -501,8 +524,9 @@ def _empty_band_instance():
 def test_empty_rounded_band_is_a_build_warning(tmp_path, capsys):
     inst = _empty_band_instance()
     model = build_model(inst)
-    upper, lower = (model.variables.of_kind(kind)[("s1", "flush")].limits for kind in (OCC_UPPER, OCC_LOWER))
-    assert set(upper) == {120} and lower == (0,) * 6 + (20,) * 6 + (220,) * 12
+    series = occupancy_series(inst, stock_moves(inst, model.catalog))
+    upper, lower = (series[kind, ("s1", "flush")].limits for kind in (OCC_UPPER, OCC_LOWER))
+    assert set(upper) == {120} and lower == [0] * 6 + [20] * 6 + [220] * 12
     (warning,) = [w for w in model.metadata["warnings"] if "s1" in w]
     assert "flush" in warning and "12 slots from slot 12" in warning
     assert not any("minimum stock" in w for w in build_model(single_edge_instance()).metadata["warnings"])
@@ -510,3 +534,80 @@ def test_empty_rounded_band_is_a_build_warning(tmp_path, capsys):
     assert cli_main(["build", "--instance", str(tmp_path / "inst.json"), "--out", str(tmp_path / "m.lp")]) == 0
     assert f"warning: {warning}\n" in capsys.readouterr().err
     assert solve(model, SolverConfig(time_limit=120, gap=0.0)).status == STATUS_INFEASIBLE
+
+
+# ---------------------------------------------------------------------------
+# tank limits that cannot bind: `kept_limits` on random short series, checked by enumeration
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_kept_limits_admit_exactly_the_assignments_all_limits_admit(data):
+    # a series of H <= 12 slots, its base change at each slot and up to 3 moves per slot (10 in all),
+    # each a binary times a signed volume; x_t is the sum of both up to t, from x_{-1} = 0
+    H = data.draw(st.integers(1, 12), label="H")
+    upper = data.draw(st.booleans(), label="upper")
+    change = data.draw(st.lists(st.integers(-4, 4), min_size=H, max_size=H), label="change")
+    per_slot = st.lists(st.integers(-6, 6).filter(bool), max_size=3)
+    moves = data.draw(st.lists(per_slot, min_size=H, max_size=H), label="moves")
+    terms = [(t, volume) for t, volumes in enumerate(moves) for volume in volumes][:10]
+    limits = data.draw(st.lists(st.none() | st.integers(-12, 20), min_size=H, max_size=H), label="limits")
+    steps = [
+        (c + sum(v for s, v in terms if s == t and v < 0), c + sum(v for s, v in terms if s == t and v > 0))
+        for t, c in enumerate(change)
+    ]
+    kept = kept_limits(limits, steps, upper)
+    assert kept == sorted(kept) and all(limits[t] is not None for t in kept)
+
+    def meets(x, t):
+        return x[t] <= limits[t] if upper else x[t] >= limits[t]
+
+    for bits in range(2 ** len(terms)):
+        counted = [0] * H
+        for k, (t, volume) in enumerate(terms):
+            counted[t] += volume * (bits >> k & 1)
+        x = list(accumulate(map(add, change, counted)))
+        every = all(meets(x, t) for t in range(H) if limits[t] is not None)
+        assert every == all(meets(x, t) for t in kept), (bits, x)
+
+    # each dropped limit meets the inequality that drops it, against the nearest kept limit on one side
+    # (x_{-1} = 0 on the left where none is kept): the most, or the least, the series can rise in between
+    def rise(lo, hi, side):
+        return sum(step[side] for step in steps[lo + 1 : hi + 1])
+
+    for t, limit in enumerate(limits):
+        if limit is None or t in kept:
+            continue
+        p = max((k for k in kept if k < t), default=-1)
+        n = min((k for k in kept if k > t), default=None)
+        before = 0 if p < 0 else limits[p]
+        if upper:
+            by_prev = before + rise(p, t, 1) <= limit
+            by_next = n is not None and limits[n] - rise(t, n, 0) <= limit
+        else:
+            by_prev = before + rise(p, t, 0) >= limit
+            by_next = n is not None and limits[n] - rise(t, n, 1) >= limit
+        assert by_prev or by_next, (t, p, n)
+
+
+def test_a_distribution_target_keeps_the_final_on_stock_column(ref1):
+    # ref1 keeps no minimum, so its on-stock series have no columns; a distribution target reads the
+    # final on-stock, so its series gets that one column, without a limit, and its chain row
+    targets = (
+        DistributionTarget("s1", "flush", Fraction(1), target=220),
+        DistributionTarget("s1", "stain", Fraction(1)),
+    )
+    inst = dataclasses.replace(
+        ref1, weights=dataclasses.replace(ref1.weights, beta=Fraction(1), distribution_targets=targets), name="dist"
+    )
+    assert not build_model(ref1).variables.of_kind(OCC_LOWER)[("s1", "flush")].count
+    model = build_model(inst)
+    lower = model.variables.of_kind(OCC_LOWER)
+    assert [(b.slots, b.limits) for b in lower.values()] == [((23,), (None,)), ((23,), (None,))]
+    counts = model.family_counts()
+    assert (counts[FAM_CAP_DEF_LOWER], counts["distribution"]) == (2, 2)
+    assignment = extend_placement_assignment(model, [("e1", "r1:flush:standard", 0)])
+    assert assignment[model.variables.vid(OCC_LOWER, ("s1", "flush", 23))] == 220
+    assert violated_rows(model, assignment) == violated_bounds(model, assignment) == []
+    result = solve(model, SolverConfig(time_limit=120, gap=0.0))
+    assert result.ok and not result.violations

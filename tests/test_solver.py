@@ -250,7 +250,7 @@ def test_default_command_runs_without_the_package_on_the_path(tmp_path):
     model_path.write_text(TINY_LP)
     start_path.write_text("y 1\n")
     argv = [
-        tok.format(model=model_path, solution=sol_path, start=start_path, time_limit=60, gap=0, threads=1)
+        tok.format(model=model_path, solution=sol_path, start=start_path, time_limit=60, gap=0, threads=1, seed=0)
         for tok in shlex.split(default_solver_command())
     ]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -274,7 +274,35 @@ def test_default_command_passes_threads(ref1_small, monkeypatch, quick_cfg):
     monkeypatch.delenv(COMMAND_ENV_VAR, raising=False)
     res = solve(build_model(ref1_small), dataclasses.replace(quick_cfg, threads=2))
     assert (res.status, res.objective) == (STATUS_OPTIMAL, 144)
-    assert argvs[0][-2:] == ["--threads", "2"]
+    assert argvs[0][argvs[0].index("--threads") :][:2] == ["--threads", "2"]
+
+
+def test_default_command_passes_the_seed(ref1_small, monkeypatch, quick_cfg):
+    import types
+
+    import pipesched.solver as solver_module
+
+    argvs = []
+
+    def run(argv, **kwargs):
+        argvs.append(argv)
+        return subprocess.run(argv, **kwargs)
+
+    monkeypatch.setattr(solver_module, "subprocess", types.SimpleNamespace(run=run, TimeoutExpired=subprocess.TimeoutExpired))
+    monkeypatch.delenv(COMMAND_ENV_VAR, raising=False)
+    for seed in (0, 3):
+        res = solve(build_model(ref1_small), dataclasses.replace(quick_cfg, seed=seed))
+        assert (res.status, res.objective) == (STATUS_OPTIMAL, 144)
+    assert [argv[-2:] for argv in argvs] == [["--seed", "0"], ["--seed", "3"]]
+
+
+def test_template_without_seed_gets_the_same_argv():
+    # {seed} fills only a template that names it; any other template is split and filled as before
+    template = "mysolver {model} {solution} --limit {time_limit} --gap {gap} --threads {threads}"
+    argvs = {seed: SolverConfig(command=template, seed=seed).argv("m.lp", "m.sol", "m.start") for seed in (0, 7)}
+    assert argvs[0] == argvs[7] == ["mysolver", "m.lp", "m.sol", "--limit", "1800.0", "--gap", "0.001", "--threads", "1"]
+    seeded = SolverConfig(command=template + " --seed {seed}", seed=7).argv("m.lp", "m.sol")
+    assert seeded == argvs[7] + ["--seed", "7"]
 
 
 def test_finalize_keeps_status_and_message_per_outcome(ref1_small):
@@ -394,20 +422,53 @@ def test_solution_file_with_byte_order_mark_parses(ref1_small, tmp_path):
 
 
 def test_shim_status_words_normalize_to_themselves():
-    import ast
-    import inspect
+    # every status the shim can write, from `_status_of` on each kind of HiGHS model status and from
+    # `_proof` on a proven start, reads back as itself
+    from types import SimpleNamespace
 
     from pipesched import solver_shim
     from pipesched.lp_io import _normalize_status
 
-    tree = ast.parse(inspect.getsource(solver_shim._status_of))
-    words = {
-        node.value
-        for ret in ast.walk(tree)
-        if isinstance(ret, ast.Return)
-        for node in ast.walk(ret)
-        if isinstance(node, ast.Constant) and isinstance(node.value, str)
-    }
+    core = solver_shim._highs_core()
+    status = core.HighsModelStatus
+
+    class Highs:
+        def __init__(self, model_status, objective=None, bound=None):
+            self.model_status, self.objective, self.bound = model_status, objective, bound
+
+        def getModelStatus(self):
+            return self.model_status
+
+        def getInfo(self):
+            feasible = core.kSolutionStatusFeasible if self.objective is not None else core.kSolutionStatusNone
+            nodes = -1 if self.bound is None else 1
+            return SimpleNamespace(
+                primal_solution_status=feasible,
+                objective_function_value=self.objective,
+                mip_node_count=nodes,
+                mip_dual_bound=self.bound,
+            )
+
+        def getOptionValue(self, key):
+            return None, {"mip_abs_gap": 1e-6, "mip_rel_gap": 1e-3}[key]
+
+    cases = [
+        (Highs(status.kInfeasible), "infeasible"),
+        (Highs(status.kUnbounded), "unbounded"),
+        (Highs(status.kSolveError), "error"),
+        (Highs(status.kTimeLimit, 10.0, 12.0), "time_limit"),
+        (Highs(status.kOptimal, 10.0, 10.0), "optimal"),
+        (Highs(status.kOptimal, 10.0, 10.005), "gap_reached"),
+        (Highs(status.kOptimal, 10.0), "optimal"),  # an LP: no MIP bound
+    ]
+    words = set()
+    for highs, word in cases:
+        assert solver_shim._status_of(highs)[0] == word, word
+        words.add(word)
+    lp = SimpleNamespace(sense_=core.ObjSense.kMaximize)
+    for relaxation, word in ((10.0, "optimal"), (10.005, "gap_reached")):
+        assert solver_shim._proof(Highs(status.kOptimal), lp, relaxation, 10.0)[0] == word
+    assert solver_shim._proof(Highs(status.kOptimal), lp, 11.0, 10.0) is None  # the gap is still open
     assert words == {"optimal", "gap_reached", "time_limit", "infeasible", "unbounded", "error"}
     assert {word: _normalize_status(word) for word in words} == {word: word for word in words}
 

@@ -444,6 +444,31 @@ def test_main_hands_threads_to_highs(tmp_path):
     assert "# Status = optimal" in (tmp_path / "m.sol").read_text()
 
 
+def test_main_hands_the_seed_to_highs(tmp_path, monkeypatch):
+    (tmp_path / "m.lp").write_text(TINY_LP)
+    seen, configured = [], shim._configured_highs
+
+    def spy(*args):
+        highs = configured(*args)
+        seen.append(highs.getOptionValue("random_seed")[1])
+        return highs
+
+    monkeypatch.setattr(shim, "_configured_highs", spy)
+    for argv in ([], ["--seed", "5"]):
+        assert main([str(tmp_path / "m.lp"), str(tmp_path / "m.sol"), *argv]) == 0
+    assert seen == [0, 5]  # HiGHS's own default, then the flag's
+
+
+def test_seed_zero_writes_the_values_written_without_a_seed(driver_files, tmp_path):
+    # seed 0 is HiGHS's default: a file solved at --seed 0 holds the same values as one solved without the flag
+    lp, start = driver_files["6B"]
+    values = []
+    for name, argv in (("none", []), ("zero", ["--seed", "0"])):
+        assert main([str(lp), str(tmp_path / f"{name}.sol"), "--start", str(start), *argv]) == 0
+        values.append([line for line in (tmp_path / f"{name}.sol").read_text().splitlines() if not line.startswith("#")])
+    assert values[0] == values[1] and values[0]
+
+
 def test_main_solves_again_with_another_thread_count(tmp_path):
     # HiGHS keeps one thread pool per process; a fresh one starts with none
     (tmp_path / "m.lp").write_text(TINY_LP)
