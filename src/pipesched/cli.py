@@ -34,7 +34,6 @@ from .generator import (
     PathExperimentParams,
     generate_oracle_instance,
     generate_path_instance,
-    precheck_path_feasibility,
 )
 from .heuristic import Start
 from .instance import load_instance, save_instance, validate_instance
@@ -44,7 +43,7 @@ from .oracle import ORACLE_STATUS_BUDGET, ORACLE_STATUS_INFEASIBLE, OracleLimits
 from .schedule import Schedule
 from .solver import STATUS_ERROR, STATUS_GAP, STATUS_INFEASIBLE, STATUS_TIME_LIMIT
 from .solver import SolveResult, SolverConfig, solve
-from .validator import check_schedule, evaluate_objective, simulate_occupancy
+from .validator import check_schedule, evaluate_objective, nomination_shortfalls, simulate_occupancy
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -225,7 +224,7 @@ def _print_result(result: SolveResult) -> None:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.oracle_seed is not None:
-        inst, warnings = generate_oracle_instance(args.oracle_seed), []
+        inst = generate_oracle_instance(args.oracle_seed)
     else:
         params = PathExperimentParams(
             vertices=args.vertices,
@@ -235,10 +234,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
             nomination_batches=args.nomination_batches,
             horizon=args.horizon,
         )
-        inst, warnings = _generate(params), precheck_path_feasibility(params)
+        inst = _generate(params)
     save_instance(inst, args.out)
     print(f"wrote {args.out} ({inst.name}, horizon {inst.grid.horizon_len})")
-    _warn(warnings)
+    _warn(nomination_shortfalls(inst, enumerate_batches(inst)))
     return EXIT_OK
 
 

@@ -171,35 +171,6 @@ def generate_path_instance(params: PathExperimentParams) -> Instance:
     return inst
 
 
-def precheck_path_feasibility(params: PathExperimentParams) -> list[str]:
-    """Necessary-condition screen: can nominations cover every site's deficit?
-
-    Deliveries arrive in whole batches, so each site needs its deficit
-    rounded up to batch multiples; if those necessities alone exceed the
-    nomination, no feasible schedule exists and the generator warns.
-    """
-    inst = generate_path_instance(params)
-    warnings: list[str] = []
-    nomination = inst.nominations[0].limits
-    for pid, std in ((FLUSH, FLUSH_STD), (STAIN, STAIN_STD)):
-        needed = 0
-        per_site = []
-        for site in inst.storage_sites():
-            prof = site.profile(pid)
-            outtake = -sum(change for _t, change in prof.deltas)
-            deficit = max(0, outtake - prof.initial)
-            need = math.ceil(deficit / std) * std
-            needed += need
-            per_site.append((site.id, deficit, need))
-        if needed > nomination[pid]:
-            detail = ", ".join(f"{s}: deficit {d} -> {n}" for s, d, n in per_site if n)
-            warnings.append(
-                f"{pid}: sites need at least {needed} units in whole batches but the nomination is "
-                f"{nomination[pid]} ({detail}); the instance cannot be feasible"
-            )
-    return warnings
-
-
 # ---------------------------------------------------------------------------
 # randomized micro instances for oracle cross-checks
 

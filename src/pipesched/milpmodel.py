@@ -125,7 +125,7 @@ from .batches import (
 )
 from .instance import Instance, TankOutage, instance_hash, validate_instance
 from .schedule import Schedule
-from .validator import simulate_occupancy
+from .validator import nomination_shortfalls, simulate_occupancy
 
 # variable kinds
 PLACEMENT = "placement"
@@ -890,7 +890,8 @@ def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPM
 
     # emitted in the order the rows are written
     emit_packing(inst, catalog, columns, rows)
-    warnings = emit_flushing(inst, catalog, columns, rows) + empty_band_warnings(series)
+    warnings = emit_flushing(inst, catalog, columns, rows)
+    warnings += empty_band_warnings(series) + nomination_shortfalls(inst, catalog)
     emit_regime_exclusions(inst, catalog, columns, rows)
     emit_capacity(inst, catalog, columns, rows, series)
     emit_outages(inst, catalog, columns, rows)

@@ -73,10 +73,12 @@ MIP runs from the start, completed by the fixed LP where that LP was
 optimal.  It gets what is left of `--time-limit`: HiGHS applies
 `time_limit` to each run, while its run clock adds up over runs.  The fixed
 LP runs first so that a proof cut short by the limit still hands the MIP a
-complete start, which HiGHS reports as its incumbent at once.  Each LP runs
-from a cleared solver: on the six-vertex setting-B model, warm-started from
-the fixed LP's basis, the relaxation took 0.57-0.82 s against 0.14-0.21 s
-(three runs in process, 2-core VM).
+complete start, which HiGHS reports as its incumbent at once.  A limit
+below the child's own set-up, the LP read and the fixed LP's presolve
+(0.24 s on the eight-vertex month), is overrun and may end `time_limit`
+with no incumbent.  Each LP runs from a cleared solver: on the six-vertex
+setting-B model, warm-started from the fixed LP's basis, the relaxation
+took 0.57-0.82 s against 0.14-0.21 s (three runs in process, 2-core VM).
 
 The start reaches HiGHS without pybind importing numpy into the child.  It
 goes to the MIP as one dense

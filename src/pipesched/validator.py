@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
 from operator import add
 from typing import NamedTuple
 
@@ -158,6 +159,42 @@ def capacity_bound_violations(inst: Instance, occupancy: OccupancySeries) -> lis
                         )
                     )
     return out
+
+
+def nomination_shortfalls(inst: Instance, catalog: BatchCatalog) -> list[str]:
+    """Warnings for the products whose nominations cannot lift every storage site to its minimum.
+
+    A screen, not a rule: it decides nothing and never raises a false alarm.  Site s falls `short`
+    at most below its minimum on the empty schedule; if no batch reaches s, that alone is a finding.
+    If nothing leaves s, its inbound volume covers `short` in multiples of g, the gcd of the volumes
+    delivered there.  If something does, inbound less outbound covers the last slot's gap, which is
+    negative where s has stock to send on.  Transfers between sites cancel in the sum, so refineries
+    dispatch at least the sum of these needs.  A product some refinery dispatches unnominated is skipped.
+    """
+    H = inst.grid.horizon_len
+    limits = {(nom.refinery, pid): cap for nom in inst.nominations for pid, cap in nom.limits.items()}
+    origins = {(inst.edge(e).origin, spec.product) for e, spec in catalog.dispatches()}
+    inbound: dict[tuple[str, str], list[int]] = {}  # (site, product) -> the volumes delivered there
+    for e, spec in catalog.deliveries():
+        inbound.setdefault((inst.edge(e).destination, spec.product), []).append(spec.volume)
+    warnings = []
+    for pid in (p.id for p in inst.products):
+        needs = []
+        for site in inst.storage_sites():
+            prof = site.profile(pid)
+            gaps = [lo - on for lo, on in zip(prof.min_profile(H), prof.base_profile(H))]
+            short, g, sends = max(0, *gaps), gcd(*inbound.get((site.id, pid), ())), (site.id, pid) in origins
+            if short and not g:
+                warnings.append(f"{pid}: {site.id} is {short} short and no batch reaches it; the instance cannot be feasible")
+            elif short or sends:
+                needs.append((site.id, short, gaps[-1] if sends else -(-short // g) * g))
+        refineries = [r for r, p in origins if p == pid and not inst.site(r).is_storage]
+        need, supply = sum(n for *_, n in needs), sum(limits.get((r, pid), 0) for r in refineries)
+        if need > supply and all((r, pid) in limits for r in refineries):
+            detail = ", ".join(f"{s}: short {short} -> {n}" for s, short, n in needs if n)
+            warnings.append(f"{pid}: storage sites need at least {need} units but the nominations allow {supply} "
+                            f"({detail}); the instance cannot be feasible")
+    return warnings
 
 
 def _dispatches(catalog: BatchCatalog, placements: frozenset) -> list[tuple[str, BatchSpec, int]]:

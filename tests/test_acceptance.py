@@ -11,8 +11,9 @@ Eight checks gate a release, each with a pinned tolerance and runtime budget:
     at a proven optimum;
  6. on the four-vertex setting-B path, allocation-aware costing keeps the
     intake volume and cuts pumping cost by at least 10 percent;
- 7. the eight-vertex setting-B defaults are flagged by the generator
-    pre-check and proven infeasible by the solver;
+ 7. the eight-vertex setting-B defaults are flagged by the nomination
+    screen and proven infeasible by the solver, whose manifest names the
+    stain shortfall;
  8. model building is deterministic, byte for byte, with per-family row
     counts and the binary count matching closed-form predictions;
  9. the six-vertex setting-A path solves to the gap target well inside the
@@ -34,14 +35,13 @@ from pathlib import Path
 import pytest
 
 from pipesched.batches import enumerate_batches
-from pipesched.cli import EXIT_OK
+from pipesched.cli import EXIT_INFEASIBLE, EXIT_OK
 from pipesched.cli import main as cli_main
 from pipesched.generator import (
     SETTINGS,
     PathExperimentParams,
     generate_oracle_instance,
     generate_path_instance,
-    precheck_path_feasibility,
 )
 from pipesched.instance import (
     FixedTransport,
@@ -61,12 +61,11 @@ from pipesched.solver import (
     SolverConfig,
     solve,
 )
-from pipesched.validator import check_schedule
+from pipesched.validator import check_schedule, nomination_shortfalls
 
 from tests.conftest import ACCEPTANCE_LINES, lp_text, single_edge_instance
 
 EXACT = SolverConfig(time_limit=300.0, gap=0.0)
-TARGET = SolverConfig(time_limit=1800.0, gap=1e-3)
 ORACLE_SEEDS = range(25)
 
 
@@ -113,10 +112,18 @@ def l4b_pair():
 
 
 @pytest.fixture(scope="module")
-def l8b_outcome():
-    params = PathExperimentParams(vertices=8, setting="B")
-    warnings = precheck_path_feasibility(params)
-    return warnings, solve(build_model(generate_path_instance(params)), TARGET)
+def l8b_outcome(tmp_path_factory):
+    """The screen's findings, then a solve through the command line: its exit code and manifest."""
+    work = tmp_path_factory.mktemp("acceptance-l8b")
+    inst = generate_path_instance(PathExperimentParams(vertices=8, setting="B"))
+    save_instance(inst, work / "instance.json")
+    out_dir = work / "run"
+    rc = cli_main(
+        ["solve", "--instance", str(work / "instance.json"), "--out-dir", str(out_dir), "--gap", "1e-3",
+         "--time-limit", "1800"]
+    )
+    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    return nomination_shortfalls(inst, enumerate_batches(inst)), rc, manifest
 
 
 @pytest.fixture(scope="module")
@@ -333,13 +340,14 @@ def test_06_allocation_aware_costing_cuts_pumping_cost(l4b_pair):
 
 
 def test_07_overloaded_eight_vertex_defaults_proven_infeasible(l8b_outcome):
-    warnings, result = l8b_outcome
-    warned = any("cannot be feasible" in w for w in warnings)
-    ok = warned and result.status == STATUS_INFEASIBLE
+    warnings, rc, manifest = l8b_outcome
+    warned = any(w.startswith("stain:") and "cannot be feasible" in w for w in warnings)
+    ok = warned and manifest["warnings"] == warnings and manifest["status"] == STATUS_INFEASIBLE
+    ok = ok and rc == EXIT_INFEASIBLE
     line = _report(
         7, "overloaded defaults flagged and proven infeasible",
-        ok, f"pre-check warnings {len(warnings)}, solver status {result.status}, "
-        f"{result.wall_time:.1f}s",
+        ok, f"screen warnings {len(warnings)}, manifest warnings {len(manifest['warnings'])}, "
+        f"exit {rc}, solver status {manifest['status']}, {manifest['wall_time']:.1f}s",
     )
     assert ok, line
 

@@ -14,10 +14,11 @@ from pipesched.generator import (
     _outtake_deltas,
     generate_oracle_instance,
     generate_path_instance,
-    precheck_path_feasibility,
 )
 from pipesched.instance import instance_hash, instance_to_dict, validate_instance
+from pipesched.milpmodel import build_model
 from pipesched.oracle import MAX_EDGES, MAX_HORIZON
+from pipesched.validator import nomination_shortfalls
 
 
 def test_setting_table():
@@ -100,16 +101,59 @@ def test_generated_instances_validate(vertices, setting):
     assert validate_instance(inst) == []
 
 
+def _shortfalls(params: PathExperimentParams) -> list[str]:
+    inst = generate_path_instance(params)
+    return nomination_shortfalls(inst, enumerate_batches(inst))
+
+
 def test_precheck_passes_default_feasible_cases():
-    assert precheck_path_feasibility(PathExperimentParams(vertices=4, setting="A")) == []
-    assert precheck_path_feasibility(PathExperimentParams(vertices=6, setting="A")) == []
+    assert _shortfalls(PathExperimentParams(vertices=4, setting="A")) == []
+    assert _shortfalls(PathExperimentParams(vertices=6, setting="A")) == []
 
 
 def test_precheck_flags_oversubscribed_stains():
-    warnings = precheck_path_feasibility(PathExperimentParams(vertices=8, setting="B"))
+    warnings = _shortfalls(PathExperimentParams(vertices=8, setting="B"))
     assert len(warnings) == 1
     assert warnings[0].startswith("stain:")
     assert "cannot be feasible" in warnings[0]
+
+
+# the sweep's infeasible cells: (vertices, setting) -> the outtake policies that over-subscribe the stain nomination
+SWEEP_FLAGGED = {
+    (8, "A"): {"front_loaded", "uniform_hourly"},
+    (10, "A"): {"front_loaded", "uniform_hourly"},
+    (10, "C"): {"front_loaded", "uniform_hourly"},
+    (8, "B"): set(OUTTAKE_POLICIES),
+    (10, "B"): set(OUTTAKE_POLICIES),
+}
+
+
+@pytest.mark.parametrize("policy", OUTTAKE_POLICIES)
+@pytest.mark.parametrize("setting", ["A", "B", "C"])
+@pytest.mark.parametrize("vertices", [3, 4, 6, 8, 10])
+def test_sweep_build_warns_exactly_where_the_nomination_falls_short(vertices, setting, policy):
+    params = PathExperimentParams(vertices=vertices, setting=setting, cost_mode="SDC", outtake_policy=policy)
+    warnings = build_model(generate_path_instance(params)).metadata["warnings"]
+    if policy in SWEEP_FLAGGED.get((vertices, setting), ()):
+        assert len(warnings) == 1 and warnings[0].startswith("stain:") and "cannot be feasible" in warnings[0]
+    else:
+        assert warnings == []
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        PathExperimentParams(vertices=4, setting="A"),
+        PathExperimentParams(vertices=6, setting="A"),
+        PathExperimentParams(vertices=6, setting="B", cost_mode="SDC"),
+        PathExperimentParams(vertices=8, setting="C", cost_mode="SDC"),
+        PathExperimentParams(vertices=6, setting="C", cost_mode="SDC", nomination_batches=40, horizon=744),
+        PathExperimentParams(vertices=8, setting="C", cost_mode="SDC", nomination_batches=40, horizon=744),
+    ],
+    ids=["l4A", "l6A", "l6B", "l8C", "month-l6", "month-l8"],
+)
+def test_ladder_rungs_and_the_month_build_without_warnings(params):
+    assert build_model(generate_path_instance(params)).metadata["warnings"] == []
 
 
 def test_oracle_draws_are_valid_and_deterministic():

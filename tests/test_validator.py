@@ -11,12 +11,27 @@ import pytest
 
 import pipesched
 from pipesched.batches import enumerate_batches
-from pipesched.generator import PathExperimentParams, generate_path_instance
-from pipesched.instance import FixedTransport, TransportOutage, ThroughputLimit, instance_from_dict
+from pipesched.generator import PathExperimentParams, generate_oracle_instance, generate_path_instance
+from pipesched.instance import (
+    CapacityProfile,
+    Edge,
+    FixedTransport,
+    Instance,
+    Nomination,
+    Product,
+    PumpingRegime,
+    Site,
+    ThroughputLimit,
+    TimeGrid,
+    TransportOutage,
+    instance_from_dict,
+)
+from pipesched.oracle import ORACLE_STATUS_INFEASIBLE, ORACLE_STATUS_OPTIMAL, brute_force_optimum
 from pipesched.schedule import Schedule
 from pipesched.validator import (
     check_schedule,
     evaluate_objective,
+    nomination_shortfalls,
     simulate_occupancy,
 )
 from tests.conftest import single_edge_instance
@@ -202,6 +217,70 @@ def test_objective_components_are_exact_fractions(ref1, ref1_catalog):
 def test_unknown_placement_rejected(ref1, ref1_catalog):
     with pytest.raises(Exception):
         check_schedule(ref1, ref1_catalog, Schedule.from_raw([("e1", "nope", 0)]))
+
+
+def _raised_minimums(inst, by: int):
+    sites = []
+    for s in inst.sites:
+        caps = {pid: dataclasses.replace(prof, minimum=prof.minimum + by) for pid, prof in s.capacity.items()}
+        sites.append(dataclasses.replace(s, capacity=caps))
+    return dataclasses.replace(inst, sites=tuple(sites), name=f"{inst.name}-min+{by}")
+
+
+def test_nomination_screen_flags_only_what_the_oracle_proves_infeasible():
+    flagged = cleared = from_storage = 0
+    for seed in range(41):
+        drawn = generate_oracle_instance(seed)
+        for by in (1, 3, 6):
+            inst = _raised_minimums(drawn, by)
+            if nomination_shortfalls(inst, enumerate_batches(inst)):
+                assert brute_force_optimum(inst).status == ORACLE_STATUS_INFEASIBLE, (seed, by)
+                flagged += 1
+            else:
+                cleared += 1
+            # a regime leaving storage site S1 sends the screen down its unrounded branch
+            from_storage += any(r.id == "rs" for r in inst.regimes)
+    assert flagged and cleared and from_storage, (flagged, cleared, from_storage)
+
+
+def _export_instance(s1_minimum: int) -> Instance:
+    """R feeds S2 through S1 with one batch of 3 at most; S1 may send its own stock on to S2 (regime rs).
+    S2 falls 5 below its minimum from slot 5 on, so it needs two batches; S1 holds 9."""
+    standard, flow = {"flush": 3}, {"flush": Fraction(3)}
+
+    def store(sid: str, minimum: int, deltas=()) -> Site:
+        profile = CapacityProfile(initial=9, maximum=20, minimum=minimum, deltas=deltas)
+        return Site(sid, "storage", standard_batch=standard, capacity={"flush": profile})
+
+    return Instance(
+        name=f"export-{s1_minimum}",
+        grid=TimeGrid(10),
+        products=(Product("flush", "flushing"),),
+        sites=(Site("R", "refinery", standard_batch=standard), store("S1", s1_minimum), store("S2", 6, ((5, -8),))),
+        edges=(Edge("e1", "R", "S1", pipe_volume=1), Edge("e2", "S1", "S2", pipe_volume=1)),
+        regimes=(PumpingRegime("r2", ("e1", "e2"), flow_rate=flow), PumpingRegime("rs", ("e2",), flow_rate=flow)),
+        nominations=(Nomination("R", {"flush": 3}),),
+    )
+
+
+def test_nomination_screen_counts_stock_a_storage_site_can_send_on():
+    spare = _export_instance(s1_minimum=6)  # S1 can spare 3 for S2
+    assert nomination_shortfalls(spare, enumerate_batches(spare)) == []
+    assert brute_force_optimum(spare).status == ORACLE_STATUS_OPTIMAL
+    held = _export_instance(s1_minimum=9)  # S1 can spare nothing
+    assert nomination_shortfalls(held, enumerate_batches(held)) == [
+        "flush: storage sites need at least 6 units but the nominations allow 3 (S2: short 5 -> 6); "
+        "the instance cannot be feasible"
+    ]
+    assert brute_force_optimum(held).status == ORACLE_STATUS_INFEASIBLE
+
+
+def test_nomination_screen_flags_a_short_site_no_batch_reaches():
+    inst = _raised_minimums(_export_instance(s1_minimum=9), 1)
+    inst = dataclasses.replace(inst, regimes=inst.regimes[1:])  # only S1 -> S2 is left
+    assert nomination_shortfalls(inst, enumerate_batches(inst))[0] == (
+        "flush: S1 is 1 short and no batch reaches it; the instance cannot be feasible"
+    )
 
 
 @pytest.mark.parametrize("module", ["validator", "oracle"])
