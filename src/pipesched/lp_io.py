@@ -117,11 +117,21 @@ def _wrapped(words: Iterable[str], head: str, indent: str) -> Iterator[str]:
         head = indent
 
 
-def _objective_terms(objective: tuple[tuple[int, Fraction], ...], letters: str) -> Iterable[str]:
-    """The `obj:` line's terms; an empty objective is written as zero times the first column."""
+def _objective_terms(objective: tuple[tuple[int, Fraction], ...], letters: str) -> Iterator[str]:
+    """The `obj:` line's terms; an empty objective is written as zero times the first column.
+
+    A model holds a few distinct coefficients over thousands of terms, so each is formatted once,
+    keyed on its numerator and denominator: hashing a `Fraction` costs more than formatting it."""
     if not objective:
-        return [f"+0 {letters[0]}0" if letters else "+0 x0"]
-    return (f"+{_num(c)} {letters[vid]}{vid}" if c >= 0 else f"-{_num(-c)} {letters[vid]}{vid}" for vid, c in objective)
+        yield f"+0 {letters[0]}0" if letters else "+0 x0"
+        return
+    signed = {}
+    for vid, c in objective:
+        key = c.numerator, c.denominator
+        text = signed.get(key)
+        if text is None:
+            text = signed[key] = f"+{_num(c)} " if c >= 0 else f"-{_num(-c)} "
+        yield f"{text}{letters[vid]}{vid}"
 
 
 def _bound_affixes(lb: int | None, ub: int | None) -> tuple[str, str] | None:

@@ -56,11 +56,16 @@ like any other error, before any LP runs.
 
 With a start, `main` first tries to prove it optimal with two LP runs, and
 runs the MIP only where that proof fails (`_solve_from_start`).  The first
-LP fixes every integer column at its start value; presolve empties it, and
-its solution completes the start's continuous columns, as HiGHS's own start
-completion does.  The second, with the bounds restored, is the LP
-relaxation (`solve_relaxation`).  The start is proven when the two
-objectives meet by HiGHS's own MIP stopping rule, the `mip_abs_gap` or the
+LP fixes every integer column at its start value; its solution completes
+the start's continuous columns, as HiGHS's own start completion does.  The
+second, with the bounds restored, is the LP relaxation
+(`solve_relaxation`).  Both run with presolve off, and the MIP with it on:
+the builder writes presolve's reductions itself, so on the six-vertex
+setting-B model presolve only takes 3,515 rows to 3,485, and the dual
+simplex solves the unreduced relaxation in 620 iterations against 830.
+There the fixed LP took 6 ms against 14 ms and the relaxation 39 ms against
+66 ms (in process, best of three, 2-core VM).  The start is proven when the
+two objectives meet by HiGHS's own MIP stopping rule, the `mip_abs_gap` or the
 `mip_rel_gap` read back from HiGHS; without the absolute gap every solve at
 gap 0 fell back to the MIP on float noise.  The solution file then holds the
 fixed LP's values, `# MIP nodes = 0`, the simplex iterations of both runs,
@@ -74,20 +79,27 @@ optimal.  It gets what is left of `--time-limit`: HiGHS applies
 `time_limit` to each run, while its run clock adds up over runs.  The fixed
 LP runs first so that a proof cut short by the limit still hands the MIP a
 complete start, which HiGHS reports as its incumbent at once.  A limit
-below the child's own set-up, the LP read and the fixed LP's presolve
-(0.24 s on the eight-vertex month), is overrun and may end `time_limit`
-with no incumbent.  Each LP runs from a cleared solver: on the six-vertex
+below the child's own set-up and the LP read is overrun and may end
+`time_limit` with no incumbent: on the eight-vertex month at `--time-limit
+0.01` the child's `# Wall time` was 0.26 s (three runs; 0.35 s with the
+proof's presolve on), of which the MIP's start-up after the cut took 0.03 s,
+and it wrote no values.  Each LP starts without a basis: on the six-vertex
 setting-B model, warm-started from the fixed LP's basis, the relaxation
-took 0.57-0.82 s against 0.14-0.21 s (three runs in process, 2-core VM).
+took 0.57-0.82 s against 0.14-0.21 s (with presolve, three runs in
+process, 2-core VM).
 
 The start reaches HiGHS without pybind importing numpy into the child.  It
 goes to the MIP as one dense
 `HighsSolution`: the sparse `setSolution` overload took 0.12 s and 8.9 MB
 of peak memory on the six-vertex setting-B model against 0.04 s and 1.2 MB
-(in process, 2-core VM).  The fixed LP's bounds are set one column at a time
-with `changeColBounds`: `changeColsBounds` imports numpy too, and the
-child's solve time on that model rose from 0.21 to 0.33 s with it (median
-of five).
+(in process, 2-core VM).  The fixed LP's bounds, and then the restored
+ones, reach HiGHS in one model pass each: they are set as Python lists on
+the `HighsLp` that `getLp()` returned, which goes back whole through
+`passModel` (`_pass_bounds`), and the pass also drops the last basis.  On
+that model the bound lists and both passes took 3 ms against 11 ms for
+11,450 `changeColBounds` calls and two `clearSolver` (in process, best of
+three); `changeColsBounds` would import numpy too, and with it the child's
+solve time there rose from 0.21 to 0.33 s (median of five).
 
 The driver's start meets the LP bound on every rung of the ladder and on
 the month, so none of them runs the MIP any more.  The child's `# Wall
@@ -102,7 +114,17 @@ time`, gap 1e-3, one thread, 2-core VM, MIP from the start -> the proof
     the month, eight vertices   1.08 -> 0.77 s
 
 Every run ends `optimal` at the same optimum and with the same values as the
-MIP wrote, also at gap 0.
+MIP wrote, also at gap 0.  On today's model, the child's `# Wall time`
+with the proof's presolve on and its bounds set column by column -> with
+presolve off and one model pass each way (median of five alternating runs,
+same values, `# MIP nodes = 0` on each):
+
+    four-vertex setting A       0.07 -> 0.05 s
+    six-vertex setting A        0.15 -> 0.09 s
+    six-vertex setting B        0.19 -> 0.12 s
+    eight-vertex setting C      0.27 -> 0.20 s
+    the month, six vertices     0.23 -> 0.17 s
+    the month, eight vertices   0.36 -> 0.25 s
 
 `parse_lp` and `solve_lp` are the same two steps for an in-process caller:
 `parse_lp` reads LP text through a temporary file exactly as `main` reads
@@ -311,15 +333,16 @@ def _read_model(path: str, time_limit: float, gap: float, threads: int = 1, seed
     return highs
 
 
-def _read_start(lp, path: str) -> list[float] | None:
-    """The start in the file at `path` as one value per column of `lp`, or None for an empty file
-    (its format is in the module docstring)."""
+def _read_start(lp, path: str) -> tuple[list[float], list[bool]] | None:
+    """The start in the file at `path` as one value per column of `lp`, with whether each column is
+    an integer column, or None for an empty file (its format is in the module docstring)."""
     with open(path, encoding="utf-8") as fh:
         entries = [(lineno, line.split()) for lineno, line in enumerate(fh, start=1) if line.strip()]
     if not entries:
         return None
     column = {name: i for i, name in enumerate(lp.col_names_)}
-    integer = _integer_columns(lp)
+    continuous = _highs_core().HighsVarType.kContinuous
+    integer = [kind != continuous for kind in lp.integrality_] or [False] * lp.num_col_
     binary = [kind and (lo, hi) == (0, 1) for kind, lo, hi in zip(integer, lp.col_lower_, lp.col_upper_)]
     values = [0.0 if is_integer else math.inf for is_integer in integer]
     for lineno, words in entries:
@@ -338,13 +361,7 @@ def _read_start(lp, path: str) -> list[float] | None:
         if binary[i] and value not in (0.0, 1.0):
             raise ValueError(f"start file line {lineno} gives the binary {name} the value {text!r}, not 0 or 1")
         values[i] = value
-    return values
-
-
-def _integer_columns(lp) -> list[bool]:
-    """Whether each column of `lp` is an integer column."""
-    continuous = _highs_core().HighsVarType.kContinuous
-    return [kind != continuous for kind in lp.integrality_] or [False] * lp.num_col_
+    return values, integer
 
 
 def _set_start(highs, values: list[float]) -> None:
@@ -354,40 +371,47 @@ def _set_start(highs, values: list[float]) -> None:
     _check(highs.setSolution(solution), "HiGHS rejected the start")
 
 
+def _pass_bounds(highs, lp, lower: list[float], upper: list[float]) -> None:
+    """Give the model `lp` the column bounds `lower` and `upper` and pass it to HiGHS whole, which
+    drops the solver's last basis (`changeColsBounds` would make pybind import numpy)."""
+    lp.col_lower_, lp.col_upper_ = lower, upper
+    _check(highs.passModel(lp), "HiGHS rejected the model with changed column bounds")
+
+
 def _lp_run(highs, time_limit: float) -> tuple[float | None, int]:
-    """Run the loaded model from scratch within what is left of `time_limit` (HiGHS's run clock adds up
-    over runs); its objective when it ends optimal, else None, and its simplex iterations."""
+    """Run the model just passed to HiGHS within what is left of `time_limit` (HiGHS's run clock adds
+    up over runs, and a model pass does not reset it); its objective when it ends optimal, else None,
+    and its simplex iterations."""
     _set_options(highs, time_limit=max(0.0, time_limit - highs.getRunTime()))
-    highs.clearSolver()
     highs.run()
     info = highs.getInfo()
     optimal = highs.getModelStatus() == _highs_core().HighsModelStatus.kOptimal
     return (info.objective_function_value if optimal else None), max(info.simplex_iteration_count, 0)
 
 
-def _solve_from_start(highs, lp, start: list[float], time_limit: float) -> HighsResult:
-    """Solve the model `lp` loaded in `highs` from `start`: prove the start optimal with two LP runs,
-    or else run the MIP from it (the module docstring tells why and what it saves)."""
-    integer = [i for i, is_integer in enumerate(_integer_columns(lp)) if is_integer]
+def _solve_from_start(highs, lp, start: list[float], integer: list[bool], time_limit: float) -> HighsResult:
+    """Solve the model `lp` loaded in `highs` from `start` (`integer` flags its integer columns): prove
+    the start optimal with two LP runs, or else run the MIP from it (the module docstring tells why and
+    what it saves)."""
     lower, upper = lp.col_lower_, lp.col_upper_
     iterations = 0
     # the fixed LP's solution is a MIP solution only if each integer column is fixed at an integer within its bounds
-    if all(start[i] == round(start[i]) and lower[i] <= start[i] <= upper[i] for i in integer):
-        _set_options(highs, solve_relaxation=True)
-        for i in integer:  # one column at a time: `changeColsBounds` makes pybind import numpy
-            _check(highs.changeColBounds(i, start[i], start[i]), f"HiGHS rejected fixing column {i}")
+    if all(v == round(v) and lo <= v <= hi for v, kind, lo, hi in zip(start, integer, lower, upper) if kind):
+        _set_options(highs, solve_relaxation=True, presolve="off")
+        fixed_lower = [v if kind else lo for v, kind, lo in zip(start, integer, lower)]
+        fixed_upper = [v if kind else hi for v, kind, hi in zip(start, integer, upper)]
+        _pass_bounds(highs, lp, fixed_lower, fixed_upper)
         incumbent, iterations = _lp_run(highs, time_limit)
         if incumbent is not None:
             start = list(highs.getSolution().col_value)  # complete, so a MIP cut short still reports it
-        for i in integer:
-            _check(highs.changeColBounds(i, lower[i], upper[i]), f"HiGHS rejected restoring column {i}")
+        _pass_bounds(highs, lp, lower, upper)
         if incumbent is not None:
             relaxation, spent = _lp_run(highs, time_limit)
             iterations += spent
             proven = None if relaxation is None else _proof(highs, lp, relaxation, incumbent)
             if proven is not None:
                 return HighsResult(*proven, start, 0, iterations)
-        _set_options(highs, solve_relaxation=False)
+        _set_options(highs, solve_relaxation=False, presolve="choose")
         highs.clearSolver()
     _set_start(highs, start)
     _set_options(highs, time_limit=max(0.0, time_limit - highs.getRunTime()))
@@ -452,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
         lp = highs.getLp()
         start = None if args.start is None else _read_start(lp, args.start)
         t_read = time.monotonic()
-        res = _run(highs) if start is None else _solve_from_start(highs, lp, start, args.time_limit)
+        res = _run(highs) if start is None else _solve_from_start(highs, lp, *start, args.time_limit)
         t_solve = time.monotonic()
     except Exception as exc:  # report through the file protocol, then fail
         _write_atomically(args.solution, f"# Status = error\n# Message = {type(exc).__name__}: {exc}\n")

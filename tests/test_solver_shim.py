@@ -640,11 +640,12 @@ def test_start_no_mip_solution_is_left_to_the_mip(tmp_path, monkeypatch, bounds,
 
 
 def test_proof_cut_by_the_time_limit_leaves_the_mip_the_rest_of_it(driver_files, tmp_path, monkeypatch):
-    # 6B's relaxation takes longer than 0.05 s, so the proof stops on time; the MIP gets what is left of the
+    # 6B's proof takes about 680 simplex iterations and 0.04-0.08 s on a 2-core VM, of which the fixed LP
+    # takes 57 iterations and 5-10 ms, so it cannot end within 0.01 s; the MIP gets what is left of the
     # limit (HiGHS applies `time_limit` to each run but adds the run clock up over runs)
     lp, start = driver_files["6B"]
     runs = _spy_on_the_mip(monkeypatch)
-    limit = 0.05
+    limit = 0.01
     assert main([str(lp), str(tmp_path / "m.sol"), "--start", str(start), "--time-limit", str(limit)]) == 0
     head = _head((tmp_path / "m.sol").read_text())
     [(left, ran)] = runs
@@ -654,8 +655,67 @@ def test_proof_cut_by_the_time_limit_leaves_the_mip_the_rest_of_it(driver_files,
     assert float(head.get("Objective value", 10797.48)) == pytest.approx(10797.48)
 
 
+class _RunSpy:
+    """A HiGHS that records its `presolve` and `solve_relaxation` options at each run."""
+
+    def __init__(self, highs, seen: list[tuple[str, bool]]):
+        self._highs, self._seen = highs, seen
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def run(self):
+        self._seen.append(tuple(self._highs.getOptionValue(key)[1] for key in ("presolve", "solve_relaxation")))
+        return self._highs.run()
+
+
+def _spy_on_every_run(monkeypatch) -> list[tuple[str, bool]]:
+    seen, configured = [], shim._configured_highs
+    monkeypatch.setattr(shim, "_configured_highs", lambda *args: _RunSpy(configured(*args), seen))
+    return seen
+
+
+def test_the_proof_runs_without_presolve_and_the_mip_with_it(driver_files, tmp_path, monkeypatch):
+    # the builder writes presolve's reductions itself (it takes 6B from 3,515 rows to 3,485 only), so the
+    # two proof LPs run without it; the MIP, after a failed proof or cold, runs as it always did
+    seen = _spy_on_every_run(monkeypatch)
+    lp, start = driver_files["l4A"]
+    assert main([str(lp), str(tmp_path / "m.sol"), "--start", str(start)]) == 0
+    assert seen == [("off", True), ("off", True)]
+    seen.clear()
+    rc, sol = _solve_with_start(tmp_path, "x 1\n", "--gap", "0")  # the relaxation's 2 against the start's 1
+    assert rc == 0 and "# Objective value = 2.0\n" in sol
+    assert seen == [("off", True), ("off", True), ("choose", False)]
+    seen.clear()
+    rc, sol = _solve_with_start(tmp_path, "")
+    assert rc == 0 and "# Objective value = 2.0\n" in sol
+    assert seen == [("choose", False)]
+
+
+def test_a_failed_proof_hands_the_mip_the_model_as_read(driver_files, tmp_path, monkeypatch):
+    # the start without its first dispatch is no optimum: the MIP runs on the bounds and integrality read
+    # from the file, not on the fixed LP's, and reaches 6B's optimum
+    lp, start = driver_files["6B"]
+    (tmp_path / "m.start").write_text("".join(start.read_text().splitlines(keepends=True)[1:]))
+    read = _model_arrays(shim._read_model(str(lp), 1e30, 0.0))
+    models, real = [], shim._run
+
+    def spy(highs):
+        models.append(_model_arrays(highs))
+        return real(highs)
+
+    monkeypatch.setattr(shim, "_run", spy)
+    assert main([str(lp), str(tmp_path / "m.sol"), "--start", str(tmp_path / "m.start")]) == 0
+    [model] = models
+    assert [model[key] for key in ("col_lower", "col_upper", "integrality")] == [
+        read[key] for key in ("col_lower", "col_upper", "integrality")
+    ]
+    head = _head((tmp_path / "m.sol").read_text())
+    assert head["Status"] == "optimal" and float(head["Objective value"]) == pytest.approx(10797.48)
+
+
 def test_shim_by_path_proves_a_start_without_numpy_or_scipy_optimize(driver_files, tmp_path):
-    # `changeColBounds` one column at a time: `changeColsBounds` would make pybind import numpy
+    # the bounds go to HiGHS as Python lists in one `passModel`: `changeColsBounds` would make pybind import numpy
     lp, start = driver_files["l4A"]
     code = (
         "import runpy, sys\n"
