@@ -11,7 +11,10 @@ limits are written in the Bounds section, `-inf <= u <= capacity` and
 `l >= minimum`, and an occupancy column without a limit is written `free`.
 The model holds occupancy columns and recurrences only at the slots whose
 limit can bind (`milpmodel.kept_limits`); the writer and `parse_solution`
-walk whatever blocks and rows it holds.
+walk whatever blocks and rows it holds.  A dispatch column that a transport
+outage forbids or a fixed start forces is written with its box in the Bounds
+section too, `0 <= v <= 0` or `1 <= v <= 1` (`1 <= v <= 0` where both apply),
+and stays in the Binary section.
 Variable names are kind-prefixed dense ids (v=dispatch, u=blocked stock,
 l=on-stock, d=deviation), formed as they are written from `column_letters`;
 no list of names is kept.  The header comment writes the
@@ -134,9 +137,10 @@ def _objective_terms(objective: tuple[tuple[int, Fraction], ...], letters: str) 
         yield f"{text}{letters[vid]}{vid}"
 
 
-def _bound_affixes(lb: int | None, ub: int | None) -> tuple[str, str] | None:
-    """Text before and after a column's name in its Bounds line; None for the LP default [0, inf)."""
-    if lb == 0 and ub is None:
+def _bound_affixes(lb: int | None, ub: int | None, binary: bool) -> tuple[str, str] | None:
+    """Text before and after a column's name in its Bounds line; None for the LP default, [0, 1] for a
+    column in the Binary section and [0, inf) for any other."""
+    if lb == 0 and ub == (1 if binary else None):
         return None
     if ub is None:
         return ("", " free") if lb is None else ("", f" >= {_num(lb)}")
@@ -146,7 +150,8 @@ def _bound_affixes(lb: int | None, ub: int | None) -> tuple[str, str] | None:
 def write_lp(model: MILPModel, path: Union[str, Path]) -> str:
     """Write the model to the LP file `path` and return `path` as a string.
 
-    Every row is written, and every tank limit the model keeps as its occupancy column's bound.
+    Every row is written, every tank limit the model keeps as its occupancy column's bound, and every
+    fixed dispatch column's box.
     A row without terms is left out after checking that it holds vacuously.
     The file is written a piece at a time to `<path>.part` and renamed to
     `path` once complete; a write that fails removes the part file and
@@ -181,13 +186,15 @@ def _lp_pieces(model: MILPModel) -> Iterator[str]:
         if not block.count:
             continue
         vids = range(block.start, block.start + block.count)
-        if block.bounds[0]:
+        binary = block.bounds[0]
+        if binary:
             binaries.append(vids)
-            continue
+            if block.limits is None:  # no start of the batch is fixed
+                continue
         lines = []
         for i, vid in enumerate(vids):
             _binary, lb, ub = block.column_bounds(i)
-            if (affixes := _bound_affixes(lb, ub)) is not None:
+            if (affixes := _bound_affixes(lb, ub, binary)) is not None:
                 lines.append(f" {affixes[0]}{letters[vid]}{vid}{affixes[1]}")
         if lines:
             yield "\n".join(lines)

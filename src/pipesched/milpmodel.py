@@ -9,24 +9,42 @@ paths (`Schedule.from_initial`), so schedules keep the per-pipe reading.
 Constraint families:
 
   packing             at most one batch per trunk edge and slot
-  flushing_exclusion  while a stain sits in the pipe no other staining
-                      product may enter (checked at completion instants)
   flushing_enforce    a completed stain is followed immediately by itself
                       (re-dispatch) or by a sufficiently large flushing batch
   exclusion           regime groups that may not pump in overlapping windows
   capacity_def_*      blocked / on-stock occupancy recurrences (equalities)
                       between the slots whose tank limit can bind
-  outage              forbidden starts fixed to zero
   throughput          volume started inside a time window is bounded
   nomination          extracted volume per refinery and product is bounded
-  fixed               operator-imposed transports forced to one
   distribution        deviation linearization rows for final-stock targets
+
+`FAMILIES` lists seven more that keep 0 rows (`FAMILY_SENSE` says why):
+routes, flushing_link, flushing_exclusion, capacity_upper, capacity_lower,
+outage and fixed.
 
 Packing rows go only to the trunk edges, those whose batch set no other
 edge's strictly contains (`trunk_edges`): a dispatch column blocks every edge
 of its path over the same window, so another edge's row is, term for term,
 part of a trunk's row at the same slot.  On a path every regime leaves
 through the first edge, so only it has packing rows.
+
+While a stain sits in a pipe no other staining product may enter it, and
+no row says so: packing and flush enforcement imply it, in the LP and not
+only at integer points.  Take a stain s on its dispatch edge e, completing
+at slot te.  The batches that may start at te on e are s itself
+(re-dispatched), its flush candidates c (its own regime, so its own path)
+and the other stains o on e, and all of them cross the trunk edge that
+covers e.  That trunk's packing row at te gives v(s, te) + sum v(c, te) +
+sum v(o, te) <= 1, and the enforcement row at te gives v(s, te - L) <=
+v(s, te) + sum v(c, te); their sum is v(s, te - L) + sum v(o, te) <= 1,
+the exclusion row.  The validator keeps its own check of the rule.
+
+Transport outages and fixed starts are bounds on the dispatch columns, not
+rows (`dispatch_fixings`): a start an outage forbids is boxed to [0, 0], and
+a fixed transport or an executed placement to [1, 1].  A fixed start that
+an outage forbids gets [1, 0], which the LP writer writes as `1 <= v <= 0`;
+HiGHS's reader keeps that box on a binary column and proves the model
+infeasible.
 
 Tank limits are column bounds, not rows: blocked stock u is bounded above
 by the outage-reduced capacity and on-stock l below by the minimum stock
@@ -62,9 +80,7 @@ volume or a count, so rows and bounds hold plain integers.
 
 `build_model` raises `ModelBuildError` only for an instance that
 `validate_instance` rejects; its `options` (`BuildOptions`) are accepted and
-ignored, kept for the benchmark's callers.  A fixed start that an outage
-forbids gets both rows, v = 1 and v = 0, and the solver proves the model
-infeasible.
+ignored, kept for the benchmark's callers.
 
 Window form.  Every slot-indexed row is a signed sum, at slot t, of the
 columns whose slot key lies in a window around t: the window form of
@@ -134,8 +150,9 @@ OCC_LOWER = "occ_lower"
 DEVIATION = "deviation"
 
 _NAME_PREFIX = {PLACEMENT: "v", OCC_UPPER: "u", OCC_LOWER: "l", DEVIATION: "d"}
-# kind -> (binary, lower bound, upper bound); placements are the only binaries, and a
-# tank limit in an occupancy block's `limits` replaces its kind's upper (u) or lower (l) bound
+# kind -> (binary, lower bound, upper bound); placements are the only binaries.  A tank limit in
+# an occupancy block's `limits` replaces its kind's upper (u) or lower (l) bound, and a fixing in a
+# dispatch block's `limits` replaces both
 _KIND_BOUNDS = {
     PLACEMENT: (True, 0, 1),
     OCC_UPPER: (False, None, None),
@@ -164,8 +181,9 @@ LE = "<="
 GE = ">="
 EQ = "="
 
-# every row of a family has the family's sense; FAMILIES lists the families in this order
-# routes, flushing_link, capacity_upper and capacity_lower keep 0 rows: BENCHMARK.json lists
+# every row of a family has the family's sense; FAMILIES lists the families in this order.
+# routes, flushing_link, flushing_exclusion, capacity_upper, capacity_lower, outage and fixed keep
+# 0 rows (the other rows or the column bounds state their rules): BENCHMARK.json lists
 # `milpmodel.rows.<family>`, and `perfbench/run.py --trace 1` fails when a metric is missing
 FAMILY_SENSE = {
     FAM_PACKING: LE,
@@ -219,7 +237,8 @@ def row_name(family: int, rank: int) -> str:
 class ColumnBlock(NamedTuple):
     """Columns of one kind; column `start + i` has key `(*prefix, first + i)`, or `(*prefix, slots[i])`
     in a block whose columns sit at given slots (`slots`, ascending), and, in an occupancy block,
-    tank limit `limits[i]` (None where there is none)."""
+    tank limit `limits[i]`, or in a dispatch block the (lower, upper) of a fixed start `limits[i]`
+    (None where there is none)."""
 
     kind: str
     prefix: tuple
@@ -247,11 +266,13 @@ class ColumnBlock(NamedTuple):
         return i if i < self.count and self.slots[i] == last else None
 
     def column_bounds(self, i: int) -> tuple[bool, Optional[int], Optional[int]]:
-        """(binary, lower bound, upper bound) of column `start + i`, its tank limit included."""
+        """(binary, lower bound, upper bound) of column `start + i`, its tank limit or fixing included."""
         binary, lb, ub = _KIND_BOUNDS[self.kind]
         limit = None if self.limits is None else self.limits[i]
         if limit is None:
             return binary, lb, ub
+        if self.kind == PLACEMENT:
+            return (binary, *limit)
         return (binary, lb, limit) if self.kind == OCC_UPPER else (binary, limit, ub)
 
 
@@ -559,19 +580,45 @@ def kept_limits(limits: Sequence[Optional[int]], steps: Sequence[tuple[int, int]
         alive = kept
 
 
+def dispatch_fixings(inst: Instance, catalog: BatchCatalog) -> dict[tuple[str, str], dict[int, tuple[int, int]]]:
+    """(dispatch edge, batch) -> {start: (lower, upper)} for each start a transport outage forbids,
+    (0, 0), or a fixed transport or an executed placement forces, (1, 1); a start both forbid and force
+    gets (1, 0), which no value meets.  An outage on any edge of a batch's path forbids its start there;
+    a start past the batch's last fitting one names no column and is left out by the caller."""
+    forbidden = {
+        ((catalog.initial_edge(bid), bid), t)
+        for outage in inst.outages
+        if not isinstance(outage, TankOutage)  # tank outages act through the capacity profile
+        for _eid, bid in outage.batches
+        for t in outage.times
+    }
+    fixed = [batch_id(fx.regime, fx.product, STANDARD) for fx in inst.fixed_transports]
+    forced = {((catalog.initial_edge(bid), bid), fx.start) for bid, fx in zip(fixed, inst.fixed_transports)}
+    forced |= {((catalog.initial_edge(bid), bid), t) for _eid, bid, t in inst.weights.executed}
+    fixings: dict[tuple[str, str], dict[int, tuple[int, int]]] = {}
+    for prefix, t in forbidden | forced:
+        fixings.setdefault(prefix, {})[t] = (int((prefix, t) in forced), int((prefix, t) not in forbidden))
+    return fixings
+
+
 def build_variables(inst: Instance, catalog: BatchCatalog, series: Mapping[tuple[str, tuple], Series]) -> Columns:
     """Create all decision variables in canonical order.
 
     Dispatch variables exist for every batch on the first edge of its path,
-    for starts t with t + L(b) <= horizon.  A series' occupancy columns sit
+    for starts t with t + L(b) <= horizon, each fixed start bounded as
+    `dispatch_fixings` says.  A series' occupancy columns sit
     at the slots whose tank limit can bind (`kept_limits`), each carrying
     that limit as its bound, plus, for an on-stock series with a
     distribution target, the final slot.
     """
     H = inst.grid.horizon_len
     columns = Columns()
+    fixings = dispatch_fixings(inst, catalog)
     for eid, spec in catalog.dispatches():
-        columns.add(PLACEMENT, (eid, spec.id), 0, H - spec.length + 1)
+        count = H - spec.length + 1
+        fixed = fixings.get((eid, spec.id))
+        limits = None if fixed is None else [fixed.get(t) for t in range(count)]
+        columns.add(PLACEMENT, (eid, spec.id), 0, count, limits)
 
     targeted = {(tgt.site, tgt.product) for tgt in inst.weights.distribution_targets}
     for (kind, key), ser in series.items():
@@ -645,30 +692,21 @@ def emit_packing(inst, catalog, columns, rows) -> None:
 
 
 def emit_flushing(inst, catalog, columns, rows) -> list[str]:
-    """Stain containment: cross-stain exclusion and flush enforcement.
+    """Stain containment: flush enforcement, whose rows with packing's also exclude other stains.
 
-    All rows anchor at stain completion instants te = t + L on the initial
-    edge, where the stain's own start is v(b, te - L).  Exclusion rows only
-    exist where another staining product could actually enter
-    (te <= horizon - 1); enforcement rows cover te up to the horizon fence.
-    Where no follow-up fits inside the horizon a row reads v(b, te - L) <= 0,
-    so a stain that cannot be flushed in time is banned.
-    Returns the build warnings.
+    The rows anchor at stain completion instants te = t + L on the initial
+    edge, where the stain's own start is v(b, te - L), and cover te up to the
+    horizon fence.  Where no follow-up fits inside the horizon a row reads
+    v(b, te - L) <= 0, so a stain that cannot be flushed in time is banned.
+    No other stain may start at te; the module docstring shows why that
+    needs no row of its own.  Returns the build warnings.
     """
     H = inst.grid.horizon_len
     dispatch = _dispatch_blocks(columns)
     warnings: list[str] = []
-    stains = [(eid, spec) for eid, spec in catalog.dispatches() if not inst.product(spec.product).is_flushing]
-
-    # a row at te holds the other stains on the edge starting at te, then the stain's start te - L
-    for eid, spec in stains:
-        others = catalog.stain_exclusions.get((eid, spec.product), ())
-        if others:
-            runs = [(dispatch[bid], 0, 1, 1) for bid in others]
-            runs.append((dispatch[spec.id], -spec.length, 1 - spec.length, 1))
-            _window_rows(rows, FAM_FLUSH_EXCL, range(spec.length, H), runs, [1] * (H - spec.length))
-
-    for eid, spec in stains:
+    for eid, spec in catalog.dispatches():
+        if inst.product(spec.product).is_flushing:
+            continue
         candidates = catalog.flush_candidates[spec.id]
         if not candidates:
             warnings.append(
@@ -692,26 +730,6 @@ def emit_regime_exclusions(inst, catalog, columns, rows) -> None:
         dispatched = [(eid, spec) for eid, spec in catalog.dispatches() if spec.regime in members]
         runs = [(place[(eid, spec.id)], 0, spec.length + 1, 1) for eid, spec in dispatched]
         _window_rows(rows, FAM_EXCLUSION, range(H), runs, [1] * H)
-
-
-def _fix_rows(rows: RowStore, family: str, vids: Iterable[int], value: int) -> None:
-    """Rows v = `value`, one per dispatch column in `vids`, in order of first appearance."""
-    fixed = dict.fromkeys(vids)
-    rows.add(family, fixed, [1] * len(fixed), [1] * len(fixed), [value] * len(fixed))
-
-
-def emit_outages(inst, catalog, columns, rows) -> None:
-    """Forbidden starts become v = 0 rows (tank outages act through the capacity profile)."""
-    vids = []
-    for outage in inst.outages:
-        if isinstance(outage, TankOutage):
-            continue
-        for eid, bid in outage.batches:
-            for t in outage.times:
-                vid = _dispatch_vid(catalog, columns, (eid, bid, t))
-                if vid is not None:  # else no start is possible there anyway
-                    vids.append(vid)
-    _fix_rows(rows, FAM_OUTAGE, vids, 0)
 
 
 def emit_capacity(inst, catalog, columns, rows, series) -> None:
@@ -808,14 +826,6 @@ def emit_nominations(inst, catalog, columns, rows) -> None:
             rows.add(FAM_NOMINATION, cols, coefs, [len(cols)], [volume_cap])
 
 
-def emit_fixed_transport(inst, catalog, columns, rows) -> None:
-    keys = []
-    for fx in inst.fixed_transports:
-        bid = batch_id(fx.regime, fx.product, STANDARD)
-        keys.append((catalog.initial_edge(bid), bid, fx.start))
-    _fix_rows(rows, FAM_FIXED, [_dispatch_vid(catalog, columns, key) for key in (*keys, *inst.weights.executed)], 1)
-
-
 def emit_objective(inst, catalog, columns, rows) -> tuple[dict[int, Fraction], Fraction]:
     """Objective terms (maximize) plus deviation linearization rows.
 
@@ -894,10 +904,8 @@ def build_model(inst: Instance, options: BuildOptions = BuildOptions()) -> MILPM
     warnings += empty_band_warnings(series) + nomination_shortfalls(inst, catalog)
     emit_regime_exclusions(inst, catalog, columns, rows)
     emit_capacity(inst, catalog, columns, rows, series)
-    emit_outages(inst, catalog, columns, rows)
     emit_throughput_limits(inst, catalog, columns, rows)
     emit_nominations(inst, catalog, columns, rows)
-    emit_fixed_transport(inst, catalog, columns, rows)
     obj, constant = emit_objective(inst, catalog, columns, rows)
 
     model = MILPModel(

@@ -11,7 +11,10 @@ A template that names {start} gets a MIP start: the list scheduler
 (`heuristic.plan_start`) plans, the validator judges the plan, and a clean
 plan is written to `<tag>.start` next to the LP file (`lp_io.write_start`);
 a dropped plan, or none, leaves the file empty.  A template without {start}
-gets neither the planning nor the file.
+gets neither the planning nor the file.  A solver that stops at its time
+limit without a schedule, given a clean plan, reports the plan as its
+incumbent, with no bound: a limit shorter than the child's first LP leaves
+it no time to report the start itself.
 
 `solve` ships the full model, every tank limit that can bind included, in one solver call.
 `solve_lazy_capacity`, `LazyIteration` and `SolveResult.iterations` are
@@ -165,7 +168,12 @@ def _run_once(model: MILPModel, config: SolverConfig, workdir: Path, tag: str) -
         start = plan_start(model.instance, model.catalog)
         write_start(model, None if start is None else start.schedule, start_path)
     sol_path.unlink(missing_ok=True)  # a kept work dir may hold an earlier run's solution
-    return replace(_call(model, config, argv, sol_path), start=start)
+    found = _call(model, config, argv, sol_path)
+    cut_short = found.status == STATUS_TIME_LIMIT and found.schedule is None
+    if cut_short and start is not None and start.schedule is not None:
+        # stopped before it reported even the start: the clean plan is the incumbent, without a bound
+        found = replace(found, schedule=start.schedule, message="the solver stopped before it reported the start")
+    return replace(found, start=start)
 
 
 def _call(model: MILPModel, config: SolverConfig, argv: list[str], sol_path: Path) -> SolveResult:

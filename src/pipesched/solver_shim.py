@@ -25,22 +25,13 @@ most of it in the probing pass that took 6,209 rows to 3,570.  The builder
 now writes reductions of its own: packing rows on trunk edges only, tank
 limits on the volume lattice, and occupancy chains only at the limits that
 can bind.  The file then holds 3,515 rows (14,968 with every occupancy
-chain), and presolve without probing ends at 3,485 rows either way.  Run
-time in process, HiGHS seeds 0/1/2, one thread, gap 1e-3, on a 2-core VM,
-before the first two reductions and probing off -> with all three:
-
-    six-vertex setting B       1.64 /  3.12 /   8.93 s  ->  1.02 / 0.82 / 1.48 s
-    eight-vertex setting C    16.33 /  4.80 /  13.18 s  ->  1.54 / 2.93 / 5.27 s
-    the month, six vertices   18.21 / 32.28 / 107.41 s  ->  4.00 / 2.78 / 1.98 s
-    the month, eight vertices 16.21 / 22.95 /  25.07 s  ->  6.72 / 15.45 / 5.78 s
-
-Probing alone, on today's model, on -> off (run time at seed 0, else the
-median over seeds 0-2): four-vertex setting A 1.40 -> 0.41 s, six-vertex
-setting A 2.22 -> 0.43 s, six-vertex setting B 1.84 -> 1.56 s, the month
-5.98 -> 4.28 s at six vertices and 14.06 -> 10.26 s at eight; only the
-eight-vertex setting-C path moved the other way, 2.81 -> 3.71 s, inside its
-seed spread.  On the model before the first two reductions, probing off
-slowed the six-vertex setting-A path, so it is off only together with them.
+chain), and presolve without probing ends at 3,485 rows either way.  With
+those reductions and probing off, the cold MIP got faster on every rung
+of the ladder and on the month, at HiGHS seeds 0-2; probing off alone, on
+that model, was faster on every rung but the eight-vertex setting-C path,
+which moved the other way inside its seed spread.  On the model before
+the first two reductions, probing off slowed the six-vertex setting-A
+path, so it is off only together with them.  CHANGES.md has the tables.
 
 `--seed N` sets HiGHS's `random_seed`.  Its default, 0, is HiGHS's own, so
 a run at seed 0 writes what a run without the flag writes.
@@ -52,7 +43,9 @@ integer column the file does not list starts at 0, and every continuous
 column it does not list is left undefined (infinite), to be completed.  An
 empty file gives a cold solve.  A file naming an unknown column, or holding
 a value that is not a finite number, or a binary other than 0 or 1, exits 1
-like any other error, before any LP runs.
+like any other error, before any LP runs.  A binary is an integer column
+boxed inside [0, 1], so a dispatch column that an outage or a fixed start
+narrowed to [0, 0], [1, 1] or the empty [1, 0] is one too.
 
 With a start, `main` first tries to prove it optimal with two LP runs, and
 runs the MIP only where that proof fails (`_solve_from_start`).  The first
@@ -83,7 +76,8 @@ below the child's own set-up and the LP read is overrun and may end
 `time_limit` with no incumbent: on the eight-vertex month at `--time-limit
 0.01` the child's `# Wall time` was 0.26 s (three runs; 0.35 s with the
 proof's presolve on), of which the MIP's start-up after the cut took 0.03 s,
-and it wrote no values.  Each LP starts without a basis: on the six-vertex
+and it wrote no values; the driver then reports its own checked start.
+Each LP starts without a basis: on the six-vertex
 setting-B model, warm-started from the fixed LP's basis, the relaxation
 took 0.57-0.82 s against 0.14-0.21 s (with presolve, three runs in
 process, 2-core VM).
@@ -102,33 +96,20 @@ three); `changeColsBounds` would import numpy too, and with it the child's
 solve time there rose from 0.21 to 0.33 s (median of five).
 
 The driver's start meets the LP bound on every rung of the ladder and on
-the month, so none of them runs the MIP any more.  The child's `# Wall
-time`, gap 1e-3, one thread, 2-core VM, MIP from the start -> the proof
-(median of five runs each, alternating):
+the month, so none of them runs the MIP any more; each ends `optimal` at
+the same optimum and with the same values as the MIP wrote, also at gap 0,
+in less child time than the MIP from the start took (CHANGES.md has the
+per-rung times, and those of presolve off and the model passes).
 
-    four-vertex setting A       0.34 -> 0.24 s
-    six-vertex setting A        0.82 -> 0.53 s
-    six-vertex setting B        1.00 -> 0.61 s
-    eight-vertex setting C      1.11 -> 0.78 s
-    the month, six vertices     0.96 -> 0.82 s
-    the month, eight vertices   1.08 -> 0.77 s
-
-Every run ends `optimal` at the same optimum and with the same values as the
-MIP wrote, also at gap 0.  On today's model, the child's `# Wall time`
-with the proof's presolve on and its bounds set column by column -> with
-presolve off and one model pass each way (median of five alternating runs,
-same values, `# MIP nodes = 0` on each):
-
-    four-vertex setting A       0.07 -> 0.05 s
-    six-vertex setting A        0.15 -> 0.09 s
-    six-vertex setting B        0.19 -> 0.12 s
-    eight-vertex setting C      0.27 -> 0.20 s
-    the month, six vertices     0.23 -> 0.17 s
-    the month, eight vertices   0.36 -> 0.25 s
+Every HiGHS run, the cold solve, both LPs of the proof, the MIP after a
+failed proof and `solve_lp`'s, goes through `_run`, which sets what is left
+of the time limit, runs, and reports a `HighsResult`; the proof reads a
+run's objective only where that run ended `optimal`.  HiGHS's run clock
+reads 0 before the first run, so a cold solve gets the whole limit.
 
 `parse_lp` and `solve_lp` are the same two steps for an in-process caller:
 `parse_lp` reads LP text through a temporary file exactly as `main` reads
-its input, and `solve_lp` sets the time limit and gap and runs HiGHS.
+its input, and `solve_lp` sets the gap and solves through `_run`.
 
 The solution file holds `name value` rows for nonzero variables after
 comment metadata (`# Status`, `# Objective value`, `# Best bound`, then
@@ -262,8 +243,13 @@ def _closed(objective: float, bound: float) -> str:
     return "optimal" if abs(objective - bound) / max(1.0, abs(objective)) <= 1e-9 else "gap_reached"
 
 
-def _run(highs) -> HighsResult:
-    """Solve the loaded model and report it in file-protocol terms."""
+def _run(highs, time_limit: float) -> HighsResult:
+    """Solve the loaded model within what is left of `time_limit` and report it in file-protocol terms.
+
+    HiGHS applies its `time_limit` option to each run, while its run clock adds up over runs and a
+    model pass does not reset it; before the first run the clock reads 0, so that run gets the whole
+    limit."""
+    _set_options(highs, time_limit=max(0.0, time_limit - highs.getRunTime()))
     highs.run()  # a failed run leaves a model status that `_status_of` reports as an error
     status, objective, bound = _status_of(highs)
     x = list(highs.getSolution().col_value) if objective is not None else None
@@ -343,7 +329,8 @@ def _read_start(lp, path: str) -> tuple[list[float], list[bool]] | None:
     column = {name: i for i, name in enumerate(lp.col_names_)}
     continuous = _highs_core().HighsVarType.kContinuous
     integer = [kind != continuous for kind in lp.integrality_] or [False] * lp.num_col_
-    binary = [kind and (lo, hi) == (0, 1) for kind, lo, hi in zip(integer, lp.col_lower_, lp.col_upper_)]
+    # a binary whose box a fixing narrowed, [0, 0], [1, 1] or the empty [1, 0], still takes only 0 or 1
+    binary = [kind and lo >= 0 and hi <= 1 for kind, lo, hi in zip(integer, lp.col_lower_, lp.col_upper_)]
     values = [0.0 if is_integer else math.inf for is_integer in integer]
     for lineno, words in entries:
         if len(words) != 2:
@@ -378,17 +365,6 @@ def _pass_bounds(highs, lp, lower: list[float], upper: list[float]) -> None:
     _check(highs.passModel(lp), "HiGHS rejected the model with changed column bounds")
 
 
-def _lp_run(highs, time_limit: float) -> tuple[float | None, int]:
-    """Run the model just passed to HiGHS within what is left of `time_limit` (HiGHS's run clock adds
-    up over runs, and a model pass does not reset it); its objective when it ends optimal, else None,
-    and its simplex iterations."""
-    _set_options(highs, time_limit=max(0.0, time_limit - highs.getRunTime()))
-    highs.run()
-    info = highs.getInfo()
-    optimal = highs.getModelStatus() == _highs_core().HighsModelStatus.kOptimal
-    return (info.objective_function_value if optimal else None), max(info.simplex_iteration_count, 0)
-
-
 def _solve_from_start(highs, lp, start: list[float], integer: list[bool], time_limit: float) -> HighsResult:
     """Solve the model `lp` loaded in `highs` from `start` (`integer` flags its integer columns): prove
     the start optimal with two LP runs, or else run the MIP from it (the module docstring tells why and
@@ -401,21 +377,22 @@ def _solve_from_start(highs, lp, start: list[float], integer: list[bool], time_l
         fixed_lower = [v if kind else lo for v, kind, lo in zip(start, integer, lower)]
         fixed_upper = [v if kind else hi for v, kind, hi in zip(start, integer, upper)]
         _pass_bounds(highs, lp, fixed_lower, fixed_upper)
-        incumbent, iterations = _lp_run(highs, time_limit)
-        if incumbent is not None:
-            start = list(highs.getSolution().col_value)  # complete, so a MIP cut short still reports it
+        fixed = _run(highs, time_limit)
+        iterations = fixed.simplex_iterations
+        if fixed.status == "optimal":
+            start = fixed.x  # complete, so a MIP cut short still reports it
         _pass_bounds(highs, lp, lower, upper)
-        if incumbent is not None:
-            relaxation, spent = _lp_run(highs, time_limit)
-            iterations += spent
-            proven = None if relaxation is None else _proof(highs, lp, relaxation, incumbent)
-            if proven is not None:
-                return HighsResult(*proven, start, 0, iterations)
+        if fixed.status == "optimal":
+            relaxation = _run(highs, time_limit)
+            iterations += relaxation.simplex_iterations
+            if relaxation.status == "optimal":
+                proven = _proof(highs, lp, relaxation.objective, fixed.objective)
+                if proven is not None:
+                    return HighsResult(*proven, start, 0, iterations)
         _set_options(highs, solve_relaxation=False, presolve="choose")
         highs.clearSolver()
     _set_start(highs, start)
-    _set_options(highs, time_limit=max(0.0, time_limit - highs.getRunTime()))
-    res = _run(highs)
+    res = _run(highs, time_limit)
     return res._replace(simplex_iterations=res.simplex_iterations + iterations)
 
 
@@ -443,8 +420,8 @@ def parse_lp(text: str):
 
 def solve_lp(highs, time_limit: float, gap: float) -> tuple[HighsResult, list[str]]:
     """Solve a model from `parse_lp` as `main` does; returns the result and the column names."""
-    _set_options(highs, time_limit=float(time_limit), mip_rel_gap=float(gap))
-    return _run(highs), list(highs.getLp().col_names_)
+    _set_options(highs, mip_rel_gap=float(gap))
+    return _run(highs, float(time_limit)), list(highs.getLp().col_names_)
 
 
 def _write_atomically(path: str, text: str) -> None:
@@ -476,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
         lp = highs.getLp()
         start = None if args.start is None else _read_start(lp, args.start)
         t_read = time.monotonic()
-        res = _run(highs) if start is None else _solve_from_start(highs, lp, *start, args.time_limit)
+        res = _run(highs, args.time_limit) if start is None else _solve_from_start(highs, lp, *start, args.time_limit)
         t_solve = time.monotonic()
     except Exception as exc:  # report through the file protocol, then fail
         _write_atomically(args.solution, f"# Status = error\n# Message = {type(exc).__name__}: {exc}\n")

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from pipesched.batches import enumerate_batches
 from pipesched.generator import PathExperimentParams, generate_path_instance
+from pipesched.instance import Product
 from pipesched.lp_io import write_lp
 from pipesched.solver import SolverConfig
 
@@ -35,6 +37,40 @@ def with_capacity(inst, maximum):
         caps = {pid: dataclasses.replace(prof, maximum=maximum) for pid, prof in s.capacity.items()}
         sites.append(dataclasses.replace(s, capacity=caps))
     return dataclasses.replace(inst, sites=tuple(sites), name=f"{inst.name}-cmax{maximum}")
+
+
+def with_dye(inst, nomination: int | None = None):
+    """`inst` with a second staining product, `dye`, shipped like `stain`: the same standard batch,
+    tank, flow rate and cost per batch, and the stain's nomination unless `nomination` is given.
+    Every stain on an edge then excludes another."""
+    sites = tuple(
+        dataclasses.replace(
+            s,
+            standard_batch={**s.standard_batch, "dye": s.standard_batch["stain"]},
+            capacity={**s.capacity, "dye": s.capacity["stain"]} if s.capacity else s.capacity,
+        )
+        for s in inst.sites
+    )
+    regimes = tuple(
+        dataclasses.replace(
+            r,
+            flow_rate={**r.flow_rate, "dye": r.flow_rate["stain"]},
+            cost_per_batch={**r.cost_per_batch, f"{r.id}:dye:standard": r.cost_per_batch[f"{r.id}:stain:standard"]},
+        )
+        for r in inst.regimes
+    )
+    nominations = tuple(
+        dataclasses.replace(n, limits={**n.limits, "dye": n.limits["stain"] if nomination is None else nomination})
+        for n in inst.nominations
+    )
+    return dataclasses.replace(
+        inst,
+        name=f"{inst.name}-dye",
+        products=(*inst.products, Product("dye", "staining", unit_volume=Fraction("70.5"))),
+        sites=sites,
+        regimes=regimes,
+        nominations=nominations,
+    )
 
 
 def lp_text(model) -> str:

@@ -172,6 +172,21 @@ def test_solve_without_a_time_limit(tiny_path, tmp_path):
     assert manifest["status"] == "optimal" and manifest["solver"]["time_limit"] is None
 
 
+def test_solve_stopped_before_the_start_is_reported_writes_the_start(tmp_path):
+    # a limit far below the child's first LP: the shim stops with status time_limit and no values, and
+    # the driver reports its clean plan as the incumbent, validator-checked and exactly scored, with no bound
+    path = tmp_path / "l4.json"
+    save_instance(generate_path_instance(PathExperimentParams(vertices=4, setting="A")), path)
+    out_dir = tmp_path / "run"
+    rc = main(["solve", "--instance", str(path), "--out-dir", str(out_dir), "--time-limit", "1e-6"])
+    assert rc == EXIT_LIMIT
+    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["status"] == "time_limit" and manifest["bound"] is None and manifest["gap"] is None
+    assert manifest["objective"] == manifest["start"]["objective"] == 1440
+    assert manifest["placements"] == manifest["start"]["placements"]
+    assert main(["validate", "--instance", str(path), "--schedule", str(out_dir / "schedule.json")]) == EXIT_OK
+
+
 def test_solve_records_the_seed_only_a_template_passes(tiny_path, tmp_path):
     # the default template passes {seed}; a template without it records none
     for name, argv, seed in (("default", [], 0), ("no seed", ["--solver-cmd", "true {model}"], None)):

@@ -23,6 +23,7 @@ from pipesched.milpmodel import (
     FAM_CAP_DEF_UPPER,
     FAM_CAP_LOWER,
     FAM_CAP_UPPER,
+    FAM_FLUSH_ENFORCE,
     FAM_PACKING,
     FAMILIES,
     OCC_LOWER,
@@ -39,7 +40,7 @@ from pipesched.milpmodel import (
 )
 from pipesched.schedule import Schedule
 from pipesched.validator import capacity_bound_violations, check_schedule, evaluate_objective, simulate_occupancy
-from tests.conftest import single_edge_instance, with_capacity
+from tests.conftest import single_edge_instance, with_capacity, with_dye
 
 INST = single_edge_instance(horizon=12, batches=2)
 TIGHT = single_edge_instance(horizon=12, batches=2, cmax=230)
@@ -62,14 +63,23 @@ LOOP = with_capacity(
     ),
     3000,
 )
-MODELS = {id(inst): build_model(inst) for inst in (INST, TIGHT, TWO_EDGE, LOOP)}
-CATALOGS = {id(inst): enumerate_batches(inst) for inst in (INST, TIGHT, TWO_EDGE, LOOP)}
+# the two-edge path with a second staining product, `dye`: each stain on e1 excludes the other, a rule
+# the model states through packing and flush enforcement, not rows of its own
+TWO_STAIN = with_dye(generate_path_instance(PathExperimentParams(vertices=3, horizon=12)))
+MODELS = {id(inst): build_model(inst) for inst in (INST, TIGHT, TWO_EDGE, LOOP, TWO_STAIN)}
+CATALOGS = {id(inst): enumerate_batches(inst) for inst in (INST, TIGHT, TWO_EDGE, LOOP, TWO_STAIN)}
 
 
 def dispatch_coords(model):
     """The (dispatch edge, batch, start) of every dispatch column."""
     blocks = model.variables.of_kind(PLACEMENT)
     return [(*prefix, t) for prefix, block in blocks.items() for t in range(block.first, block.first + block.count)]
+
+
+def occupancy_vids(model):
+    """The ids of the blocked-stock and on-stock columns, which carry the tank limits."""
+    blocks = (b for b in model.variables.blocks if b.kind in (OCC_UPPER, OCC_LOWER))
+    return {vid for b in blocks for vid in range(b.start, b.start + b.count)}
 
 
 def placement_coords(inst):
@@ -100,7 +110,7 @@ def agree(inst, subset):
 
 
 def test_exhaustive_subsets_up_to_two_placements():
-    for inst in (INST, TIGHT, TWO_EDGE):
+    for inst in (INST, TIGHT, TWO_EDGE, TWO_STAIN):
         coords = placement_coords(inst)
         for single in coords:
             agree(inst, [single])
@@ -132,10 +142,28 @@ def test_sets_whose_pipes_disagree_are_flagged_routes():
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_random_subsets_agree(data):
-    inst = data.draw(st.sampled_from([INST, TIGHT, TWO_EDGE]))
+    inst = data.draw(st.sampled_from([INST, TIGHT, TWO_EDGE, TWO_STAIN]))
     coords = placement_coords(inst)
     subset = data.draw(st.lists(st.sampled_from(coords), unique=True, max_size=6))
     agree(inst, subset)
+
+
+def test_a_stain_entering_behind_an_unflushed_one_breaks_a_kept_row():
+    # the model writes no stain-exclusion rows; every pair of dispatches in which the validator finds
+    # another stain entering e1 as a stain completes breaks the trunk's packing row or the stain's
+    # enforcement row at that slot, since the two rows sum to the exclusion row
+    model, catalog = MODELS[id(TWO_STAIN)], CATALOGS[id(TWO_STAIN)]
+    assert model.family_counts()["flushing_exclusion"] == 0
+    rows = model.constraints.family
+    kept = {FAMILIES.index(FAM_PACKING), FAMILIES.index(FAM_FLUSH_ENFORCE)}
+    behind = 0
+    for pair in itertools.combinations(dispatch_coords(model), 2):
+        schedule = Schedule.from_initial(catalog, pair)
+        if any(v.family == "flushing" and len(v.coordinate) == 4 for v in check_schedule(TWO_STAIN, catalog, schedule)):
+            broken = violated_rows(model, extend_placement_assignment(model, schedule.placements))
+            assert {rows[r] for r in broken} & kept, pair
+            behind += 1
+    assert behind
 
 
 @settings(max_examples=100, deadline=None)
@@ -180,7 +208,7 @@ def test_capacity_rows_agree_with_validator_on_ladder(name):
         assert not families & {FAM_CAP_DEF_UPPER, FAM_CAP_DEF_LOWER}
         report = capacity_bound_violations(inst, simulate_occupancy(inst, catalog, schedule))
         mapped = {model.variables.vid(kind[v.family], v.coordinate) for v in report} - {None}
-        assert set(violated_bounds(model, values)) == mapped, (seed, size)
+        assert set(violated_bounds(model, values)) & occupancy_vids(model) == mapped, (seed, size)
         assert bool(mapped) == bool(report), (seed, size)
         flagged.append(len(mapped))
     assert any(flagged), flagged
@@ -231,20 +259,26 @@ ORACLE_INSTANCES = [generate_oracle_instance(seed) for seed in range(25)]
 def test_rounded_tank_limits_flag_exactly_the_validators_capacity_violations(seed):
     # at integer points the limits on the volume lattice cut off nothing the raw limits allow, and the
     # kept limits imply the others: over random dispatch sets the occupancy columns out of their bounds
-    # are the validator's capacity findings at the kept slots, and there are some whenever it finds any
+    # are the validator's capacity findings at the kept slots, and there are some whenever it finds any;
+    # with the rows and the dispatch columns that an outage or a fixed start boxes, the model flags a set
+    # exactly when the validator does
     inst = ORACLE_INSTANCES[seed]
     model = build_model(inst)
     catalog = model.catalog
     kind = {FAM_CAP_UPPER: OCC_UPPER, FAM_CAP_LOWER: OCC_LOWER}
     coords = dispatch_coords(model)
+    occupancy = occupancy_vids(model)  # a dispatch column's fixing is no capacity finding
     rng = random.Random(seed)
     flagged = 0
     for size in [1, 2, 3, 4, 6, 8] * 5:
         schedule = Schedule.from_initial(catalog, rng.sample(coords, min(size, len(coords))))
         values = extend_placement_assignment(model, schedule.placements)
-        report = [v for v in check_schedule(inst, catalog, schedule) if v.family in kind]
+        found = check_schedule(inst, catalog, schedule)
+        report = [v for v in found if v.family in kind]
         mapped = {model.variables.vid(kind[v.family], v.coordinate) for v in report} - {None}
-        assert set(violated_bounds(model, values)) == mapped, (seed, sorted(schedule.placements))
+        broken = violated_bounds(model, values)
+        assert set(broken) & occupancy == mapped, (seed, sorted(schedule.placements))
+        assert bool(broken or violated_rows(model, values)) == bool(found), (seed, sorted(schedule.placements))
         assert bool(mapped) == bool(report), (seed, sorted(schedule.placements))
         flagged += bool(mapped)
     assert 0 < flagged < 30  # both verdicts occur on every seed

@@ -20,8 +20,8 @@ from pipesched.lp_io import (
     parse_solution,
     write_lp,
 )
-from pipesched.milpmodel import FAMILIES, BuildOptions, build_model, column_letters
-from tests.conftest import lp_text
+from pipesched.milpmodel import FAMILIES, PLACEMENT, BuildOptions, build_model, column_letters
+from tests.conftest import lp_text, with_dye
 
 
 @pytest.fixture(scope="module")
@@ -53,18 +53,23 @@ def test_lp_bytes_are_pinned(tmp_path, vertices, setting, cost_mode, size, diges
 
 
 def test_lp_bytes_are_pinned_over_the_oracle_seeds(tmp_path):
-    # the path pins above hold no exclusion, outage, fixed, throughput or distribution rows;
-    # the 40 oracle seeds hold every family that has rows but flushing_exclusion.  One digest
-    # runs over the seeds' files in turn
+    # the path pins above hold no exclusion, throughput or distribution rows and no fixed dispatch
+    # column; the 40 oracle seeds hold every family that has rows, and 12 dispatch blocks with a start
+    # that an outage or a fixed transport boxes.  One digest runs over the seeds' files in turn.  Last
+    # re-recorded when outages and fixed starts became bounds
     digest = hashlib.sha256()
     families = set()
+    fixed_blocks = 0
     for seed in range(40):
         model = build_model(generate_oracle_instance(seed))
         families |= {f for f, n in model.family_counts().items() if n}
+        fixed_blocks += sum(1 for b in model.variables.blocks if b.kind == PLACEMENT and b.limits)
         digest.update(Path(write_lp(model, tmp_path / "m.lp")).read_bytes())
-    empty = {"routes", "flushing_link", "capacity_upper", "capacity_lower"}  # no model has rows of these
-    assert families == set(FAMILIES) - empty - {"flushing_exclusion"}
-    assert digest.hexdigest() == "86a3bc6ad0867cc336d9429c62a13dfdd991cfa7ea9fd018cddd9e2b4f1ba655"
+    # no model has rows of these: the other rows or the column bounds state their rules
+    empty = {"routes", "flushing_link", "flushing_exclusion", "capacity_upper", "capacity_lower", "outage", "fixed"}
+    assert families == set(FAMILIES) - empty
+    assert fixed_blocks == 12
+    assert digest.hexdigest() == "8969733d02c7fb09e6551cc1d16e728e8400ce834c021d907890d9706f99f1d7"
 
 
 def test_capacity_lazy_option_leaves_the_file_unchanged(ref1):
@@ -74,45 +79,30 @@ def test_capacity_lazy_option_leaves_the_file_unchanged(ref1):
 
 
 def second_stain_path():
-    """The 4A-SDC path with a second staining product, `dye`, shipped like `stain`, and an
-    exclusion group of its first and last regimes: every stain on e1 now excludes another."""
+    """The 4A-SDC path with a second staining product, `dye`, shipped like `stain` but nominated 220,
+    and an exclusion group of its first and last regimes: every stain on e1 now excludes another.
+
+    It is infeasible, and so is its LP relaxation.  The cause is volume, not the exclusion group: the
+    nomination screen warns "dye: storage sites need at least 264 units but the nominations allow 220",
+    and the dye's nomination is the stain's on the feasible two-stain paths (`tests/test_model.py`)."""
     inst = generate_path_instance(PathExperimentParams(vertices=4, setting="A", cost_mode="SDC"))
-    sites = tuple(
-        dataclasses.replace(
-            s,
-            standard_batch={**s.standard_batch, "dye": 44},
-            capacity={**s.capacity, "dye": s.capacity["stain"]} if s.capacity else s.capacity,
-        )
-        for s in inst.sites
-    )
-    regimes = tuple(
-        dataclasses.replace(
-            r,
-            flow_rate={**r.flow_rate, "dye": r.flow_rate["stain"]},
-            cost_per_batch={**r.cost_per_batch, f"{r.id}:dye:standard": r.cost_per_batch[f"{r.id}:stain:standard"]},
-        )
-        for r in inst.regimes
-    )
     return dataclasses.replace(
-        inst,
+        with_dye(inst, nomination=220),
         name="path-l4-A-SDC-dye",
-        products=(*inst.products, Product("dye", "staining", unit_volume=Fraction("70.5"))),
-        sites=sites,
-        regimes=regimes,
-        nominations=tuple(dataclasses.replace(n, limits={**n.limits, "dye": 220}) for n in inst.nominations),
         exclusion_groups=(ExclusionGroup(members=("r1", "r3")),),
     )
 
 
 @pytest.mark.parametrize(
     "size, digest",
-    [(866_102, "8a91197478f7ca0f838d6249407aeffb7b79be863f261d2d402e9936c128ec16")],
+    [(677_863, "65759fe6c374fc25e17c72c2e103d7db353ae85eb840fc076499c9bb5703adb8")],
     ids=["mono"],
 )
 def test_lp_bytes_are_pinned_with_two_stains_and_an_exclusion_group(tmp_path, size, digest):
+    # re-recorded when the stain-exclusion rows went: packing and flush enforcement imply them
     model = build_model(second_stain_path())
     counts = model.family_counts()
-    assert (counts["flushing_exclusion"], counts["exclusion"]) == (2_862, 480)
+    assert (counts["flushing_exclusion"], counts["exclusion"], len(model.constraints.rhs)) == (0, 480, 3_889)
     data = Path(write_lp(model, tmp_path / "m.lp")).read_bytes()
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
 

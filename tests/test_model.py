@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pipesched.batches import enumerate_batches
+from pipesched.cli import EXIT_INFEASIBLE, _solve_exit_code
 from pipesched.cli import main as cli_main
 from pipesched.generator import PathExperimentParams, generate_oracle_instance, generate_path_instance
 from pipesched.instance import (
@@ -58,9 +59,9 @@ from pipesched.milpmodel import (
 )
 from pipesched.oracle import ORACLE_STATUS_INFEASIBLE, brute_force_optimum
 from pipesched.schedule import Schedule
-from pipesched.solver import STATUS_INFEASIBLE, SolverConfig, solve
+from pipesched.solver import STATUS_INFEASIBLE, STATUS_OPTIMAL, SolverConfig, solve
 from pipesched.validator import capacity_bound_violations, check_schedule, simulate_occupancy
-from tests.conftest import single_edge_instance
+from tests.conftest import lp_text, single_edge_instance, with_dye
 
 # an occupancy column's kind -> the family of the tank limit that bounds it
 _LIMIT_FAMILY = {OCC_UPPER: FAM_CAP_UPPER, OCC_LOWER: FAM_CAP_LOWER}
@@ -272,11 +273,17 @@ def test_outage_fixes_placements_to_zero(ref1):
         outages=(TransportOutage(batches=(("e1", "r1:flush:standard"),), times=(4, 5)),),
         name="outage",
     )
+    # a forbidden start is a dispatch column boxed to [0, 0], not a row
     model = build_model(inst)
+    assert model.family_counts()[FAM_OUTAGE] == 0
+    vids = [model.variables.vid(PLACEMENT, ("e1", "r1:flush:standard", t)) for t in (4, 5)]
+    bounds = {v.vid: (v.lb, v.ub) for v in model.variables if v.kind == PLACEMENT and (v.lb, v.ub) != (0, 1)}
+    assert bounds == {vid: (0, 0) for vid in vids}
+    assert all(f" 0 <= v{vid} <= 0\n" in lp_text(model) for vid in vids)
     hit = extend_placement_assignment(model, [("e1", "r1:flush:standard", 4)])
-    assert FAM_OUTAGE in families(model, hit)
+    assert violated_bounds(model, hit) == vids[:1] and violated_rows(model, hit) == []
     missed = extend_placement_assignment(model, [("e1", "r1:flush:standard", 6)])
-    assert FAM_OUTAGE not in families(model, missed)
+    assert violated_bounds(model, missed) == violated_rows(model, missed) == []
 
 
 def test_outage_on_unknown_batch_rejected(ref1):
@@ -329,11 +336,16 @@ def test_fixed_transport_forces_placement(ref1):
     inst = dataclasses.replace(
         ref1, fixed_transports=(FixedTransport(regime="r1", product="flush", start=2),), name="fx"
     )
+    # a forced start is a dispatch column boxed to [1, 1], not a row
     model = build_model(inst)
+    assert model.family_counts()["fixed"] == 0
+    vid = model.variables.vid(PLACEMENT, ("e1", "r1:flush:standard", 2))
+    bounds = {v.vid: (v.lb, v.ub) for v in model.variables if v.kind == PLACEMENT and (v.lb, v.ub) != (0, 1)}
+    assert bounds == {vid: (1, 1)} and f" 1 <= v{vid} <= 1\n" in lp_text(model)
     without = extend_placement_assignment(model, [])
-    assert "fixed" in families(model, without)
+    assert violated_bounds(model, without) == [vid]
     with_it = extend_placement_assignment(model, [("e1", "r1:flush:standard", 2)])
-    assert "fixed" not in families(model, with_it)
+    assert violated_bounds(model, with_it) == violated_rows(model, with_it) == []
 
 
 def test_fixed_transport_beyond_fit_rejected(ref1):
@@ -355,9 +367,36 @@ def test_fixed_start_inside_an_outage_builds_and_is_infeasible(edge):
         fixed_transports=(FixedTransport(regime="r2", product="flush", start=2),),
         name="clash",
     )
-    res = solve(build_model(inst), SolverConfig(time_limit=120, gap=0.0))
-    assert res.status == STATUS_INFEASIBLE
+    # the start gets the empty box [1, 0], which the LP file writes and HiGHS's reader keeps
+    model = build_model(inst)
+    vid = model.variables.vid(PLACEMENT, ("e1", "r2:flush:standard", 2))
+    assert f" 1 <= v{vid} <= 0\n" in lp_text(model)
+    res = solve(model, SolverConfig(time_limit=120, gap=0.0))
+    assert res.status == STATUS_INFEASIBLE and _solve_exit_code(res) == EXIT_INFEASIBLE
     assert brute_force_optimum(inst).status == ORACLE_STATUS_INFEASIBLE
+
+
+def two_stain_path():
+    """The 3A-SDC path with a second staining product, `dye`, shipped like `stain` and nominated like it
+    (`with_dye`): every stain on e1 excludes the other.  It is feasible, so a solve covers the stain
+    rules.  `tests/test_lp_io.py::second_stain_path` is not, for want of volume: its dye is nominated
+    220, and the nomination screen warns "dye: storage sites need at least 264 units but the
+    nominations allow 220"."""
+    return with_dye(generate_path_instance(PathExperimentParams(vertices=3, setting="A", cost_mode="SDC")))
+
+
+def test_two_stain_path_is_proven_optimal_at_node_0_without_stain_exclusion_rows():
+    # no stain-exclusion rows: packing and flush enforcement imply them, so the LP relaxation, 9399.316,
+    # meets the optimum as it does with them (4,343 rows), and the start is proven at node 0
+    model = build_model(two_stain_path())
+    assert model.metadata["warnings"] == []
+    assert {f: n for f, n in model.family_counts().items() if n} == {
+        "packing": 480, "flushing_enforce": 1_912, "capacity_def_upper": 30, "capacity_def_lower": 10, "nomination": 3
+    }
+    res = solve(model, SolverConfig(time_limit=120, gap=0.0))
+    assert (res.status, res.objective, res.nodes) == (STATUS_OPTIMAL, Fraction(2349829, 250), 0)
+    assert res.bound == pytest.approx(9399.316) and res.start.objective == res.objective
+    assert {"stain", "dye"} <= {model.catalog.spec_by_id[b].product for _e, b, _t in res.schedule.placements}
 
 
 def test_objective_counts_extraction(ref1):

@@ -492,7 +492,7 @@ def test_main_adds_timing_lines_and_leaves_no_partial_file(tmp_path):
 def test_main_leaves_out_an_infinite_bound(tmp_path, monkeypatch):
     # a run stopped before HiGHS has a bound reports it as infinite; the file protocol carries finite numbers only
     real = shim._run
-    monkeypatch.setattr(shim, "_run", lambda highs: real(highs)._replace(status="time_limit", bound=INF))
+    monkeypatch.setattr(shim, "_run", lambda *args: real(*args)._replace(status="time_limit", bound=INF))
     rc, sol = _solve_file(tmp_path, TINY_LP)
     assert rc == 0
     assert "# Status = time_limit\n# Objective value = 2.0\n# Wall time = " in sol
@@ -575,12 +575,16 @@ def driver_files(tmp_path_factory):
 
 
 def _spy_on_the_mip(monkeypatch) -> list[tuple[float, float]]:
-    """Make `shim._run`, the MIP run, record its time limit and the HiGHS run time it starts at."""
+    """Make `shim._run` record, for each MIP run (not an LP of the proof), the time limit it ran with
+    and the HiGHS run time it started at."""
     runs, real = [], shim._run
 
-    def spy(highs):
-        runs.append((highs.getOptionValue("time_limit")[1], highs.getRunTime()))
-        return real(highs)
+    def spy(highs, time_limit):
+        ran = highs.getRunTime()
+        res = real(highs, time_limit)
+        if not highs.getOptionValue("solve_relaxation")[1]:
+            runs.append((highs.getOptionValue("time_limit")[1], ran))
+        return res
 
     monkeypatch.setattr(shim, "_run", spy)
     return runs
@@ -612,6 +616,28 @@ def test_start_below_the_relaxation_falls_back_to_the_mip(tmp_path, monkeypatch)
     rc, sol = _solve_with_start(tmp_path, "x 1\n", "--gap", "0")
     assert rc == 0 and len(runs) == 1
     assert "# Status = optimal\n# Objective value = 2.0\n" in sol and "\ny 1.0\n" in sol
+
+
+def test_a_cold_solve_runs_with_the_whole_time_limit(tmp_path, monkeypatch):
+    # HiGHS's run clock reads 0 before the first run, so the one helper that sets what is left of the
+    # limit gives a cold solve the limit as given
+    runs = _spy_on_the_mip(monkeypatch)
+    rc, sol = _solve_file(tmp_path, TINY_LP)
+    assert rc == 0 and "# Status = optimal\n# Objective value = 2.0\n" in sol
+    assert runs == [(60.0, 0.0)]
+
+
+@pytest.mark.parametrize("box", ["0 <= x <= 0", "1 <= x <= 1", "1 <= x <= 0"])
+def test_a_binary_whose_box_a_fixing_narrowed_still_takes_only_0_or_1(tmp_path, capsys, box):
+    # the writer boxes a fixed dispatch column in the Bounds section and keeps it in the Binary section
+    text = TINY_LP.replace(" 0 <= x <= 1", f" {box}")
+    (tmp_path / "m.lp").write_text(text)
+    (tmp_path / "m.start").write_text("x 0.5\n")
+    rc = main([str(tmp_path / "m.lp"), str(tmp_path / "m.sol"), "--start", str(tmp_path / "m.start")])
+    assert rc == 1 and "the binary x the value '0.5', not 0 or 1" in capsys.readouterr().err
+    _rc, sol = _solve_file(tmp_path, text)
+    expected = {"0 <= x <= 0": "optimal\n# Objective value = 2.0", "1 <= x <= 1": "optimal\n# Objective value = 1.0"}
+    assert f"# Status = {expected.get(box, 'infeasible')}\n" in sol
 
 
 def test_start_that_breaks_a_row_falls_back_to_the_mip(tmp_path, monkeypatch):
@@ -700,9 +726,10 @@ def test_a_failed_proof_hands_the_mip_the_model_as_read(driver_files, tmp_path, 
     read = _model_arrays(shim._read_model(str(lp), 1e30, 0.0))
     models, real = [], shim._run
 
-    def spy(highs):
-        models.append(_model_arrays(highs))
-        return real(highs)
+    def spy(highs, time_limit):
+        if not highs.getOptionValue("solve_relaxation")[1]:  # the MIP, not an LP of the proof
+            models.append(_model_arrays(highs))
+        return real(highs, time_limit)
 
     monkeypatch.setattr(shim, "_run", spy)
     assert main([str(lp), str(tmp_path / "m.sol"), "--start", str(tmp_path / "m.start")]) == 0
